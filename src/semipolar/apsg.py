@@ -22,9 +22,9 @@ from .errors import (
     PreconditionUnavailable,
     check_budget,
 )
-from .forms import AxiomReport, Semiform, normalize
+from .forms import AxiomReport, Semiform, group_tables, normalize
 from .gf import GF
-from .linalg import Subspace, as_vec, enumerate_subspaces, enumerate_vectors, vec_index
+from .linalg import Subspace, as_vec, encode_vecs, enumerate_subspaces, enumerate_vectors
 
 
 class Point(NamedTuple):
@@ -132,7 +132,12 @@ class PencilStructure:
 
 
 class SemipolarSpace:
-    """The incidence structure determined by a nondegenerate simplified semiform."""
+    """The incidence structure determined by a nondegenerate simplified semiform.
+
+    The sweeps work on point codes (the index of a point in `points`) and the
+    `group_tables` of Y: a line is a row of p codes and a subspace a code array.
+    `Point` and `AffLine` are the view handed across the public methods.
+    """
 
     def __init__(self, rho: Semiform, budget: int = DEFAULT_BUDGET):
         if not rho.simplified:
@@ -163,8 +168,41 @@ class SemipolarSpace:
     def point(self, i: int) -> Point:
         return self.points[i]
 
-    def point_index_of_flat(self, flat) -> int:
-        return vec_index(flat, self.p)
+    @cached_property
+    def _tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(add, sub, scale) on point codes: add[i, j] is the code of points i + j."""
+        _, add, sub, _, scale = group_tables(self.p, self.ydim)
+        return add, sub, scale
+
+    def line_codes(self, base, direction) -> np.ndarray:
+        """Codes of the lines base + a*direction, a = 0..p-1, along a new last axis."""
+        add, _, scale = self._tables
+        base, direction = np.asarray(base), np.asarray(direction)
+        return add[base[..., None], np.moveaxis(scale[:, direction], 0, -1)]
+
+    def lines_through_pairs(self, i, j) -> np.ndarray:
+        """Sorted codes of the affine line through points i != j, for arrays of pairs."""
+        _, sub, _ = self._tables
+        i, j = np.asarray(i), np.asarray(j)
+        return np.sort(self.line_codes(i, sub[j, i]), axis=-1)
+
+    def _line_keys(self, rows: np.ndarray) -> np.ndarray:
+        """One integer per line row: its two smallest codes, which fix the line."""
+        s = np.sort(rows, axis=-1)
+        return s[..., 0].astype(np.int64) * self.size + s[..., 1]
+
+    def decode_line(self, base: int, direction: int) -> AffLine:
+        """The AffLine base + <direction> for a base code and a direction code."""
+        return AffLine(self.points[base], self.points[direction], self.p)
+
+    def affine_lines(self) -> tuple[np.ndarray, np.ndarray]:
+        """(base, direction) codes of every affine line of Y once, in the order of
+        the canonical AffLine (base, direction): the direction is a direction class
+        and the base has coordinate 0 at the direction's pivot."""
+        dirs = np.array([self.index(d) for d in self.direction_classes], dtype=np.int64)
+        pivots = (self._coords[dirs] != 0).argmax(axis=1)
+        bases, k = np.nonzero(self._coords[:, pivots] == 0)
+        return bases, dirs[k]
 
     # -- the semiform and adjacency ---------------------------------------
 
@@ -219,8 +257,13 @@ class SemipolarSpace:
 
     def line_is_singular(self, line: AffLine) -> bool:
         """One-equation criterion: eta(u_base, u_dir) = -v_dir."""
-        e = self.form.eta.eval(line.base.u, line.direction.u)
-        return all((a + b) % self.p == 0 for a, b in zip(e, line.direction.v))
+        return bool(self.lines_singular([self.index(line.base)], [self.index(line.direction)])[0])
+
+    def lines_singular(self, bases, dirs) -> np.ndarray:
+        """line_is_singular for lines given as base and direction code arrays."""
+        u, v = self._coords[:, self.nu :], self._coords[:, : self.nu]
+        e = np.einsum("la,abk,lb->lk", u[bases], self.form.eta.gram, u[dirs])
+        return ((e + v[dirs]) % self.p == 0).all(axis=1)
 
     def line_singular_by_pairs(self, line: AffLine) -> bool:
         """Definitional check: all point pairs on the line are adjacent."""
@@ -229,20 +272,33 @@ class SemipolarSpace:
             self.adjacent(a, b) for a, b in combinations(pts, 2)
         )
 
-    def singular_lines_through(self, pt: Point) -> list[AffLine]:
-        out = []
-        for u in self.u_direction_classes:
-            e = self.form.eta.eval(pt.u, u)
-            v = tuple((-c) % self.p for c in e)
-            out.append(AffLine(pt, Point(v, u), self.p))
+    @cached_property
+    def _singular_dirs(self) -> np.ndarray:
+        """Code of d(i, c) = [-eta(u_i, u_c), u_c], the direction of the singular
+        line through point i in u-class c; shape (size, classes)."""
+        p = self.p
+        reps = np.array(self.u_direction_classes, dtype=np.int64)
+        eta = np.einsum("ia,abk,cb->ick", self._coords[:, self.nu :], self.form.eta.gram, reps)
+        dirs = np.concatenate([-eta, np.broadcast_to(reps, eta.shape[:2] + (self.n,))], axis=2)
+        out = encode_vecs(dirs, p)
+        out.setflags(write=False)
         return out
 
     @cached_property
+    def _singular_keys(self) -> np.ndarray:
+        """Line key of the singular line through point i in u-class c."""
+        return self._line_keys(self.line_codes(np.arange(self.size)[:, None], self._singular_dirs))
+
+    def singular_lines_through(self, pt: Point) -> list[AffLine]:
+        i = self.index(pt)
+        return [self.decode_line(i, d) for d in self._singular_dirs[i].tolist()]
+
+    @cached_property
     def singular_lines(self) -> frozenset[AffLine]:
-        out = set()
-        for pt in self.points:
-            out.update(self.singular_lines_through(pt))
-        return frozenset(out)
+        _, first = np.unique(self._singular_keys, return_index=True)
+        dirs = self._singular_dirs.ravel()[first].tolist()
+        bases = (first // self._singular_dirs.shape[1]).tolist()
+        return frozenset(self.decode_line(b, d) for b, d in zip(bases, dirs))
 
     def direction_excluded_set(self) -> frozenset[Point]:
         """Direction classes carrying no singular line: eta(u0, .) = v0 unsolvable."""
@@ -270,25 +326,34 @@ class SemipolarSpace:
         v_parts = self._coords[:, : self.nu]
         lhs = self.form.eta.eta_u(u0).apply_rows(u_parts)
         rhs = (v0[None, :] + alpha * v_parts) % p
-        mask = (lhs == rhs).all(axis=1)
-        members = tuple(self.points[i] for i in np.flatnonzero(mask))
+        codes = np.flatnonzero((lhs == rhs).all(axis=1))
+        members = tuple(self.points[i] for i in codes.tolist())
         if not members:
             return ZSet((), "empty", None)
         if len(members) == self.size:
             return ZSet(members, "all", self.ydim)
-        dim = round(np.log(len(members)) / np.log(p))
-        if p**dim != len(members) or not self.is_affine_point_set(members):
+        dim = 0
+        while p**dim < len(members):
+            dim += 1
+        if p**dim != len(members) or not self._is_affine_codes(codes):
             raise DegenerateForm("solution set is not an affine subspace")
         return ZSet(members, "affine", dim)
 
     def is_affine_point_set(self, pts) -> bool:
         """Closure under x + a(y - x) for all scalars a."""
-        idx = {self.index(q) for q in pts}
-        pts = list(pts)
-        for x, y in combinations(pts, 2):
-            d = y.sub(x, self.p)
+        return self._is_affine_codes(np.array([self.index(q) for q in pts], dtype=np.int64))
+
+    def _is_affine_codes(self, codes: np.ndarray) -> bool:
+        """is_affine_point_set on point codes, a block of x rows at a time."""
+        add, sub, scale = self._tables
+        member = np.zeros(self.size, dtype=bool)
+        member[codes] = True
+        step = max(1, (1 << 16) // max(1, len(codes)))
+        for lo in range(0, len(codes), step):
+            x = codes[lo : lo + step, None]
+            diff = sub[codes[None, :], x]
             for a in range(2, self.p):
-                if self.index(x.add(d.scale(a, self.p), self.p)) not in idx:
+                if not member[add[x, scale[a, diff]]].all():
                     return False
         return True
 
@@ -304,15 +369,13 @@ class SemipolarSpace:
     def triangles_through(self, pt: Point) -> list[tuple[Point, Point, Point]]:
         """Non-collinear pairwise-adjacent triples through pt."""
         i = self.index(pt)
-        nbrs = [j for j in np.flatnonzero(self.adjacency[i]) if j != i]
+        nbrs = np.flatnonzero(self.adjacency[i])
+        nbrs = nbrs[nbrs != i]
+        keys = self._line_keys(self.lines_through_pairs(i, nbrs)).tolist()
         out = []
-        for a, b in combinations(nbrs, 2):
-            if not self.adjacency[a, b]:
-                continue
-            pa, pb = self.points[a], self.points[b]
-            if line_through(pt, pa, self.p) == line_through(pt, pb, self.p):
-                continue
-            out.append((pt, pa, pb))
+        for (a, ka), (b, kb) in combinations(zip(nbrs.tolist(), keys), 2):
+            if self.adjacency[a, b] and ka != kb:
+                out.append((pt, self.points[a], self.points[b]))
         return out
 
     def triangle_census(self) -> int:
@@ -334,57 +397,71 @@ class SemipolarSpace:
 
     def verify_gamma_space(self, line_set: Optional[frozenset[AffLine]] = None) -> AxiomReport:
         """Planes spanned by two concurrent singular lines carry only singular lines
-        through the common point; maximal singular subspaces are affine subspaces."""
-        lines = self.singular_lines if line_set is None else frozenset(line_set)
-        by_point: dict[Point, list[AffLine]] = {}
-        for line in lines:
-            for q in line.points():
-                by_point.setdefault(q, []).append(line)
+        through the common point; maximal singular subspaces are affine subspaces.
+
+        Runs one point at a time: for every pair of lines d1, d2 through the point,
+        each line with direction d1 + a*d2 is looked up among the keys of the set.
+        """
+        add, _, scale = self._tables
+        if line_set is None:
+            through = self._singular_dirs
+            keys = self._singular_keys
+        else:
+            lines = list(line_set)
+            bases = np.array([self.index(l.base) for l in lines], dtype=np.int64)
+            dirs = np.array([self.index(l.direction) for l in lines], dtype=np.int64)
+            rows = self.line_codes(bases, dirs)
+            keys = self._line_keys(rows)
+            rows = rows.ravel()
+            order = np.argsort(rows, kind="stable")
+            dir_of = np.repeat(dirs, self.p)[order]
+            bounds = np.searchsorted(rows[order], np.arange(self.size + 1))
+            through = [dir_of[bounds[i] : bounds[i + 1]] for i in range(self.size)]
         report = AxiomReport()
-        ok, wit = True, None
-        for pt, through in by_point.items():
-            for l1, l2 in combinations(through, 2):
-                d1, d2 = l1.direction, l2.direction
-                for a in range(1, self.p):
-                    mixed = d1.add(d2.scale(a, self.p), self.p)
-                    candidate = AffLine(pt, mixed, self.p)
-                    if candidate not in lines:
-                        ok, wit = False, (pt, repr(l1), repr(l2), repr(candidate))
-                        break
-                if not ok:
-                    break
-            if not ok:
+        wit = None
+        for i, dirs in enumerate(through):
+            if len(dirs) < 2:
+                continue
+            first, second = np.triu_indices(len(dirs), 1)
+            mixed = add[dirs[first][:, None], scale[1:, dirs[second]].T]  # d1 + a*d2, a >= 1
+            cand = self._line_keys(self.line_codes(i, mixed)).ravel()
+            missing = np.flatnonzero(~np.isin(cand, keys))
+            if len(missing):
+                k, a = divmod(int(missing[0]), self.p - 1)
+                named = (dirs[first[k]], dirs[second[k]], mixed[k, a])
+                l1, l2, candidate = (self.decode_line(i, int(d)) for d in named)
+                wit = (self.points[i], repr(l1), repr(l2), repr(candidate))
                 break
-        report.add("plane-closure", ok, wit, "lines through a common point inside a span stay singular")
+        report.add("plane-closure", wit is None, wit, "lines through a common point inside a span stay singular")
 
         if line_set is None:
-            aff_ok, aff_wit = True, None
+            aff_wit = None
             for s in self.maximal_singular_subspaces():
-                pts = [self.points[i] for i in s]
-                if not self.is_affine_point_set(pts):
-                    aff_ok, aff_wit = False, (sorted(s),)
+                if not self._is_affine_codes(np.array(sorted(s), dtype=np.int64)):
+                    aff_wit = (sorted(s),)
                     break
-            report.add("singular-subspaces-affine", aff_ok, aff_wit, "maximal singular subspaces carry affine geometry")
+            report.add("singular-subspaces-affine", aff_wit is None, aff_wit, "maximal singular subspaces carry affine geometry")
         return report
 
     def verify_parallel_unclosed(self) -> AxiomReport:
-        """Every singular line has a parallel affine line that is not singular."""
+        """Every singular line has a parallel affine line that is not singular.
+
+        The parallels tried are the translates by [0, e_k] for the basis vectors
+        e_k of V with eta(e_k, u_dir) != 0, looked up among the singular lines.
+        """
+        add, _, _ = self._tables
+        lines = sorted(self.singular_lines, key=lambda l: (l.base, l.direction))
+        bases = np.array([self.index(l.base) for l in lines], dtype=np.int64)
+        dirs = np.array([self.index(l.direction) for l in lines], dtype=np.int64)
+        shifts = self.p ** np.arange(self.n - 1, -1, -1)  # codes of [0, e_k]
+        eta = np.einsum("kbj,lb->lkj", self.form.eta.gram, self._coords[dirs, self.nu :])
+        eligible = (eta % self.p).any(axis=2)
+        keys = self._line_keys(add[self.line_codes(bases, dirs)[:, None, :], shifts[None, :, None]])
+        singular = np.isin(keys, self._singular_keys)
+        missing = np.flatnonzero(~(eligible & ~singular).any(axis=1))
+        wit = (repr(lines[missing[0]]),) if len(missing) else None
         report = AxiomReport()
-        ok, wit = True, None
-        for line in sorted(self.singular_lines, key=lambda l: (l.base, l.direction)):
-            found = None
-            for k in range(self.n):
-                e_k = tuple(1 if i == k else 0 for i in range(self.n))
-                if any(self.form.eta.eval(e_k, line.direction.u)):
-                    shift = Point(tuple(0 for _ in range(self.nu)), e_k)
-                    translate = AffLine(line.base.add(shift, self.p), line.direction, self.p)
-                    if not self.line_is_singular(translate):
-                        found = translate
-                        break
-            if found is None:
-                ok, wit = False, (repr(line),)
-                break
-        report.add("parallel-unclosed", ok, wit, "a non-singular parallel exists for every singular line")
+        report.add("parallel-unclosed", wit is None, wit, "a non-singular parallel exists for every singular line")
         return report
 
     # -- condition (*) and line recovery ------------------------------------
@@ -403,9 +480,6 @@ class SemipolarSpace:
                     return False
         return True
 
-    def condition_star_holds(self) -> bool:
-        return self.separating_kernels
-
     def neighborhood_intersection(self, p1: Point, p2: Point) -> tuple[Point, ...]:
         """Intersection of the neighbor sets of all common neighbors of p1, p2."""
         bits = self.neighbor_bits
@@ -417,12 +491,10 @@ class SemipolarSpace:
             acc &= bits[low.bit_length() - 1]
             y ^= low
         out = []
-        i = 0
         while acc:
-            if acc & 1:
-                out.append(self.points[i])
-            acc >>= 1
-            i += 1
+            low = acc & -acc
+            out.append(self.points[low.bit_length() - 1])
+            acc ^= low
         return tuple(out)
 
     def recover_line(self, p1: Point, p2: Point) -> tuple[Point, ...]:
@@ -431,7 +503,7 @@ class SemipolarSpace:
             raise InvalidPair("points must be distinct")
         if not self.adjacent(p1, p2):
             raise InvalidPair("points must be adjacent")
-        if not self.condition_star_holds():
+        if not self.separating_kernels:
             raise PreconditionUnavailable("kernel separation fails for this alternating map")
         return self.neighborhood_intersection(p1, p2)
 
@@ -439,36 +511,14 @@ class SemipolarSpace:
 
     def singular_planes_through(self, pt: Point) -> list[frozenset[int]]:
         """Singular planes through pt as point-index sets."""
-        through = self.singular_lines_through(pt)
+        add, _, scale = self._tables
+        i = self.index(pt)
         out = set()
-        for l1, l2 in combinations(through, 2):
-            ok, members = self._span_singular(pt, (l1.direction, l2.direction))
-            if ok:
-                out.add(members)
+        for d1, d2 in combinations(self._singular_dirs[i].tolist(), 2):
+            members = add[self.line_codes(i, d1)[:, None], scale[:, d2]].ravel()
+            if self.adjacency[np.ix_(members, members)].all():
+                out.add(frozenset(members.tolist()))
         return sorted(out, key=sorted)
-
-    def _span_singular(self, pt: Point, dirs) -> tuple[bool, frozenset[int]]:
-        """Span pt + <dirs> and check that all its point pairs are adjacent."""
-        coeff_rows = enumerate_vectors(self.p, len(dirs))
-        members = []
-        for row in coeff_rows:
-            q = pt
-            for c, d in zip(row, dirs):
-                q = q.add(d.scale(int(c), self.p), self.p)
-            members.append(self.index(q))
-        ok = all(self.adjacency[a, b] for a, b in combinations(members, 2))
-        return ok, frozenset(members)
-
-    @cached_property
-    def _u_class_pos(self) -> dict[tuple[int, ...], int]:
-        return {u: i for i, u in enumerate(self.u_direction_classes)}
-
-    def _u_class_of(self, u: tuple[int, ...]) -> int:
-        first = next(c for c in u if c % self.p)
-        if first != 1:
-            s = GF(self.p).inv(first)
-            u = tuple((s * c) % self.p for c in u)
-        return self._u_class_pos[u]
 
     @cached_property
     def _u_class_orthogonal(self) -> np.ndarray:
@@ -480,50 +530,39 @@ class SemipolarSpace:
     def maximal_singular_subspaces(self) -> list[frozenset[int]]:
         """Exhaustive closure: grow singular subspaces from lines until nothing extends.
 
-        Candidate extensions are prefiltered by orthogonality of the direction
-        u-parts but every accepted subspace is confirmed pairwise-adjacent.
+        A subspace is held as its sorted point codes, a base point and the
+        u-classes of its spanning singular directions.  It extends by the singular
+        line through the base in each u-class orthogonal to all of those; an
+        extension counts when its span has p^(k+1) distinct points that are
+        pairwise adjacent.  Every singular subspace of one dimension more is
+        reached this way, so a subspace with no extension is maximal.
         """
         if getattr(self, "_maximal_cache", None) is not None:
             return self._maximal_cache
-        from .linalg import rank
-
+        add, _, scale = self._tables
+        dirs = self._singular_dirs
         orth = self._u_class_orthogonal
-        layers: list[set[frozenset[int]]] = []
-        lines = {frozenset(self.index(q) for q in line.points()) for line in self.singular_lines}
-        layers.append(lines)
-        current_dirs: dict[frozenset[int], tuple] = {}
-        for line in self.singular_lines:
-            key = frozenset(self.index(q) for q in line.points())
-            current_dirs[key] = (line.base, (line.direction,))
-        while True:
-            grown: set[frozenset[int]] = set()
-            grown_dirs: dict[frozenset[int], tuple] = {}
-            for key in layers[-1]:
-                base, dirs = current_dirs[key]
-                dir_rows = [self._u_class_of(q.u) for q in dirs]
-                for extra in self.singular_lines_through(base):
-                    d = extra.direction
-                    if not all(orth[self._u_class_of(d.u), r] for r in dir_rows):
-                        continue
-                    u_stack = [q.u for q in dirs] + [d.u]
-                    if rank(np.array(u_stack, dtype=np.int64), self.p) != len(dirs) + 1:
-                        continue
-                    ok, members = self._span_singular(base, dirs + (d,))
-                    if ok and members not in grown:
-                        grown.add(members)
-                        grown_dirs[members] = (base, dirs + (d,))
-            if not grown:
-                break
-            layers.append(grown)
-            current_dirs.update(grown_dirs)
+        _, first = np.unique(self._singular_keys, return_index=True)
+        bases, cls = np.divmod(first, dirs.shape[1])
+        rows = np.sort(self.line_codes(bases, dirs[bases, cls]), axis=1)
+        layer = {
+            row.tobytes(): (b, [c], row) for b, c, row in zip(bases.tolist(), cls.tolist(), rows)
+        }
         maximal: list[frozenset[int]] = []
-        for depth, layer in enumerate(layers):
-            larger = set()
-            for upper_layer in layers[depth + 1 :]:
-                larger |= upper_layer
-            for s in layer:
-                if not any(s < t for t in larger):
-                    maximal.append(s)
+        while layer:
+            grown: dict[bytes, tuple] = {}
+            for b, classes, members in layer.values():
+                cand = np.flatnonzero(orth[:, classes].all(axis=1))
+                spans = add[members[None, :, None], scale[:, dirs[b, cand]].T[:, None, :]]
+                spans = np.sort(spans.reshape(len(cand), -1), axis=1)
+                ok = (np.diff(spans, axis=1) != 0).all(axis=1)
+                indep = spans[ok]
+                ok[ok] = self.adjacency[indep[:, :, None], indep[:, None, :]].all(axis=(1, 2))
+                if not ok.any():
+                    maximal.append(frozenset(members.tolist()))
+                for c, span in zip(cand[ok].tolist(), spans[ok]):
+                    grown.setdefault(span.tobytes(), (b, classes + [c], span))
+            layer = grown
         self._maximal_cache = sorted(maximal, key=sorted)
         return self._maximal_cache
 

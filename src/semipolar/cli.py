@@ -80,7 +80,7 @@ def cmd_verify(args) -> int:
         budget=args.budget,
         jobs=args.jobs,
         sample=args.sample,
-        seed=args.seed,
+        seed=0 if args.seed is None else args.seed,
         oracle_cap=args.oracle_cap,
         hyp_dim=args.hyp_dim,
         hyp_diag=tuple(args.hyp_diag) if args.hyp_diag else None,
@@ -99,7 +99,7 @@ def cmd_verify(args) -> int:
             "budget": cfg.budget,
             "jobs": cfg.jobs,
             "sample": cfg.sample,
-            "seed": cfg.seed,
+            "seed": args.seed,
         },
         "suites": reports,
         "passed": passed,
@@ -193,7 +193,8 @@ def make_parser() -> argparse.ArgumentParser:
     v.add_argument("--budget", type=int, default=10**6)
     v.add_argument("--jobs", type=int, default=1, help="worker cap for suite internals")
     v.add_argument("--sample", type=int, default=None, help="sampled mode: tuples per suite")
-    v.add_argument("--seed", type=int, default=None)
+    v.add_argument("--seed", type=int, default=None,
+                   help="sampling seed, 0 when omitted; the config block echoes the flag as given")
     v.add_argument("--oracle-cap", type=int, default=27)
     v.add_argument("--field", type=int, default=None, help="field for the hyperbolic suite")
     v.add_argument("--hyp-dim", type=int, default=3)

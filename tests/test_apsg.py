@@ -4,11 +4,13 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semipolar.apsg import AffLine, Point, canonical_direction, line_through
 from semipolar.errors import DegenerateForm, InvalidPair
 from semipolar.forms import AlternatingMap, Semiform
-from semipolar.linalg import Subspace, enumerate_vectors
+from semipolar.linalg import Subspace, enumerate_subspaces, enumerate_vectors
 
 
 def P(v, u):
@@ -231,6 +233,46 @@ def test_zset_translation_invariance_of_the_class(sp_m1_gf3):
     assert translated == set(z2.points)
 
 
+def closed_by_point_arithmetic(space, pts):
+    """Definitional closure under x + a(y - x), in Point arithmetic."""
+    p = space.p
+    members = set(pts)
+    return all(
+        x.add(y.sub(x, p).scale(a, p), p) in members
+        for x, y in combinations(list(pts), 2)
+        for a in range(2, p)
+    )
+
+
+def affine_span(space, base, dirs):
+    p = space.p
+    pts = {base}
+    for d in dirs:
+        pts = {q.add(d.scale(a, p), p) for q in pts for a in range(p)}
+    return pts
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_affine_point_set_agrees_with_point_closure(sp_m1_gf3, sp_m2_gf3, data):
+    space = data.draw(st.sampled_from([sp_m1_gf3, sp_m2_gf3]))
+    pick = st.integers(0, space.size - 1)
+    base = space.points[data.draw(pick)]
+    dirs = [space.points[i] for i in data.draw(st.lists(pick, max_size=space.ydim))]
+    pts = affine_span(space, base, dirs)
+    assert closed_by_point_arithmetic(space, pts)
+    assert space.is_affine_point_set(pts)
+    if 1 < len(pts) < space.size:
+        # one point swapped out: p^k - 1 shared points are too many for two
+        # distinct affine k-subspaces, so the result is never affine
+        out = sorted(pts)[data.draw(st.integers(0, len(pts) - 1))]
+        outside = [q for q in space.points if q not in pts]
+        into = outside[data.draw(st.integers(0, len(outside) - 1))]
+        swapped = (pts - {out}) | {into}
+        assert not closed_by_point_arithmetic(space, swapped)
+        assert not space.is_affine_point_set(swapped)
+
+
 def test_joinable_counts_and_membership(sp_m1_gf3, sp_m2_gf3, sp_cross_gf3):
     for space, expect in ((sp_m1_gf3, 9), (sp_m2_gf3, 81), (sp_cross_gf3, 27)):
         pts = space.joinable_subspace(space.origin)
@@ -309,7 +351,22 @@ def test_gamma_space_corrupted_line_set_fails(sp_m2_gf3):
     corrupted.remove(inside[-1])
     report = space.verify_gamma_space(frozenset(corrupted))
     assert not report.passed
-    assert report.check("plane-closure").witness is not None
+    witness = report.check("plane-closure").witness
+    assert witness is not None
+    # the named candidate passes through the base point, lies in the plane the
+    # two named lines span there, and is the line missing from the set
+    pt, r1, r2, rc = witness
+    by_repr = {repr(l): l for l in space.singular_lines}
+    l1, l2, candidate = by_repr[r1], by_repr[r2], by_repr[rc]
+    assert pt in l1.points() and pt in l2.points() and pt in candidate.points()
+    span = {
+        space.index(pt.add(l1.direction.scale(a, 3), 3).add(l2.direction.scale(b, 3), 3))
+        for a in range(3)
+        for b in range(3)
+    }
+    assert {space.index(q) for q in candidate.points()} <= span
+    assert l1 in corrupted and l2 in corrupted
+    assert candidate not in corrupted
 
 
 def test_parallel_unclosed(sp_m1_gf3, sp_m2_gf3):
@@ -339,7 +396,7 @@ def test_parallel_witness_example_m1(sp_m1_gf3):
 
 def test_condition_star_holds_on_shipped_instances(sp_m1_gf3, sp_m2_gf3, sp_cross_gf3):
     for space in (sp_m1_gf3, sp_m2_gf3, sp_cross_gf3):
-        assert space.condition_star_holds()
+        assert space.separating_kernels
 
 
 def test_recover_line_exhaustive_m1(sp_m1_gf3):
@@ -433,6 +490,36 @@ def test_maximal_singular_subspaces_are_lines_when_no_triangles(sp_m1_gf3, sp_cr
             frozenset(space.index(q) for q in l.points()) for l in space.singular_lines
         }
         assert set(maximal) == line_sets
+
+
+def brute_force_maximal(space):
+    """Maximal singular subspaces from every coset of every linear subspace of Y."""
+    coords = enumerate_vectors(space.p, space.ydim)
+    weights = space.p ** np.arange(space.ydim - 1, -1, -1)
+    layers = []  # layers[k]: the singular subspaces of dimension k + 1, as code rows
+    for k in range(1, space.ydim + 1):
+        found = set()
+        for w in enumerate_subspaces(k, space.ydim, space.p):
+            span = enumerate_vectors(space.p, k) @ w.matrix()
+            cosets = ((coords[:, None, :] + span[None, :, :]) % space.p) @ weights
+            cosets = np.unique(np.sort(cosets, axis=1), axis=0)
+            ok = space.adjacency[cosets[:, :, None], cosets[:, None, :]].all(axis=(1, 2))
+            found.update(tuple(c) for c in cosets[ok].tolist())
+        if not found:
+            break
+        layers.append(np.array(sorted(found)))
+    maximal = []
+    for k, layer in enumerate(layers):
+        above = layers[k + 1] if k + 1 < len(layers) else np.zeros((0, 1), dtype=np.int64)
+        member = np.zeros((len(above), space.size), dtype=bool)
+        member[np.arange(len(above))[:, None], above] = True
+        contained = member[:, layer].all(axis=2).any(axis=0)
+        maximal += [frozenset(s) for s in layer[~contained].tolist()]
+    return sorted(maximal, key=sorted)
+
+
+def test_maximal_singular_subspaces_m2_match_brute_force(sp_m2_gf3):
+    assert sp_m2_gf3.maximal_singular_subspaces() == brute_force_maximal(sp_m2_gf3)
 
 
 def test_maximal_singular_subspaces_m2_are_planes(sp_m2_gf3):

@@ -93,6 +93,21 @@ def test_verify_sampled_mode_is_seeded(m1_instance, tmp_path, capsys):
     assert report["suites"][0]["mode"] == {"sample": 20, "seed": 7}
 
 
+def test_verify_sampled_mode_without_seed_is_reproducible(m1_instance, tmp_path, capsys):
+    out1, out2, out0 = tmp_path / "u1.json", tmp_path / "u2.json", tmp_path / "u0.json"
+    argv = ["verify", str(m1_instance), "--suite", "lines", "--suite", "recover",
+            "--sample", "20"]
+    assert run(argv + ["--out", str(out1)], capsys)[0] == 0
+    assert run(argv + ["--out", str(out2)], capsys)[0] == 0
+    assert out1.read_bytes() == out2.read_bytes()
+    report = json.loads(out1.read_text())
+    for suite in report["suites"]:
+        assert suite["mode"] == {"sample": 20, "seed": 0}
+    # the omitted seed is seed 0: the same tuples get checked
+    assert run(argv + ["--seed", "0", "--out", str(out0)], capsys)[0] == 0
+    assert json.loads(out0.read_text())["suites"] == report["suites"]
+
+
 def test_verify_budget_exceeded_exit_code(m1_instance, capsys):
     code, _, err = run(["verify", str(m1_instance), "--suite", "identities",
                         "--budget", "10"], capsys)
