@@ -23,7 +23,6 @@ from .errors import (
     check_budget,
 )
 from .forms import AxiomReport, Semiform, group_tables, normalize
-from .gf import GF
 from .linalg import Subspace, as_vec, encode_vecs, enumerate_subspaces, enumerate_vectors
 
 
@@ -64,8 +63,7 @@ def canonical_direction(q: Point, p: int) -> Point:
     pivot = next((i for i, c in enumerate(flat) if c % p), None)
     if pivot is None:
         raise ValueError("the zero vector spans no direction")
-    s = GF(p).inv(flat[pivot])
-    return q.scale(s, p)
+    return q.scale(pow(flat[pivot], p - 2, p), p)
 
 
 class AffLine:
@@ -231,6 +229,12 @@ class SemipolarSpace:
     def rho(self, p1: Point, p2: Point) -> tuple[int, ...]:
         return self.form.eval(p1, p2)
 
+    def rho_codes(self, rows=None, cols=None) -> np.ndarray:
+        """Encoded rho from the points `rows` to the points `cols`, both point-code
+        arrays (None is all of Y): a row or a column costs O(|Y|), not the table."""
+        c = self._coords
+        return self.form.value_codes(c if rows is None else c[rows], c if cols is None else c[cols])
+
     def adjacent(self, p1: Point, p2: Point) -> bool:
         return bool(self.adjacency[self.index(p1), self.index(p2)])
 
@@ -315,18 +319,21 @@ class SemipolarSpace:
 
     # -- solution sets of one linear adjacency equation ---------------------
 
-    def zset(self, u0, v0, alpha: int) -> ZSet:
-        """{[v,u] : eta(u0, u) = v0 + alpha*v} with its classification."""
+    def zset_mask(self, u0, v0, alpha: int) -> np.ndarray:
+        """Membership of every point in {[v,u] : eta(u0, u) = v0 + alpha*v}."""
         p = self.p
         u0 = as_vec(u0, p)
         v0 = as_vec(v0, p)
         if u0.shape != (self.n,) or v0.shape != (self.nu,):
             raise DimensionMismatch("u0 must lie in V and v0 in V'")
-        u_parts = self._coords[:, self.nu :]
-        v_parts = self._coords[:, : self.nu]
-        lhs = self.form.eta.eta_u(u0).apply_rows(u_parts)
-        rhs = (v0[None, :] + alpha * v_parts) % p
-        codes = np.flatnonzero((lhs == rhs).all(axis=1))
+        lhs = self.form.eta.eta_u(u0).apply_rows(self._coords[:, self.nu :])
+        rhs = (v0[None, :] + alpha * self._coords[:, : self.nu]) % p
+        return (lhs == rhs).all(axis=1)
+
+    def zset(self, u0, v0, alpha: int) -> ZSet:
+        """{[v,u] : eta(u0, u) = v0 + alpha*v} with its classification."""
+        p = self.p
+        codes = np.flatnonzero(self.zset_mask(u0, v0, alpha))
         members = tuple(self.points[i] for i in codes.tolist())
         if not members:
             return ZSet((), "empty", None)

@@ -15,12 +15,15 @@ from .apsg import SemipolarSpace
 from .errors import DimensionMismatch, EnumerationTooLarge, GeometryError
 from .forms import Semiform, cross_product_map, exterior_square, standard_symplectic
 from .gf import GF
-from .hyperbolic import build_double, reconstruction_report, standard_doubling_base
-from .linalg import LinearMap, Subspace
+from .hyperbolic import (
+    build_double,
+    default_deleted_subspace,
+    reconstruction_report,
+    standard_doubling_base,
+)
+from .linalg import LinearMap
 from .metric import pair_report
 from .suites import SuiteConfig, applicable_suites, run_suite
-
-import numpy as np
 
 
 def _dump(obj, path: Optional[str]) -> None:
@@ -78,7 +81,6 @@ def _space_from_args(args) -> Optional[SemipolarSpace]:
 def cmd_verify(args) -> int:
     cfg = SuiteConfig(
         budget=args.budget,
-        jobs=args.jobs,
         sample=args.sample,
         seed=0 if args.seed is None else args.seed,
         oracle_cap=args.oracle_cap,
@@ -97,7 +99,6 @@ def cmd_verify(args) -> int:
         "instance": space.form.to_jsonable() if space else None,
         "config": {
             "budget": cfg.budget,
-            "jobs": cfg.jobs,
             "sample": cfg.sample,
             "seed": args.seed,
         },
@@ -116,9 +117,7 @@ def cmd_export(args) -> int:
         p = args.field or 3
         base = standard_doubling_base(args.hyp_dim, p, diag=args.hyp_diag)
         hyp = build_double(args.hyp_dim, base)
-        gens = np.zeros((args.hyp_dim, 2 * args.hyp_dim), dtype=np.int64)
-        gens[:, : args.hyp_dim] = np.eye(args.hyp_dim, dtype=np.int64)
-        _dump(reconstruction_report(hyp, Subspace(gens, p, 2 * args.hyp_dim)), args.out)
+        _dump(reconstruction_report(hyp, default_deleted_subspace(hyp)), args.out)
         return 0
 
     space = _space_from_args(args)
@@ -191,7 +190,6 @@ def make_parser() -> argparse.ArgumentParser:
     v.add_argument("--suite", action="append",
                    help="suite name or 'all'; may repeat")
     v.add_argument("--budget", type=int, default=10**6)
-    v.add_argument("--jobs", type=int, default=1, help="worker cap for suite internals")
     v.add_argument("--sample", type=int, default=None, help="sampled mode: tuples per suite")
     v.add_argument("--seed", type=int, default=None,
                    help="sampling seed, 0 when omitted; the config block echoes the flag as given")

@@ -262,20 +262,26 @@ class Semiform:
         d = np.array(self.atlas.delta(v1, v2), dtype=np.int64)
         return tuple(int(c) for c in (e - d) % self.p)
 
-    def value_table(self, budget: int = DEFAULT_BUDGET) -> np.ndarray:
-        """Encoded rho over all point pairs of Y, indexed by vec_index of (v, u)."""
-        p = self.p
-        size = p**self.ydim
-        check_budget(size * size, budget, "semiform value table")
-        pts = enumerate_vectors(p, self.ydim)
-        v, u = pts[:, : self.nu], pts[:, self.nu :]
-        phi_v = self.atlas.phi.apply_rows(v)
-        out = np.zeros((size, size), dtype=np.int32)
-        for k in range(self.nu):
-            eta_k = (u @ self.eta.gram[:, :, k] @ u.T) % p
-            delta_k = (phi_v[:, k][:, None] - phi_v[:, k][None, :]) % p
+    def value_codes(self, a, b) -> np.ndarray:
+        """Encoded rho for every pair of coordinate rows: out[i, j] is the base-p
+        code of rho(a[i], b[j]), each row a flat (v, u) point of Y."""
+        p, nu = self.p, self.nu
+        a, b = as_vec(a, p), as_vec(b, p)
+        phi_a = self.atlas.phi.apply_rows(a[:, :nu])
+        phi_b = self.atlas.phi.apply_rows(b[:, :nu])
+        out = np.zeros((len(a), len(b)), dtype=np.int32)
+        for k in range(nu):
+            eta_k = a[:, nu:] @ self.eta.gram[:, :, k] @ b[:, nu:].T
+            delta_k = phi_a[:, k][:, None] - phi_b[:, k][None, :]
             out = out * p + ((eta_k - delta_k) % p).astype(np.int32)
         return out
+
+    def value_table(self, budget: int = DEFAULT_BUDGET) -> np.ndarray:
+        """Encoded rho over all point pairs of Y, indexed by vec_index of (v, u)."""
+        size = self.p**self.ydim
+        check_budget(size * size, budget, "semiform value table")
+        pts = enumerate_vectors(self.p, self.ydim)
+        return self.value_codes(pts, pts)
 
     def to_jsonable(self) -> dict:
         return {

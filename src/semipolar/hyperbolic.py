@@ -255,6 +255,14 @@ def build_double(n: int, xi: SymmetricForm) -> HypPolarSpace:
     return HypPolarSpace(xi)
 
 
+def default_deleted_subspace(space: HypPolarSpace) -> Subspace:
+    """W + 0, the first summand of Y = W + W: the deleted subspace used when none is given."""
+    n = space.n
+    gens = np.zeros((n, 2 * n), dtype=np.int64)
+    gens[:, :n] = np.eye(n, dtype=np.int64)
+    return Subspace(gens, space.p, 2 * n)
+
+
 def standard_doubling_base(n: int, p: int, diag=None) -> SymmetricForm:
     entries = [1] * n if diag is None else list(diag)
     if len(entries) != n:

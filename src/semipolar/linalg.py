@@ -8,7 +8,6 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .errors import DEFAULT_BUDGET, DimensionMismatch, check_budget
-from .gf import GF
 
 
 def as_vec(x, p: int) -> np.ndarray:
@@ -49,7 +48,6 @@ def encode_vecs(arr: np.ndarray, p: int) -> np.ndarray:
 
 def rref(mat, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row-echelon form over GF(p) and the pivot columns."""
-    gf = GF(p)
     m = as_vec(np.atleast_2d(mat), p).copy()
     rows, cols = m.shape
     pivots: list[int] = []
@@ -64,7 +62,7 @@ def rref(mat, p: int) -> tuple[np.ndarray, list[int]]:
             continue
         if pr != r:
             m[[r, pr]] = m[[pr, r]]
-        m[r] = (m[r] * gf.inv(int(m[r, c]))) % p
+        m[r] = (m[r] * pow(int(m[r, c]), p - 2, p)) % p
         for i in range(rows):
             if i != r and m[i, c]:
                 m[i] = (m[i] - m[i, c] * m[r]) % p

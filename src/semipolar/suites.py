@@ -32,15 +32,19 @@ from .autos import (
 )
 from .errors import DEFAULT_BUDGET, DimensionMismatch, check_budget
 from .forms import check_semiform_axioms, group_tables, verify_identities
-from .hyperbolic import build_double, reconstruction_report, standard_doubling_base
-from .linalg import LinearMap, Subspace
+from .hyperbolic import (
+    build_double,
+    default_deleted_subspace,
+    reconstruction_report,
+    standard_doubling_base,
+)
+from .linalg import LinearMap
 from .metric import translation_noninvariance_witness
 
 
 @dataclass
 class SuiteConfig:
     budget: int = DEFAULT_BUDGET
-    jobs: int = 1
     sample: Optional[int] = None
     seed: int = 0
     oracle_cap: int = 27
@@ -434,7 +438,7 @@ def suite_hyperbolic(space: Optional[SemipolarSpace], cfg: SuiteConfig) -> dict:
     n = cfg.hyp_dim
     base = standard_doubling_base(n, p, diag=cfg.hyp_diag)
     hyp = build_double(n, base)
-    report = reconstruction_report(hyp, _default_deleted(hyp))
+    report = reconstruction_report(hyp, default_deleted_subspace(hyp))
     expected_points = (p**n - 1) // (p - 1)
     rec = report["reconstruction"]
     checks = [
@@ -449,13 +453,6 @@ def suite_hyperbolic(space: Optional[SemipolarSpace], cfg: SuiteConfig) -> dict:
                f"one class per deleted projective point ({expected_points})"),
     ]
     return _result("hyperbolic", checks, report)
-
-
-def _default_deleted(hyp) -> Subspace:
-    n = hyp.n
-    gens = np.zeros((n, 2 * n), dtype=np.int64)
-    gens[:, :n] = np.eye(n, dtype=np.int64)
-    return Subspace(gens, hyp.p, 2 * n)
 
 
 SUITES: dict[str, Callable] = {

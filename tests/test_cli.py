@@ -69,6 +69,7 @@ def test_verify_single_suite_passes(m1_instance, tmp_path, capsys):
     assert "[pass] dset" in err and "[pass] joinable" in err
     report = json.loads(out.read_text())
     assert report["passed"] is True
+    assert report["config"] == {"budget": 10**6, "sample": None, "seed": None}
     assert [s["suite"] for s in report["suites"]] == ["dset", "joinable"]
     for suite in report["suites"]:
         assert suite["mode"] == "exhaustive"
@@ -202,6 +203,12 @@ def test_export_bisectors_single_pair(m1_instance, tmp_path, capsys):
     assert code == 0
     entries = json.loads(out.read_text())
     assert [e["kind"] for e in entries] == ["t", "m", "sphere"]
+    # one pair reads rows of rho, so a budget below |Y|^2 (27 <= 100 < 729) suffices
+    small = tmp_path / "bis_small.json"
+    code, _, _ = run(["export", str(m1_instance), "--what", "bisectors", "--pair", "0,4",
+                      "--budget", "100", "--out", str(small)], capsys)
+    assert code == 0
+    assert small.read_bytes() == out.read_bytes()
 
 
 def test_export_bisectors_all_pairs_deterministic(m1_instance, tmp_path, capsys):

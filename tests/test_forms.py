@@ -4,6 +4,8 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from semipolar.errors import DegenerateAtlas, DimensionMismatch
 from semipolar.forms import (
@@ -212,6 +214,43 @@ def test_value_table_vector_valued_matches_pointwise_eval():
     for _ in range(300):
         i, j = rng.integers(0, len(pts), 2)
         assert table[i, j] == vec_index(rho.eval(pts[i], pts[j]), 3)
+
+
+# (p, n, nu) of the random semiforms: scalar over GF(3) and GF(5), and
+# vector-valued over GF(3)
+RANDOM_SHAPES = [(3, 2, 1), (3, 4, 1), (5, 2, 1), (3, 3, 2)]
+
+
+@st.composite
+def random_semiforms(draw):
+    """A nondegenerate alternating map of a drawn shape with an invertible atlas."""
+    p, n, nu = draw(st.sampled_from(RANDOM_SHAPES))
+    coeff = st.integers(0, p - 1)
+    upper = {
+        (i, j): tuple(draw(coeff) for _ in range(nu)) for i, j in combinations(range(n), 2)
+    }
+    eta = AlternatingMap(p, n, nu, upper)
+    assume(eta.is_nondegenerate())
+    phi = LinearMap([[draw(coeff) for _ in range(nu)] for _ in range(nu)], p)
+    assume(phi.is_bijective())
+    return Semiform(eta, AffineAtlas(phi))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(rho=random_semiforms(), data=st.data())
+def test_value_codes_and_table_match_pointwise_eval(rho, data):
+    p = rho.p
+    pts = enumerate_vectors(p, rho.ydim)
+    rows = st.lists(st.integers(0, len(pts) - 1), min_size=1, max_size=6)
+    a, b = data.draw(rows), data.draw(rows)
+    codes = rho.value_codes(pts[a], pts[b])
+    table = rho.value_table()
+    assert codes.shape == (len(a), len(b))
+    for r, i in enumerate(a):
+        for c, j in enumerate(b):
+            want = vec_index(rho.eval(pts[i], pts[j]), p)
+            assert codes[r, c] == want
+            assert table[i, j] == want
 
 
 # -- identities ----------------------------------------------------------------

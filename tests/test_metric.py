@@ -1,12 +1,15 @@
 """Equidistance, bisectors, spheres, midpoints, symmetries, polar correspondence."""
 
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from semipolar.apsg import Point, line_through
+from semipolar.apsg import Point, SemipolarSpace, line_through
 from semipolar.errors import DimensionMismatch
+from semipolar.forms import AlternatingMap, Semiform
 from semipolar.metric import (
     HyperplaneDescriptor,
     bisector_m,
@@ -280,6 +283,30 @@ def test_symmetry_m_void_for_unrealized_hyperplane(sp_m1_gf3):
     assert symmetry_m(space, desc) is None
 
 
+def test_symmetry_m_matches_brute_force_over_pairs(sp_m1_gf3):
+    space = sp_m1_gf3
+    rho = space.form.eval
+    centre_sums = {}
+    for a, p1 in enumerate(space.points):
+        for p2 in space.points[a:]:
+            m_set = frozenset(q for q in space.points if rho(p1, q) == rho(q, p2))
+            centre_sums.setdefault(m_set, set()).add(p1.add(p2, 3))
+    for u0 in product(range(3), repeat=2):
+        for alpha, beta in product(range(3), repeat=2):
+            desc = HyperplaneDescriptor.make(3, u0, alpha, beta)
+            target = frozenset(
+                q for q in space.points
+                if space.form.eta.eval(desc.u0, q.u)[0] == (desc.beta + desc.alpha * q.v[0]) % 3
+            )
+            sums = centre_sums.get(target, set())
+            sym = symmetry_m(space, desc)
+            if not sums:
+                assert sym is None
+                continue
+            (s,) = sums  # every realizing pair has the same sum
+            assert [sym(q) for q in space.points] == [s.sub(q, 3) for q in space.points]
+
+
 def test_translations_stay_inside_t_symmetry_class(sp_m1_gf3):
     # if bisector_t(p1, p2) = H then every translated pair (r, r + (p2 - p1))
     # has the same t-bisector H
@@ -321,10 +348,19 @@ def test_polar_correspondence_equal_pair_reduces_to_neighborhood(sp_m1_gf3):
 
 
 def test_translation_noninvariance_witness(sp_m1_gf3):
-    got = translation_noninvariance_witness(sp_m1_gf3)
+    space = sp_m1_gf3
+
+    def first_in_loop_order():
+        for p1, p2, t in product(space.points, repeat=3):
+            if space.form.eval(p1.add(t, 3), p2.add(t, 3)) != space.form.eval(p1, p2):
+                return p1, p2, t
+        return None
+
+    got = translation_noninvariance_witness(space)
     assert got is not None
+    assert got == first_in_loop_order()
     p1, p2, t = got
-    assert sp_m1_gf3.rho(p1.add(t, 3), p2.add(t, 3)) != sp_m1_gf3.rho(p1, p2)
+    assert space.rho(p1.add(t, 3), p2.add(t, 3)) != space.rho(p1, p2)
 
 
 # -- reports ------------------------------------------------------------------------------
@@ -347,3 +383,59 @@ def test_metric_classifications_require_scalar_space(sp_cross_gf3):
     assert desc is None  # defining set still computed
     with pytest.raises(DimensionMismatch):
         pair_report(space, space.points[0], space.points[1])
+
+
+# -- random forms ---------------------------------------------------------------------------
+
+# (p, n, nu) of the random spaces: scalar over GF(3) and GF(5), and
+# vector-valued over GF(3), where the sets exist without equations
+RANDOM_SHAPES = [(3, 2, 1), (3, 4, 1), (5, 2, 1), (3, 2, 2)]
+
+
+@st.composite
+def random_spaces(draw):
+    """The space of a random nondegenerate alternating map of a drawn shape."""
+    p, n, nu = draw(st.sampled_from(RANDOM_SHAPES))
+    coeff = st.integers(0, p - 1)
+    upper = {
+        (i, j): tuple(draw(coeff) for _ in range(nu)) for i, j in combinations(range(n), 2)
+    }
+    eta = AlternatingMap(p, n, nu, upper)
+    assume(eta.is_nondegenerate())
+    return SemipolarSpace(Semiform(eta))
+
+
+def definitional_sets(space, p1, p2) -> dict:
+    rho = space.form.eval
+    return {
+        "t": {q for q in space.points if rho(p1, q) == rho(p2, q)},
+        "m": {q for q in space.points if rho(p1, q) == rho(q, p2)},
+        "sphere": {q for q in space.points if rho(p1, q) == rho(p1, p2)},
+    }
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(space=random_spaces(), data=st.data())
+def test_bisectors_spheres_and_reports_match_definitions(space, data):
+    pick = st.integers(0, space.size - 1)
+    i, j = data.draw(pick), data.draw(pick)
+    p1, p2 = space.points[i], space.points[j]
+    want = definitional_sets(space, p1, p2)
+    reference = []
+    for kind, fn in (("t", bisector_t), ("m", bisector_m), ("sphere", sphere)):
+        pts, desc = fn(space, p1, p2)
+        assert pts == tuple(q for q in space.points if q in want[kind])
+        if space.nu != 1:
+            assert desc is None
+            continue
+        assert set(desc.members(space)) == want[kind]
+        size = len(want[kind])
+        reference.append({
+            "pair": [i, j],
+            "kind": kind,
+            "classification": {0: "empty", space.size: "all"}.get(size, "hyperplane"),
+            "equation": {"u0": list(desc.u0), "alpha": desc.alpha, "beta": desc.beta},
+            "cardinality": size,
+        })
+    if space.nu == 1:
+        assert pair_report(space, p1, p2) == reference
