@@ -23,7 +23,15 @@ from .errors import (
     check_budget,
 )
 from .forms import AxiomReport, Semiform, group_tables, normalize
-from .linalg import Subspace, as_vec, encode_vecs, enumerate_subspaces, enumerate_vectors
+from .linalg import (
+    Subspace,
+    as_vec,
+    encode_vecs,
+    enumerate_subspaces,
+    enumerate_vectors,
+    pack_rows,
+    unpack_rows,
+)
 
 
 class Point(NamedTuple):
@@ -129,6 +137,20 @@ class PencilStructure:
     isomorphic: bool
 
 
+def neighborhood_intersections(adjacency: np.ndarray, words: np.ndarray, i, j) -> np.ndarray:
+    """For each pair (i[k], j[k]) of point codes: the points adjacent to every
+    common neighbor of both, as pack_rows words (`words` is pack_rows(adjacency)).
+    A pair without common neighbors gets every point, the empty intersection."""
+    common = adjacency[np.asarray(i)] & adjacency[np.asarray(j)]
+    pair, nbr = np.nonzero(common)
+    out = np.empty((len(common), words.shape[1]), dtype=np.uint64)
+    out[:] = pack_rows(np.ones(adjacency.shape[1], dtype=bool))
+    if pair.size:
+        starts = np.flatnonzero(np.r_[True, pair[1:] != pair[:-1]])
+        out[pair[starts]] = np.bitwise_and.reduceat(words[nbr], starts, axis=0)
+    return out
+
+
 class SemipolarSpace:
     """The incidence structure determined by a nondegenerate simplified semiform.
 
@@ -217,14 +239,8 @@ class SemipolarSpace:
         return a
 
     @cached_property
-    def neighbor_bits(self) -> list[int]:
-        out = []
-        for row in self.adjacency:
-            acc = 0
-            for j in np.flatnonzero(row):
-                acc |= 1 << int(j)
-            out.append(acc)
-        return out
+    def _adjacency_words(self) -> np.ndarray:
+        return pack_rows(self.adjacency)
 
     def rho(self, p1: Point, p2: Point) -> tuple[int, ...]:
         return self.form.eval(p1, p2)
@@ -487,22 +503,14 @@ class SemipolarSpace:
                     return False
         return True
 
+    def neighborhood_intersection_words(self, i, j) -> np.ndarray:
+        """neighborhood_intersection for arrays of point codes, as pack_rows words."""
+        return neighborhood_intersections(self.adjacency, self._adjacency_words, i, j)
+
     def neighborhood_intersection(self, p1: Point, p2: Point) -> tuple[Point, ...]:
         """Intersection of the neighbor sets of all common neighbors of p1, p2."""
-        bits = self.neighbor_bits
-        common = bits[self.index(p1)] & bits[self.index(p2)]
-        acc = (1 << self.size) - 1
-        y = common
-        while y:
-            low = y & -y
-            acc &= bits[low.bit_length() - 1]
-            y ^= low
-        out = []
-        while acc:
-            low = acc & -acc
-            out.append(self.points[low.bit_length() - 1])
-            acc ^= low
-        return tuple(out)
+        words = self.neighborhood_intersection_words([self.index(p1)], [self.index(p2)])
+        return tuple(self.points[k] for k in np.flatnonzero(unpack_rows(words, self.size)[0]))
 
     def recover_line(self, p1: Point, p2: Point) -> tuple[Point, ...]:
         """Rebuild the singular line through two adjacent points from adjacency alone."""

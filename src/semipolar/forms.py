@@ -349,7 +349,7 @@ def scaled_conjugate(eta: AlternatingMap, b: LinearMap, gamma: int) -> tuple[Alt
         val = eta.eval(b.matrix[:, i], b.matrix[:, j])
         upper[(i, j)] = tuple((gamma * c) % p for c in val)
     scaled = AlternatingMap(p, eta.n, eta.nu, upper)
-    inv_gamma = GF(p).inv(gamma)
+    inv_gamma = pow(int(gamma), p - 2, p)
     block = np.zeros((eta.nu + eta.n, eta.nu + eta.n), dtype=np.int64)
     block[: eta.nu, : eta.nu] = (inv_gamma * np.eye(eta.nu, dtype=np.int64)) % p
     block[eta.nu :, eta.nu :] = b.matrix

@@ -7,12 +7,17 @@ are exactly the pairs with xi(u, v) = 0.  Deleting a maximal singular subspace
 leaves a reduct from which the deleted geometry is rebuilt: punctured-plane
 maximals are grouped by their incidences against affine-plane maximals, the
 groups are the deleted points, the affine maximals the deleted hyperplanes.
+
+Inside the engine a totally isotropic subspace is a boolean mask over the
+quadric points: spans come from coefficient grids looked up in a table from
+vector code to quadric-point index, and intersections are mask products.
+`Subspace` values are decoded only where the public functions return them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from functools import cached_property
 
 import numpy as np
 
@@ -24,7 +29,19 @@ from .errors import (
     check_budget,
 )
 from .gf import GF
-from .linalg import Subspace, as_vec, enumerate_subspaces, enumerate_vectors, rank
+from .linalg import (
+    Subspace,
+    as_vec,
+    encode_vecs,
+    enumerate_subspaces,
+    enumerate_vectors,
+    pack_rows,
+    rank,
+    unpack_rows,
+)
+
+# bytes the largest intermediate of one block of a batched computation may hold
+_CHUNK = 1 << 20
 
 
 def is_square(a: int, p: int) -> bool:
@@ -65,7 +82,6 @@ def diagonalize_symmetric(gram: np.ndarray, p: int) -> list[int]:
     """Diagonal of a congruent diagonal form (char != 2 pivoting)."""
     g = as_vec(np.array(gram, dtype=np.int64), p).copy()
     n = g.shape[0]
-    inv = GF(p).inv
     diag = []
     idx = list(range(n))
     while idx:
@@ -85,31 +101,47 @@ def diagonalize_symmetric(gram: np.ndarray, p: int) -> list[int]:
         for i in idx:
             if i == pivot or not g[pivot, i] % p:
                 continue
-            c = (g[pivot, i] * inv(d)) % p
+            c = (g[pivot, i] * pow(d, p - 2, p)) % p
             g[i, :] = (g[i, :] - c * g[pivot, :]) % p
             g[:, i] = (g[:, i] - c * g[:, pivot]) % p
         idx.remove(pivot)
     return diag
 
 
+def _normalized_rows(vectors, p: int) -> np.ndarray:
+    """Each row scaled so that its first nonzero coordinate is 1; zero rows stay zero."""
+    v = as_vec(vectors, p)
+    first = np.take_along_axis(v, (v != 0).argmax(axis=-1)[..., None], axis=-1)
+    inverses = np.array([0] + [pow(a, p - 2, p) for a in range(1, p)], dtype=np.int64)
+    return (v * inverses[first]) % p
+
+
 def projective_reps(vectors: np.ndarray, p: int) -> list[tuple[int, ...]]:
     """Canonical representatives (first nonzero = 1) of the spanned 1-subspaces."""
-    inv = GF(p).inv
-    seen = set()
-    out = []
-    for row in vectors:
-        if not row.any():
-            continue
-        first = int(row[np.flatnonzero(row)[0]])
-        rep = tuple(int(c) for c in (row * inv(first)) % p)
-        if rep not in seen:
-            seen.add(rep)
-            out.append(rep)
-    return out
+    reps = np.asarray(vectors, dtype=np.int64)
+    if not reps.size:
+        return []
+    reps = _normalized_rows(reps, p)
+    reps = reps[reps.any(axis=1)]
+    _, first = np.unique(encode_vecs(reps, p), return_index=True)
+    return [tuple(r) for r in reps[np.sort(first)].tolist()]
 
 
 def subspace_reps(s: Subspace) -> list[tuple[int, ...]]:
-    return projective_reps(np.array(list(s.vectors()), dtype=np.int64), s.p)
+    return projective_reps(enumerate_vectors(s.p, s.dim) @ s.matrix() % s.p, s.p)
+
+
+def _distinct_rows(words: np.ndarray) -> np.ndarray:
+    """The distinct rows of a 2-d array (in lexicographic order of the reversed rows)."""
+    words = words[np.lexsort(words.T)]
+    keep = np.ones(len(words), dtype=bool)
+    keep[1:] = (words[1:] != words[:-1]).any(axis=1)
+    return words[keep]
+
+
+def _meet_counts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|a_i & b_j| for every pair of rows of two boolean point-mask matrices."""
+    return np.rint(a.astype(np.float64) @ b.T.astype(np.float64)).astype(np.int64)
 
 
 class HypPolarSpace:
@@ -127,13 +159,19 @@ class HypPolarSpace:
         self.zeta = SymmetricForm(z, self.p)
         check_budget(self.p ** (2 * self.n), budget, "doubled point enumeration")
         vecs = enumerate_vectors(self.p, 2 * self.n)
-        self._all_reps = projective_reps(vecs, self.p)
+        codes = encode_vecs(_normalized_rows(vecs, self.p), self.p)
+        # a nonzero vector that is its own normalisation represents its projective point
+        self._all_reps = vecs[1:][codes[1:] == np.arange(1, len(vecs))]
         g = self.zeta.gram
-        all_mat = np.array(self._all_reps, dtype=np.int64)
-        iso = ((all_mat @ g) * all_mat).sum(axis=1) % self.p == 0
-        self.quadric_points = [self._all_reps[i] for i in np.flatnonzero(iso)]
-        self._rep_matrix = all_mat[iso]
-        self._pairing = (self._rep_matrix @ g @ self._rep_matrix.T) % self.p
+        iso = ((self._all_reps @ g) * self._all_reps).sum(axis=1) % self.p == 0
+        self._rep_matrix = self._all_reps[iso]
+        self.quadric_points = [tuple(r) for r in self._rep_matrix.tolist()]
+        # vector code -> index of its projective point in quadric_points, -1 off the quadric
+        by_rep = np.full(len(vecs), -1, dtype=np.int64)
+        by_rep[encode_vecs(self._rep_matrix, self.p)] = np.arange(len(self._rep_matrix))
+        self._point_index = by_rep[codes]
+        self._layers: list[tuple[np.ndarray, np.ndarray]] = []
+        self._top = None  # index of the maximal layer once the closure has reached it
         self._lines_cache = None
         self._maximals_cache = None
 
@@ -141,12 +179,10 @@ class HypPolarSpace:
 
     def isotropy_matches_orthogonal_pairs(self) -> bool:
         """<[u,v]> is zeta-isotropic iff xi(u, v) = 0, over all projective points."""
-        for r in self._all_reps:
-            u, v = r[: self.n], r[self.n :]
-            iso = (np.array(r) @ self.zeta.gram @ np.array(r)) % self.p == 0
-            if iso != (self.xi.eval(u, v) == 0):
-                return False
-        return True
+        r, n = self._all_reps, self.n
+        iso = ((r @ self.zeta.gram) * r).sum(axis=1) % self.p == 0
+        orth = ((r[:, :n] @ self.xi.gram) * r[:, n:]).sum(axis=1) % self.p == 0
+        return bool((iso == orth).all())
 
     def hyperbolic_by_discriminant(self) -> bool:
         """Even-rank classification: (-1)^(rank/2) det is a square exactly in the
@@ -161,82 +197,163 @@ class HypPolarSpace:
     def collinear(self, r1, r2) -> bool:
         return self.zeta.eval(r1, r2) == 0
 
+    # -- subspaces as point masks ---------------------------------------------------
+
+    def _span_indices(self, bases: np.ndarray) -> np.ndarray:
+        """Quadric-point index of every nonzero member of each span of (m, k, 2n)
+        bases, as an (m, p^k - 1) array; -1 marks a member off the quadric."""
+        m, k, dim = bases.shape
+        grid = enumerate_vectors(self.p, k)[1:]
+        out = np.empty((m, len(grid)), dtype=np.int64)
+        step = max(1, _CHUNK // (8 * max(1, grid.size * dim)))
+        for lo in range(0, m, step):
+            vecs = (grid @ bases[lo : lo + step]) % self.p
+            out[lo : lo + step] = self._point_index[encode_vecs(vecs, self.p)]
+        return out
+
+    def _span_masks(self, bases: np.ndarray) -> np.ndarray:
+        """Point masks of the spans of (m, k, 2n) bases of totally isotropic subspaces."""
+        idx = self._span_indices(bases)
+        masks = np.zeros((len(idx), len(self.quadric_points) + 1), dtype=bool)
+        masks[np.arange(len(idx))[:, None], idx] = True  # -1 lands in the spare last column
+        return masks[:, :-1]
+
+    def point_mask(self, s: Subspace) -> np.ndarray:
+        """The quadric points of a totally isotropic subspace, as a mask over quadric_points."""
+        if (s.p, s.ambient_dim) != (self.p, 2 * self.n):
+            raise DimensionMismatch("subspace is not in the doubled space")
+        idx = self._span_indices(s.matrix()[None])[0]
+        if (idx < 0).any():
+            raise InvalidSubspace("subspace is not totally isotropic")
+        mask = np.zeros(len(self.quadric_points), dtype=bool)
+        mask[idx] = True
+        return mask
+
+    @cached_property
+    def _orthogonal(self) -> np.ndarray:
+        """Q x Q: the quadric points i and j are zeta-orthogonal (collinear or equal)."""
+        r = self._rep_matrix
+        return (r @ self.zeta.gram @ r.T) % self.p == 0
+
+    def _dims(self, counts) -> np.ndarray:
+        """Dimension d of subspaces from their numbers of points, (p^d - 1)/(p - 1)."""
+        table = (self.p ** np.arange(2 * self.n + 1) - 1) // (self.p - 1)
+        counts = np.asarray(counts)
+        d = np.minimum(np.searchsorted(table, counts), len(table) - 1)
+        if (table[d] != counts).any():
+            raise DegenerateForm("a point count that no subspace has")
+        return d
+
+    def _echelon(self, masks: np.ndarray) -> np.ndarray:
+        """The reduced row-echelon bases of the subspaces with these point masks,
+        as (m, k) quadric-point indices.
+
+        The pivots are the leading positions of the members, and row r is the
+        member whose pivot coordinates are the r-th unit vector; it is
+        normalised, so it is one of the quadric-point representatives.
+        """
+        m = len(masks)
+        points = np.nonzero(masks)[1].reshape(m, -1)
+        members = self._rep_matrix[points]
+        is_pivot = np.zeros((m, members.shape[2]), dtype=bool)
+        is_pivot[np.arange(m)[:, None], (members != 0).argmax(axis=2)] = True
+        pivots = np.nonzero(is_pivot)[1].reshape(m, -1)
+        proj = np.take_along_axis(members, pivots[:, None, :], axis=2)
+        unit = np.eye(pivots.shape[1], dtype=np.int64)
+        row_of = (proj[:, None, :, :] == unit[None, :, None, :]).all(axis=3).argmax(axis=2)
+        return np.take_along_axis(points, row_of, axis=1)
+
+    def _extend(self, masks: np.ndarray, basis: np.ndarray):
+        """The distinct one-point extensions of a layer of subspaces, or None
+        when every member is maximal.
+
+        The candidates of a subspace are the points orthogonal to its basis
+        points and outside it.  The lowest candidate gives one extension; its
+        span is struck from the candidates, since each of its points gives the
+        same extension, and the next lowest gives the next.  Extensions found
+        from several subspaces fall together on their packed masks.  The layer
+        is swept in blocks of rows, deduplicating after each block, so the
+        (rows x points) masks and the packed extensions stay bounded.
+        """
+        q = masks.shape[1]
+        found = np.zeros((0, -(-q // 64)), dtype=np.uint64)
+        extendable = 0
+        step = max(1, _CHUNK // q)
+        for lo in range(0, len(masks), step):
+            cand = ~masks[lo : lo + step]
+            block = basis[lo : lo + step]
+            for col in block.T:
+                cand &= self._orthogonal[col]
+            rows = np.flatnonzero(cand.any(axis=1))
+            extendable += len(rows)
+            grown = [found]
+            while rows.size:
+                point = cand[rows].argmax(axis=1)
+                gens = np.concatenate([block[rows], point[:, None]], axis=1)
+                span = self._span_masks(self._rep_matrix[gens])
+                cand[rows] &= ~span
+                grown.append(pack_rows(span))
+                rows = rows[cand[rows].any(axis=1)]
+            found = _distinct_rows(np.concatenate(grown))
+        if not extendable:
+            return None  # commuting points inside every mask: the layer is maximal
+        if extendable < len(masks):
+            raise DegenerateForm("maximal singular subspaces of different dimensions")
+        return self._sorted_layer(found)
+
+    def _sorted_layer(self, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(masks, echelon basis points) of packed subspace masks, ordered by
+        the echelon bases; the masks are unpacked twice rather than copied."""
+        q = len(self.quadric_points)
+        basis = self._echelon(unpack_rows(words, q))
+        order = np.lexsort(self._rep_matrix[basis].reshape(len(basis), -1).T[::-1])
+        return unpack_rows(words[order], q), basis[order]
+
+    def _layer(self, k: int):
+        """(point masks, echelon basis points) of the totally isotropic
+        (k+1)-subspaces, sorted by basis; None beyond the maximal ones."""
+        if not self._layers:
+            q = len(self.quadric_points)
+            self._layers.append((np.eye(q, dtype=bool), np.arange(q)[:, None]))
+        while len(self._layers) <= k and self._top is None:
+            grown = self._extend(*self._layers[-1])
+            if grown is None:
+                self._top = len(self._layers) - 1
+            else:
+                self._layers.append(grown)
+        return self._layers[k] if k < len(self._layers) else None
+
+    def _maximal_layer(self) -> tuple[np.ndarray, np.ndarray]:
+        self._layer(2 * self.n)
+        return self._layers[self._top]
+
+    def _decode(self, basis: np.ndarray) -> list[Subspace]:
+        rows = self._rep_matrix[basis].tolist()
+        return [Subspace.from_echelon(b, self.p, 2 * self.n) for b in rows]
+
     def lines(self) -> list[Subspace]:
         """All totally isotropic 2-subspaces (the lines of the polar space)."""
         if self._lines_cache is None:
-            from .linalg import rref
-
-            seen = {}
-            for i, j in np.argwhere(np.triu(self._pairing == 0, 1)):
-                mat, _ = rref(self._rep_matrix[[int(i), int(j)]], self.p)
-                key = mat.tobytes()
-                if key not in seen:
-                    s = Subspace.__new__(Subspace)
-                    s.p = self.p
-                    s.ambient_dim = 2 * self.n
-                    s.basis = tuple(tuple(int(c) for c in row) for row in mat)
-                    seen[key] = s
-            self._lines_cache = sorted(seen.values(), key=lambda s: s.basis)
+            self._lines_cache = self._decode(self._layer(1)[1])
         return self._lines_cache
 
-    def _commuting_mask(self, basis: np.ndarray) -> np.ndarray:
-        """Quadric points orthogonal to every basis vector."""
-        vals = (self._rep_matrix @ self.zeta.gram @ basis.T) % self.p
-        return (vals == 0).all(axis=1)
-
     def maximal_singulars(self) -> list[Subspace]:
-        """All maximal totally isotropic subspaces, by extension from lines."""
-        if self._maximals_cache is not None:
-            return self._maximals_cache
-        from .linalg import rref
-
-        current = self.lines()
-        while True:
-            grown = {}
-            for s in current:
-                basis = s.matrix()
-                for idx in np.flatnonzero(self._commuting_mask(basis)):
-                    mat, piv = rref(np.vstack([basis, self._rep_matrix[idx]]), self.p)
-                    if len(piv) == s.dim:  # the point already lies in s
-                        continue
-                    key = mat.tobytes()
-                    if key not in grown:
-                        t = Subspace.__new__(Subspace)
-                        t.p = self.p
-                        t.ambient_dim = 2 * self.n
-                        t.basis = tuple(tuple(int(c) for c in row) for row in mat)
-                        grown[key] = t
-            if not grown:
-                break
-            current = sorted(grown.values(), key=lambda t: t.basis)
-        # maximality: no isotropic point extends any member further
-        for s in current:
-            basis = s.matrix()
-            for idx in np.flatnonzero(self._commuting_mask(basis)):
-                if not s.contains(self._rep_matrix[idx]):
-                    raise DegenerateForm("extension search missed a larger singular subspace")
-        self._maximals_cache = current
-        return current
+        """All maximal totally isotropic subspaces, by extension from points."""
+        if self._maximals_cache is None:
+            self._maximals_cache = self._decode(self._maximal_layer()[1])
+        return self._maximals_cache
 
     def parity_classes(self) -> tuple[list[int], np.ndarray]:
         """Split the maximals into the two equivalence classes of even-intersection
         parity; returns (class id per maximal, the relation matrix)."""
-        from .linalg import rank as mat_rank
-
-        maximals = self.maximal_singulars()
-        k = len(maximals)
-        rel = np.zeros((k, k), dtype=bool)
-        for i in range(k):
-            a = maximals[i].matrix()
-            for j in range(i, k):
-                b = maximals[j].matrix()
-                inter_dim = maximals[i].dim + maximals[j].dim - mat_rank(np.vstack([a, b]), self.p)
-                rel[i, j] = rel[j, i] = (maximals[i].dim - inter_dim) % 2 == 0
+        masks, _ = self._maximal_layer()
+        k = len(masks)
+        dims = self._dims(masks.sum(axis=1))
+        rel = (dims[:, None] - self._dims(_meet_counts(masks, masks))) % 2 == 0
         # the relation must be an equivalence: reflexive, symmetric, transitive
         if not rel.diagonal().all():
             raise DegenerateForm("parity relation is not reflexive")
-        reach = rel.astype(np.int64)
-        if ((reach @ reach > 0) & ~rel).any():
+        if ((_meet_counts(rel, rel.T) > 0) & ~rel).any():
             raise DegenerateForm("parity relation is not transitive")
         classes = [-1] * k
         label = 0
@@ -277,23 +394,30 @@ class Reduct:
     points: tuple[tuple[int, ...], ...]
     lines: tuple[frozenset[tuple[int, ...]], ...]
 
-    @property
+    @cached_property
     def line_set(self) -> frozenset[frozenset[tuple[int, ...]]]:
         return frozenset(self.lines)
+
+    @cached_property
+    def z_mask(self) -> np.ndarray:
+        return self.space.point_mask(self.z)
 
 
 def reduct(space: HypPolarSpace, z: Subspace) -> Reduct:
     """Delete a maximal singular subspace: clip its points from every line."""
     if z not in set(space.maximal_singulars()):
         raise InvalidSubspace("the deleted subspace must be maximal singular")
-    z_reps = set(subspace_reps(z))
-    points = tuple(r for r in space.quadric_points if r not in z_reps)
-    lines = []
-    for line in space.lines():
-        clipped = frozenset(r for r in subspace_reps(line) if r not in z_reps)
-        if len(clipped) >= 2:
-            lines.append(clipped)
-    return Reduct(space, z, points, tuple(lines))
+    z_mask = space.point_mask(z)
+    pts = space.quadric_points
+    points = tuple(pts[i] for i in np.flatnonzero(~z_mask).tolist())
+    rows, cols = np.nonzero(space._layer(1)[0])
+    off_z = ~z_mask[cols]
+    rows, cols = rows[off_z], cols[off_z]
+    kept = np.bincount(rows)[rows] >= 2
+    rows, cols = rows[kept], cols[kept]
+    members = np.split(cols, np.flatnonzero(np.diff(rows)) + 1) if len(rows) else []
+    lines = tuple(frozenset(pts[i] for i in line.tolist()) for line in members)
+    return Reduct(space, z, points, lines)
 
 
 @dataclass
@@ -304,21 +428,26 @@ class ReductClassification:
     other: list[Subspace] = field(default_factory=list)
 
 
+def _classify(red: Reduct) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Indices into the maximals of R0, R1 and the rest, by the dimension of
+    their meet with the deleted subspace Z (Z itself left out)."""
+    masks, _ = red.space._maximal_layer()
+    z = red.z_mask
+    dims = red.space._dims((masks & z).sum(axis=1))
+    kept = ~(masks == z).all(axis=1)
+    point, plane = dims == 1, dims == red.space.n - 1
+    return (
+        np.flatnonzero(kept & point),
+        np.flatnonzero(kept & plane),
+        np.flatnonzero(kept & ~point & ~plane),
+    )
+
+
 def classify_reduct_maximals(red: Reduct) -> ReductClassification:
     """Sort the surviving maximals by how they met the deleted subspace."""
-    out = ReductClassification(red)
-    n = red.space.n
-    for x in red.space.maximal_singulars():
-        if x == red.z:
-            continue
-        d = x.intersection(red.z).dim
-        if d == 1:
-            out.r0.append(x)
-        elif d == n - 1:
-            out.r1.append(x)
-        else:
-            out.other.append(x)
-    return out
+    maximals = red.space.maximal_singulars()
+    r0, r1, other = ([maximals[i] for i in idx.tolist()] for idx in _classify(red))
+    return ReductClassification(red, r0, r1, other)
 
 
 def inc_relation(red: Reduct, x0: Subspace, x1: Subspace) -> bool:
@@ -327,11 +456,12 @@ def inc_relation(red: Reduct, x0: Subspace, x1: Subspace) -> bool:
     Any shared line spans the full intersection X0 and X1, so the test reduces
     to that intersection being a 2-subspace whose clipped point set survives.
     """
-    inter = x0.intersection(x1)
-    if inter.dim != 2:
+    space = red.space
+    inter = space.point_mask(x0) & space.point_mask(x1)
+    if inter.sum() != space.p + 1:
         return False
-    z_reps = set(subspace_reps(red.z))
-    clipped = frozenset(r for r in subspace_reps(inter) if r not in z_reps)
+    pts = space.quadric_points
+    clipped = frozenset(pts[i] for i in np.flatnonzero(inter & ~red.z_mask).tolist())
     return len(clipped) >= 2 and clipped in red.line_set
 
 
@@ -374,101 +504,75 @@ def reconstruct_deleted_subspace(red: Reduct) -> Reconstruction:
     object is matched to the deleted subspace through its improper part, and
     every incidence is compared both ways.
     """
-    cls = classify_reduct_maximals(red)
-    r1_sorted = cls.r1
-    profiles = []
-    for x0 in cls.r0:
-        profiles.append(tuple(inc_relation(red, x0, x1) for x1 in r1_sorted))
-    groups: dict[tuple, list[int]] = {}
-    for i, prof in enumerate(profiles):
-        groups.setdefault(prof, []).append(i)
+    space = red.space
+    masks, _ = space._maximal_layer()
+    z = red.z_mask
+    r0, r1, other = _classify(red)
+    x0, x1 = masks[r0], masks[r1]
+    # inc_relation for every pair at once: X0 and X1 meet in a line (p + 1
+    # points), and at least two of its points survive the deletion of Z
+    profiles = (_meet_counts(x0, x1) == space.p + 1) & (_meet_counts(x0 & ~z, x1 & ~z) >= 2)
+    groups: dict[bytes, list[int]] = {}
+    for i, row in enumerate(np.packbits(profiles, axis=1)):
+        groups.setdefault(row.tobytes(), []).append(i)
     class_list = sorted(groups.values())
 
-    # ground truth: the improper point of each profile class, the improper
-    # hyperplane of each R1 member
-    z = red.z
-    improper_points = [x0.intersection(z) for x0 in cls.r0]
-    improper_planes = [x1.intersection(z) for x1 in r1_sorted]
-    z_points = set()
-    for v in z.vectors():
-        if any(v):
-            z_points.add(Subspace([v], z.p, z.ambient_dim))
+    # ground truth: the improper point of each R0 member (the one point of
+    # X0 and Z), the improper hyperplane X1 and Z of each R1 member
+    improper_points = (x0 & z).argmax(axis=1)
+    improper_planes = x1 & z
+    z_points = set(np.flatnonzero(z).tolist())
 
     point_map_ok = True
     seen = set()
     for members in class_list:
-        reps = {improper_points[i] for i in members}
+        reps = set(improper_points[members].tolist())
         if len(reps) != 1:
             point_map_ok = False
             break
-        seen.add(reps.pop())
+        seen |= reps
     point_map_ok = point_map_ok and seen == z_points and len(class_list) == len(z_points)
 
-    hyperplane_map_ok = len(set(improper_planes)) == len(improper_planes)
+    plane_keys = [row.tobytes() for row in np.packbits(improper_planes, axis=1)]
     # onto all hyperplanes of the deleted subspace
-    all_planes = _hyperplanes_of(z)
-    hyperplane_map_ok = hyperplane_map_ok and set(improper_planes) == set(all_planes)
+    all_planes = {row.tobytes() for row in np.packbits(_hyperplanes_of(space, red.z), axis=1)}
+    hyperplane_map_ok = len(set(plane_keys)) == len(plane_keys) and set(plane_keys) == all_planes
 
-    incidence_ok = True
-    for i, x0 in enumerate(cls.r0):
-        pt = improper_points[i].matrix()[0]
-        for j, x1 in enumerate(r1_sorted):
-            if profiles[i][j] != improper_planes[j].contains(pt):
-                incidence_ok = False
-                break
-        if not incidence_ok:
-            break
-
-    lines_ok = _recovered_lines_match(class_list, profiles, improper_points, improper_planes, z)
+    incidence_ok = bool((profiles == improper_planes[:, improper_points].T).all())
+    lines_ok = _recovered_lines_match(class_list, profiles, improper_points, improper_planes)
     return Reconstruction(
         class_count=len(class_list),
-        r0_size=len(cls.r0),
-        r1_size=len(cls.r1),
-        other_size=len(cls.other),
+        r0_size=len(r0),
+        r1_size=len(r1),
+        other_size=len(other),
         point_map_ok=bool(point_map_ok),
         hyperplane_map_ok=bool(hyperplane_map_ok),
-        incidence_ok=bool(incidence_ok),
+        incidence_ok=incidence_ok,
         lines_ok=bool(lines_ok),
         classes=class_list,
     )
 
 
-def _hyperplanes_of(z: Subspace) -> list[Subspace]:
-    """Codimension-1 subspaces of z, realized inside the ambient space."""
-    basis = z.matrix()
-    out = set()
-    for s in enumerate_subspaces(z.dim - 1, z.dim, z.p):
-        gens = (s.matrix() @ basis) % z.p
-        out.add(Subspace(gens, z.p, z.ambient_dim))
-    return sorted(out, key=lambda s: s.basis)
+def _hyperplanes_of(space: HypPolarSpace, z: Subspace) -> np.ndarray:
+    """Point masks of the codimension-1 subspaces of z."""
+    coeffs = np.array([s.matrix() for s in enumerate_subspaces(z.dim - 1, z.dim, z.p)])
+    return space._span_masks(coeffs.reshape(-1, z.dim - 1, z.dim) @ z.matrix() % z.p)
 
 
-def _recovered_lines_match(class_list, profiles, improper_points, improper_planes, z) -> bool:
+def _recovered_lines_match(class_list, profiles, improper_points, improper_planes) -> bool:
     """Recovered line through two classes = the classes on their unique common
     hyperplane; must agree with the deleted subspace's own lines."""
-    class_profile = [profiles[members[0]] for members in class_list]
-    class_point = [improper_points[members[0]] for members in class_list]
-    recovered = set()
-    for a, b in combinations(range(len(class_list)), 2):
-        common = [
-            j
-            for j in range(len(improper_planes))
-            if class_profile[a][j] and class_profile[b][j]
-        ]
-        if len(common) != 1:
-            return False
-        j = common[0]
-        line_classes = frozenset(
-            c for c in range(len(class_list)) if class_profile[c][j]
-        )
-        truth = {
-            c
-            for c in range(len(class_list))
-            if improper_planes[j].contains(class_point[c].matrix()[0])
-        }
-        if set(line_classes) != truth:
-            return False
-        recovered.add(line_classes)
+    reps = [members[0] for members in class_list]
+    on_plane = profiles[reps]  # class c lies on recovered hyperplane j
+    truth = improper_planes[:, improper_points[reps]].T  # its improper point lies on plane j
+    a, b = np.triu_indices(len(reps), 1)
+    common = on_plane[a] & on_plane[b]
+    if (common.sum(axis=1) != 1).any():
+        return False
+    used = np.unique(common.argmax(axis=1))
+    if (on_plane[:, used] != truth[:, used]).any():
+        return False
+    recovered = {col.tobytes() for col in on_plane[:, used].T}
     return len(recovered) == len(improper_planes)
 
 

@@ -46,6 +46,19 @@ def encode_vecs(arr: np.ndarray, p: int) -> np.ndarray:
     return (arr % p) @ weights
 
 
+def pack_rows(mask: np.ndarray) -> np.ndarray:
+    """Boolean rows packed into uint64 words, zero-padded to a whole word."""
+    mask = np.asarray(mask, dtype=bool)
+    padded = np.zeros(mask.shape[:-1] + (-(-mask.shape[-1] // 64) * 64,), dtype=bool)
+    padded[..., : mask.shape[-1]] = mask
+    return np.packbits(padded, axis=-1).view(np.uint64)
+
+
+def unpack_rows(words: np.ndarray, n: int) -> np.ndarray:
+    """The first n bits of each row of pack_rows words, as booleans."""
+    return np.unpackbits(np.ascontiguousarray(words).view(np.uint8), axis=-1, count=n).view(bool)
+
+
 def rref(mat, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row-echelon form over GF(p) and the pivot columns."""
     m = as_vec(np.atleast_2d(mat), p).copy()
@@ -102,6 +115,15 @@ class Subspace:
             self.basis = ()
         self.p = p
         self.ambient_dim = ambient_dim
+
+    @classmethod
+    def from_echelon(cls, rows, p: int, ambient_dim: int) -> "Subspace":
+        """The subspace whose reduced row-echelon basis is `rows`, taken as given."""
+        s = cls.__new__(cls)
+        s.p = p
+        s.ambient_dim = ambient_dim
+        s.basis = tuple(tuple(int(c) for c in row) for row in rows)
+        return s
 
     @property
     def dim(self) -> int:
@@ -160,11 +182,6 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(p={self.p}, dim={self.dim}, basis={self.basis})"
-
-
-def canonical_basis(generators, p: int, ambient_dim: Optional[int] = None) -> Subspace:
-    """Canonicalize a generating set; idempotent and order-insensitive."""
-    return Subspace(generators, p, ambient_dim)
 
 
 def matrix_kernel(mat: np.ndarray, p: int, domain_dim: int) -> Subspace:
@@ -250,10 +267,6 @@ class LinearMap:
         return f"LinearMap(p={self.p}, matrix={self.matrix.tolist()})"
 
 
-def kernel(f: LinearMap) -> Subspace:
-    return f.kernel()
-
-
 def solve(f: LinearMap, target) -> Optional[tuple[tuple[int, ...], Subspace]]:
     """A particular solution of f(x) = target plus the kernel, or None."""
     p = f.p
@@ -302,10 +315,6 @@ def enumerate_subspaces(k: int, n: int, p: int, budget: int = DEFAULT_BUDGET) ->
             m = base.copy()
             for (i, j), v in zip(free, vals):
                 m[i, j] = v
-            s = Subspace.__new__(Subspace)
-            s.p = p
-            s.ambient_dim = n
-            s.basis = tuple(tuple(int(c) for c in row) for row in m)
-            out.append(s)
+            out.append(Subspace.from_echelon(m, p, n))
     assert len(out) == total
     return out

@@ -38,7 +38,7 @@ from .hyperbolic import (
     reconstruction_report,
     standard_doubling_base,
 )
-from .linalg import LinearMap
+from .linalg import LinearMap, pack_rows
 from .metric import translation_noninvariance_witness
 
 
@@ -190,17 +190,32 @@ def suite_triangles(space: SemipolarSpace, cfg: SuiteConfig) -> dict:
     return _result("triangles", checks, {"census": census})
 
 
-def _first_unrecovered(space: SemipolarSpace, pairs: list[tuple[int, int]]):
+# pairs per chunk of the recover checks: bounds the (pairs x |Y|) intermediates
+_PAIR_CHUNK = 2048
+
+
+def _first_failing_pair(space: SemipolarSpace, pairs, fails: Callable):
+    """The first pair, in list order, on which `fails(i, j)` (one flag per pair
+    of code arrays) holds, as a pair of points, or None."""
+    i, j = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
+    for lo in range(0, len(i), _PAIR_CHUNK):
+        a, b = i[lo : lo + _PAIR_CHUNK], j[lo : lo + _PAIR_CHUNK]
+        bad = np.flatnonzero(fails(a, b))
+        if bad.size:
+            return space.points[a[bad[0]]], space.points[b[bad[0]]]
+    return None
+
+
+def _first_unrecovered(space: SemipolarSpace, pairs):
     """The first pair whose double-neighborhood intersection is not the affine
     line through it, as a pair of points, or None."""
-    if not pairs:
-        return None
-    i, j = np.array(pairs, dtype=np.int64).T
-    for (a, b), line in zip(pairs, space.lines_through_pairs(i, j).tolist()):
-        p1, p2 = space.points[a], space.points[b]
-        if space.neighborhood_intersection(p1, p2) != tuple(space.points[c] for c in line):
-            return p1, p2
-    return None
+
+    def fails(i, j):
+        line = np.zeros((len(i), space.size), dtype=bool)
+        line[np.arange(len(i))[:, None], space.lines_through_pairs(i, j)] = True
+        return (space.neighborhood_intersection_words(i, j) != pack_rows(line)).any(axis=1)
+
+    return _first_failing_pair(space, pairs, fails)
 
 
 def suite_recover(space: SemipolarSpace, cfg: SuiteConfig) -> dict:
@@ -219,13 +234,12 @@ def suite_recover(space: SemipolarSpace, cfg: SuiteConfig) -> dict:
         # have no common neighbors at all, so the construction degenerates
         all_pairs = [(i, j) for i in range(space.size) for j in range(i + 1, space.size)]
         all_pairs = _maybe_sample(all_pairs, cfg, "point pairs")
-        bits = space.neighbor_bits
-        vertical = [(i, j) for i, j in all_pairs if space.points[i].u == space.points[j].u]
-        wit2 = _first_unrecovered(
-            space, [(i, j) for i, j in all_pairs if space.points[i].u != space.points[j].u]
-        )
-        vert_wit = next(
-            ((space.points[i], space.points[j]) for i, j in vertical if bits[i] & bits[j]), None
+        all_pairs = np.array(all_pairs, dtype=np.int64).reshape(-1, 2)
+        u = space._coords[:, space.nu :]
+        vertical = (u[all_pairs[:, 0]] == u[all_pairs[:, 1]]).all(axis=1)
+        wit2 = _first_unrecovered(space, all_pairs[~vertical])
+        vert_wit = _first_failing_pair(
+            space, all_pairs[vertical], lambda i, j: (adj[i] & adj[j]).any(axis=1)
         )
         checks.append(_check("nonvertical-pairs-affine-line", wit2 is None, wit2,
                              "the intersection is the affine line through the pair"))

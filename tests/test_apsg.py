@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semipolar.apsg import AffLine, Point, canonical_direction, line_through
+from semipolar.apsg import AffLine, Point, canonical_direction, line_through, neighborhood_intersections
 from semipolar.errors import DegenerateForm, InvalidPair
 from semipolar.forms import AlternatingMap, Semiform
-from semipolar.linalg import Subspace, enumerate_subspaces, enumerate_vectors
+from semipolar.linalg import Subspace, enumerate_subspaces, enumerate_vectors, pack_rows, unpack_rows
 
 
 def P(v, u):
@@ -436,10 +436,39 @@ def test_neighborhood_intersection_scalar_case_dichotomy(sp_m1_gf3):
         for p2 in space.points[i + 1 :]:
             if p1.u == p2.u:
                 j = space.index(p2)
-                assert space.neighbor_bits[i] & space.neighbor_bits[j] == 0
+                assert not (space.adjacency[i] & space.adjacency[j]).any()
             else:
                 got = set(space.neighborhood_intersection(p1, p2))
                 assert got == set(line_through(p1, p2, 3).points())
+
+
+def big_int_neighborhood_intersection(adj, i, j):
+    """Reference: neighbor sets as Python integers, one AND per common neighbor."""
+    bits = [sum(1 << int(k) for k in np.flatnonzero(row)) for row in adj]
+    acc = (1 << len(adj)) - 1
+    common = bits[i] & bits[j]
+    for k in range(len(adj)):
+        if common >> k & 1:
+            acc &= bits[k]
+    return {k for k in range(len(adj)) if acc >> k & 1}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_packed_neighborhood_kernel_matches_big_int_reference(data):
+    # sizes on both sides of the 64-bit word boundaries, sparse to dense
+    size = data.draw(st.integers(1, 140))
+    density = data.draw(st.sampled_from([0.05, 0.3, 0.7, 0.95]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    upper = np.triu(rng.random((size, size)) < density)
+    adj = upper | upper.T
+    i = np.array(data.draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=40)))
+    j = rng.integers(0, size, len(i))
+    got = unpack_rows(neighborhood_intersections(adj, pack_rows(adj), i, j), size)
+    for k in range(len(i)):
+        assert set(np.flatnonzero(got[k]).tolist()) == big_int_neighborhood_intersection(
+            adj, i[k], j[k]
+        )
 
 
 def test_neighborhood_intersection_gives_affine_line_m2_sample(sp_m2_gf3):

@@ -12,6 +12,7 @@ from semipolar.hyperbolic import (
     SymmetricForm,
     build_double,
     classify_reduct_maximals,
+    default_deleted_subspace,
     diagonalize_symmetric,
     inc_relation,
     is_square,
@@ -22,7 +23,7 @@ from semipolar.hyperbolic import (
     standard_doubling_base,
     subspace_reps,
 )
-from semipolar.linalg import Subspace, enumerate_vectors
+from semipolar.linalg import Subspace, enumerate_subspaces, enumerate_vectors, rank
 
 
 @pytest.fixture(scope="session")
@@ -145,6 +146,40 @@ def test_parity_classes_are_two_equal_halves(hyp_identity):
             assert (classes[i] == classes[j]) == rel[i, j]
 
 
+def test_maximal_singulars_equal_brute_force(hyp_identity, hyp_diag112):
+    # every 3-subspace of GF(3)^6 on which zeta vanishes, by enumeration
+    subs = enumerate_subspaces(3, 6, 3)
+    bases = np.array([s.matrix() for s in subs])
+    for space in (hyp_identity, hyp_diag112):
+        vals = bases @ space.zeta.gram @ bases.transpose(0, 2, 1) % 3
+        brute = [s for s, v in zip(subs, vals) if not v.any()]
+        assert space.maximal_singulars() == sorted(brute, key=lambda s: s.basis)
+
+
+def test_parity_classes_match_rank_definition(hyp_identity, hyp_diag112):
+    for space in (hyp_identity, hyp_diag112):
+        classes, rel = space.parity_classes()
+        maximals = space.maximal_singulars()
+        for i, a in enumerate(maximals):
+            for j in range(i, len(maximals)):
+                b = maximals[j]
+                inter = a.dim + b.dim - rank(np.vstack([a.matrix(), b.matrix()]), 3)
+                expect = (a.dim - inter) % 2 == 0
+                assert rel[i, j] == rel[j, i] == expect
+                assert (classes[i] == classes[j]) == expect
+
+
+def test_reconstruction_over_gf5():
+    space = build_double(3, standard_doubling_base(3, 5))
+    report = reconstruction_report(space, default_deleted_subspace(space))
+    assert report["quadric_points"] == 806  # (q^2 + 1)(q^2 + q + 1)
+    assert report["polar_lines"] == 4836
+    assert report["maximal_singulars"] == 312  # 2 (q + 1)(q^2 + 1)
+    assert report["parity_class_sizes"] == [156]
+    assert report["reconstruction"]["class_count"] == 31  # points of PG(2, 5)
+    assert report["reconstruction"]["isomorphic"] is True
+
+
 # -- reducts --------------------------------------------------------------------------
 
 
@@ -227,6 +262,21 @@ def test_reconstruction_identity_form(red_identity):
     assert rec.point_map_ok and rec.hyperplane_map_ok
     assert rec.incidence_ok and rec.lines_ok
     assert rec.isomorphic
+
+
+def test_reconstruction_classes_match_inc_relation(red_identity, hyp_diag112):
+    z = next(
+        m
+        for m in hyp_diag112.maximal_singulars()
+        if all(r[3:] == (0, 0, 0) for r in subspace_reps(m))
+    )
+    for red in (red_identity, reduct(hyp_diag112, z)):
+        cls = classify_reduct_maximals(red)
+        groups = {}
+        for i, x0 in enumerate(cls.r0):
+            profile = tuple(inc_relation(red, x0, x1) for x1 in cls.r1)
+            groups.setdefault(profile, []).append(i)
+        assert reconstruct_deleted_subspace(red).classes == sorted(groups.values())
 
 
 def test_reconstruction_diag112(hyp_diag112):

@@ -11,12 +11,10 @@ from semipolar.gf import GF
 from semipolar.linalg import (
     LinearMap,
     Subspace,
-    canonical_basis,
     enumerate_subspaces,
     enumerate_vectors,
     gaussian_binomial,
     index_vec,
-    kernel,
     solve,
     vec_index,
 )
@@ -36,20 +34,20 @@ def span_set(generators, p, n):
 
 
 def test_empty_generators_give_dim_zero():
-    s = canonical_basis([], 3, ambient_dim=2)
+    s = Subspace([], 3, ambient_dim=2)
     assert s.dim == 0
     assert set(s.vectors()) == {(0, 0)}
 
 
 def test_canonical_basis_of_scaled_standard_basis():
-    s = canonical_basis([(2, 0), (0, 1)], 5)
+    s = Subspace([(2, 0), (0, 1)], 5)
     assert s.basis == ((1, 0), (0, 1))
     assert set(s.vectors()) == span_set([(2, 0), (0, 1)], 5, 2)
 
 
 def test_canonical_basis_collapses_dependent_generators():
     # (2,4) = 2*(1,2) over GF(5)
-    s = canonical_basis([(1, 2), (2, 4)], 5)
+    s = Subspace([(1, 2), (2, 4)], 5)
     assert s.basis == ((1, 2),)
     assert s.dim == 1
     assert set(s.vectors()) == span_set([(1, 2)], 5, 2)
@@ -61,9 +59,9 @@ def test_canonical_basis_idempotent_and_order_insensitive():
         p = rng.choice([3, 5])
         n = rng.randrange(1, 5)
         gens = [[rng.randrange(p) for _ in range(n)] for _ in range(rng.randrange(1, 4))]
-        s1 = canonical_basis(gens, p)
-        s2 = canonical_basis(list(reversed(gens)), p)
-        s3 = canonical_basis(list(s1.basis), p, n)
+        s1 = Subspace(gens, p)
+        s2 = Subspace(list(reversed(gens)), p)
+        s3 = Subspace(list(s1.basis), p, n)
         assert s1 == s2 == s3
         assert set(s1.vectors()) == span_set(gens, p, n)
 
@@ -73,7 +71,7 @@ def test_canonical_basis_is_reduced_echelon():
     for _ in range(30):
         p, n = 3, 4
         gens = [[rng.randrange(p) for _ in range(n)] for _ in range(3)]
-        s = canonical_basis(gens, p)
+        s = Subspace(gens, p)
         pivots = []
         for row in s.basis:
             piv = next(i for i, c in enumerate(row) if c)
@@ -87,23 +85,23 @@ def test_canonical_basis_is_reduced_echelon():
 
 def test_mixed_ambient_dimensions_rejected():
     with pytest.raises(DimensionMismatch):
-        canonical_basis([(1, 0), (1, 0, 0)], 3)
+        Subspace([(1, 0), (1, 0, 0)], 3)
 
 
 def test_kernel_of_identity_and_zero_maps():
     ident = LinearMap.identity(2, 3)
-    assert kernel(ident).dim == 0
+    assert ident.kernel().dim == 0
     zero = LinearMap.zero(2, 2, 3)
-    assert kernel(zero).dim == 2
-    assert set(kernel(zero).vectors()) == span_set([(1, 0), (0, 1)], 3, 2)
+    assert zero.kernel().dim == 2
+    assert set(zero.kernel().vectors()) == span_set([(1, 0), (0, 1)], 3, 2)
 
 
 def test_kernel_of_coordinate_sum_map():
     # f(x, y) = x + y on GF(3)^2; oracle: direct solution scan.
     f = LinearMap([[1, 1]], 3)
     oracle = {v for v in product(range(3), repeat=2) if sum(v) % 3 == 0}
-    k = kernel(f)
-    assert k == canonical_basis([(1, 2)], 3)
+    k = f.kernel()
+    assert k == Subspace([(1, 2)], 3)
     assert set(k.vectors()) == oracle
 
 
@@ -125,7 +123,7 @@ def test_solve_coordinate_sum_with_oracle():
     assert got is not None
     x, k = got
     assert (x[0] + x[1]) % 3 == 1
-    assert k == canonical_basis([(1, 2)], 3)
+    assert k == Subspace([(1, 2)], 3)
     solutions = {v for v in product(range(3), repeat=2) if sum(v) % 3 == 1}
     rebuilt = {tuple((np.array(x) + np.array(w)) % 3) for w in k.vectors()}
     assert {tuple(int(c) for c in s) for s in rebuilt} == solutions
@@ -195,7 +193,7 @@ def test_enumerate_subspaces_counts_and_uniqueness():
                 assert len(set(subs)) == len(subs)
                 for s in subs[:10]:
                     assert s.dim == k
-                    assert canonical_basis(list(s.basis) or [], p, n) == s
+                    assert Subspace(list(s.basis) or [], p, n) == s
 
 
 def test_enumerate_subspaces_examples():
@@ -226,15 +224,15 @@ def test_subspace_intersection_against_brute_force():
     rng = random.Random(23)
     for _ in range(40):
         p, n = 3, 4
-        a = canonical_basis([[rng.randrange(p) for _ in range(n)] for _ in range(2)], p, n)
-        b = canonical_basis([[rng.randrange(p) for _ in range(n)] for _ in range(2)], p, n)
+        a = Subspace([[rng.randrange(p) for _ in range(n)] for _ in range(2)], p, n)
+        b = Subspace([[rng.randrange(p) for _ in range(n)] for _ in range(2)], p, n)
         inter = a.intersection(b)
         oracle = set(a.vectors()) & set(b.vectors())
         assert set(inter.vectors()) == oracle
 
 
 def test_subspace_contains_matches_vector_set():
-    s = canonical_basis([(1, 0, 2), (0, 1, 1)], 3)
+    s = Subspace([(1, 0, 2), (0, 1, 1)], 3)
     members = set(s.vectors())
     for v in product(range(3), repeat=3):
         assert s.contains(v) == (v in members)

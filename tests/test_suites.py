@@ -1,7 +1,10 @@
 """The named suite runners: shapes, applicability, budget behavior."""
 
+import numpy as np
 import pytest
 
+from semipolar import suites
+from semipolar.apsg import SemipolarSpace
 from semipolar.errors import DimensionMismatch, EnumerationTooLarge
 from semipolar.suites import SUITES, SuiteConfig, applicable_suites, run_suite
 
@@ -76,6 +79,43 @@ def test_sampling_thins_loops(sp_m1_gf3):
     report = run_suite("recover", sp_m1_gf3, cfg)
     assert report["passed"]
     assert report["mode"] == {"sample": 5, "seed": 3}
+
+
+@pytest.mark.parametrize("chunk", [7, 2048])
+def test_recover_witnesses_are_the_first_failing_pairs(sp_m1_gf3, monkeypatch, chunk):
+    # give the vertical pair (0, j) a common neighbor k: that breaks the
+    # vertical check and the recovery of every pair that now sees k
+    monkeypatch.setattr(suites, "_PAIR_CHUNK", chunk)
+    space = SemipolarSpace(sp_m1_gf3.form)
+    adj = space.adjacency.copy()
+    j = next(j for j in range(1, space.size) if space.points[j].u == space.points[0].u)
+    k = next(k for k in range(space.size) if not adj[0, k] and not adj[j, k])
+    adj[[0, j, k, k], [k, k, 0, j]] = True
+    space.__dict__["adjacency"] = adj
+    nbrs = [set(np.flatnonzero(row).tolist()) for row in adj]
+
+    def recovered(a, b):
+        out = set(range(space.size))
+        for c in nbrs[a] & nbrs[b]:
+            out &= nbrs[c]
+        return out == set(space.lines_through_pairs(a, b).tolist())
+
+    def first(pairs, bad):
+        return next((repr((space.points[a], space.points[b])) for a, b in pairs if bad(a, b)), None)
+
+    adjacent = [(a, b) for a in range(space.size) for b in sorted(nbrs[a]) if b > a]
+    pairs = [(a, b) for a in range(space.size) for b in range(a + 1, space.size)]
+    vertical = [(a, b) for a, b in pairs if space.points[a].u == space.points[b].u]
+    other = [(a, b) for a, b in pairs if space.points[a].u != space.points[b].u]
+    expect = {
+        "adjacent-pairs": first(adjacent, lambda a, b: not recovered(a, b)),
+        "nonvertical-pairs-affine-line": first(other, lambda a, b: not recovered(a, b)),
+        "vertical-pairs-degenerate": first(vertical, lambda a, b: nbrs[a] & nbrs[b]),
+    }
+    assert all(expect.values())
+    report = run_suite("recover", space, SuiteConfig())
+    got = {c["name"]: c["witness"] for c in report["checks"] if c["name"] in expect}
+    assert got == expect
 
 
 def test_unknown_suite_raises():
