@@ -9,12 +9,11 @@ from .forms import (
     exterior_square,
     standard_symplectic,
 )
-from .gf import GF, FieldElement
+from .gf import GF
 from .linalg import LinearMap, Subspace
 
 __all__ = [
     "GF",
-    "FieldElement",
     "LinearMap",
     "Subspace",
     "AlternatingMap",

@@ -22,14 +22,13 @@ from .errors import (
     PreconditionUnavailable,
     check_budget,
 )
-from .forms import AxiomReport, Semiform, group_tables, normalize
+from .forms import Report, Semiform, group_tables, normalize
 from .linalg import (
-    Subspace,
     as_vec,
     encode_vecs,
-    enumerate_subspaces,
     enumerate_vectors,
     pack_rows,
+    projective_classes,
     unpack_rows,
 )
 
@@ -126,14 +125,17 @@ class ZSet(NamedTuple):
 
 @dataclass
 class PencilStructure:
-    """Lines and singular planes through a fixed point, as an incidence structure."""
+    """Lines and singular planes through a fixed point, as an incidence structure.
+
+    Line k lies in u-class k, so line indices are u-class indices; the null
+    system is given on u-class indices too (see `SemipolarSpace.null_system`).
+    """
 
     at: Point
     lines: list[AffLine]
     planes: list[frozenset[int]]  # each plane = set of indices into `lines`
-    direction_map: dict[int, Subspace]  # line index -> 1-subspace of V
-    null_points: list[Subspace]
-    null_lines: list[Subspace]
+    null_points: list[tuple[int]]
+    null_lines: list[tuple[int, ...]]
     isomorphic: bool
 
 
@@ -258,22 +260,19 @@ class SemipolarSpace:
 
     @cached_property
     def direction_classes(self) -> tuple[Point, ...]:
-        out = []
-        for pt in self.points[1:]:
-            flat = pt.flat()
-            first = next(c for c in flat if c)
-            if first == 1:
-                out.append(pt)
-        return tuple(out)
+        """One point per 1-subspace of Y, its first nonzero coordinate 1, in code order."""
+        reps, _ = projective_classes(self._coords, self.p)
+        return tuple(self.points[i] for i in reps.tolist())
+
+    @cached_property
+    def _u_classes(self) -> tuple[np.ndarray, np.ndarray]:
+        """projective_classes of V: representative codes and the class of every code."""
+        return projective_classes(enumerate_vectors(self.p, self.n), self.p)
 
     @cached_property
     def u_direction_classes(self) -> tuple[tuple[int, ...], ...]:
-        out = []
-        for row in enumerate_vectors(self.p, self.n)[1:]:
-            first = next(int(c) for c in row if c)
-            if first == 1:
-                out.append(tuple(int(c) for c in row))
-        return tuple(out)
+        reps = enumerate_vectors(self.p, self.n)[self._u_classes[0]]
+        return tuple(tuple(r) for r in reps.tolist())
 
     def line_is_singular(self, line: AffLine) -> bool:
         """One-equation criterion: eta(u_base, u_dir) = -v_dir."""
@@ -418,7 +417,7 @@ class SemipolarSpace:
 
     # -- the Gamma-space property -------------------------------------------
 
-    def verify_gamma_space(self, line_set: Optional[frozenset[AffLine]] = None) -> AxiomReport:
+    def verify_gamma_space(self, line_set: Optional[frozenset[AffLine]] = None) -> Report:
         """Planes spanned by two concurrent singular lines carry only singular lines
         through the common point; maximal singular subspaces are affine subspaces.
 
@@ -440,7 +439,7 @@ class SemipolarSpace:
             dir_of = np.repeat(dirs, self.p)[order]
             bounds = np.searchsorted(rows[order], np.arange(self.size + 1))
             through = [dir_of[bounds[i] : bounds[i + 1]] for i in range(self.size)]
-        report = AxiomReport()
+        report = Report()
         wit = None
         for i, dirs in enumerate(through):
             if len(dirs) < 2:
@@ -466,7 +465,7 @@ class SemipolarSpace:
             report.add("singular-subspaces-affine", aff_wit is None, aff_wit, "maximal singular subspaces carry affine geometry")
         return report
 
-    def verify_parallel_unclosed(self) -> AxiomReport:
+    def verify_parallel_unclosed(self) -> Report:
         """Every singular line has a parallel affine line that is not singular.
 
         The parallels tried are the translates by [0, e_k] for the basis vectors
@@ -483,7 +482,7 @@ class SemipolarSpace:
         singular = np.isin(keys, self._singular_keys)
         missing = np.flatnonzero(~(eligible & ~singular).any(axis=1))
         wit = (repr(lines[missing[0]]),) if len(missing) else None
-        report = AxiomReport()
+        report = Report()
         report.add("parallel-unclosed", wit is None, wit, "a non-singular parallel exists for every singular line")
         return report
 
@@ -552,8 +551,10 @@ class SemipolarSpace:
         pairwise adjacent.  Every singular subspace of one dimension more is
         reached this way, so a subspace with no extension is maximal.
         """
-        if getattr(self, "_maximal_cache", None) is not None:
-            return self._maximal_cache
+        return self._maximal_singular_subspaces
+
+    @cached_property
+    def _maximal_singular_subspaces(self) -> list[frozenset[int]]:
         add, _, scale = self._tables
         dirs = self._singular_dirs
         orth = self._u_class_orthogonal
@@ -578,52 +579,44 @@ class SemipolarSpace:
                 for c, span in zip(cand[ok].tolist(), spans[ok]):
                     grown.setdefault(span.tobytes(), (b, classes + [c], span))
             layer = grown
-        self._maximal_cache = sorted(maximal, key=sorted)
-        return self._maximal_cache
+        return sorted(maximal, key=sorted)
 
     # -- the pencil of lines and planes through a point -----------------------
 
-    def null_system(self) -> tuple[list[Subspace], list[Subspace]]:
-        """Points and isotropic 2-subspaces of the generalized null system of eta."""
-        pts = [Subspace([u], self.p, self.n) for u in self.u_direction_classes]
-        lines = []
-        for s in enumerate_subspaces(2, self.n, self.p, budget=self.budget):
-            b = s.matrix()
-            if not any(self.form.eta.eval(b[0], b[1])):
-                lines.append(s)
-        return pts, lines
+    def null_system(self) -> tuple[list[tuple[int]], list[tuple[int, ...]]]:
+        """Points and isotropic 2-subspaces of the generalized null system of eta, on
+        u-class indices: a point is (c,), a 2-subspace the sorted classes of its span.
+
+        Two distinct orthogonal classes i, j span the classes of rep_i and of
+        rep_j + a*rep_i for every scalar a.
+        """
+        p = self.p
+        reps = np.array(self.u_direction_classes, dtype=np.int64).reshape(-1, self.n)
+        i, j = np.nonzero(np.triu(self._u_class_orthogonal, 1))
+        spans = (reps[j][:, None, :] + np.arange(p)[None, :, None] * reps[i][:, None, :]) % p
+        members = np.concatenate([i[:, None], self._u_classes[1][encode_vecs(spans, p)]], axis=1)
+        lines = sorted(set(map(tuple, np.sort(members, axis=1).tolist())))
+        return [(c,) for c in range(len(reps))], lines
 
     def pencil_structure(self, pt: Point) -> PencilStructure:
-        """Lines/planes through pt, checked isomorphic to the null system of eta."""
+        """Lines/planes through pt, checked isomorphic to the null system of eta.
+
+        A line maps to the u-class of its direction; line k is expected in
+        class k, so a plane maps to the sorted classes of its lines.
+        """
         lines = self.singular_lines_through(pt)
         planes = self.singular_planes_through(pt)
         line_points = [frozenset(self.index(q) for q in l.points()) for l in lines]
         plane_members = [
             frozenset(i for i, lp in enumerate(line_points) if lp <= plane) for plane in planes
         ]
-        direction_map = {
-            i: Subspace([l.direction.u], self.p, self.n) for i, l in enumerate(lines)
-        }
         null_points, null_lines = self.null_system()
-        iso = self._pencil_isomorphic(lines, plane_members, direction_map, null_points, null_lines)
-        return PencilStructure(pt, lines, plane_members, direction_map, null_points, null_lines, iso)
-
-    def _pencil_isomorphic(self, lines, plane_members, direction_map, null_points, null_lines) -> bool:
-        images = [direction_map[i] for i in range(len(lines))]
-        if sorted(s.basis for s in images) != sorted(s.basis for s in null_points):
-            return False
-        if len(images) != len(set(s.basis for s in images)):
-            return False
-        mapped_planes = sorted(
-            tuple(sorted(images[i].basis for i in plane)) for plane in plane_members
+        u = np.array([l.direction.u for l in lines], dtype=np.int64).reshape(-1, self.n)
+        classes = self._u_classes[1][encode_vecs(u, self.p)]
+        iso = np.array_equal(classes, np.arange(len(null_points))) and null_lines == sorted(
+            tuple(sorted(plane)) for plane in plane_members
         )
-        null_plane_sets = []
-        for nl in null_lines:
-            pts_in = tuple(
-                sorted(s.basis for s in null_points if nl.contains(s.matrix()[0]))
-            )
-            null_plane_sets.append(pts_in)
-        return mapped_planes == sorted(null_plane_sets)
+        return PencilStructure(pt, lines, plane_members, null_points, null_lines, iso)
 
     # -- exports ---------------------------------------------------------------
 

@@ -76,14 +76,6 @@ class GeneralAutoParams:
     v0: tuple[int, ...]
     psi2: LinearMap  # derived: psi2(u) = eta(phi(u), u0)
 
-    def to_jsonable(self) -> dict:
-        return {
-            "psi1_matrix": self.psi1.matrix.tolist(),
-            "phi_matrix": self.phi.matrix.tolist(),
-            "u0": list(self.u0),
-            "v0": list(self.v0),
-        }
-
 
 @dataclass
 class SymplecticAutoParams:
@@ -92,32 +84,6 @@ class SymplecticAutoParams:
     w: tuple[int, ...]
     phi: LinearMap
     v: tuple[int, ...]  # derived: v . u = eta(phi(u), w)
-
-    def to_jsonable(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "b": self.b,
-            "w": list(self.w),
-            "phi_matrix": self.phi.matrix.tolist(),
-        }
-
-
-def general_params_from_jsonable(data: dict, p: int) -> tuple[LinearMap, LinearMap, tuple, tuple]:
-    return (
-        LinearMap(data["psi1_matrix"], p),
-        LinearMap(data["phi_matrix"], p),
-        tuple(int(c) % p for c in data["u0"]),
-        tuple(int(c) % p for c in data["v0"]),
-    )
-
-
-def symplectic_params_from_jsonable(data: dict, p: int) -> tuple[int, int, tuple, LinearMap]:
-    return (
-        int(data["alpha"]) % p,
-        int(data["b"]) % p,
-        tuple(int(c) % p for c in data["w"]),
-        LinearMap(data["phi_matrix"], p),
-    )
 
 
 def multiplier(eta: AlternatingMap, phi: LinearMap) -> int | None:
@@ -338,11 +304,6 @@ def symplectic_family(space: SemipolarSpace) -> list[tuple[SymplecticAutoParams,
                 pmap, params = build_symplectic_auto(space, alpha, b, w, phi)
                 out.append((params, pmap))
     return out
-
-
-def symplectic_family_jsonable(space: SemipolarSpace) -> list[dict]:
-    """The whole parametric family as a JSON list of parameter records."""
-    return [params.to_jsonable() for params, _ in symplectic_family(space)]
 
 
 def fixes_vertical_direction(space: SemipolarSpace, pmap: PointMap) -> bool:

@@ -9,10 +9,6 @@ class GeometryError(Exception):
     pass
 
 
-class DivisionByZero(GeometryError, ZeroDivisionError):
-    pass
-
-
 class DimensionMismatch(GeometryError):
     pass
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -307,15 +307,6 @@ class Semiform:
         return cls(eta, atlas, kind=kind)
 
 
-def eval_semiform(rho: Semiform, p1, p2) -> tuple[int, ...]:
-    return rho.eval(p1, p2)
-
-
-def is_nondegenerate(eta: AlternatingMap) -> bool:
-    """True iff every nonzero u1 admits u2 with eta(u1, u2) != 0."""
-    return eta.is_nondegenerate()
-
-
 def normalize(rho: Semiform) -> tuple[Semiform, LinearMap]:
     """Replace the atlas by the identity.
 
@@ -356,19 +347,44 @@ def scaled_conjugate(eta: AlternatingMap, b: LinearMap, gamma: int) -> tuple[Alt
     return scaled, LinearMap(block, p)
 
 
-@dataclass
-class AxiomCheck:
+class Check(NamedTuple):
     name: str
     passed: bool
-    witness: Optional[tuple] = None
+    witness: object = None
     note: str = ""
 
-    def to_jsonable(self) -> dict:
-        w = None if self.witness is None else _jsonable(self.witness)
-        return {"name": self.name, "passed": self.passed, "witness": w, "note": self.note}
+
+@dataclass
+class Report:
+    """The verdict of a checker or a suite: named checks with witnesses, plus data."""
+
+    checks: list[Check] = field(default_factory=list)
+    data: dict = field(default_factory=dict)
+
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.checks)
+
+    def check(self, name: str) -> Check:
+        for c in self.checks:
+            if c.name == name:
+                return c
+        raise KeyError(name)
+
+    def add(self, name: str, passed, witness=None, note: str = "") -> None:
+        self.checks.append(Check(name, bool(passed), witness, note))
+
+    def to_jsonable(self, suite: str) -> dict:
+        """The suite report: every witness encoded by `_jsonable`, data as given."""
+        checks = [
+            {"name": c.name, "passed": c.passed, "witness": _jsonable(c.witness), "note": c.note}
+            for c in self.checks
+        ]
+        return {"suite": suite, "passed": self.passed, "checks": checks, "data": self.data}
 
 
 def _jsonable(x):
+    """Tuples become lists, numpy integers int and arrays lists; the rest stays."""
     if isinstance(x, (list, tuple)):
         return [_jsonable(y) for y in x]
     if isinstance(x, (np.integer, int)):
@@ -376,36 +392,6 @@ def _jsonable(x):
     if isinstance(x, np.ndarray):
         return x.tolist()
     return x
-
-
-@dataclass
-class AxiomReport:
-    checks: list[AxiomCheck] = field(default_factory=list)
-    data: dict = field(default_factory=dict)
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def check(self, name: str) -> AxiomCheck:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-    def add(self, name: str, passed: bool, witness=None, note: str = "") -> None:
-        self.checks.append(AxiomCheck(name, bool(passed), witness, note))
-
-    def to_jsonable(self) -> dict:
-        return {
-            "passed": self.passed,
-            "checks": [c.to_jsonable() for c in self.checks],
-            "data": _jsonable_dict(self.data),
-        }
-
-
-def _jsonable_dict(d: dict) -> dict:
-    return {k: _jsonable(v) for k, v in sorted(d.items())}
 
 
 def _first_fail(ok: np.ndarray) -> tuple:
@@ -416,7 +402,7 @@ def _first_fail(ok: np.ndarray) -> tuple:
 
 def check_atlas_axioms(
     delta_table: np.ndarray, p: int, nu: int, budget: int = DEFAULT_BUDGET
-) -> AxiomReport:
+) -> Report:
     """Exhaustively test a candidate difference map delta: V' x V' -> V'.
 
     The table holds base-p codes: delta_table[i, j] = code(delta(vec_i, vec_j)).
@@ -430,7 +416,7 @@ def check_atlas_axioms(
     if t.shape != (m, m):
         raise DimensionMismatch(f"table must be {m}x{m}")
     vecs, vadd, vsub, vneg, vscl = group_tables(p, nu)
-    report = AxiomReport()
+    report = Report()
 
     # C1: delta(v1+v, v2+v) = delta(v1, v2), quantified over (v1, v2, v).
     ok1 = True
@@ -490,13 +476,9 @@ def check_atlas_axioms(
     return report
 
 
-def semiform_axiom_names() -> list[str]:
-    return ["A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8"]
-
-
 def check_semiform_axioms(
     rho_table: np.ndarray, p: int, ydim: int, nu: int, budget: int = DEFAULT_BUDGET
-) -> AxiomReport:
+) -> Report:
     """Exhaustively test a candidate operation table rho: Y x Y -> V' against A1-A8.
 
     A1  rho(p,q) = -rho(q,p)
@@ -519,7 +501,7 @@ def check_semiform_axioms(
         raise DimensionMismatch(f"table must be {size}x{size}")
     pts, padd, psub, pneg, pscl = group_tables(p, ydim)
     vvecs, vadd, vsub, vneg, vscl = group_tables(p, nu)
-    report = AxiomReport()
+    report = Report()
 
     def pt(i: int) -> tuple:
         return tuple(int(c) for c in pts[i])
@@ -686,18 +668,7 @@ def check_semiform_axioms(
     return report
 
 
-def identity_names() -> list[str]:
-    return [
-        "alpha-scaling-pairs",
-        "translation-shift",
-        "offset-pair",
-        "zero-evaluation",
-        "alpha-scaling-left",
-        "additivity-defect",
-    ]
-
-
-def verify_identities(rho: Semiform, budget: int = DEFAULT_BUDGET) -> AxiomReport:
+def verify_identities(rho: Semiform, budget: int = DEFAULT_BUDGET) -> Report:
     """Exhaustively check the six evaluation identities of a semiform.
 
     With p_i = [v_i, u_i], q = [v, y], theta the zero point and phi the atlas map:
@@ -717,7 +688,7 @@ def verify_identities(rho: Semiform, budget: int = DEFAULT_BUDGET) -> AxiomRepor
     vvecs, vadd, vsub, vneg, vscl = group_tables(p, nu)
     eta_codes = rho.eta.pair_table(pts[:, nu:])
     phi_codes = encode_vecs(rho.atlas.phi.apply_rows(pts[:, : nu]), p).astype(np.int32)
-    report = AxiomReport()
+    report = Report()
 
     def pt(i: int) -> tuple:
         return tuple(int(c) for c in pts[i])

@@ -1,10 +1,6 @@
-"""Arithmetic in the prime field GF(p) for odd primes p."""
+"""The prime field GF(p) for odd primes p: the modulus check every constructor runs."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-
-from .errors import DivisionByZero
 
 
 def is_prime(n: int) -> bool:
@@ -27,81 +23,3 @@ class GF:
         if p == 2:
             raise ValueError("characteristic 2 is not supported")
         self.p = p
-
-    def __repr__(self):
-        return f"GF({self.p})"
-
-    def __eq__(self, other):
-        return isinstance(other, GF) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("GF", self.p))
-
-    def __call__(self, value: int) -> "FieldElement":
-        return FieldElement(value % self.p, self)
-
-    def elements(self) -> list["FieldElement"]:
-        return [self(v) for v in range(self.p)]
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
-
-    def inv(self, a: int) -> int:
-        a %= self.p
-        if a == 0:
-            raise DivisionByZero("0 has no multiplicative inverse")
-        return pow(a, self.p - 2, self.p)
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """A residue in [0, p), tied to its field."""
-
-    value: int
-    field: GF
-
-    def _other(self, x) -> "FieldElement":
-        if isinstance(x, int):
-            return self.field(x)
-        if x.field != self.field:
-            raise ValueError(f"mixed moduli: {self.field} vs {x.field}")
-        return x
-
-    def __add__(self, x):
-        return self.field(self.value + self._other(x).value)
-
-    __radd__ = __add__
-
-    def __sub__(self, x):
-        return self.field(self.value - self._other(x).value)
-
-    def __mul__(self, x):
-        return self.field(self.value * self._other(x).value)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self.field(-self.value)
-
-    def inv(self) -> "FieldElement":
-        return self.field(self.field.inv(self.value))
-
-    def __truediv__(self, x):
-        return self * self._other(x).inv()
-
-    def __int__(self):
-        return self.value
-
-    def __bool__(self):
-        return self.value != 0
-
-
-def inv(a: FieldElement) -> FieldElement:
-    """Multiplicative inverse; raises DivisionByZero on 0."""
-    return a.inv()

@@ -35,7 +35,9 @@ from .linalg import (
     encode_vecs,
     enumerate_subspaces,
     enumerate_vectors,
+    normalize_rows,
     pack_rows,
+    projective_classes,
     rank,
     unpack_rows,
 )
@@ -108,20 +110,12 @@ def diagonalize_symmetric(gram: np.ndarray, p: int) -> list[int]:
     return diag
 
 
-def _normalized_rows(vectors, p: int) -> np.ndarray:
-    """Each row scaled so that its first nonzero coordinate is 1; zero rows stay zero."""
-    v = as_vec(vectors, p)
-    first = np.take_along_axis(v, (v != 0).argmax(axis=-1)[..., None], axis=-1)
-    inverses = np.array([0] + [pow(a, p - 2, p) for a in range(1, p)], dtype=np.int64)
-    return (v * inverses[first]) % p
-
-
 def projective_reps(vectors: np.ndarray, p: int) -> list[tuple[int, ...]]:
     """Canonical representatives (first nonzero = 1) of the spanned 1-subspaces."""
     reps = np.asarray(vectors, dtype=np.int64)
     if not reps.size:
         return []
-    reps = _normalized_rows(reps, p)
+    reps = normalize_rows(reps, p)
     reps = reps[reps.any(axis=1)]
     _, first = np.unique(encode_vecs(reps, p), return_index=True)
     return [tuple(r) for r in reps[np.sort(first)].tolist()]
@@ -159,21 +153,19 @@ class HypPolarSpace:
         self.zeta = SymmetricForm(z, self.p)
         check_budget(self.p ** (2 * self.n), budget, "doubled point enumeration")
         vecs = enumerate_vectors(self.p, 2 * self.n)
-        codes = encode_vecs(_normalized_rows(vecs, self.p), self.p)
-        # a nonzero vector that is its own normalisation represents its projective point
-        self._all_reps = vecs[1:][codes[1:] == np.arange(1, len(vecs))]
+        reps, cls = projective_classes(vecs, self.p)
+        self._all_reps = vecs[reps]
         g = self.zeta.gram
         iso = ((self._all_reps @ g) * self._all_reps).sum(axis=1) % self.p == 0
         self._rep_matrix = self._all_reps[iso]
         self.quadric_points = [tuple(r) for r in self._rep_matrix.tolist()]
-        # vector code -> index of its projective point in quadric_points, -1 off the quadric
-        by_rep = np.full(len(vecs), -1, dtype=np.int64)
-        by_rep[encode_vecs(self._rep_matrix, self.p)] = np.arange(len(self._rep_matrix))
-        self._point_index = by_rep[codes]
+        # vector code -> index of its projective point in quadric_points, -1 off
+        # the quadric (the zero vector, class -1, reads the spare last entry)
+        by_class = np.full(len(reps) + 1, -1, dtype=np.int64)
+        by_class[np.flatnonzero(iso)] = np.arange(len(self._rep_matrix))
+        self._point_index = by_class[cls]
         self._layers: list[tuple[np.ndarray, np.ndarray]] = []
         self._top = None  # index of the maximal layer once the closure has reached it
-        self._lines_cache = None
-        self._maximals_cache = None
 
     # -- structure verification -------------------------------------------------
 
@@ -193,9 +185,6 @@ class HypPolarSpace:
             disc = (disc * d) % self.p
         k = self.zeta.dim // 2
         return is_square(((-1) ** k) * disc, self.p)
-
-    def collinear(self, r1, r2) -> bool:
-        return self.zeta.eval(r1, r2) == 0
 
     # -- subspaces as point masks ---------------------------------------------------
 
@@ -331,17 +320,21 @@ class HypPolarSpace:
         rows = self._rep_matrix[basis].tolist()
         return [Subspace.from_echelon(b, self.p, 2 * self.n) for b in rows]
 
+    @cached_property
+    def _lines(self) -> list[Subspace]:
+        return self._decode(self._layer(1)[1])
+
+    @cached_property
+    def _maximals(self) -> list[Subspace]:
+        return self._decode(self._maximal_layer()[1])
+
     def lines(self) -> list[Subspace]:
         """All totally isotropic 2-subspaces (the lines of the polar space)."""
-        if self._lines_cache is None:
-            self._lines_cache = self._decode(self._layer(1)[1])
-        return self._lines_cache
+        return self._lines
 
     def maximal_singulars(self) -> list[Subspace]:
         """All maximal totally isotropic subspaces, by extension from points."""
-        if self._maximals_cache is None:
-            self._maximals_cache = self._decode(self._maximal_layer()[1])
-        return self._maximals_cache
+        return self._maximals
 
     def parity_classes(self) -> tuple[list[int], np.ndarray]:
         """Split the maximals into the two equivalence classes of even-intersection
@@ -539,7 +532,7 @@ def reconstruct_deleted_subspace(red: Reduct) -> Reconstruction:
     hyperplane_map_ok = len(set(plane_keys)) == len(plane_keys) and set(plane_keys) == all_planes
 
     incidence_ok = bool((profiles == improper_planes[:, improper_points].T).all())
-    lines_ok = _recovered_lines_match(class_list, profiles, improper_points, improper_planes)
+    lines_ok = _recovered_lines_match(space, class_list, profiles, improper_points)
     return Reconstruction(
         class_count=len(class_list),
         r0_size=len(r0),
@@ -559,21 +552,18 @@ def _hyperplanes_of(space: HypPolarSpace, z: Subspace) -> np.ndarray:
     return space._span_masks(coeffs.reshape(-1, z.dim - 1, z.dim) @ z.matrix() % z.p)
 
 
-def _recovered_lines_match(class_list, profiles, improper_points, improper_planes) -> bool:
-    """Recovered line through two classes = the classes on their unique common
-    hyperplane; must agree with the deleted subspace's own lines."""
+def _recovered_lines_match(space: HypPolarSpace, class_list, profiles, improper_points) -> bool:
+    """Recovered line through two classes = the classes on every recovered
+    hyperplane through both; for every pair it must be the line of Z through
+    their improper points, with p + 1 classes."""
     reps = [members[0] for members in class_list]
     on_plane = profiles[reps]  # class c lies on recovered hyperplane j
-    truth = improper_planes[:, improper_points[reps]].T  # its improper point lies on plane j
     a, b = np.triu_indices(len(reps), 1)
     common = on_plane[a] & on_plane[b]
-    if (common.sum(axis=1) != 1).any():
-        return False
-    used = np.unique(common.argmax(axis=1))
-    if (on_plane[:, used] != truth[:, used]).any():
-        return False
-    recovered = {col.tobytes() for col in on_plane[:, used].T}
-    return len(recovered) == len(improper_planes)
+    recovered = _meet_counts(common, ~on_plane) == 0
+    points = improper_points[reps]
+    true = space._span_masks(space._rep_matrix[np.stack([points[a], points[b]], axis=1)])
+    return bool((recovered == true[:, points]).all() and (recovered.sum(axis=1) == space.p + 1).all())
 
 
 def reconstruction_report(space: HypPolarSpace, z: Subspace) -> dict:

@@ -46,6 +46,28 @@ def encode_vecs(arr: np.ndarray, p: int) -> np.ndarray:
     return (arr % p) @ weights
 
 
+def normalize_rows(vectors, p: int) -> np.ndarray:
+    """Each row scaled so that its first nonzero coordinate is 1; zero rows stay zero."""
+    v = as_vec(vectors, p)
+    first = np.take_along_axis(v, (v != 0).argmax(axis=-1)[..., None], axis=-1)
+    inverses = np.array([0] + [pow(a, p - 2, p) for a in range(1, p)], dtype=np.int64)
+    return (v * inverses[first]) % p
+
+
+def projective_classes(vecs: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The 1-subspaces of GF(p)^n over the rows of enumerate_vectors(p, n).
+
+    Returns the codes of their representatives, the nonzero rows equal to their
+    normalisation, in code order, and the class of every row: the position of
+    its representative in that order, -1 for the zero row.
+    """
+    norm = encode_vecs(normalize_rows(vecs, p), p)
+    reps = np.flatnonzero(norm == np.arange(len(norm)))[1:]
+    cls = np.searchsorted(reps, norm)
+    cls[0] = -1
+    return reps, cls
+
+
 def pack_rows(mask: np.ndarray) -> np.ndarray:
     """Boolean rows packed into uint64 words, zero-padded to a whole word."""
     mask = np.asarray(mask, dtype=bool)
@@ -150,9 +172,6 @@ class Subspace:
             v = (np.array(coeffs, dtype=np.int64) @ b) % self.p if self.dim else np.zeros(self.ambient_dim, dtype=np.int64)
             yield tuple(int(c) for c in v)
 
-    def sum_with(self, other: "Subspace") -> "Subspace":
-        return Subspace(list(self.basis) + list(other.basis), self.p, self.ambient_dim)
-
     def intersection(self, other: "Subspace") -> "Subspace":
         """Row-space intersection via the double-orthocomplement trick."""
         if (self.p, self.ambient_dim) != (other.p, other.ambient_dim):
@@ -215,10 +234,6 @@ class LinearMap:
     def identity(cls, n: int, p: int) -> "LinearMap":
         return cls(np.eye(n, dtype=np.int64), p)
 
-    @classmethod
-    def zero(cls, codomain_dim: int, domain_dim: int, p: int) -> "LinearMap":
-        return cls(np.zeros((codomain_dim, domain_dim), dtype=np.int64), p)
-
     def __call__(self, v) -> tuple[int, ...]:
         v = as_vec(v, self.p)
         if v.shape != (self.domain_dim,):
@@ -248,9 +263,6 @@ class LinearMap:
 
     def kernel(self) -> Subspace:
         return matrix_kernel(self.matrix, self.p, self.domain_dim)
-
-    def image(self) -> Subspace:
-        return Subspace(self.matrix.T, self.p, self.codomain_dim)
 
     def __eq__(self, other):
         return (

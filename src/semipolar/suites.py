@@ -1,4 +1,4 @@
-"""Named verification suites over a space, each returning a JSON-able report.
+"""Named verification suites over a space, each returning a Report.
 
 Every suite is exhaustive by default and guarded by the enumeration budget;
 seeded sampling thins the Python-level quantifier loops for instances above
@@ -31,7 +31,7 @@ from .autos import (
     verify_semiform_scaling,
 )
 from .errors import DEFAULT_BUDGET, DimensionMismatch, check_budget
-from .forms import check_semiform_axioms, group_tables, verify_identities
+from .forms import Report, check_semiform_axioms, group_tables, verify_identities
 from .hyperbolic import (
     build_double,
     default_deleted_subspace,
@@ -53,62 +53,45 @@ class SuiteConfig:
     field: Optional[int] = None
 
 
-def _result(name: str, checks: list[dict], data: Optional[dict] = None) -> dict:
-    return {
-        "suite": name,
-        "passed": all(c["passed"] for c in checks),
-        "checks": checks,
-        "data": data or {},
-    }
-
-
-def _check(name: str, passed, witness=None, note: str = "") -> dict:
-    w = witness
-    if w is not None and not isinstance(w, (str, int, list, dict)):
-        w = repr(w)
-    return {"name": name, "passed": bool(passed), "witness": w, "note": note}
-
-
-def _maybe_sample(items: list, cfg: SuiteConfig, tag: str) -> list:
+def _maybe_sample(count: int, cfg: SuiteConfig, tag: str) -> np.ndarray:
+    """Indices of the items a suite quantifies over, out of `count`: all of them
+    within the budget, or a seeded sample of `cfg.sample` in sampled mode."""
     if cfg.sample is None:
-        check_budget(len(items), cfg.budget, tag)
-        return items
-    rng = random.Random(cfg.seed)
-    if len(items) <= cfg.sample:
-        return items
-    return rng.sample(items, cfg.sample)
+        check_budget(count, cfg.budget, tag)
+        return np.arange(count)
+    if count <= cfg.sample:
+        return np.arange(count)
+    return np.array(random.Random(cfg.seed).sample(range(count), cfg.sample), dtype=np.int64)
 
 
 # -- core algebraic suites ------------------------------------------------------
 
 
-def suite_axioms(space: SemipolarSpace, cfg: SuiteConfig) -> dict:
+def suite_axioms(space: SemipolarSpace, cfg: SuiteConfig) -> Report:
     report = check_semiform_axioms(
         space.value_table, space.p, space.ydim, space.nu, budget=cfg.budget
     )
-    data = {k: v for k, v in report.data.items() if not k.endswith("basis")}
-    return _result("axioms", [c.to_jsonable() for c in report.checks], data)
+    report.data = {k: v for k, v in report.data.items() if not k.endswith("basis")}
+    return report
 
 
-def suite_identities(space: SemipolarSpace, cfg: SuiteConfig) -> dict:
-    report = verify_identities(space.form, budget=cfg.budget)
-    return _result("identities", [c.to_jsonable() for c in report.checks])
+def suite_identities(space: SemipolarSpace, cfg: SuiteConfig) -> Report:
+    return verify_identities(space.form, budget=cfg.budget)
 
 
-def suite_gamma(space: SemipolarSpace, cfg: SuiteConfig) -> dict:
-    gamma = space.verify_gamma_space()
-    parallel = space.verify_parallel_unclosed()
-    checks = [c.to_jsonable() for c in gamma.checks + parallel.checks]
-    data = {
+def suite_gamma(space: SemipolarSpace, cfg: SuiteConfig) -> Report:
+    report = space.verify_gamma_space()
+    report.checks += space.verify_parallel_unclosed().checks
+    report.data = {
         "singular_lines": len(space.singular_lines),
         "maximal_singular_subspaces": len(space.maximal_singular_subspaces()),
     }
-    return _result("gamma", checks, data)
+    return report
 
 
-def suite_lines(space: SemipolarSpace, cfg: SuiteConfig) -> dict:
+def suite_lines(space: SemipolarSpace, cfg: SuiteConfig) -> Report:
     bases, dirs = space.affine_lines()
-    picked = np.array(_maybe_sample(list(range(len(bases))), cfg, "affine lines"), dtype=np.int64)
+    picked = _maybe_sample(len(bases), cfg, "affine lines")
     bases, dirs = bases[picked], dirs[picked]
     rows = space.line_codes(bases, dirs)
     first, second = np.triu_indices(space.p, 1)
@@ -127,57 +110,55 @@ def suite_lines(space: SemipolarSpace, cfg: SuiteConfig) -> dict:
             some_wit = wit
     expected = space.size * len(space.u_direction_classes) // space.p
     census_ok = len(space.singular_lines) == expected
-    checks = [
-        _check("criterion-equivalence", crit_wit is None, crit_wit, "one-equation test equals all-pairs test"),
-        _check("one-pair-suffices", some_wit is None, some_wit, "a single adjacent pair makes the line singular"),
-        _check("line-census", census_ok, None, f"{len(space.singular_lines)} singular lines"),
-    ]
-    return _result("lines", checks, {"singular_lines": len(space.singular_lines)})
+    report = Report(data={"singular_lines": len(space.singular_lines)})
+    report.add("criterion-equivalence", crit_wit is None, crit_wit, "one-equation test equals all-pairs test")
+    report.add("one-pair-suffices", some_wit is None, some_wit, "a single adjacent pair makes the line singular")
+    report.add("line-census", census_ok, None, f"{len(space.singular_lines)} singular lines")
+    return report
 
 
-def suite_dset(space: SemipolarSpace, cfg: SuiteConfig) -> dict:
+def suite_dset(space: SemipolarSpace, cfg: SuiteConfig) -> Report:
     excluded = space.direction_excluded_set()
     carried = {canonical_direction(l.direction, space.p) for l in space.singular_lines}
     classes = set(space.direction_classes)
     partition_ok = (carried | excluded == classes) and not (carried & excluded)
-    checks = [
-        _check("partition", partition_ok, None,
-               "every direction is excluded or carries a singular line, never both"),
-    ]
+    report = Report(data={"excluded": len(excluded), "classes": len(classes)})
+    report.add("partition", partition_ok, None,
+               "every direction is excluded or carries a singular line, never both")
     if space.nu == 1:
         vertical = next(d for d in space.direction_classes if not any(d.u))
-        checks.append(_check("vertical-only", excluded == {vertical}, None,
-                             "scalar case: only the vertical direction is excluded"))
+        report.add("vertical-only", excluded == {vertical}, None,
+                   "scalar case: only the vertical direction is excluded")
     else:
         vertical_in = all(q in excluded for q in space.direction_classes if not any(q.u))
-        checks.append(_check("vertical-included", vertical_in, None,
-                             "pure V'-directions never carry singular lines"))
-    return _result("dset", checks, {"excluded": len(excluded), "classes": len(classes)})
+        report.add("vertical-included", vertical_in, None,
+                   "pure V'-directions never carry singular lines")
+    return report
 
 
-def suite_joinable(space: SemipolarSpace, cfg: SuiteConfig) -> dict:
-    pts = _maybe_sample(list(space.points), cfg, "points")
+def suite_joinable(space: SemipolarSpace, cfg: SuiteConfig) -> Report:
     expected = space.p**space.n
-    ok, wit = True, None
-    for pt in pts:
+    wit = None
+    for k in _maybe_sample(space.size, cfg, "points").tolist():
+        pt = space.points[k]
         members = space.joinable_subspace(pt)
         if len(members) != expected or pt not in members:
-            ok, wit = False, pt
+            wit = repr(pt)
             break
-    checks = [_check("joinable-size", ok, wit, f"every neighborhood has {expected} points")]
-    return _result("joinable", checks, {"expected": expected})
+    report = Report(data={"expected": expected})
+    report.add("joinable-size", wit is None, wit, f"every neighborhood has {expected} points")
+    return report
 
 
-def suite_triangles(space: SemipolarSpace, cfg: SuiteConfig) -> dict:
+def suite_triangles(space: SemipolarSpace, cfg: SuiteConfig) -> Report:
     census = space.triangle_census()
     kernel_dims = {
         space.form.eta.eta_u(u).kernel().dim for u in space.u_direction_classes
     }
     predicted_empty = kernel_dims == {1}
-    checks = [
-        _check("census-matches-kernel-profile", (census == 0) == predicted_empty, None,
-               "no triangles exactly when every partial kernel is a line"),
-    ]
+    report = Report(data={"census": census})
+    report.add("census-matches-kernel-profile", (census == 0) == predicted_empty, None,
+               "no triangles exactly when every partial kernel is a line")
     sample = space.triangles_through(space.origin)[:20]
     form_ok = True
     for p0, p1, p2 in sample:
@@ -186,29 +167,29 @@ def suite_triangles(space: SemipolarSpace, cfg: SuiteConfig) -> dict:
         if any(space.form.eta.eval(u, y)):
             form_ok = False
             break
-    checks.append(_check("parametric-form", form_ok, None, "triangle legs have orthogonal directions"))
-    return _result("triangles", checks, {"census": census})
+    report.add("parametric-form", form_ok, None, "triangle legs have orthogonal directions")
+    return report
 
 
 # pairs per chunk of the recover checks: bounds the (pairs x |Y|) intermediates
 _PAIR_CHUNK = 2048
 
 
-def _first_failing_pair(space: SemipolarSpace, pairs, fails: Callable):
-    """The first pair, in list order, on which `fails(i, j)` (one flag per pair
-    of code arrays) holds, as a pair of points, or None."""
-    i, j = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
+def _first_failing_pair(space: SemipolarSpace, pairs: np.ndarray, fails: Callable):
+    """The first row of a (pairs, 2) code array on which `fails(i, j)` (one flag
+    per pair of code arrays) holds, as the repr of a pair of points, or None."""
+    i, j = pairs.T
     for lo in range(0, len(i), _PAIR_CHUNK):
         a, b = i[lo : lo + _PAIR_CHUNK], j[lo : lo + _PAIR_CHUNK]
         bad = np.flatnonzero(fails(a, b))
         if bad.size:
-            return space.points[a[bad[0]]], space.points[b[bad[0]]]
+            return repr((space.points[a[bad[0]]], space.points[b[bad[0]]]))
     return None
 
 
-def _first_unrecovered(space: SemipolarSpace, pairs):
+def _first_unrecovered(space: SemipolarSpace, pairs: np.ndarray):
     """The first pair whose double-neighborhood intersection is not the affine
-    line through it, as a pair of points, or None."""
+    line through it, as the repr of a pair of points, or None."""
 
     def fails(i, j):
         line = np.zeros((len(i), space.size), dtype=bool)
@@ -218,58 +199,58 @@ def _first_unrecovered(space: SemipolarSpace, pairs):
     return _first_failing_pair(space, pairs, fails)
 
 
-def suite_recover(space: SemipolarSpace, cfg: SuiteConfig) -> dict:
+def suite_recover(space: SemipolarSpace, cfg: SuiteConfig) -> Report:
     star = space.separating_kernels
-    checks = [_check("kernel-separation", star, None, "distinct direction kernels separate")]
+    report = Report()
+    report.add("kernel-separation", star, None, "distinct direction kernels separate")
     if not star:
-        return _result("recover", checks, {})
+        return report
     adj = space.adjacency
-    pairs = [(i, int(j)) for i in range(space.size) for j in np.flatnonzero(adj[i]) if j > i]
-    pairs = _maybe_sample(pairs, cfg, "adjacent pairs")
+    pairs = np.argwhere(np.triu(adj, 1))
+    pairs = pairs[_maybe_sample(len(pairs), cfg, "adjacent pairs")]
     wit = _first_unrecovered(space, pairs)
-    checks.append(_check("adjacent-pairs", wit is None, wit, "intersection equals the singular line"))
+    report.add("adjacent-pairs", wit is None, wit, "intersection equals the singular line")
     if space.nu == 1:
         # scalar case: the double-neighborhood intersection of any distinct
         # non-vertical pair is the full affine line through it; vertical pairs
         # have no common neighbors at all, so the construction degenerates
-        all_pairs = [(i, j) for i in range(space.size) for j in range(i + 1, space.size)]
-        all_pairs = _maybe_sample(all_pairs, cfg, "point pairs")
-        all_pairs = np.array(all_pairs, dtype=np.int64).reshape(-1, 2)
+        all_pairs = np.stack(np.triu_indices(space.size, 1), axis=1)
+        all_pairs = all_pairs[_maybe_sample(len(all_pairs), cfg, "point pairs")]
         u = space._coords[:, space.nu :]
         vertical = (u[all_pairs[:, 0]] == u[all_pairs[:, 1]]).all(axis=1)
         wit2 = _first_unrecovered(space, all_pairs[~vertical])
         vert_wit = _first_failing_pair(
             space, all_pairs[vertical], lambda i, j: (adj[i] & adj[j]).any(axis=1)
         )
-        checks.append(_check("nonvertical-pairs-affine-line", wit2 is None, wit2,
-                             "the intersection is the affine line through the pair"))
-        checks.append(_check("vertical-pairs-degenerate", vert_wit is None, vert_wit,
-                             "vertical pairs have no common neighbors"))
-    return _result("recover", checks, {"pairs": len(pairs)})
+        report.add("nonvertical-pairs-affine-line", wit2 is None, wit2,
+                   "the intersection is the affine line through the pair")
+        report.add("vertical-pairs-degenerate", vert_wit is None, vert_wit,
+                   "vertical pairs have no common neighbors")
+    report.data = {"pairs": len(pairs)}
+    return report
 
 
-def suite_pencil(space: SemipolarSpace, cfg: SuiteConfig) -> dict:
+def suite_pencil(space: SemipolarSpace, cfg: SuiteConfig) -> Report:
     at_origin = space.pencil_structure(space.origin)
     off = space.pencil_structure(space.points[min(5, space.size - 1)])
-    checks = [
-        _check("origin-isomorphic", at_origin.isomorphic, None,
-               "pencil at the origin matches the null system"),
-        _check("off-origin-isomorphic", off.isomorphic, None,
-               "pencil away from the origin matches as well"),
-        _check("pencil-sizes", len(at_origin.lines) == len(off.lines)
-               and len(at_origin.planes) == len(off.planes), None),
-    ]
-    data = {"lines": len(at_origin.lines), "planes": len(at_origin.planes)}
-    return _result("pencil", checks, data)
+    report = Report(data={"lines": len(at_origin.lines), "planes": len(at_origin.planes)})
+    report.add("origin-isomorphic", at_origin.isomorphic, None,
+               "pencil at the origin matches the null system")
+    report.add("off-origin-isomorphic", off.isomorphic, None,
+               "pencil away from the origin matches as well")
+    report.add("pencil-sizes", len(at_origin.lines) == len(off.lines)
+               and len(at_origin.planes) == len(off.planes))
+    return report
 
 
 # -- automorphism suites -----------------------------------------------------------
 
 
-def suite_autos(space: SemipolarSpace, cfg: SuiteConfig) -> dict:
+def suite_autos(space: SemipolarSpace, cfg: SuiteConfig) -> Report:
     orbit = orbit_of(space, space.origin)
-    checks = [_check("transitivity", orbit == set(space.points), None,
-                     "shift automorphisms reach every point")]
+    report = Report(data={"orbit": len(orbit)})
+    report.add("transitivity", orbit == set(space.points), None,
+               "shift automorphisms reach every point")
     shift_ok = True
     for idx in range(0, space.size, max(1, space.size // 9)):
         pmap = point_transitive_auto(space, space.origin, space.points[idx])
@@ -278,8 +259,8 @@ def suite_autos(space: SemipolarSpace, cfg: SuiteConfig) -> dict:
         ):
             shift_ok = False
             break
-    checks.append(_check("shift-scaling", shift_ok, None,
-                         "shift automorphisms leave the semiform unchanged"))
+    report.add("shift-scaling", shift_ok, None,
+               "shift automorphisms leave the semiform unchanged")
     if space.nu == 1:
         p = space.p
         phis = [np.eye(space.n, dtype=np.int64), 2 * np.eye(space.n, dtype=np.int64) % p]
@@ -299,28 +280,27 @@ def suite_autos(space: SemipolarSpace, cfg: SuiteConfig) -> dict:
             if build_from_params(space, compose_params(space, p2, p1)) != m2.compose(m1):
                 comp_ok = False
                 break
-        checks.append(_check("composition-rules", comp_ok, None,
-                             "composed parameters match pointwise composition"))
-    return _result("autos", checks, {"orbit": len(orbit)})
+        report.add("composition-rules", comp_ok, None,
+                   "composed parameters match pointwise composition")
+    return report
 
 
-def suite_oracle(space: SemipolarSpace, cfg: SuiteConfig) -> dict:
+def suite_oracle(space: SemipolarSpace, cfg: SuiteConfig) -> Report:
     group = brute_force_aut_group(space, cap=cfg.oracle_cap)
-    checks = []
-    data = {"group_order": len(group)}
+    report = Report(data={"group_order": len(group)})
     if space.nu == 1:
         family = symplectic_family(space)
-        data["family_order"] = len(family)
-        checks.append(_check("family-equality", {m for _, m in family} == set(group), None,
-                             "the parametric family is exactly the affine automorphism group"))
+        report.data["family_order"] = len(family)
+        report.add("family-equality", {m for _, m in family} == set(group), None,
+                   "the parametric family is exactly the affine automorphism group")
         scaling = all(rho_scaling_constant(space, m) for m in group)
-        checks.append(_check("scaling-constants", scaling, None,
-                             "every member scales the semiform by a nonzero constant"))
+        report.add("scaling-constants", scaling, None,
+                   "every member scales the semiform by a nonzero constant")
     vertical = all(fixes_vertical_direction(space, m) for m in group)
-    checks.append(_check("vertical-direction-fixed", vertical, None))
+    report.add("vertical-direction-fixed", vertical)
     ident = PointMap(space, LinearMap.identity(space.ydim, space.p), (0,) * space.ydim)
-    checks.append(_check("identity-present", ident in set(group), None))
-    return _result("oracle", checks, data)
+    report.add("identity-present", ident in set(group))
+    return report
 
 
 # -- metric suites --------------------------------------------------------------------
@@ -331,18 +311,18 @@ def _scalar_only(space: SemipolarSpace, name: str) -> None:
         raise DimensionMismatch(f"suite {name} needs a scalar-valued semiform")
 
 
-def suite_metric(space: SemipolarSpace, cfg: SuiteConfig) -> dict:
+def suite_metric(space: SemipolarSpace, cfg: SuiteConfig) -> Report:
     _scalar_only(space, "metric")
     t = np.asarray(space.value_table)
     p, size = space.p, space.size
-    checks = []
+    report = Report()
 
-    checks.append(_check("reversal-law", bool((((-t) % p) == t.T).all()), None,
-                         "p1p2 = p3p4 iff p2p1 = p4p3"))
-    checks.append(_check("degenerate-congruence", bool((t.diagonal() == 0).all()), None,
-                         "pp has measure zero, so p1p2 = pp exactly for adjacent pairs"))
-    checks.append(_check("swap-congruence", bool(((t == t.T) == (t == 0)).all()), None,
-                         "p1p2 = p2p1 iff the points are adjacent"))
+    report.add("reversal-law", bool((((-t) % p) == t.T).all()), None,
+               "p1p2 = p3p4 iff p2p1 = p4p3")
+    report.add("degenerate-congruence", bool((t.diagonal() == 0).all()), None,
+               "pp has measure zero, so p1p2 = pp exactly for adjacent pairs")
+    report.add("swap-congruence", bool(((t == t.T) == (t == 0)).all()), None,
+               "p1p2 = p2p1 iff the points are adjacent")
 
     _, padd, _, _, pscl = group_tables(p, space.ydim)
     inv2 = pow(2, p - 2, p)
@@ -350,48 +330,47 @@ def suite_metric(space: SemipolarSpace, cfg: SuiteConfig) -> dict:
     rows = np.arange(size)
     lhs = t[rows[:, None], mid]
     rhs = t[mid, rows[None, :]]
-    checks.append(_check("midpoint-congruence", bool((lhs == rhs).all()), None,
-                         "p1 (p1+p2)/2 = (p1+p2)/2 p2 for all pairs"))
+    report.add("midpoint-congruence", bool((lhs == rhs).all()), None,
+               "p1 (p1+p2)/2 = (p1+p2)/2 p2 for all pairs")
 
     counts = np.stack([np.bincount(row, minlength=p) for row in t])
-    checks.append(_check("sphere-cardinality", bool((counts == size // p).all()), None,
-                         f"every sphere has exactly {size // p} points"))
+    report.add("sphere-cardinality", bool((counts == size // p).all()), None,
+                         f"every sphere has exactly {size // p} points")
 
     witness = translation_noninvariance_witness(space)
-    checks.append(_check("translation-noninvariance", witness is not None, None,
-                         "a segment and its translate with different measures exists"))
-    data = {}
+    report.add("translation-noninvariance", witness is not None, None,
+               "a segment and its translate with different measures exists")
     if witness:
         p1, p2, tr = witness
-        data["witness"] = {
+        report.data["witness"] = {
             "p1": list(p1.flat()),
             "p2": list(p2.flat()),
             "translation": list(tr.flat()),
             "before": list(space.rho(p1, p2)),
             "after": list(space.rho(p1.add(tr, p), p2.add(tr, p))),
         }
-    return _result("metric", checks, data)
+    return report
 
 
-def suite_bisectors(space: SemipolarSpace, cfg: SuiteConfig) -> dict:
+def suite_bisectors(space: SemipolarSpace, cfg: SuiteConfig) -> Report:
     _scalar_only(space, "bisectors")
     t = np.asarray(space.value_table)
     p, size = space.p, space.size
     hyper = size // p
     un = p**space.n
-    checks = []
+    report = Report()
 
     eq_counts = (t[:, None, :] == t[None, :, :]).sum(axis=2)
     idx = np.arange(size)
     vertical = (idx[:, None] % un == idx[None, :] % un) & (idx[:, None] != idx[None, :])
     same = idx[:, None] == idx[None, :]
     expected = np.where(same, size, np.where(vertical, 0, hyper))
-    checks.append(_check("t-cardinalities", bool((eq_counts == expected).all()), None,
-                         "empty exactly for vertical pairs, hyperplanes otherwise"))
+    report.add("t-cardinalities", bool((eq_counts == expected).all()), None,
+               "empty exactly for vertical pairs, hyperplanes otherwise")
 
     m_counts = (t[:, None, :] == t.T[None, :, :]).sum(axis=2)
-    checks.append(_check("m-cardinalities", bool((m_counts == hyper).all()), None,
-                         "every m-bisector is a hyperplane"))
+    report.add("m-cardinalities", bool((m_counts == hyper).all()), None,
+               "every m-bisector is a hyperplane")
 
     _, padd, _, _, pscl = group_tables(p, space.ydim)
     inv2 = pow(2, p - 2, p)
@@ -410,10 +389,10 @@ def suite_bisectors(space: SemipolarSpace, cfg: SuiteConfig) -> dict:
         if not (t_member == ortho).all():
             polar_ok = False
             break
-    checks.append(_check("polar-correspondence", polar_ok, None,
-                         "bisectors match the surrounding null polarity"))
+    report.add("polar-correspondence", polar_ok, None,
+               "bisectors match the surrounding null polarity")
 
-    data = {"hyperplane_size": hyper}
+    report.data["hyperplane_size"] = hyper
     if size * size <= 1000:
         pairs = [(i, j) for i in range(size) for j in range(size)]
 
@@ -438,35 +417,34 @@ def suite_bisectors(space: SemipolarSpace, cfg: SuiteConfig) -> dict:
         m_crit_ok = all(len(g) == 1 for g in m_groups.values()) and len(m_groups) == len(
             set(sum_ids.values())
         )
-        checks.append(_check("t-bisector-criterion", t_crit_ok, None,
-                             "equal t-bisectors exactly for proportional differences"))
-        checks.append(_check("m-bisector-criterion", m_crit_ok, None,
-                             "equal m-bisectors exactly for equal sums"))
-        data["pair_groups_t"] = len(t_groups)
-        data["pair_groups_m"] = len(m_groups)
-    return _result("bisectors", checks, data)
+        report.add("t-bisector-criterion", t_crit_ok, None,
+                             "equal t-bisectors exactly for proportional differences")
+        report.add("m-bisector-criterion", m_crit_ok, None,
+                             "equal m-bisectors exactly for equal sums")
+        report.data["pair_groups_t"] = len(t_groups)
+        report.data["pair_groups_m"] = len(m_groups)
+    return report
 
 
-def suite_hyperbolic(space: Optional[SemipolarSpace], cfg: SuiteConfig) -> dict:
+def suite_hyperbolic(space: Optional[SemipolarSpace], cfg: SuiteConfig) -> Report:
     p = cfg.field or (space.p if space is not None else 3)
     n = cfg.hyp_dim
     base = standard_doubling_base(n, p, diag=cfg.hyp_diag)
     hyp = build_double(n, base)
-    report = reconstruction_report(hyp, default_deleted_subspace(hyp))
+    data = reconstruction_report(hyp, default_deleted_subspace(hyp))
     expected_points = (p**n - 1) // (p - 1)
-    rec = report["reconstruction"]
-    checks = [
-        _check("isotropy-equivalence", hyp.isotropy_matches_orthogonal_pairs(), None,
-               "doubled-form isotropy detects orthogonal pairs"),
-        _check("hyperbolic-type", hyp.hyperbolic_by_discriminant(), None,
-               "discriminant classification: maximal index"),
-        _check("two-parity-classes",
-               report["parity_class_sizes"] == [len(hyp.maximal_singulars()) // 2], None),
-        _check("reconstruction-isomorphic", rec["isomorphic"], None),
-        _check("class-count", rec["class_count"] == expected_points, None,
-               f"one class per deleted projective point ({expected_points})"),
-    ]
-    return _result("hyperbolic", checks, report)
+    rec = data["reconstruction"]
+    report = Report(data=data)
+    report.add("isotropy-equivalence", hyp.isotropy_matches_orthogonal_pairs(), None,
+               "doubled-form isotropy detects orthogonal pairs")
+    report.add("hyperbolic-type", hyp.hyperbolic_by_discriminant(), None,
+               "discriminant classification: maximal index")
+    report.add("two-parity-classes",
+               data["parity_class_sizes"] == [len(hyp.maximal_singulars()) // 2])
+    report.add("reconstruction-isomorphic", rec["isomorphic"])
+    report.add("class-count", rec["class_count"] == expected_points, None,
+               f"one class per deleted projective point ({expected_points})")
+    return report
 
 
 SUITES: dict[str, Callable] = {
@@ -508,6 +486,6 @@ def run_suite(name: str, space: Optional[SemipolarSpace], cfg: SuiteConfig) -> d
         raise KeyError(f"unknown suite {name!r}")
     if name != "hyperbolic" and space is None:
         raise DimensionMismatch(f"suite {name} needs an instance")
-    out = SUITES[name](space, cfg)
+    out = SUITES[name](space, cfg).to_jsonable(name)
     out["mode"] = "exhaustive" if cfg.sample is None else {"sample": cfg.sample, "seed": cfg.seed}
     return out

@@ -21,7 +21,6 @@ from semipolar.forms import (
     Semiform,
     check_semiform_axioms,
     group_tables,
-    semiform_axiom_names,
     standard_symplectic,
     verify_identities,
 )
@@ -56,7 +55,7 @@ def test_c01_semiform_axioms_and_reconstruction(
     ok = True
     for name, space in spaces.items():
         report = check_semiform_axioms(space.value_table, space.p, space.ydim, space.nu)
-        axioms_pass = all(report.check(a).passed for a in semiform_axiom_names())
+        axioms_pass = all(report.check(f"A{k}").passed for k in range(1, 9))
         rec_pass = report.check("reconstruction").passed and report.data["reconstruction_ok"]
         ok = ok and axioms_pass and rec_pass
     conclude(1, "axioms A1-A8 and exact M/D reconstruction on all five instances", ok)

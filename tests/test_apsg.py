@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semipolar.apsg import AffLine, Point, canonical_direction, line_through, neighborhood_intersections
+from semipolar.apsg import (
+    AffLine,
+    Point,
+    SemipolarSpace,
+    canonical_direction,
+    line_through,
+    neighborhood_intersections,
+)
 from semipolar.errors import DegenerateForm, InvalidPair
 from semipolar.forms import AlternatingMap, Semiform
 from semipolar.linalg import Subspace, enumerate_subspaces, enumerate_vectors, pack_rows, unpack_rows
@@ -510,6 +517,41 @@ def test_pencil_structure_off_origin(sp_m2_gf3, sp_cross_gf3):
     for space in (sp_m2_gf3, sp_cross_gf3):
         pencil = space.pencil_structure(space.points[5])
         assert pencil.isomorphic
+
+
+@pytest.mark.parametrize("name", ["m2", "cross"])
+def test_null_system_matches_isotropic_subspace_sweep(name, sp_m2_gf3, sp_cross_gf3):
+    space = {"m2": sp_m2_gf3, "cross": sp_cross_gf3}[name]
+    p, n = space.p, space.n
+    classes = {u: c for c, u in enumerate(space.u_direction_classes)}
+
+    def class_of(u):
+        u = np.asarray(u) % p
+        first = int(u[np.flatnonzero(u)[0]])
+        return classes[tuple(int(x) for x in (u * pow(first, p - 2, p)) % p)]
+
+    expected = set()
+    for s in enumerate_subspaces(2, n, p):
+        b = s.matrix()
+        if not any(space.form.eta.eval(b[0], b[1])):
+            members = {class_of(v) for v in s.vectors() if any(v)}
+            expected.add(tuple(sorted(members)))
+    points, lines = space.null_system()
+    assert points == [(c,) for c in range(len(classes))]
+    assert set(lines) == expected and len(lines) == len(expected)
+    assert all(len(line) == p + 1 for line in lines)
+
+
+def test_pencil_with_a_broken_plane_is_not_isomorphic(sp_m2_gf3):
+    space = SemipolarSpace(sp_m2_gf3.form)
+    plane = sorted(space.singular_planes_through(space.origin)[0])
+    a, b = plane[1], plane[-1]
+    adj = space.adjacency.copy()
+    adj[a, b] = adj[b, a] = False
+    space.__dict__["adjacency"] = adj
+    pencil = space.pencil_structure(space.origin)
+    assert len(pencil.planes) == 39
+    assert not pencil.isomorphic
 
 
 def test_maximal_singular_subspaces_are_lines_when_no_triangles(sp_m1_gf3, sp_cross_gf3):

@@ -15,14 +15,12 @@ from semipolar.autos import (
     build_symplectic_auto,
     compose_params,
     fixes_vertical_direction,
-    general_params_from_jsonable,
     invertible_matrices,
     multiplier,
     orbit_of,
     point_transitive_auto,
     rho_scaling_constant,
     symplectic_family,
-    symplectic_params_from_jsonable,
     verify_semiform_scaling,
 )
 from semipolar.errors import EnumerationTooLarge, NotCompatible
@@ -291,34 +289,11 @@ def test_rho_scalers_preserve_equidistance(sp_m1_gf3, oracle_m1_gf3):
 
 
 def test_family_export_is_a_json_list(sp_m1_gf3):
-    from semipolar.autos import symplectic_family_jsonable
-
-    family = symplectic_family_jsonable(sp_m1_gf3)
+    family = symplectic_family(sp_m1_gf3)
     assert len(family) == 1296
-    assert all(set(rec) == {"alpha", "b", "w", "phi_matrix"} for rec in family[:5])
-    # rebuilding from records reproduces distinct maps
+    # rebuilding from the parameters reproduces distinct maps
     rebuilt = set()
-    for rec in family[:30]:
-        alpha, b, w, phi = symplectic_params_from_jsonable(rec, 3)
-        pmap, _ = build_symplectic_auto(sp_m1_gf3, alpha, b, w, phi)
+    for params, _ in family[:30]:
+        pmap, _ = build_symplectic_auto(sp_m1_gf3, params.alpha, params.b, params.w, params.phi)
         rebuilt.add(pmap)
     assert len(rebuilt) == 30
-
-
-def test_params_json_round_trip(sp_m1_gf3):
-    space = sp_m1_gf3
-    pmap, params = build_symplectic_auto(space, 2, 1, (1, 2), LinearMap([[0, 1], [1, 0]], 3))
-    data = params.to_jsonable()
-    assert set(data) == {"alpha", "b", "w", "phi_matrix"}
-    alpha, b, w, phi = symplectic_params_from_jsonable(data, 3)
-    rebuilt, _ = build_symplectic_auto(space, alpha, b, w, phi)
-    assert rebuilt == pmap
-
-    gmap, gparams = build_general_auto(
-        space, LinearMap([[2]], 3), LinearMap([[0, 1], [1, 0]], 3), (1, 0), (2,)
-    )
-    gdata = gparams.to_jsonable()
-    assert set(gdata) == {"psi1_matrix", "phi_matrix", "u0", "v0"}
-    psi1, phi, u0, v0 = general_params_from_jsonable(gdata, 3)
-    rebuilt2, _ = build_general_auto(space, psi1, phi, u0, v0)
-    assert rebuilt2 == gmap

@@ -1,5 +1,6 @@
 """The command-line driver: build, verify, export, exit codes, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -237,6 +238,39 @@ def test_export_reconstruct_diag(tmp_path, capsys):
                       "--hyp-diag", "1", "1", "-1", "--out", str(out)], capsys)
     assert code == 0
     assert json.loads(out.read_text())["reconstruction"]["isomorphic"] is True
+
+
+# SHA-256 of reports on instances from `semipolar build --field 3`; any change
+# to a verdict, a witness, a count or the JSON layout shows here
+PINNED_REPORTS = {
+    ("verify", "m1", "--suite", "all"):
+        "c10f0181eb918468a6b5189869a66f8b12ca3bee50d11b02d694a64abcaa3a8d",
+    ("verify", "m2", "--suite", "recover", "--suite", "lines", "--suite", "joinable",
+     "--sample", "50", "--seed", "3"):
+        "7d1cf27ace777aeec545c8b5e7323cfa051a51f678867ae3d8180e4692ea88e1",
+    ("export", "m2", "--what", "pencil", "--at", "5"):
+        "3f696785e3ceac1b310d5f61f5672a5269413bf01f515b3b8fb45d1c679ca448",
+    ("export", "cross", "--what", "pencil", "--at", "origin"):
+        "cf16fcf0fd154b828af2a6284b082372e1fb2f3820269b6784871d57820d1b4d",
+    ("export", "--what", "reconstruct", "--field", "5"):
+        "024e35d5ad2f5aa7f4d34760566c65104b6a6b7595bcd559485ed0891228da6d",
+}
+
+
+def test_reports_are_pinned_byte_for_byte(tmp_path, capsys):
+    instances = {
+        "m1": ["--kind", "symplectic", "--index", "1"],
+        "m2": ["--kind", "symplectic", "--index", "2"],
+        "cross": ["--kind", "cross"],
+    }
+    for name, args in instances.items():
+        path = tmp_path / f"{name}.json"
+        assert run(["build", "--field", "3", *args, "--out", str(path)], capsys)[0] == 0
+    for argv, digest in PINNED_REPORTS.items():
+        out = tmp_path / "report.json"
+        argv = [str(tmp_path / f"{a}.json") if a in instances else a for a in argv]
+        assert run(argv + ["--out", str(out)], capsys)[0] == 0, argv
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, argv
 
 
 def test_usage_error_from_argparse():

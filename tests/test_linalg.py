@@ -91,7 +91,7 @@ def test_mixed_ambient_dimensions_rejected():
 def test_kernel_of_identity_and_zero_maps():
     ident = LinearMap.identity(2, 3)
     assert ident.kernel().dim == 0
-    zero = LinearMap.zero(2, 2, 3)
+    zero = LinearMap(np.zeros((2, 2), dtype=np.int64), 3)
     assert zero.kernel().dim == 2
     assert set(zero.kernel().vectors()) == span_set([(1, 0), (0, 1)], 3, 2)
 
@@ -111,7 +111,7 @@ def test_solve_identity_and_zero():
     assert got is not None
     x, k = got
     assert x == (2, 1) and k.dim == 0
-    zero = LinearMap.zero(2, 2, 3)
+    zero = LinearMap(np.zeros((2, 2), dtype=np.int64), 3)
     assert solve(zero, (1, 0)) is None
     got = solve(zero, (0, 0))
     assert got is not None and got[1].dim == 2

@@ -1,11 +1,14 @@
 """The named suite runners: shapes, applicability, budget behavior."""
 
+import random
+
 import numpy as np
 import pytest
 
 from semipolar import suites
-from semipolar.apsg import SemipolarSpace
+from semipolar.apsg import Point, SemipolarSpace
 from semipolar.errors import DimensionMismatch, EnumerationTooLarge
+from semipolar.forms import Report
 from semipolar.suites import SUITES, SuiteConfig, applicable_suites, run_suite
 
 
@@ -79,6 +82,43 @@ def test_sampling_thins_loops(sp_m1_gf3):
     report = run_suite("recover", sp_m1_gf3, cfg)
     assert report["passed"]
     assert report["mode"] == {"sample": 5, "seed": 3}
+
+
+@pytest.mark.parametrize("count", [0, 3, 10, 57, 1000, 100_000])
+def test_sample_indices_pick_what_a_list_sample_picks(count):
+    items = [f"item{k}" for k in range(count)]
+    for sample, seed in ((5, 0), (50, 3), (999, 11)):
+        picked = suites._maybe_sample(count, SuiteConfig(sample=sample, seed=seed), "items")
+        expect = items if count <= sample else random.Random(seed).sample(items, sample)
+        assert [items[k] for k in picked.tolist()] == expect
+    assert suites._maybe_sample(count, SuiteConfig(), "items").tolist() == list(range(count))
+    if count > 10:
+        with pytest.raises(EnumerationTooLarge):
+            suites._maybe_sample(count, SuiteConfig(budget=10), "items")
+
+
+def test_report_witness_encoding():
+    report = Report(data={"n": 1})
+    report.add("nested", False, ((1, (2, 3)), [np.int64(4)]), "a note")
+    report.add("numpy", False, np.int32(7))
+    report.add("point", False, Point((1,), (0, 2)))
+    report.add("text", True, "AffLine(...)")
+    report.add("none", True)
+    out = report.to_jsonable("demo")
+    assert out == {
+        "suite": "demo",
+        "passed": False,
+        "data": {"n": 1},
+        "checks": [
+            {"name": "nested", "passed": False, "witness": [[1, [2, 3]], [4]], "note": "a note"},
+            {"name": "numpy", "passed": False, "witness": 7, "note": ""},
+            {"name": "point", "passed": False, "witness": [[1], [0, 2]], "note": ""},
+            {"name": "text", "passed": True, "witness": "AffLine(...)", "note": ""},
+            {"name": "none", "passed": True, "witness": None, "note": ""},
+        ],
+    }
+    assert type(out["checks"][1]["witness"]) is int
+    assert report.check("text").passed and not report.passed
 
 
 @pytest.mark.parametrize("chunk", [7, 2048])
