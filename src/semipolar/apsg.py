@@ -25,12 +25,23 @@ from .errors import (
 from .forms import Report, Semiform, group_tables, normalize
 from .linalg import (
     as_vec,
+    distinct_rows,
     encode_vecs,
     enumerate_vectors,
     pack_rows,
     projective_classes,
+    rref,
     unpack_rows,
 )
+
+_CHUNK = 1 << 16  # elements in one block of a sweep's temporaries
+
+
+def _distinct_parts(parts: list[tuple]) -> tuple:
+    """Concatenate (key, *data) row blocks and keep the rows whose keys are distinct."""
+    merged = [np.concatenate(part) for part in zip(*parts)]
+    keep = distinct_rows(merged[0])
+    return tuple(part[keep] for part in merged)
 
 
 class Point(NamedTuple):
@@ -320,15 +331,15 @@ class SemipolarSpace:
         return frozenset(self.decode_line(b, d) for b, d in zip(bases, dirs))
 
     def direction_excluded_set(self) -> frozenset[Point]:
-        """Direction classes carrying no singular line: eta(u0, .) = v0 unsolvable."""
-        from .linalg import solve
-
+        """Direction classes carrying no singular line: eta(u0, .) = v0 unsolvable,
+        that is, the target column of the augmented matrix is a pivot column."""
         out = set()
         for q in self.direction_classes:
             if not any(q.u):
                 out.add(q)
                 continue
-            if solve(self.form.eta.eta_u(q.u), q.v) is None:
+            aug = np.hstack([self.form.eta.eta_u(q.u).matrix, np.array(q.v)[:, None]])
+            if self.n in rref(aug, self.p)[1]:
                 out.add(q)
         return frozenset(out)
 
@@ -363,21 +374,27 @@ class SemipolarSpace:
 
     def is_affine_point_set(self, pts) -> bool:
         """Closure under x + a(y - x) for all scalars a."""
-        return self._is_affine_codes(np.array([self.index(q) for q in pts], dtype=np.int64))
+        return bool(self._is_affine_codes(np.array([self.index(q) for q in pts], dtype=np.int64)))
 
-    def _is_affine_codes(self, codes: np.ndarray) -> bool:
-        """is_affine_point_set on point codes, a block of x rows at a time."""
+    def _is_affine_codes(self, codes) -> np.ndarray:
+        """is_affine_point_set for each row of a (..., s) array of point codes,
+        a block of rows at a time."""
         add, sub, scale = self._tables
-        member = np.zeros(self.size, dtype=bool)
-        member[codes] = True
-        step = max(1, (1 << 16) // max(1, len(codes)))
-        for lo in range(0, len(codes), step):
-            x = codes[lo : lo + step, None]
-            diff = sub[codes[None, :], x]
+        codes = np.asarray(codes)
+        rows = codes.reshape(-1, codes.shape[-1])
+        s = rows.shape[1]
+        out = np.ones(len(rows), dtype=bool)
+        step = max(1, _CHUNK // max(s * s, self.size))
+        for lo in range(0, len(rows), step):
+            block = rows[lo : lo + step]
+            at = np.arange(len(block))[:, None]
+            member = np.zeros((len(block), self.size), dtype=bool)
+            member[at, block] = True
+            x = block[:, :, None]
+            diff = sub[block[:, None, :], x]
             for a in range(2, self.p):
-                if not member[add[x, scale[a, diff]]].all():
-                    return False
-        return True
+                out[lo : lo + step] &= member[at[:, :, None], add[x, scale[a, diff]]].all(axis=(1, 2))
+        return out.reshape(codes.shape[:-1])
 
     def joinable_subspace(self, pt: Point) -> tuple[Point, ...]:
         """{x : x ~ pt}; always an affine subspace of dimension dim V."""
@@ -421,13 +438,16 @@ class SemipolarSpace:
         """Planes spanned by two concurrent singular lines carry only singular lines
         through the common point; maximal singular subspaces are affine subspaces.
 
-        Runs one point at a time: for every pair of lines d1, d2 through the point,
-        each line with direction d1 + a*d2 is looked up among the keys of the set.
+        Runs a block of points at a time: for every pair of lines d1, d2 through a
+        point, each line with direction d1 + a*d2 is looked up among the sorted
+        keys of the set.  A given line set has no fixed number of lines per
+        point, so it runs one point at a time.
         """
         add, _, scale = self._tables
         if line_set is None:
             through = self._singular_dirs
             keys = self._singular_keys
+            step = max(1, _CHUNK // (through.shape[1] ** 2 * self.p))
         else:
             lines = list(line_set)
             bases = np.array([self.index(l.base) for l in lines], dtype=np.int64)
@@ -439,29 +459,32 @@ class SemipolarSpace:
             dir_of = np.repeat(dirs, self.p)[order]
             bounds = np.searchsorted(rows[order], np.arange(self.size + 1))
             through = [dir_of[bounds[i] : bounds[i + 1]] for i in range(self.size)]
+            step = 1
+        keys = np.unique(keys)
         report = Report()
         wit = None
-        for i, dirs in enumerate(through):
-            if len(dirs) < 2:
-                continue
-            first, second = np.triu_indices(len(dirs), 1)
-            mixed = add[dirs[first][:, None], scale[1:, dirs[second]].T]  # d1 + a*d2, a >= 1
-            cand = self._line_keys(self.line_codes(i, mixed)).ravel()
-            missing = np.flatnonzero(~np.isin(cand, keys))
-            if len(missing):
-                k, a = divmod(int(missing[0]), self.p - 1)
-                named = (dirs[first[k]], dirs[second[k]], mixed[k, a])
-                l1, l2, candidate = (self.decode_line(i, int(d)) for d in named)
-                wit = (self.points[i], repr(l1), repr(l2), repr(candidate))
+        for lo in range(0, self.size, step):
+            dirs = np.asarray(through[lo : lo + step])
+            first, second = np.triu_indices(dirs.shape[1], 1)
+            mixed = add[dirs[:, first, None], scale[1:, dirs[:, second]].transpose(1, 2, 0)]  # d1 + a*d2, a >= 1
+            at = np.arange(lo, lo + len(dirs))[:, None, None]
+            cand = self._line_keys(self.line_codes(at, mixed))
+            missing = keys[np.minimum(np.searchsorted(keys, cand), len(keys) - 1)] != cand
+            if missing.any():
+                b, k, a = np.unravel_index(int(np.flatnonzero(missing)[0]), missing.shape)
+                named = (dirs[b, first[k]], dirs[b, second[k]], mixed[b, k, a])
+                l1, l2, candidate = (self.decode_line(lo + b, int(d)) for d in named)
+                wit = (self.points[lo + b], repr(l1), repr(l2), repr(candidate))
                 break
         report.add("plane-closure", wit is None, wit, "lines through a common point inside a span stay singular")
 
         if line_set is None:
-            aff_wit = None
-            for s in self.maximal_singular_subspaces():
-                if not self._is_affine_codes(np.array(sorted(s), dtype=np.int64)):
-                    aff_wit = (sorted(s),)
-                    break
+            rows = [sorted(s) for s in self.maximal_singular_subspaces()]
+            width = max(map(len, rows), default=0)
+            # pad with a repeated point, which adds no pair, so all rows run in one batch
+            codes = np.array([r + r[:1] * (width - len(r)) for r in rows], dtype=np.int64)
+            affine = self._is_affine_codes(codes.reshape(len(rows), width))
+            aff_wit = None if affine.all() else (rows[int(np.flatnonzero(~affine)[0])],)
             report.add("singular-subspaces-affine", aff_wit is None, aff_wit, "maximal singular subspaces carry affine geometry")
         return report
 
@@ -544,42 +567,84 @@ class SemipolarSpace:
     def maximal_singular_subspaces(self) -> list[frozenset[int]]:
         """Exhaustive closure: grow singular subspaces from lines until nothing extends.
 
-        A subspace is held as its sorted point codes, a base point and the
-        u-classes of its spanning singular directions.  It extends by the singular
-        line through the base in each u-class orthogonal to all of those; an
-        extension counts when its span has p^(k+1) distinct points that are
-        pairwise adjacent.  Every singular subspace of one dimension more is
-        reached this way, so a subspace with no extension is maximal.
+        A subspace is held as its sorted point codes, a base point and its
+        candidates, the u-classes orthogonal to the u-classes of its singular
+        directions.  It extends by the singular line through the base in a
+        candidate class; an extension counts when its span has p^(k+1) distinct
+        points that are pairwise adjacent.  Every singular subspace of one
+        dimension more is reached this way, so a subspace with no extension is
+        maximal.
         """
         return self._maximal_singular_subspaces
 
     @cached_property
     def _maximal_singular_subspaces(self) -> list[frozenset[int]]:
-        add, _, scale = self._tables
         dirs = self._singular_dirs
-        orth = self._u_class_orthogonal
         _, first = np.unique(self._singular_keys, return_index=True)
         bases, cls = np.divmod(first, dirs.shape[1])
-        rows = np.sort(self.line_codes(bases, dirs[bases, cls]), axis=1)
-        layer = {
-            row.tobytes(): (b, [c], row) for b, c, row in zip(bases.tolist(), cls.tolist(), rows)
-        }
+        members = np.sort(self.line_codes(bases, dirs[bases, cls]), axis=1)
+        layer = (members, bases, self._u_class_orthogonal[cls])
         maximal: list[frozenset[int]] = []
-        while layer:
-            grown: dict[bytes, tuple] = {}
-            for b, classes, members in layer.values():
-                cand = np.flatnonzero(orth[:, classes].all(axis=1))
-                spans = add[members[None, :, None], scale[:, dirs[b, cand]].T[:, None, :]]
-                spans = np.sort(spans.reshape(len(cand), -1), axis=1)
-                ok = (np.diff(spans, axis=1) != 0).all(axis=1)
-                indep = spans[ok]
-                ok[ok] = self.adjacency[indep[:, :, None], indep[:, None, :]].all(axis=(1, 2))
-                if not ok.any():
-                    maximal.append(frozenset(members.tolist()))
-                for c, span in zip(cand[ok].tolist(), spans[ok]):
-                    grown.setdefault(span.tobytes(), (b, classes + [c], span))
-            layer = grown
+        while len(layer[0]):
+            top, layer = self._extend(*layer)
+            maximal += map(frozenset, top.tolist())
         return sorted(maximal, key=sorted)
+
+    def _extend(self, members: np.ndarray, bases: np.ndarray, cand: np.ndarray):
+        """One layer of the closure: the member rows that have no extension, and
+        the distinct extensions as (members, bases, candidates).
+
+        The lowest live candidate c of a row gives the span of the row and the
+        singular line through its base in class c.  If that span is singular,
+        every class whose tip add[b, dirs[b, c']] lies in it gives the same
+        extension or none, so all of them are struck; otherwise c alone is.
+        Only the u-classes of span points minus the base can have their tip in
+        the span, so only those tips are looked up.
+
+        The layer is swept in blocks of rows.  Extensions are deduplicated on
+        their sorted point codes (a point mask would cost |Y| per extension)
+        whenever the new ones outnumber the distinct ones kept, so the sorting
+        stays proportional to the extensions made.
+        """
+        add, sub, scale = self._tables
+        dirs, orth = self._singular_dirs, self._u_class_orthogonal
+        u_class = self._u_classes[1]
+        width = members.shape[1] * self.p
+        step = max(1, _CHUNK // (width * width))
+        top = np.ones(len(members), dtype=bool)
+        none = np.zeros(0, dtype=np.intp)
+        # (members, row extended, class added) of the extensions so far
+        found = [(members[:0].reshape(0, width), none, none)]
+        pending = 0
+        for lo in range(0, len(members), step):
+            block, b = members[lo : lo + step], bases[lo : lo + step]
+            live = cand[lo : lo + step].copy()
+            rows = np.flatnonzero(live.any(axis=1))
+            while rows.size:
+                c = live[rows].argmax(axis=1)
+                live[rows, c] = False
+                span = add[block[rows][:, :, None], scale[:, dirs[b[rows], c]].T[:, None, :]]
+                span = np.sort(span.reshape(len(rows), width), axis=1)
+                ok = (np.diff(span, axis=1) != 0).all(axis=1)
+                indep = span[ok]
+                ok[ok] = self.adjacency[indep[:, :, None], indep[:, None, :]].all(axis=(1, 2))
+                if ok.any():
+                    r, span = rows[ok], span[ok]
+                    # tips of those classes, looked up in the spans offset row by row
+                    classes = u_class[sub[span, b[r][:, None]] % self.p**self.n]
+                    offset = np.arange(len(r))[:, None] * self.size
+                    keys = (span + offset).ravel()
+                    tips = add[b[r][:, None], dirs[b[r][:, None], classes]] + offset
+                    inside = keys[np.minimum(np.searchsorted(keys, tips), len(keys) - 1)] == tips
+                    live[np.broadcast_to(r[:, None], inside.shape)[inside], classes[inside]] = False
+                    top[lo + r] = False
+                    found.append((span, lo + r, c[ok]))
+                    pending += len(r)
+                rows = rows[live[rows].any(axis=1)]
+            if pending >= len(found[0][0]):
+                found, pending = [_distinct_parts(found)], 0
+        grown, row, added = _distinct_parts(found)
+        return members[top], (grown, bases[row], cand[row] & orth[added])
 
     # -- the pencil of lines and planes through a point -----------------------
 

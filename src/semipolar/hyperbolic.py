@@ -32,6 +32,7 @@ from .gf import GF
 from .linalg import (
     Subspace,
     as_vec,
+    distinct_rows,
     encode_vecs,
     enumerate_subspaces,
     enumerate_vectors,
@@ -123,14 +124,6 @@ def projective_reps(vectors: np.ndarray, p: int) -> list[tuple[int, ...]]:
 
 def subspace_reps(s: Subspace) -> list[tuple[int, ...]]:
     return projective_reps(enumerate_vectors(s.p, s.dim) @ s.matrix() % s.p, s.p)
-
-
-def _distinct_rows(words: np.ndarray) -> np.ndarray:
-    """The distinct rows of a 2-d array (in lexicographic order of the reversed rows)."""
-    words = words[np.lexsort(words.T)]
-    keep = np.ones(len(words), dtype=bool)
-    keep[1:] = (words[1:] != words[:-1]).any(axis=1)
-    return words[keep]
 
 
 def _meet_counts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -283,7 +276,8 @@ class HypPolarSpace:
                 cand[rows] &= ~span
                 grown.append(pack_rows(span))
                 rows = rows[cand[rows].any(axis=1)]
-            found = _distinct_rows(np.concatenate(grown))
+            found = np.concatenate(grown)
+            found = found[distinct_rows(found)]
         if not extendable:
             return None  # commuting points inside every mask: the layer is maximal
         if extendable < len(masks):

@@ -76,6 +76,16 @@ def pack_rows(mask: np.ndarray) -> np.ndarray:
     return np.packbits(padded, axis=-1).view(np.uint64)
 
 
+def distinct_rows(words: np.ndarray) -> np.ndarray:
+    """Indices of the distinct rows of a 2-d array, the first of each set of
+    equal rows, in the lexicographic order of the reversed rows."""
+    order = np.lexsort(words.T)
+    ordered = words[order]
+    keep = np.ones(len(words), dtype=bool)
+    keep[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    return order[keep]
+
+
 def unpack_rows(words: np.ndarray, n: int) -> np.ndarray:
     """The first n bits of each row of pack_rows words, as booleans."""
     return np.unpackbits(np.ascontiguousarray(words).view(np.uint8), axis=-1, count=n).view(bool)
@@ -251,7 +261,11 @@ class LinearMap:
         return rank(self.matrix, self.p)
 
     def is_bijective(self) -> bool:
-        return self.domain_dim == self.codomain_dim and self.rank == self.domain_dim
+        if self.domain_dim != self.codomain_dim:
+            return False
+        if (self.matrix.diagonal() == 1).all() and not np.tril(self.matrix, -1).any():
+            return True  # upper unitriangular: determinant 1, no rank test needed
+        return self.rank == self.domain_dim
 
     def inverse(self) -> "LinearMap":
         if not self.is_bijective():

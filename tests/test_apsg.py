@@ -4,7 +4,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from semipolar.apsg import (
@@ -591,6 +591,36 @@ def brute_force_maximal(space):
 
 def test_maximal_singular_subspaces_m2_match_brute_force(sp_m2_gf3):
     assert sp_m2_gf3.maximal_singular_subspaces() == brute_force_maximal(sp_m2_gf3)
+
+
+@st.composite
+def random_spaces(draw, shape):
+    """The space of a random nondegenerate alternating map of shape (p, n, nu)."""
+    p, n, nu = shape
+    coeff = st.integers(0, p - 1)
+    upper = {
+        (i, j): tuple(draw(coeff) for _ in range(nu)) for i, j in combinations(range(n), 2)
+    }
+    eta = AlternatingMap(p, n, nu, upper)
+    assume(eta.is_nondegenerate())
+    return SemipolarSpace(Semiform(eta))
+
+
+# (3, 3, 2) has maximal singular lines and planes side by side, which no
+# built-in instance has; its brute force takes about 3 s an example.
+@pytest.mark.parametrize(
+    "shape, examples", [((3, 2, 1), 10), ((5, 2, 1), 10), ((3, 2, 2), 10), ((3, 3, 2), 3)]
+)
+def test_maximal_singular_subspaces_match_brute_force_on_random_forms(shape, examples):
+    @settings(max_examples=examples, deadline=None, derandomize=True)
+    @given(space=random_spaces(shape))
+    def check(space):
+        maximal = space.maximal_singular_subspaces()
+        assert maximal == brute_force_maximal(space)
+        # the batched affine check covers subspaces of every dimension at once
+        assert space.verify_gamma_space().check("singular-subspaces-affine").passed
+
+    check()
 
 
 def test_maximal_singular_subspaces_m2_are_planes(sp_m2_gf3):

@@ -137,6 +137,10 @@ def test_general_auto_rejects_incompatible_twist(sp_m1_gf3):
         build_general_auto(
             sp_m1_gf3, LinearMap([[0]], 3), LinearMap.identity(2, 3), (0, 0), (0,)
         )
+    with pytest.raises(NotCompatible):
+        build_general_auto(
+            sp_m1_gf3, LinearMap.identity(1, 3), LinearMap([[1, 1], [0, 0]], 3), (0, 0), (0,)
+        )
 
 
 def test_semiform_scaling_verification(sp_m1_gf3, sp_m1_gf5):

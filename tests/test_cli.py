@@ -254,6 +254,8 @@ PINNED_REPORTS = {
         "cf16fcf0fd154b828af2a6284b082372e1fb2f3820269b6784871d57820d1b4d",
     ("export", "--what", "reconstruct", "--field", "5"):
         "024e35d5ad2f5aa7f4d34760566c65104b6a6b7595bcd559485ed0891228da6d",
+    ("verify", "m2", "--suite", "all"):
+        "22f2fb503d5ddf4fa816f042107bb24ab20235513808aa01ae32187129469834",
 }
 
 

@@ -297,13 +297,53 @@ def test_offset_pair_identity_exhaustive_gf3():
             assert lhs == eta.eval(x[1:], y[1:])[0]
 
 
-def test_identities_detect_a_corrupted_table():
-    # verify_identities runs on a Semiform; corruption is exercised through the
-    # axiom checker below, but the translation-shift identity must fail if eta
-    # is replaced behind the atlas's back.  Build a mismatched pair by hand.
+def corrupted_m1_table(i, j, by=1):
+    """The value table of symplectic m=1 over GF(3) with entry (i, j) raised by `by`."""
+    table = Semiform(standard_symplectic(1, 3)).value_table().copy()
+    table[i, j] = (table[i, j] + by) % 3
+    return table
+
+
+def point_sum(a, b, p=3, ydim=3):
+    """Code of pts[a] + pts[b], by coordinates rather than through group_tables."""
+    pts = enumerate_vectors(p, ydim)
+    return vec_index((pts[a] + pts[b]) % p, p)
+
+
+def test_identities_detect_a_corrupted_table(monkeypatch):
     rho = Semiform(standard_symplectic(1, 3))
+    table = corrupted_m1_table(5, 14)
+    monkeypatch.setattr(Semiform, "value_table", lambda self, budget=None: table)
     report = verify_identities(rho)
-    assert report.check("translation-shift").passed
+    pts = enumerate_vectors(3, 3)
+    size = len(pts)
+
+    def shift_fails(i, j, k, t):
+        lhs = (t(point_sum(i, k), point_sum(j, k)) - t(i, j)) % 3
+        return lhs != rho.eta.eval((pts[i][1:] - pts[j][1:]) % 3, pts[k][1:])[0]
+
+    def additivity_fails(i, j, k, t):
+        return (t(point_sum(i, j), k) - t(i, k) - t(j, k)) % 3 != (-pts[k][0]) % 3
+
+    def from_table(a, b):
+        return int(table[a, b])
+
+    def from_eval(a, b):
+        return rho.eval(pts[a], pts[b])[0]
+
+    for name, fails in (("translation-shift", shift_fails), ("additivity-defect", additivity_fails)):
+        check = report.check(name)
+        assert not check.passed
+        i, j, k = (vec_index(w, 3) for w in check.witness)
+        # the witness fails on the corrupted table and holds on rho.eval
+        assert fails(i, j, k, from_table)
+        assert not fails(i, j, k, from_eval)
+        # and it is the first failing triple in loop order: k, then i, then j
+        first = next(
+            (a, b, c) for c in range(size) for a in range(size) for b in range(size)
+            if fails(a, b, c, from_table)
+        )
+        assert (i, j, k) == first
 
 
 # -- atlas axioms ----------------------------------------------------------------
@@ -420,6 +460,45 @@ def test_semiform_axioms_parity_violation_witnessed():
     lhs = (table[pneg[wi], pneg[wj]] + table[wi, wj]) % 3
     rhs = (2 * (table[wi, padd[wi, wj]] - table[0, wj])) % 3
     assert lhs != rhs
+
+
+def test_semiform_axioms_additivity_violation_witnessed():
+    # Entry (13, 5): column 5 is a kernel-part point (rho(theta, 5) = 0), and
+    # row 13 is outside the shift part, so A3 fails but A8 still passes.
+    table = corrupted_m1_table(13, 5)
+    report = check_semiform_axioms(table, 3, 3, 1)
+    a3 = report.check("A3")
+    assert not a3.passed and report.check("A8").passed
+    q1, q2, mp = (vec_index(w, 3) for w in a3.witness)
+
+    def fails(a, b, m):
+        return table[point_sum(a, b), m] != (table[a, m] + table[b, m]) % 3
+
+    assert table[0, mp] == 0 and fails(q1, q2, mp)
+    m_set = [m for m in range(27) if table[0, m] == 0]
+    first = next((a, b, m) for m in m_set for a in range(27) for b in range(27) if fails(a, b, m))
+    assert (q1, q2, mp) == first
+
+
+def test_semiform_axioms_complement_violation_witnessed():
+    # Entry (9, 4): row 9 = [1, 0, 0] lies in the shift part D, the one row that
+    # splits the points q = 9 + m, m in the kernel part, so A8 fails first at 9.
+    table = corrupted_m1_table(9, 4)
+    report = check_semiform_axioms(table, 3, 3, 1)
+    a8 = report.check("A8")
+    assert not a8.passed
+    (q,) = (vec_index(w, 3) for w in a8.witness)
+    pts = enumerate_vectors(3, 3)
+    neg = [vec_index((-x) % 3, 3) for x in pts]
+
+    def splits(a, m):
+        # rho(m - a, -r) = -rho(a - m, r) for every r
+        d = vec_index((pts[a] - pts[m]) % 3, 3)
+        return all(table[neg[d], neg[r]] == (-table[d, r]) % 3 for r in range(27))
+
+    m_row = [m for m in range(27) if table[m, 0] == 0]
+    assert not any(splits(q, m) for m in m_row)
+    assert all(any(splits(a, m) for m in m_row) for a in range(q))
 
 
 def test_semiform_reconstruction_round_trip_wedge():

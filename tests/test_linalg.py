@@ -11,6 +11,7 @@ from semipolar.gf import GF
 from semipolar.linalg import (
     LinearMap,
     Subspace,
+    encode_vecs,
     enumerate_subspaces,
     enumerate_vectors,
     gaussian_binomial,
@@ -159,6 +160,23 @@ def test_rank_nullity_random_maps_gf3():
         mat = [[rng.randrange(3) for _ in range(dom)] for _ in range(cod)]
         f = LinearMap(mat, 3)
         assert f.kernel().dim + f.rank == dom
+
+
+def test_is_bijective_matches_an_image_count(monkeypatch):
+    rng = random.Random(23)
+    for _ in range(200):
+        p, n = rng.choice([3, 5]), rng.randrange(1, 5)
+        mat = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.5:  # upper triangular with a diagonal drawn from {0, 1}
+            mat = [[0 if j < i else rng.randrange(2) if j == i else c for j, c in enumerate(row)]
+                   for i, row in enumerate(mat)]
+        f = LinearMap(mat, p)
+        images = encode_vecs(f.apply_rows(enumerate_vectors(p, n)), p)
+        assert f.is_bijective() == (len(np.unique(images)) == p**n)
+    assert not LinearMap([[1, 0, 0], [0, 1, 0]], 3).is_bijective()
+    # an upper unitriangular matrix is answered without a rank test
+    monkeypatch.setattr("semipolar.linalg.rref", None)
+    assert LinearMap([[1, 2, 0], [0, 1, 1], [0, 0, 1]], 3).is_bijective()
 
 
 def test_linear_map_inverse_round_trip():
