@@ -153,14 +153,28 @@ class PencilStructure:
 def neighborhood_intersections(adjacency: np.ndarray, words: np.ndarray, i, j) -> np.ndarray:
     """For each pair (i[k], j[k]) of point codes: the points adjacent to every
     common neighbor of both, as pack_rows words (`words` is pack_rows(adjacency)).
-    A pair without common neighbors gets every point, the empty intersection."""
-    common = adjacency[np.asarray(i)] & adjacency[np.asarray(j)]
-    pair, nbr = np.nonzero(common)
-    out = np.empty((len(common), words.shape[1]), dtype=np.uint64)
-    out[:] = pack_rows(np.ones(adjacency.shape[1], dtype=bool))
-    if pair.size:
-        starts = np.flatnonzero(np.r_[True, pair[1:] != pair[:-1]])
-        out[pair[starts]] = np.bitwise_and.reduceat(words[nbr], starts, axis=0)
+    A pair without common neighbors gets every point, the empty intersection.
+
+    Runs in blocks of pairs: the common-neighbor masks of a block hold about
+    _CHUNK elements, and the words gathered at once, common neighbors x words,
+    about _CHUNK too, cut between pairs (a pair with more takes a block alone).
+    """
+    i, j = np.asarray(i), np.asarray(j)
+    size, width = adjacency.shape[1], words.shape[1]
+    out = np.empty((len(i), width), dtype=np.uint64)
+    out[:] = pack_rows(np.ones(size, dtype=bool))
+    step = max(1, _CHUNK // size)
+    for lo in range(0, len(i), step):
+        pair, nbr = np.nonzero(adjacency[i[lo : lo + step]] & adjacency[j[lo : lo + step]])
+        a = 0
+        while a < len(pair):
+            b = a + max(1, _CHUNK // width)
+            if b < len(pair):
+                b = np.searchsorted(pair, pair[b], side="right" if pair[b] == pair[a] else "left")
+            run = pair[a:b]
+            starts = np.flatnonzero(np.r_[True, run[1:] != run[:-1]])
+            out[lo + run[starts]] = np.bitwise_and.reduceat(words[nbr[a:b]], starts, axis=0)
+            a = b
     return out
 
 
@@ -324,11 +338,23 @@ class SemipolarSpace:
         return [self.decode_line(i, d) for d in self._singular_dirs[i].tolist()]
 
     @cached_property
+    def singular_line_codes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(base, direction) codes of every singular line once, as the canonical
+        AffLine has them, sorted by (base, direction).
+
+        The canonical base is the line's smallest code, base + direction its
+        second smallest, so both come out of the line key.
+        """
+        _, sub, _ = self._tables
+        bases, second = np.divmod(np.unique(self._singular_keys), self.size)
+        dirs = sub[second, bases].astype(np.int64)
+        order = np.lexsort((dirs, bases))
+        return bases[order], dirs[order]
+
+    @cached_property
     def singular_lines(self) -> frozenset[AffLine]:
-        _, first = np.unique(self._singular_keys, return_index=True)
-        dirs = self._singular_dirs.ravel()[first].tolist()
-        bases = (first // self._singular_dirs.shape[1]).tolist()
-        return frozenset(self.decode_line(b, d) for b, d in zip(bases, dirs))
+        bases, dirs = self.singular_line_codes
+        return frozenset(self.decode_line(b, d) for b, d in zip(bases.tolist(), dirs.tolist()))
 
     def direction_excluded_set(self) -> frozenset[Point]:
         """Direction classes carrying no singular line: eta(u0, .) = v0 unsolvable,
@@ -495,16 +521,14 @@ class SemipolarSpace:
         e_k of V with eta(e_k, u_dir) != 0, looked up among the singular lines.
         """
         add, _, _ = self._tables
-        lines = sorted(self.singular_lines, key=lambda l: (l.base, l.direction))
-        bases = np.array([self.index(l.base) for l in lines], dtype=np.int64)
-        dirs = np.array([self.index(l.direction) for l in lines], dtype=np.int64)
+        bases, dirs = self.singular_line_codes
         shifts = self.p ** np.arange(self.n - 1, -1, -1)  # codes of [0, e_k]
         eta = np.einsum("kbj,lb->lkj", self.form.eta.gram, self._coords[dirs, self.nu :])
         eligible = (eta % self.p).any(axis=2)
         keys = self._line_keys(add[self.line_codes(bases, dirs)[:, None, :], shifts[None, :, None]])
         singular = np.isin(keys, self._singular_keys)
         missing = np.flatnonzero(~(eligible & ~singular).any(axis=1))
-        wit = (repr(lines[missing[0]]),) if len(missing) else None
+        wit = (repr(self.decode_line(bases[missing[0]], dirs[missing[0]])),) if len(missing) else None
         report = Report()
         report.add("parallel-unclosed", wit is None, wit, "a non-singular parallel exists for every singular line")
         return report
@@ -644,7 +668,13 @@ class SemipolarSpace:
             if pending >= len(found[0][0]):
                 found, pending = [_distinct_parts(found)], 0
         grown, row, added = _distinct_parts(found)
-        return members[top], (grown, bases[row], cand[row] & orth[added])
+        # the candidates of the extensions, a block of rows at a time: two whole
+        # (extensions x classes) gathers would triple the largest array of a layer
+        nxt = np.empty((len(row), cand.shape[1]), dtype=bool)
+        step = max(1, _CHUNK // cand.shape[1])
+        for lo in range(0, len(row), step):
+            np.logical_and(cand[row[lo : lo + step]], orth[added[lo : lo + step]], out=nxt[lo : lo + step])
+        return members[top], (grown, bases[row], nxt)
 
     # -- the pencil of lines and planes through a point -----------------------
 

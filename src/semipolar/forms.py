@@ -38,11 +38,21 @@ def group_tables(p: int, n: int):
     """Index-arithmetic tables for GF(p)^n under the vec_index encoding.
 
     Returns (vectors, add, sub, neg, scale) where add[i,j] is the index of
-    vectors[i]+vectors[j], scale[a,i] of a*vectors[i], and so on.
+    vectors[i]+vectors[j], scale[a,i] of a*vectors[i], and so on.  The
+    (p^n, p^n) tables are encoded one coordinate at a time, in place, so the
+    build needs one more table of that size and never a (p^n, p^n, n) array.
     """
     vecs = enumerate_vectors(p, n)
-    add = encode_vecs(vecs[:, None, :] + vecs[None, :, :], p).astype(np.int32)
-    sub = encode_vecs(vecs[:, None, :] - vecs[None, :, :], p).astype(np.int32)
+    size = len(vecs)
+    add = np.zeros((size, size), dtype=np.int32)
+    sub = np.zeros((size, size), dtype=np.int32)
+    digit = np.empty((size, size), dtype=np.int32)
+    for col in vecs.T.astype(np.int32):
+        for table, op in ((add, np.add), (sub, np.subtract)):
+            op(col[:, None], col[None, :], out=digit)
+            digit %= p
+            table *= p
+            table += digit
     neg = encode_vecs(-vecs, p).astype(np.int32)
     scale = np.stack([encode_vecs(a * vecs, p) for a in range(p)]).astype(np.int32)
     for t in (vecs, add, sub, neg, scale):

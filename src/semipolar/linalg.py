@@ -293,22 +293,6 @@ class LinearMap:
         return f"LinearMap(p={self.p}, matrix={self.matrix.tolist()})"
 
 
-def solve(f: LinearMap, target) -> Optional[tuple[tuple[int, ...], Subspace]]:
-    """A particular solution of f(x) = target plus the kernel, or None."""
-    p = f.p
-    t = as_vec(target, p)
-    if t.shape != (f.codomain_dim,):
-        raise DimensionMismatch("target not in the codomain")
-    aug = np.hstack([f.matrix, t.reshape(-1, 1)])
-    r, pivots = rref(aug, p)
-    if f.domain_dim in pivots:
-        return None
-    x = np.zeros(f.domain_dim, dtype=np.int64)
-    for row_i, c in enumerate(pivots):
-        x[c] = r[row_i, f.domain_dim]
-    return tuple(int(c) for c in x), f.kernel()
-
-
 def gaussian_binomial(n: int, k: int, p: int) -> int:
     """Number of k-dimensional subspaces of GF(p)^n."""
     if k < 0 or k > n:

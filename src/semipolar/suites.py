@@ -14,7 +14,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .apsg import SemipolarSpace, canonical_direction
+from . import apsg
+from .apsg import SemipolarSpace
 from .autos import (
     PointMap,
     brute_force_aut_group,
@@ -31,14 +32,14 @@ from .autos import (
     verify_semiform_scaling,
 )
 from .errors import DEFAULT_BUDGET, DimensionMismatch, check_budget
-from .forms import Report, check_semiform_axioms, group_tables, verify_identities
+from .forms import Report, _flat_dtype, check_semiform_axioms, group_tables, verify_identities
 from .hyperbolic import (
     build_double,
     default_deleted_subspace,
     reconstruction_report,
     standard_doubling_base,
 )
-from .linalg import LinearMap, pack_rows
+from .linalg import LinearMap, encode_vecs, normalize_rows, pack_rows
 from .metric import translation_noninvariance_witness
 
 
@@ -83,7 +84,7 @@ def suite_gamma(space: SemipolarSpace, cfg: SuiteConfig) -> Report:
     report = space.verify_gamma_space()
     report.checks += space.verify_parallel_unclosed().checks
     report.data = {
-        "singular_lines": len(space.singular_lines),
+        "singular_lines": len(space.singular_line_codes[0]),
         "maximal_singular_subspaces": len(space.maximal_singular_subspaces()),
     }
     return report
@@ -109,19 +110,21 @@ def suite_lines(space: SemipolarSpace, cfg: SuiteConfig) -> Report:
         else:
             some_wit = wit
     expected = space.size * len(space.u_direction_classes) // space.p
-    census_ok = len(space.singular_lines) == expected
-    report = Report(data={"singular_lines": len(space.singular_lines)})
+    count = len(space.singular_line_codes[0])
+    census_ok = count == expected
+    report = Report(data={"singular_lines": count})
     report.add("criterion-equivalence", crit_wit is None, crit_wit, "one-equation test equals all-pairs test")
     report.add("one-pair-suffices", some_wit is None, some_wit, "a single adjacent pair makes the line singular")
-    report.add("line-census", census_ok, None, f"{len(space.singular_lines)} singular lines")
+    report.add("line-census", census_ok, None, f"{count} singular lines")
     return report
 
 
 def suite_dset(space: SemipolarSpace, cfg: SuiteConfig) -> Report:
     excluded = space.direction_excluded_set()
-    carried = {canonical_direction(l.direction, space.p) for l in space.singular_lines}
-    classes = set(space.direction_classes)
-    partition_ok = (carried | excluded == classes) and not (carried & excluded)
+    carried = set(space.singular_line_codes[1].tolist())  # canonical: class representatives
+    classes = {space.index(q) for q in space.direction_classes}
+    excluded_codes = {space.index(q) for q in excluded}
+    partition_ok = (carried | excluded_codes == classes) and not (carried & excluded_codes)
     report = Report(data={"excluded": len(excluded), "classes": len(classes)})
     report.add("partition", partition_ok, None,
                "every direction is excluded or carries a singular line, never both")
@@ -160,27 +163,22 @@ def suite_triangles(space: SemipolarSpace, cfg: SuiteConfig) -> Report:
     report.add("census-matches-kernel-profile", (census == 0) == predicted_empty, None,
                "no triangles exactly when every partial kernel is a line")
     sample = space.triangles_through(space.origin)[:20]
-    form_ok = True
-    for p0, p1, p2 in sample:
-        u = p1.sub(p0, space.p).u
-        y = p2.sub(p0, space.p).u
-        if any(space.form.eta.eval(u, y)):
-            form_ok = False
-            break
-    report.add("parametric-form", form_ok, None, "triangle legs have orthogonal directions")
+    codes = np.array([[space.index(q) for q in tri] for tri in sample], dtype=np.int64).reshape(-1, 3)
+    _, _, psub, _, _ = group_tables(space.p, space.ydim)
+    legs = space._coords[psub[codes[:, 1:], codes[:, :1]], space.nu :]  # u-parts of p1 - p0, p2 - p0
+    eta = np.einsum("ka,abj,kb->kj", legs[:, 0], space.form.eta.gram, legs[:, 1]) % space.p
+    report.add("parametric-form", not eta.any(), None, "triangle legs have orthogonal directions")
     return report
-
-
-# pairs per chunk of the recover checks: bounds the (pairs x |Y|) intermediates
-_PAIR_CHUNK = 2048
 
 
 def _first_failing_pair(space: SemipolarSpace, pairs: np.ndarray, fails: Callable):
     """The first row of a (pairs, 2) code array on which `fails(i, j)` (one flag
-    per pair of code arrays) holds, as the repr of a pair of points, or None."""
+    per pair of code arrays) holds, as the repr of a pair of points, or None.
+    A block of pairs holds (pairs x |Y|) masks of about apsg._CHUNK elements."""
     i, j = pairs.T
-    for lo in range(0, len(i), _PAIR_CHUNK):
-        a, b = i[lo : lo + _PAIR_CHUNK], j[lo : lo + _PAIR_CHUNK]
+    step = max(1, apsg._CHUNK // space.size)
+    for lo in range(0, len(i), step):
+        a, b = i[lo : lo + step], j[lo : lo + step]
         bad = np.flatnonzero(fails(a, b))
         if bad.size:
             return repr((space.points[a[bad[0]]], space.points[b[bad[0]]]))
@@ -342,14 +340,31 @@ def suite_metric(space: SemipolarSpace, cfg: SuiteConfig) -> Report:
                "a segment and its translate with different measures exists")
     if witness:
         p1, p2, tr = witness
+        q1, q2 = (space.points[int(padd[space.index(q), space.index(tr)])] for q in (p1, p2))
         report.data["witness"] = {
             "p1": list(p1.flat()),
             "p2": list(p2.flat()),
             "translation": list(tr.flat()),
             "before": list(space.rho(p1, p2)),
-            "after": list(space.rho(p1.add(tr, p), p2.add(tr, p))),
+            "after": list(space.rho(q1, q2)),
         }
     return report
+
+
+def _bisector_counts(t: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """For a scalar value table t: eq[i, j] = |{x : t[i, x] = t[j, x]}|, the
+    t-bisector sizes, and m[i, j] = |{x : t[i, x] = t[x, j]}|, the m-bisector
+    sizes, as the sums over the values c of E_c E_c^T and E_c E_c, where
+    E_c = (t == c).  One indicator is held at a time, so the counts take
+    O(|Y|^2) memory; float32 counts are exact up to 2^24 > |Y|."""
+    eq = np.zeros(t.shape, dtype=np.float32)
+    m = np.zeros(t.shape, dtype=np.float32)
+    ind = np.empty(t.shape, dtype=np.float32)
+    for c in range(p):
+        np.equal(t, c, out=ind)
+        eq += ind @ ind.T
+        m += ind @ ind
+    return eq, m
 
 
 def suite_bisectors(space: SemipolarSpace, cfg: SuiteConfig) -> Report:
@@ -360,33 +375,33 @@ def suite_bisectors(space: SemipolarSpace, cfg: SuiteConfig) -> Report:
     un = p**space.n
     report = Report()
 
-    eq_counts = (t[:, None, :] == t[None, :, :]).sum(axis=2)
+    eq_counts, m_counts = _bisector_counts(t, p)
     idx = np.arange(size)
-    vertical = (idx[:, None] % un == idx[None, :] % un) & (idx[:, None] != idx[None, :])
-    same = idx[:, None] == idx[None, :]
-    expected = np.where(same, size, np.where(vertical, 0, hyper))
+    expected = np.where(idx[:, None] % un == idx[None, :] % un, np.float32(0), np.float32(hyper))
+    np.fill_diagonal(expected, size)
     report.add("t-cardinalities", bool((eq_counts == expected).all()), None,
                "empty exactly for vertical pairs, hyperplanes otherwise")
-
-    m_counts = (t[:, None, :] == t.T[None, :, :]).sum(axis=2)
     report.add("m-cardinalities", bool((m_counts == hyper).all()), None,
                "every m-bisector is a hyperplane")
+    del eq_counts, m_counts, expected
 
-    _, padd, _, _, pscl = group_tables(p, space.ydim)
-    inv2 = pow(2, p - 2, p)
+    _, padd, psub, _, pscl = group_tables(p, space.ydim)
+    half = pscl[pow(2, p - 2, p)]
+    dt = _flat_dtype(p)
+    tc = t.astype(dt)
+    tc_cols = np.ascontiguousarray(tc.T)
+    # the polar condition eta(u_j - u_i, u_x) = v_j - v_i on (i, j, x) says
+    # w[j, x] = w[i, x] for w[j, x] = eta(u_j, u_x) - v_j
     eta_codes = np.asarray(space.form.eta.pair_table(space._coords[:, space.nu:]))
-    a_part = idx // un
+    w = ((eta_codes - (idx // un).astype(np.int32)[:, None]) % p).astype(dt)
     polar_ok = True
     for i in range(size):
-        mid_row = pscl[inv2][padd[i]]
-        m_member = t[i][None, :] == t.T
-        nbr = t[mid_row] == 0
+        m_member = tc[i][None, :] == tc_cols
+        nbr = tc.take(half[padd[i]], axis=0) == 0  # rows of the midpoints (y_i + y_j) / 2
         if not (m_member == nbr).all():
             polar_ok = False
             break
-        t_member = t[i][None, :] == t
-        ortho = (eta_codes - eta_codes[i][None, :]) % p == ((a_part[:, None] - a_part[i]) % p)
-        if not (t_member == ortho).all():
+        if not ((tc[i][None, :] == tc) == (w[i][None, :] == w)).all():
             polar_ok = False
             break
     report.add("polar-correspondence", polar_ok, None,
@@ -395,19 +410,17 @@ def suite_bisectors(space: SemipolarSpace, cfg: SuiteConfig) -> Report:
     report.data["hyperplane_size"] = hyper
     if size * size <= 1000:
         pairs = [(i, j) for i in range(size) for j in range(size)]
-
-        def dir_id(i, j):
-            if i == j:
-                return -1
-            d = space.points[j].sub(space.points[i], p)
-            return space.index(canonical_direction(d, p))
+        # code of the direction class of y_j - y_i, -1 on the diagonal
+        dir_ids = encode_vecs(normalize_rows(space._coords[psub.T], p), p)
+        np.fill_diagonal(dir_ids, -1)
+        dir_ids = dir_ids.tolist()
 
         t_groups: dict[bytes, set] = {}
         m_groups: dict[bytes, set] = {}
         t_ids = {}
         sum_ids = {}
         for i, j in pairs:
-            t_ids[(i, j)] = dir_id(i, j)
+            t_ids[(i, j)] = dir_ids[i][j]
             sum_ids[(i, j)] = int(padd[i, j])
             t_groups.setdefault((t[i] == t[j]).tobytes(), set()).add(t_ids[(i, j)])
             m_groups.setdefault((t[i] == t.T[j]).tobytes(), set()).add(sum_ids[(i, j)])

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from semipolar import apsg
 from semipolar.apsg import (
     AffLine,
     Point,
@@ -472,6 +473,22 @@ def test_packed_neighborhood_kernel_matches_big_int_reference(data):
     i = np.array(data.draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=40)))
     j = rng.integers(0, size, len(i))
     got = unpack_rows(neighborhood_intersections(adj, pack_rows(adj), i, j), size)
+    for k in range(len(i)):
+        assert set(np.flatnonzero(got[k]).tolist()) == big_int_neighborhood_intersection(
+            adj, i[k], j[k]
+        )
+
+
+@pytest.mark.parametrize("chunk", [1, 64, 300, 2000])
+def test_packed_neighborhood_kernel_blocks_match_the_reference(monkeypatch, chunk):
+    # 130 points, 3 words a row: blocks of one pair, of pairs cut before a pair
+    # that would overflow, and of pairs whose common neighbors exceed a block
+    rng = np.random.default_rng(chunk)
+    upper = np.triu(rng.random((130, 130)) < 0.6)
+    adj = upper | upper.T
+    i, j = rng.integers(0, 130, (2, 50))
+    monkeypatch.setattr(apsg, "_CHUNK", chunk)
+    got = unpack_rows(neighborhood_intersections(adj, pack_rows(adj), i, j), 130)
     for k in range(len(i)):
         assert set(np.flatnonzero(got[k]).tolist()) == big_int_neighborhood_intersection(
             adj, i[k], j[k]

@@ -310,6 +310,21 @@ def point_sum(a, b, p=3, ydim=3):
     return vec_index((pts[a] + pts[b]) % p, p)
 
 
+@pytest.mark.parametrize(
+    "p, n", [(3, k) for k in range(1, 7)] + [(5, k) for k in range(1, 4)] + [(7, 2)]
+)
+def test_group_tables_match_the_broadcast_definition(p, n):
+    vecs, add, sub, neg, scale = group_tables.__wrapped__(p, n)
+    want = enumerate_vectors(p, n)
+    assert (vecs == want).all()
+    assert (add == encode_vecs(want[:, None, :] + want[None, :, :], p)).all()
+    assert (sub == encode_vecs(want[:, None, :] - want[None, :, :], p)).all()
+    assert (neg == encode_vecs(-want, p)).all()
+    assert (scale == np.stack([encode_vecs(a * want, p) for a in range(p)])).all()
+    assert all(t.dtype == np.int32 for t in (add, sub, neg, scale))
+    assert not any(t.flags.writeable for t in (vecs, add, sub, neg, scale))
+
+
 def test_identities_detect_a_corrupted_table(monkeypatch):
     rho = Semiform(standard_symplectic(1, 3))
     table = corrupted_m1_table(5, 14)

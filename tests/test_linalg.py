@@ -1,4 +1,4 @@
-"""Canonical subspaces, kernels, solving, and subspace enumeration over GF(p)."""
+"""Canonical subspaces, kernels, linear maps, and subspace enumeration over GF(p)."""
 
 import random
 from itertools import product
@@ -16,7 +16,6 @@ from semipolar.linalg import (
     enumerate_vectors,
     gaussian_binomial,
     index_vec,
-    solve,
     vec_index,
 )
 
@@ -104,52 +103,6 @@ def test_kernel_of_coordinate_sum_map():
     k = f.kernel()
     assert k == Subspace([(1, 2)], 3)
     assert set(k.vectors()) == oracle
-
-
-def test_solve_identity_and_zero():
-    ident = LinearMap.identity(2, 3)
-    got = solve(ident, (2, 1))
-    assert got is not None
-    x, k = got
-    assert x == (2, 1) and k.dim == 0
-    zero = LinearMap(np.zeros((2, 2), dtype=np.int64), 3)
-    assert solve(zero, (1, 0)) is None
-    got = solve(zero, (0, 0))
-    assert got is not None and got[1].dim == 2
-
-
-def test_solve_coordinate_sum_with_oracle():
-    f = LinearMap([[1, 1]], 3)
-    got = solve(f, (1,))
-    assert got is not None
-    x, k = got
-    assert (x[0] + x[1]) % 3 == 1
-    assert k == Subspace([(1, 2)], 3)
-    solutions = {v for v in product(range(3), repeat=2) if sum(v) % 3 == 1}
-    rebuilt = {tuple((np.array(x) + np.array(w)) % 3) for w in k.vectors()}
-    assert {tuple(int(c) for c in s) for s in rebuilt} == solutions
-
-
-def test_solve_full_solution_sets_randomized():
-    rng = random.Random(3)
-    for _ in range(40):
-        p = rng.choice([3, 5])
-        dom, cod = rng.randrange(1, 4), rng.randrange(1, 4)
-        mat = [[rng.randrange(p) for _ in range(dom)] for _ in range(cod)]
-        f = LinearMap(mat, p)
-        target = tuple(rng.randrange(p) for _ in range(cod))
-        oracle = {
-            v for v in product(range(p), repeat=dom) if f(np.array(v)) == target
-        }
-        got = solve(f, target)
-        if got is None:
-            assert not oracle
-        else:
-            x, k = got
-            rebuilt = {
-                tuple(int(c) for c in (np.array(x) + np.array(w)) % p) for w in k.vectors()
-            }
-            assert rebuilt == oracle
 
 
 def test_rank_nullity_random_maps_gf3():

@@ -1,0 +1,35 @@
+"""Memory guards: the verify kernels allocate O(|Y|^2) at most, never a |Y|^3
+or (p^n)^2 * n temporary.  tracemalloc sees numpy's buffers, so a traced peak
+is what a kernel allocates, not what the process happens to hold."""
+
+import tracemalloc
+
+from semipolar.forms import group_tables
+from semipolar.suites import SuiteConfig, run_suite
+
+
+def traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_bisectors_suite_allocates_a_few_tables(sp_m2_gf3):
+    space = sp_m2_gf3
+    # the inputs the suite reads are built beforehand: they are not its temporaries
+    space.value_table
+    group_tables(space.p, space.ydim)
+    peak = traced_peak(lambda: run_suite("bisectors", space, SuiteConfig()))
+    # a |Y|^3 boolean tensor alone would be |Y| = 243 bytes per table element
+    assert peak < 48 * space.size**2
+
+
+def test_group_tables_build_allocates_a_few_tables():
+    out = []
+    peak = traced_peak(lambda: out.append(group_tables.__wrapped__(3, 6)))
+    _, add, sub, _, _ = out[0]
+    # one more (p^n, p^n) table besides add and sub; a (p^n, p^n, n) int64 array is 6x both
+    assert peak < 2 * (add.nbytes + sub.nbytes)

@@ -25,6 +25,7 @@ from semipolar.metric import (
     symmetry_m,
     translation_noninvariance_witness,
 )
+from semipolar.suites import SuiteConfig, _bisector_counts, run_suite
 
 
 def P(v, u):
@@ -393,9 +394,9 @@ RANDOM_SHAPES = [(3, 2, 1), (3, 4, 1), (5, 2, 1), (3, 2, 2)]
 
 
 @st.composite
-def random_spaces(draw):
+def random_spaces(draw, shapes=RANDOM_SHAPES):
     """The space of a random nondegenerate alternating map of a drawn shape."""
-    p, n, nu = draw(st.sampled_from(RANDOM_SHAPES))
+    p, n, nu = draw(st.sampled_from(shapes))
     coeff = st.integers(0, p - 1)
     upper = {
         (i, j): tuple(draw(coeff) for _ in range(nu)) for i, j in combinations(range(n), 2)
@@ -439,3 +440,62 @@ def test_bisectors_spheres_and_reports_match_definitions(space, data):
         })
     if space.nu == 1:
         assert pair_report(space, p1, p2) == reference
+
+
+# -- the bisectors suite --------------------------------------------------------------
+
+
+def definitional_bisector_counts(t: np.ndarray):
+    """|{x : t[i, x] = t[j, x]}| and |{x : t[i, x] = t[x, j]}| by one boolean per triple."""
+    return (t[:, None, :] == t[None, :, :]).sum(axis=2), (t[:, None, :] == t.T[None, :, :]).sum(axis=2)
+
+
+def assert_counts_match_definitions(t: np.ndarray, p: int):
+    eq, m = _bisector_counts(t, p)
+    eq_def, m_def = definitional_bisector_counts(t)
+    assert eq.shape == eq_def.shape and (eq == eq_def).all()
+    assert m.shape == m_def.shape and (m == m_def).all()
+
+
+def test_bisector_counts_match_triple_counts(sp_m1_gf3, sp_m1_gf5):
+    for space in (sp_m1_gf3, sp_m1_gf5):
+        assert_counts_match_definitions(np.asarray(space.value_table), space.p)
+    # any table of values, not only a semiform's
+    assert_counts_match_definitions(np.random.default_rng(5).integers(0, 5, (40, 40)), 5)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(space=random_spaces([s for s in RANDOM_SHAPES if s[2] == 1]))
+def test_bisector_counts_match_triple_counts_on_random_forms(space):
+    assert_counts_match_definitions(np.asarray(space.value_table), space.p)
+    report = run_suite("bisectors", space, SuiteConfig())
+    assert report["passed"], report["checks"]
+
+
+@pytest.mark.parametrize("entry", [(5, 14), (0, 0), (26, 3), (124, 60)])
+def test_bisectors_suite_detects_a_corrupted_table(sp_m1_gf3, sp_m1_gf5, monkeypatch, entry):
+    space = sp_m1_gf3 if max(entry) < sp_m1_gf3.size else sp_m1_gf5
+    table = np.asarray(space.value_table).copy()
+    table[entry] = (table[entry] + 1) % space.p
+    monkeypatch.setattr(Semiform, "value_table", lambda self, budget=None: table)
+    report = run_suite("bisectors", SemipolarSpace(space.form), SuiteConfig())
+    failed = {c["name"] for c in report["checks"] if not c["passed"]}
+    assert {"t-cardinalities", "m-cardinalities", "polar-correspondence"} <= failed
+
+
+def test_polar_correspondence_detects_a_corrupted_eta_table(sp_m1_gf3, monkeypatch):
+    # eta enters only the t-part of the polar check, so the value table, and
+    # with it both cardinality checks, stays intact
+    space = SemipolarSpace(sp_m1_gf3.form)
+    space.value_table
+    pair_table = AlternatingMap.pair_table
+
+    def corrupted(self, us):
+        out = pair_table(self, us).copy()
+        out[4, 7] = (out[4, 7] + 1) % self.p
+        return out
+
+    monkeypatch.setattr(AlternatingMap, "pair_table", corrupted)
+    report = run_suite("bisectors", space, SuiteConfig())
+    failed = {c["name"] for c in report["checks"] if not c["passed"]}
+    assert failed == {"polar-correspondence"}

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from semipolar import suites
+from semipolar import apsg, suites
 from semipolar.apsg import Point, SemipolarSpace
 from semipolar.errors import DimensionMismatch, EnumerationTooLarge
 from semipolar.forms import Report
@@ -124,8 +124,9 @@ def test_report_witness_encoding():
 @pytest.mark.parametrize("chunk", [7, 2048])
 def test_recover_witnesses_are_the_first_failing_pairs(sp_m1_gf3, monkeypatch, chunk):
     # give the vertical pair (0, j) a common neighbor k: that breaks the
-    # vertical check and the recovery of every pair that now sees k
-    monkeypatch.setattr(suites, "_PAIR_CHUNK", chunk)
+    # vertical check and the recovery of every pair that now sees k.  Blocks of
+    # 7 elements hold one pair each, blocks of 2048 elements 75 pairs
+    monkeypatch.setattr(apsg, "_CHUNK", chunk)
     space = SemipolarSpace(sp_m1_gf3.form)
     adj = space.adjacency.copy()
     j = next(j for j in range(1, space.size) if space.points[j].u == space.points[0].u)
