@@ -71,9 +71,6 @@ class Point(NamedTuple):
     def neg(self, p: int) -> "Point":
         return self.scale(-1, p)
 
-    def is_zero(self) -> bool:
-        return not any(self.v) and not any(self.u)
-
 
 def canonical_direction(q: Point, p: int) -> Point:
     """The representative of <q> whose first nonzero coordinate is 1."""

@@ -9,7 +9,7 @@ f([a,u]) = [alpha*a + v.u + b, phi(u) + w] with alpha the multiplier of phi.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 
 import numpy as np
 
@@ -17,6 +17,8 @@ from .apsg import Point, SemipolarSpace
 from .errors import DimensionMismatch, EnumerationTooLarge, NotCompatible
 from .forms import AlternatingMap
 from .linalg import LinearMap, as_vec, encode_vecs, enumerate_vectors
+
+ORACLE_CAP = 27  # largest |Y| whose full affine group the oracle sweeps
 
 
 class PointMap:
@@ -47,11 +49,6 @@ class PointMap:
         mat = (self.linear.matrix @ other.linear.matrix) % self.space.p
         shift = (self.linear.matrix @ other.shift + self.shift) % self.space.p
         return PointMap(self.space, LinearMap(mat, self.space.p), shift)
-
-    def inverse(self) -> "PointMap":
-        inv = self.linear.inverse()
-        shift = (-(inv.matrix @ self.shift)) % self.space.p
-        return PointMap(self.space, inv, shift)
 
     def preserves_adjacency(self) -> bool:
         adj = self.space.adjacency
@@ -91,38 +88,12 @@ def multiplier(eta: AlternatingMap, phi: LinearMap) -> int | None:
     if not phi.is_bijective() or phi.domain_dim != eta.n:
         raise NotCompatible("phi must be a linear bijection of V")
     p = eta.p
-    alpha = None
-    twisted = {}
-    for i, j in combinations(range(eta.n), 2):
-        val = eta.eval(phi.matrix[:, i], phi.matrix[:, j])
-        twisted[(i, j)] = val
-        base = eta.gram[i, j]
-        for tv, bv in zip(val, base):
-            if bv % p:
-                cand = (tv * pow(int(bv), p - 2, p)) % p
-                if alpha is None:
-                    alpha = cand
-                elif alpha != cand:
-                    return None
-    if alpha is None:
-        # eta vanishes on all basis pairs; any twisted nonzero value is incompatible
-        return 1 if all(not any(v) for v in twisted.values()) else None
-    for (i, j), val in twisted.items():
-        expect = tuple((alpha * int(c)) % p for c in eta.gram[i, j])
-        if tuple(int(c) for c in val) != expect:
-            return None
-    return alpha
-
-
-def _check_twist(space: SemipolarSpace, phi: LinearMap, psi1: LinearMap) -> bool:
-    """Condition on basis pairs: eta(phi e_i, phi e_j) = psi1(eta(e_i, e_j))."""
-    eta = space.form.eta
-    for i, j in combinations(range(space.n), 2):
-        lhs = eta.eval(phi.matrix[:, i], phi.matrix[:, j])
-        rhs = psi1(eta.gram[i, j])
-        if tuple(lhs) != tuple(rhs):
-            return False
-    return True
+    if not eta.gram.any():
+        return 1
+    pulled = eta.pullback(phi)
+    i = int(np.flatnonzero(eta.gram)[0])
+    alpha = (int(pulled.flat[i]) * pow(int(eta.gram.flat[i]), p - 2, p)) % p
+    return alpha if bool((pulled == (alpha * eta.gram) % p).all()) else None
 
 
 def build_general_auto(
@@ -138,11 +109,12 @@ def build_general_auto(
         raise NotCompatible("psi1 must be a linear bijection of V'")
     if not phi.is_bijective() or phi.domain_dim != space.n:
         raise NotCompatible("phi must be a linear bijection of V")
-    if not _check_twist(space, phi, psi1):
-        raise NotCompatible("phi does not twist eta by psi1")
     eta = space.form.eta
-    psi2_cols = [eta.eval(phi.matrix[:, j], u0) for j in range(space.n)]
-    psi2 = LinearMap(np.array(psi2_cols, dtype=np.int64).T, p)
+    # Both sides are alternating tensors, so this is the test on the pairs i < j.
+    if not (eta.pullback(phi) == psi1.apply_rows(eta.gram)).all():
+        raise NotCompatible("phi does not twist eta by psi1")
+    # psi2(u) = eta(phi u, u0) = -eta(u0, phi u).
+    psi2 = LinearMap(-eta.eta_u(u0).compose(phi).matrix, p)
     block = np.zeros((space.ydim, space.ydim), dtype=np.int64)
     block[: space.nu, : space.nu] = psi1.matrix
     block[: space.nu, space.nu :] = psi2.matrix
@@ -165,7 +137,7 @@ def point_transitive_auto(space: SemipolarSpace, src: Point, dst: Point) -> Poin
     """A shift-style automorphism carrying src to dst: identity linear parts."""
     p = space.p
     u0 = tuple((a - b) % p for a, b in zip(dst.u, src.u))
-    e = space.form.eta.eval(src.u, u0)
+    e = space.form.eta.eta_u(src.u)(u0)
     v0 = tuple((d - s - c) % p for d, s, c in zip(dst.v, src.v, e))
     pmap, _ = build_general_auto(
         space, LinearMap.identity(space.nu, p), LinearMap.identity(space.n, p), u0, v0
@@ -176,28 +148,13 @@ def point_transitive_auto(space: SemipolarSpace, src: Point, dst: Point) -> Poin
 def build_symplectic_auto(
     space: SemipolarSpace, alpha: int, b: int, w, phi: LinearMap
 ) -> tuple[PointMap, SymplecticAutoParams]:
-    """[a,u] -> [alpha*a + v.u + b, phi(u) + w] with v solved from the pairing condition."""
+    """[a,u] -> [alpha*a + v.u + b, phi(u) + w]: the general map with psi1 = alpha,
+    whose psi2 is the row v."""
     if space.nu != 1:
         raise DimensionMismatch("symplectic automorphisms need a scalar-valued semiform")
-    p = space.p
-    alpha %= p
-    b %= p
-    w = tuple(int(c) % p for c in w)
-    if alpha == 0:
-        raise NotCompatible("alpha must be nonzero")
-    got = multiplier(space.form.eta, phi)
-    if got != alpha:
-        raise NotCompatible(f"phi has multiplier {got}, not {alpha}")
-    eta = space.form.eta
-    # v . e_j = eta(phi(e_j), w) determines v against the dot product.
-    v = tuple(eta.eval(phi.matrix[:, j], w)[0] for j in range(space.n))
-    block = np.zeros((space.ydim, space.ydim), dtype=np.int64)
-    block[0, 0] = alpha
-    block[0, 1:] = v
-    block[1:, 1:] = phi.matrix
-    shift = np.array((b,) + w, dtype=np.int64)
-    pmap = PointMap(space, LinearMap(block, p), shift)
-    return pmap, SymplecticAutoParams(alpha, b, w, phi, v)
+    pmap, g = build_general_auto(space, LinearMap([[alpha]], space.p), phi, w, (b,))
+    v = tuple(int(c) for c in g.psi2.matrix[0])
+    return pmap, SymplecticAutoParams(int(g.psi1.matrix[0, 0]), g.v0[0], g.u0, phi, v)
 
 
 def compose_params(
@@ -208,9 +165,9 @@ def compose_params(
     eta = space.form.eta
     phi3 = f2.phi.compose(f1.phi)
     w3 = tuple(int(c) for c in (np.array(f2.phi(f1.w)) + np.array(f2.w)) % p)
-    b3 = (f2.alpha * f1.b + eta.eval(f2.phi(f1.w), f2.w)[0] + f2.b) % p
+    b3 = (f2.alpha * f1.b + eta.eta_u(f2.phi(f1.w))(f2.w)[0] + f2.b) % p
     alpha3 = (f2.alpha * f1.alpha) % p
-    v3 = tuple(eta.eval(phi3.matrix[:, j], w3)[0] for j in range(space.n))
+    v3 = tuple(int(c) for c in (-eta.eta_u(w3).compose(phi3).matrix[0]) % p)
     return SymplecticAutoParams(alpha3, b3, w3, phi3, v3)
 
 
@@ -258,14 +215,14 @@ def invertible_matrices(n: int, p: int, budget: int = 10**7) -> np.ndarray:
     return mats[det % p != 0]
 
 
-def brute_force_aut_group(space: SemipolarSpace, cap: int = 27) -> list[PointMap]:
+def brute_force_aut_group(space: SemipolarSpace) -> list[PointMap]:
     """All affine bijections of Y preserving adjacency in both directions.
 
-    Sweeps the full affine group of Y; refuse beyond the cap, where the sweep
-    stops being a desk-scale computation.
+    Sweeps the full affine group of Y; refuse beyond ORACLE_CAP, where the
+    sweep stops being a desk-scale computation.
     """
-    if space.size > cap:
-        raise EnumerationTooLarge(f"|Y| = {space.size} exceeds the oracle cap {cap}")
+    if space.size > ORACLE_CAP:
+        raise EnumerationTooLarge(f"|Y| = {space.size} exceeds the oracle cap {ORACLE_CAP}")
     p, d, size = space.p, space.ydim, space.size
     mats = invertible_matrices(d, p)
     coords = space._coords

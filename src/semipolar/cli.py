@@ -83,7 +83,6 @@ def cmd_verify(args) -> int:
         budget=args.budget,
         sample=args.sample,
         seed=0 if args.seed is None else args.seed,
-        oracle_cap=args.oracle_cap,
         hyp_dim=args.hyp_dim,
         hyp_diag=tuple(args.hyp_diag) if args.hyp_diag else None,
         field=args.field,
@@ -193,7 +192,6 @@ def make_parser() -> argparse.ArgumentParser:
     v.add_argument("--sample", type=int, default=None, help="sampled mode: tuples per suite")
     v.add_argument("--seed", type=int, default=None,
                    help="sampling seed, 0 when omitted; the config block echoes the flag as given")
-    v.add_argument("--oracle-cap", type=int, default=27)
     v.add_argument("--field", type=int, default=None, help="field for the hyperbolic suite")
     v.add_argument("--hyp-dim", type=int, default=3)
     v.add_argument("--hyp-diag", type=int, nargs="+", default=None)

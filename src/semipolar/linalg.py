@@ -267,14 +267,6 @@ class LinearMap:
             return True  # upper unitriangular: determinant 1, no rank test needed
         return self.rank == self.domain_dim
 
-    def inverse(self) -> "LinearMap":
-        if not self.is_bijective():
-            raise DimensionMismatch("map is not invertible")
-        n = self.domain_dim
-        aug = np.hstack([self.matrix, np.eye(n, dtype=np.int64)])
-        r, _ = rref(aug, self.p)
-        return LinearMap(r[:, n:], self.p)
-
     def kernel(self) -> Subspace:
         return matrix_kernel(self.matrix, self.p, self.domain_dim)
 

@@ -17,6 +17,7 @@ import numpy as np
 from . import apsg
 from .apsg import SemipolarSpace
 from .autos import (
+    ORACLE_CAP,
     PointMap,
     brute_force_aut_group,
     build_from_params,
@@ -48,7 +49,6 @@ class SuiteConfig:
     budget: int = DEFAULT_BUDGET
     sample: Optional[int] = None
     seed: int = 0
-    oracle_cap: int = 27
     hyp_dim: int = 3
     hyp_diag: Optional[tuple[int, ...]] = None
     field: Optional[int] = None
@@ -284,7 +284,7 @@ def suite_autos(space: SemipolarSpace, cfg: SuiteConfig) -> Report:
 
 
 def suite_oracle(space: SemipolarSpace, cfg: SuiteConfig) -> Report:
-    group = brute_force_aut_group(space, cap=cfg.oracle_cap)
+    group = brute_force_aut_group(space)
     report = Report(data={"group_order": len(group)})
     if space.nu == 1:
         family = symplectic_family(space)
@@ -340,13 +340,13 @@ def suite_metric(space: SemipolarSpace, cfg: SuiteConfig) -> Report:
                "a segment and its translate with different measures exists")
     if witness:
         p1, p2, tr = witness
-        q1, q2 = (space.points[int(padd[space.index(q), space.index(tr)])] for q in (p1, p2))
+        i1, i2, k = (space.index(q) for q in witness)
         report.data["witness"] = {
             "p1": list(p1.flat()),
             "p2": list(p2.flat()),
             "translation": list(tr.flat()),
-            "before": list(space.rho(p1, p2)),
-            "after": list(space.rho(q1, q2)),
+            "before": [int(t[i1, i2])],
+            "after": [int(t[padd[i1, k], padd[i2, k]])],
         }
     return report
 
@@ -488,7 +488,7 @@ def applicable_suites(space: Optional[SemipolarSpace], cfg: SuiteConfig) -> list
     ]
     if space.nu == 1:
         names += ["metric", "bisectors"]
-        if space.size <= cfg.oracle_cap:
+        if space.size <= ORACLE_CAP:
             names.append("oracle")
     names.append("hyperbolic")
     return names

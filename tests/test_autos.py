@@ -1,9 +1,11 @@
 """Automorphism construction, validity conditions, composition, and the oracle sweep."""
 
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from semipolar.apsg import Point
 from semipolar.autos import (
@@ -24,6 +26,7 @@ from semipolar.autos import (
     verify_semiform_scaling,
 )
 from semipolar.errors import EnumerationTooLarge, NotCompatible
+from semipolar.forms import AlternatingMap
 from semipolar.linalg import LinearMap
 
 
@@ -84,6 +87,66 @@ def test_multiplier_multiplicative(sp_m1_gf3):
         assert multiplier(eta, fa.compose(fb)) == (
             multiplier(eta, fa) * multiplier(eta, fb)
         ) % 3
+
+
+# (p, n, nu) of the random alternating maps: scalar, two- and three-dimensional
+# values over GF(3), scalar over GF(5)
+TWIST_SHAPES = [(3, 2, 1), (3, 4, 1), (3, 3, 2), (3, 3, 3), (5, 2, 1), (5, 4, 1)]
+
+
+@st.composite
+def nondegenerate_maps_and_bijections(draw):
+    """A random nondegenerate alternating map, a random linear bijection of V and
+    a nonzero scalar."""
+    p, n, nu = draw(st.sampled_from(TWIST_SHAPES))
+    coeff = st.integers(0, p - 1)
+    upper = {
+        (i, j): tuple(draw(coeff) for _ in range(nu)) for i, j in combinations(range(n), 2)
+    }
+    eta = AlternatingMap(p, n, nu, upper)
+    assume(eta.is_nondegenerate())
+    phi = LinearMap([[draw(coeff) for _ in range(n)] for _ in range(n)], p)
+    assume(phi.is_bijective())
+    return eta, phi, draw(st.integers(1, p - 1))
+
+
+def pullback_by_definition(eta, phi):
+    """eta(phi e_i, phi e_j) for every basis pair, one pointwise evaluation each."""
+    cols = phi.matrix.T
+    return np.array([[eta.eval(a, b) for b in cols] for a in cols], dtype=np.int64)
+
+
+def multiplier_by_definition(eta, phi):
+    """The alpha in GF(p)* with eta(phi e_i, phi e_j) = alpha eta(e_i, e_j) on all
+    pairs i < j, found by trying every alpha, or None."""
+    p = eta.p
+    pairs = list(combinations(range(eta.n), 2))
+    for alpha in range(1, p):
+        if all(
+            eta.eval(phi.matrix[:, i], phi.matrix[:, j])
+            == tuple(alpha * int(c) % p for c in eta.gram[i, j])
+            for i, j in pairs
+        ):
+            return alpha
+    return None
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(case=nondegenerate_maps_and_bijections())
+def test_pullback_and_multiplier_match_their_definitions(case):
+    eta, phi, c = case
+    # c times the identity has the multiplier c^2, so the non-None branch is
+    # reached on every shape, and a random phi mostly gives None for n > 2
+    for f in (phi, LinearMap(c * np.eye(eta.n, dtype=np.int64), eta.p)):
+        pulled = eta.pullback(f)
+        assert pulled.shape == (eta.n, eta.n, eta.nu)
+        assert (pulled == pullback_by_definition(eta, f)).all()
+        assert multiplier(eta, f) == multiplier_by_definition(eta, f)
+
+
+def test_multiplier_of_the_zero_map():
+    zero = AlternatingMap(3, 2, 1, {})
+    assert multiplier(zero, LinearMap([[0, 1], [1, 1]], 3)) == 1
 
 
 # -- general automorphisms ---------------------------------------------------------
@@ -242,6 +305,24 @@ def test_compose_params_associative_pointwise(sp_m1_gf3):
     left = compose_params(space, compose_params(space, pa, pb), pc)
     right = compose_params(space, pa, compose_params(space, pb, pc))
     assert build_from_params(space, left) == build_from_params(space, right)
+
+
+def test_symplectic_family_is_the_general_map_with_psi1_alpha(sp_m1_gf3):
+    # each member is F([v,u]) = [alpha v + psi2(u) + b, phi(u) + w], and psi2 is
+    # the row v with v_j = eta(phi e_j, w)
+    space = sp_m1_gf3
+    eta = space.form.eta
+    for params, pmap in symplectic_family(space):
+        general, g = build_general_auto(
+            space, LinearMap([[params.alpha]], 3), params.phi, params.w, (params.b,)
+        )
+        assert general == pmap
+        assert g.psi2.matrix[0].tolist() == list(params.v)
+        v = [eta.eval(params.phi.matrix[:, j], params.w)[0] for j in range(space.n)]
+        block = np.zeros((3, 3), dtype=np.int64)
+        block[0] = [params.alpha, *v]
+        block[1:, 1:] = params.phi.matrix
+        assert PointMap(space, LinearMap(block, 3), (params.b, *params.w)) == pmap
 
 
 # -- the oracle --------------------------------------------------------------------

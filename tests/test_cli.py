@@ -125,6 +125,14 @@ def test_verify_oracle_over_cap_is_budget_error(tmp_path, capsys):
     assert code == 3
 
 
+def test_verify_oracle_cap_flag_is_gone(m1_instance, capsys):
+    # the oracle cap is a fixed constant, not a flag
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", str(m1_instance), "--suite", "oracle", "--oracle-cap", "27"])
+    assert exc.value.code == 2
+    assert "--oracle-cap" in capsys.readouterr().err
+
+
 def test_verify_unknown_suite_is_usage_error(m1_instance, capsys):
     code, _, _ = run(["verify", str(m1_instance), "--suite", "nonsense"], capsys)
     assert code == 2

@@ -8,19 +8,40 @@ import pytest
 from semipolar import apsg, suites
 from semipolar.apsg import Point, SemipolarSpace
 from semipolar.errors import DimensionMismatch, EnumerationTooLarge
-from semipolar.forms import Report
+from semipolar.forms import AlternatingMap, Report, Semiform
 from semipolar.suites import SUITES, SuiteConfig, applicable_suites, run_suite
 
 
-def test_all_suites_pass_on_the_scalar_instance(sp_m1_gf3):
+def refuse_pointwise_eval(monkeypatch):
+    """Make both pointwise evaluators raise, so every verdict must come from the
+    value tables and the Gram tensor."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("pointwise eval called on the verify path")
+
+    monkeypatch.setattr(Semiform, "eval", refuse)
+    monkeypatch.setattr(AlternatingMap, "eval", refuse)
+
+
+def test_all_suites_pass_on_the_scalar_instance(sp_m1_gf3, monkeypatch):
+    refuse_pointwise_eval(monkeypatch)
+    space = SemipolarSpace(sp_m1_gf3.form)  # fresh: its tables are built under the guard
     cfg = SuiteConfig()
-    for name in applicable_suites(sp_m1_gf3, cfg):
-        report = run_suite(name, sp_m1_gf3, cfg)
+    for name in applicable_suites(space, cfg):
+        report = run_suite(name, space, cfg)
         assert report["passed"], (name, report["checks"])
         assert report["suite"] == name
         assert report["mode"] == "exhaustive"
         for check in report["checks"]:
             assert set(check) == {"name", "passed", "witness", "note"}
+
+
+def test_all_suites_pass_on_the_vector_instance_without_pointwise_eval(sp_cross_gf3, monkeypatch):
+    refuse_pointwise_eval(monkeypatch)
+    space = SemipolarSpace(sp_cross_gf3.form)
+    cfg = SuiteConfig()
+    for name in applicable_suites(space, cfg):
+        report = run_suite(name, space, cfg)
+        assert report["passed"], (name, report["checks"])
 
 
 def test_applicable_suites_scalar_vs_vector(sp_m1_gf3, sp_cross_gf3, sp_m2_gf3):
