@@ -19,7 +19,6 @@ from .errors import (
     DegenerateForm,
     DimensionMismatch,
     InvalidPair,
-    PreconditionUnavailable,
     check_budget,
 )
 from .forms import Report, Semiform, group_tables, normalize
@@ -266,9 +265,6 @@ class SemipolarSpace:
     def _adjacency_words(self) -> np.ndarray:
         return pack_rows(self.adjacency)
 
-    def rho(self, p1: Point, p2: Point) -> tuple[int, ...]:
-        return self.form.eval(p1, p2)
-
     def rho_codes(self, rows=None, cols=None) -> np.ndarray:
         """Encoded rho from the points `rows` to the points `cols`, both point-code
         arrays (None is all of Y): a row or a column costs O(|Y|), not the table."""
@@ -296,12 +292,9 @@ class SemipolarSpace:
         reps = enumerate_vectors(self.p, self.n)[self._u_classes[0]]
         return tuple(tuple(r) for r in reps.tolist())
 
-    def line_is_singular(self, line: AffLine) -> bool:
-        """One-equation criterion: eta(u_base, u_dir) = -v_dir."""
-        return bool(self.lines_singular([self.index(line.base)], [self.index(line.direction)])[0])
-
     def lines_singular(self, bases, dirs) -> np.ndarray:
-        """line_is_singular for lines given as base and direction code arrays."""
+        """One-equation criterion eta(u_base, u_dir) = -v_dir for the lines
+        given as base and direction code arrays."""
         u, v = self._coords[:, self.nu :], self._coords[:, : self.nu]
         e = np.einsum("la,abk,lb->lk", u[bases], self.form.eta.gram, u[dirs])
         return ((e + v[dirs]) % self.p == 0).all(axis=1)
@@ -457,37 +450,22 @@ class SemipolarSpace:
 
     # -- the Gamma-space property -------------------------------------------
 
-    def verify_gamma_space(self, line_set: Optional[frozenset[AffLine]] = None) -> Report:
+    def verify_gamma_space(self) -> Report:
         """Planes spanned by two concurrent singular lines carry only singular lines
         through the common point; maximal singular subspaces are affine subspaces.
 
-        Runs a block of points at a time: for every pair of lines d1, d2 through a
-        point, each line with direction d1 + a*d2 is looked up among the sorted
-        keys of the set.  A given line set has no fixed number of lines per
-        point, so it runs one point at a time.
+        Runs a block of points at a time: for every pair of singular lines d1, d2
+        through a point, each line with direction d1 + a*d2 is looked up among
+        the sorted keys of the singular lines.
         """
         add, _, scale = self._tables
-        if line_set is None:
-            through = self._singular_dirs
-            keys = self._singular_keys
-            step = max(1, _CHUNK // (through.shape[1] ** 2 * self.p))
-        else:
-            lines = list(line_set)
-            bases = np.array([self.index(l.base) for l in lines], dtype=np.int64)
-            dirs = np.array([self.index(l.direction) for l in lines], dtype=np.int64)
-            rows = self.line_codes(bases, dirs)
-            keys = self._line_keys(rows)
-            rows = rows.ravel()
-            order = np.argsort(rows, kind="stable")
-            dir_of = np.repeat(dirs, self.p)[order]
-            bounds = np.searchsorted(rows[order], np.arange(self.size + 1))
-            through = [dir_of[bounds[i] : bounds[i + 1]] for i in range(self.size)]
-            step = 1
-        keys = np.unique(keys)
+        through = self._singular_dirs
+        keys = np.unique(self._singular_keys)
+        step = max(1, _CHUNK // (through.shape[1] ** 2 * self.p))
         report = Report()
         wit = None
         for lo in range(0, self.size, step):
-            dirs = np.asarray(through[lo : lo + step])
+            dirs = through[lo : lo + step]
             first, second = np.triu_indices(dirs.shape[1], 1)
             mixed = add[dirs[:, first, None], scale[1:, dirs[:, second]].transpose(1, 2, 0)]  # d1 + a*d2, a >= 1
             at = np.arange(lo, lo + len(dirs))[:, None, None]
@@ -501,14 +479,13 @@ class SemipolarSpace:
                 break
         report.add("plane-closure", wit is None, wit, "lines through a common point inside a span stay singular")
 
-        if line_set is None:
-            rows = [sorted(s) for s in self.maximal_singular_subspaces()]
-            width = max(map(len, rows), default=0)
-            # pad with a repeated point, which adds no pair, so all rows run in one batch
-            codes = np.array([r + r[:1] * (width - len(r)) for r in rows], dtype=np.int64)
-            affine = self._is_affine_codes(codes.reshape(len(rows), width))
-            aff_wit = None if affine.all() else (rows[int(np.flatnonzero(~affine)[0])],)
-            report.add("singular-subspaces-affine", aff_wit is None, aff_wit, "maximal singular subspaces carry affine geometry")
+        rows = [sorted(s) for s in self.maximal_singular_subspaces()]
+        width = max(map(len, rows), default=0)
+        # pad with a repeated point, which adds no pair, so all rows run in one batch
+        codes = np.array([r + r[:1] * (width - len(r)) for r in rows], dtype=np.int64)
+        affine = self._is_affine_codes(codes.reshape(len(rows), width))
+        aff_wit = None if affine.all() else (rows[int(np.flatnonzero(~affine)[0])],)
+        report.add("singular-subspaces-affine", aff_wit is None, aff_wit, "maximal singular subspaces carry affine geometry")
         return report
 
     def verify_parallel_unclosed(self) -> Report:
@@ -554,16 +531,6 @@ class SemipolarSpace:
         """Intersection of the neighbor sets of all common neighbors of p1, p2."""
         words = self.neighborhood_intersection_words([self.index(p1)], [self.index(p2)])
         return tuple(self.points[k] for k in np.flatnonzero(unpack_rows(words, self.size)[0]))
-
-    def recover_line(self, p1: Point, p2: Point) -> tuple[Point, ...]:
-        """Rebuild the singular line through two adjacent points from adjacency alone."""
-        if p1 == p2:
-            raise InvalidPair("points must be distinct")
-        if not self.adjacent(p1, p2):
-            raise InvalidPair("points must be adjacent")
-        if not self.separating_kernels:
-            raise PreconditionUnavailable("kernel separation fails for this alternating map")
-        return self.neighborhood_intersection(p1, p2)
 
     # -- singular planes and maximal singular subspaces ----------------------
 

@@ -19,6 +19,7 @@ from .forms import AlternatingMap
 from .linalg import LinearMap, as_vec, encode_vecs, enumerate_vectors
 
 ORACLE_CAP = 27  # largest |Y| whose full affine group the oracle sweeps
+MATRIX_SWEEP_CAP = 10**7  # most n x n matrices invertible_matrices enumerates
 
 
 class PointMap:
@@ -194,11 +195,11 @@ def rho_scaling_constant(space: SemipolarSpace, pmap: PointMap) -> int | None:
     return alpha if bool((mapped == (alpha * t) % space.p).all()) else None
 
 
-def invertible_matrices(n: int, p: int, budget: int = 10**7) -> np.ndarray:
+def invertible_matrices(n: int, p: int) -> np.ndarray:
     """All invertible n x n matrices over GF(p) (n <= 3)."""
     if n > 3:
         raise EnumerationTooLarge("full matrix sweep supported only up to 3 x 3")
-    if p ** (n * n) > budget:
+    if p ** (n * n) > MATRIX_SWEEP_CAP:
         raise EnumerationTooLarge("matrix space exceeds the sweep budget")
     flat = enumerate_vectors(p, n * n)
     mats = flat.reshape(-1, n, n)

@@ -43,7 +43,7 @@ def _write_text(text: str, path: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def build_instance(kind: str, field: int, index: int, signs=(1, -1, 1)) -> Semiform:
+def build_instance(kind: str, field: int, index: int) -> Semiform:
     GF(field)
     if kind == "symplectic":
         return Semiform(standard_symplectic(index, field), kind="symplectic")
@@ -51,7 +51,7 @@ def build_instance(kind: str, field: int, index: int, signs=(1, -1, 1)) -> Semif
         pairs = index * (index - 1) // 2
         return Semiform(exterior_square(LinearMap.identity(pairs, field), index), kind="wedge")
     if kind == "cross":
-        return Semiform(cross_product_map(field, signs=signs), kind="cross")
+        return Semiform(cross_product_map(field), kind="cross")
     raise ValueError(f"unknown kind {kind!r}")
 
 

@@ -33,10 +33,6 @@ class InvalidPair(GeometryError):
     pass
 
 
-class PreconditionUnavailable(GeometryError):
-    pass
-
-
 class InvalidSubspace(GeometryError):
     pass
 

@@ -166,10 +166,8 @@ def exterior_square(g: LinearMap, n: int) -> AlternatingMap:
     return AlternatingMap(g.p, n, g.codomain_dim, upper)
 
 
-def cross_product_map(p: int, signs: tuple[int, int, int] = (1, -1, 1), n: int = 3) -> AlternatingMap:
+def cross_product_map(p: int, signs: tuple[int, int, int] = (1, -1, 1)) -> AlternatingMap:
     """The vector product on GF(p)^3 whose coordinates are signed 2x2 minors."""
-    if n != 3:
-        raise DimensionMismatch("the vector product needs a 3-dimensional V")
     e1, e2, e3 = signs
     upper = {
         (0, 1): (0, 0, e3 % p),
@@ -688,8 +686,9 @@ def check_semiform_axioms(
     return report
 
 
-def verify_identities(rho: Semiform, budget: int = DEFAULT_BUDGET) -> Report:
-    """Exhaustively check the six evaluation identities of a semiform.
+def verify_identities(t: np.ndarray, rho: Semiform, budget: int = DEFAULT_BUDGET) -> Report:
+    """Exhaustively check the six evaluation identities of a semiform on its
+    encoded value table t.
 
     With p_i = [v_i, u_i], q = [v, y], theta the zero point and phi the atlas map:
 
@@ -703,7 +702,6 @@ def verify_identities(rho: Semiform, budget: int = DEFAULT_BUDGET) -> Report:
     p, nu, ydim = rho.p, rho.nu, rho.ydim
     size = p**ydim
     check_budget(size * size, budget, "identity quantification")
-    t = rho.value_table(budget=budget)
     pts, padd, psub, pneg, pscl = group_tables(p, ydim)
     vvecs, vadd, vsub, vneg, vscl = group_tables(p, nu)
     eta_codes = rho.eta.pair_table(pts[:, nu:])

@@ -77,7 +77,7 @@ def suite_axioms(space: SemipolarSpace, cfg: SuiteConfig) -> Report:
 
 
 def suite_identities(space: SemipolarSpace, cfg: SuiteConfig) -> Report:
-    return verify_identities(space.form, budget=cfg.budget)
+    return verify_identities(space.value_table, space.form, budget=cfg.budget)
 
 
 def suite_gamma(space: SemipolarSpace, cfg: SuiteConfig) -> Report:

@@ -91,7 +91,7 @@ def test_c02_adversarial_tables_rejected(sp_m1_gf3):
 
 
 def test_c03_identities_gf5(sp_m1_gf5):
-    report = verify_identities(sp_m1_gf5.form, budget=10**7)
+    report = verify_identities(sp_m1_gf5.value_table, sp_m1_gf5.form, budget=10**7)
     names = [c.name for c in report.checks]
     ok = report.passed and len(names) == 6
     conclude(3, "all six evaluation identities exhaustive on symplectic m=1 GF(5)", ok,
@@ -127,7 +127,7 @@ def test_c06_line_recovery_all_adjacent_pairs_m2(sp_m2_gf3):
             if j <= i:
                 continue
             p1, p2 = space.points[i], space.points[int(j)]
-            got = set(space.recover_line(p1, p2))
+            got = set(space.neighborhood_intersection(p1, p2))
             if got != set(line_through(p1, p2, 3).points()):
                 ok = False
                 break
@@ -187,8 +187,8 @@ def test_c11_translation_noninvariance(sp_m1_gf3):
     detail = ""
     if ok:
         p1, p2, t = witness
-        before = sp_m1_gf3.rho(p1, p2)
-        after = sp_m1_gf3.rho(p1.add(t, 3), p2.add(t, 3))
+        before = sp_m1_gf3.form.eval(p1, p2)
+        after = sp_m1_gf3.form.eval(p1.add(t, 3), p2.add(t, 3))
         ok = before != after
         detail = f"p1={p1.flat()}, p2={p2.flat()}, t={t.flat()}: {before} -> {after}"
     conclude(11, "a segment and its translate with different measures exists on m=1 GF(3)", ok, detail)

@@ -16,13 +16,18 @@ from semipolar.apsg import (
     line_through,
     neighborhood_intersections,
 )
-from semipolar.errors import DegenerateForm, InvalidPair
+from semipolar.errors import DegenerateForm
 from semipolar.forms import AlternatingMap, Semiform
 from semipolar.linalg import Subspace, enumerate_subspaces, enumerate_vectors, pack_rows, unpack_rows
 
 
 def P(v, u):
     return Point(tuple(v), tuple(u))
+
+
+def singular(space, line):
+    """The one-equation criterion `lines_singular` for one AffLine."""
+    return bool(space.lines_singular([space.index(line.base)], [space.index(line.direction)])[0])
 
 
 def all_affine_lines(space):
@@ -83,7 +88,7 @@ def test_adjacency_examples(sp_m1_gf3):
 def test_adjacency_iff_semiform_vanishes(sp_m1_gf3):
     for x in sp_m1_gf3.points:
         for y in sp_m1_gf3.points:
-            assert sp_m1_gf3.adjacent(x, y) == (not any(sp_m1_gf3.rho(x, y)))
+            assert sp_m1_gf3.adjacent(x, y) == (not any(sp_m1_gf3.form.eval(x, y)))
 
 
 def test_degenerate_map_rejected():
@@ -99,29 +104,29 @@ def test_degenerate_map_rejected():
 
 def test_vertical_direction_lines_never_singular(sp_m1_gf3):
     line = AffLine(P((0,), (0, 0)), P((1,), (0, 0)), 3)
-    assert not sp_m1_gf3.line_is_singular(line)
+    assert not singular(sp_m1_gf3, line)
 
 
 def test_singular_criterion_worked_examples(sp_m1_gf3):
-    assert sp_m1_gf3.line_is_singular(AffLine(P((0,), (0, 0)), P((0,), (1, 0)), 3))
-    assert not sp_m1_gf3.line_is_singular(AffLine(P((0,), (0, 0)), P((1,), (0, 1)), 3))
+    assert singular(sp_m1_gf3, AffLine(P((0,), (0, 0)), P((0,), (1, 0)), 3))
+    assert not singular(sp_m1_gf3, AffLine(P((0,), (0, 0)), P((1,), (0, 1)), 3))
     # base [0,(1,0)], direction [t,(0,1)]: singular exactly for t = -eta((1,0),(0,1)) = 2
     hits = [
         t
         for t in range(3)
-        if sp_m1_gf3.line_is_singular(AffLine(P((0,), (1, 0)), P((t,), (0, 1)), 3))
+        if singular(sp_m1_gf3, AffLine(P((0,), (1, 0)), P((t,), (0, 1)), 3))
     ]
     assert hits == [2]
 
 
 def test_criterion_equals_pairwise_adjacency_on_all_lines(sp_m1_gf3, sp_m2_gf3):
     for line in all_affine_lines(sp_m1_gf3):
-        assert sp_m1_gf3.line_is_singular(line) == sp_m1_gf3.line_singular_by_pairs(line)
+        assert singular(sp_m1_gf3, line) == sp_m1_gf3.line_singular_by_pairs(line)
     rng = np.random.default_rng(2)
     lines = sorted(all_affine_lines(sp_m2_gf3), key=lambda l: (l.base, l.direction))
     for k in rng.choice(len(lines), 400, replace=False):
         line = lines[k]
-        assert sp_m2_gf3.line_is_singular(line) == sp_m2_gf3.line_singular_by_pairs(line)
+        assert singular(sp_m2_gf3, line) == sp_m2_gf3.line_singular_by_pairs(line)
 
 
 def test_one_adjacent_pair_makes_the_whole_line_adjacent(sp_m1_gf3):
@@ -138,7 +143,7 @@ def test_singular_lines_through_origin_m1(sp_m1_gf3):
     lines = sp_m1_gf3.singular_lines_through(sp_m1_gf3.origin)
     assert len(lines) == 4  # (3^2 - 1)/(3 - 1) direction classes of V
     for line in lines:
-        assert sp_m1_gf3.line_is_singular(line)
+        assert singular(sp_m1_gf3, line)
         assert line.direction.v == (0,)  # through the origin: directions [0, u]
 
 
@@ -357,8 +362,17 @@ def test_gamma_space_corrupted_line_set_fails(sp_m2_gf3):
     assert len(inside) == 4
     corrupted = set(space.singular_lines)
     corrupted.remove(inside[-1])
-    report = space.verify_gamma_space(frozenset(corrupted))
-    assert not report.passed
+    # a fresh space whose line keys lack the dropped line: -1 keys no line
+    broken = SemipolarSpace(space.form)
+    keys = broken._singular_keys.copy()
+    rows = np.array([space.index(q) for q in inside[-1].points()])
+    dropped = broken._line_keys(rows)
+    assert (keys == dropped).sum() == 3
+    keys[keys == dropped] = -1
+    broken.__dict__["_singular_keys"] = keys
+    report = broken.verify_gamma_space()
+    assert not report.check("plane-closure").passed
+    assert report.check("singular-subspaces-affine").passed
     witness = report.check("plane-closure").witness
     assert witness is not None
     # the named candidate passes through the base point, lies in the plane the
@@ -388,7 +402,7 @@ def test_parallel_witness_example_m1(sp_m1_gf3):
     space = sp_m1_gf3
     for line in space.singular_lines_through(space.origin):
         vertical = AffLine(line.base.add(P((1,), (0, 0)), 3), line.direction, 3)
-        assert space.line_is_singular(vertical)
+        assert singular(space, vertical)
         u = line.direction.u
         y = next(
             y
@@ -396,7 +410,7 @@ def test_parallel_witness_example_m1(sp_m1_gf3):
             if space.form.eta.eval(y, u) != (0,)
         )
         shifted = AffLine(line.base.add(P((0,), y), 3), line.direction, 3)
-        assert not space.line_is_singular(shifted)
+        assert not singular(space, shifted)
 
 
 # -- kernel separation and line recovery ---------------------------------------------------
@@ -414,7 +428,7 @@ def test_recover_line_exhaustive_m1(sp_m1_gf3):
             if j <= i:
                 continue
             p1, p2 = space.points[i], space.points[int(j)]
-            got = set(space.recover_line(p1, p2))
+            got = set(space.neighborhood_intersection(p1, p2))
             expect = set(line_through(p1, p2, 3).points())
             assert got == expect
 
@@ -422,17 +436,9 @@ def test_recover_line_exhaustive_m1(sp_m1_gf3):
 def test_recover_line_examples_m2(sp_m2_gf3):
     space = sp_m2_gf3
     q = P((0,), (1, 0, 0, 0))
-    got = set(space.recover_line(space.origin, q))
+    got = set(space.neighborhood_intersection(space.origin, q))
     assert got == set(line_through(space.origin, q, 3).points())
     assert space.origin in got and q in got and len(got) == 3
-
-
-def test_recover_line_rejects_bad_pairs(sp_m1_gf3):
-    space = sp_m1_gf3
-    with pytest.raises(InvalidPair):
-        space.recover_line(space.origin, space.origin)
-    with pytest.raises(InvalidPair):
-        space.recover_line(space.origin, P((1,), (0, 0)))
 
 
 def test_neighborhood_intersection_scalar_case_dichotomy(sp_m1_gf3):

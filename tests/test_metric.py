@@ -1,4 +1,4 @@
-"""Equidistance, bisectors, spheres, midpoints, symmetries, polar correspondence."""
+"""Equidistance, bisectors, spheres, midpoints, polar correspondence."""
 
 from itertools import combinations, product
 
@@ -14,15 +14,8 @@ from semipolar.metric import (
     HyperplaneDescriptor,
     bisector_m,
     bisector_t,
-    bisectors_equal_m,
-    bisectors_equal_t,
-    equidistant,
-    midpoint,
     pair_report,
-    polar_correspondence_check,
-    proportional_difference,
     sphere,
-    symmetry_m,
     translation_noninvariance_witness,
 )
 from semipolar.suites import SuiteConfig, _bisector_counts, run_suite
@@ -37,15 +30,12 @@ def P(v, u):
 
 def test_equidistance_reflexive_and_reversal(sp_m1_gf3):
     space = sp_m1_gf3
-    pts = space.points
-    for p1 in pts[:9]:
-        for p2 in pts[:9]:
-            assert equidistant(space, p1, p2, p1, p2)
-            for p3 in pts[:9]:
-                for p4 in pts[:9]:
-                    fwd = equidistant(space, p1, p2, p3, p4)
-                    rev = equidistant(space, p2, p1, p4, p3)
-                    assert fwd == rev
+    pts = space.points[:9]
+    rho = {(p1, p2): space.form.eval(p1, p2) for p1 in pts for p2 in pts}
+    for p1, p2, p3, p4 in product(pts, repeat=4):
+        fwd = rho[p1, p2] == rho[p3, p4]
+        rev = rho[p2, p1] == rho[p4, p3]
+        assert fwd == rev
 
 
 def test_equidistance_reversal_law_exhaustive_via_table(sp_m1_gf3):
@@ -72,29 +62,28 @@ def test_equidistance_is_an_equivalence_on_pairs(sp_m1_gf3):
 
 def test_degenerate_segment_congruence_is_adjacency(sp_m1_gf3):
     space = sp_m1_gf3
+    rho = space.form.eval
     for p1 in space.points:
         for p2 in space.points:
-            lhs = equidistant(space, p1, p2, p1, p1)
+            lhs = rho(p1, p2) == rho(p1, p1)
             assert lhs == space.adjacent(p1, p2)
-            swap = equidistant(space, p1, p2, p2, p1)
+            swap = rho(p1, p2) == rho(p2, p1)
             assert swap == space.adjacent(p1, p2)
 
 
 # -- midpoints --------------------------------------------------------------------
 
 
-def test_midpoint_examples(sp_m1_gf3, sp_m1_gf5):
-    assert midpoint(sp_m1_gf3, P((0,), (0, 0)), P((0,), (0, 0))) == P((0,), (0, 0))
-    got = midpoint(sp_m1_gf5, P((0,), (0, 0)), P((1,), (0, 0)))
-    assert got == P((3,), (0, 0))  # inv(2) = 3 over GF(5)
+def midpoint(p1, p2, p):
+    return p1.add(p2, p).scale(pow(2, p - 2, p), p)
 
 
 def test_midpoint_equidistance_property_exhaustive(sp_m1_gf3):
     space = sp_m1_gf3
     for p1 in space.points:
         for p2 in space.points:
-            mid = midpoint(space, p1, p2)
-            assert equidistant(space, p1, mid, mid, p2)
+            mid = midpoint(p1, p2, 3)
+            assert space.form.eval(p1, mid) == space.form.eval(mid, p2)
             m_pts, _ = bisector_m(space, p1, p2)
             assert mid in set(m_pts)
 
@@ -205,9 +194,7 @@ def test_translated_pairs_share_t_bisectors(sp_m1_gf3):
     q = P((1,), (2, 0))
     for p1 in space.points[:6]:
         for p2 in space.points[:6]:
-            assert bisectors_equal_t(
-                space, (p1, p1.add(q, 3)), (p2, p2.add(q, 3))
-            )
+            assert bisector_t(space, p1, p1.add(q, 3))[0] == bisector_t(space, p2, p2.add(q, 3))[0]
 
 
 def test_doubled_difference_shares_t_bisector(sp_m1_gf3):
@@ -215,15 +202,14 @@ def test_doubled_difference_shares_t_bisector(sp_m1_gf3):
     p1, d = P((0,), (1, 0)), P((1,), (0, 1))
     pair1 = (p1, p1.add(d, 3))
     pair2 = (p1, p1.add(d.scale(2, 3), 3))
-    assert proportional_difference(space, pair1, pair2)
-    assert bisectors_equal_t(space, pair1, pair2)
+    assert bisector_t(space, *pair1)[0] == bisector_t(space, *pair2)[0]
 
 
 def test_unrelated_pairs_generically_unequal_t(sp_m1_gf3):
     space = sp_m1_gf3
     pair1 = (P((0,), (0, 0)), P((0,), (1, 0)))
     pair2 = (P((0,), (0, 0)), P((0,), (0, 1)))
-    assert not bisectors_equal_t(space, pair1, pair2)
+    assert bisector_t(space, *pair1)[0] != bisector_t(space, *pair2)[0]
 
 
 def test_central_reflection_pairs_share_m_bisectors(sp_m1_gf3):
@@ -234,78 +220,28 @@ def test_central_reflection_pairs_share_m_bisectors(sp_m1_gf3):
         for p2 in space.points[:6]:
             pair1 = (p1, two_q.sub(p1, 3))
             pair2 = (p2, two_q.sub(p2, 3))
-            assert bisectors_equal_m(space, pair1, pair2)
+            assert bisector_m(space, *pair1)[0] == bisector_m(space, *pair2)[0]
 
 
 def test_m_bisectors_unequal_when_sums_differ(sp_m1_gf3):
     space = sp_m1_gf3
     pair1 = (P((0,), (0, 0)), P((0,), (1, 0)))
     pair2 = (P((0,), (0, 0)), P((1,), (1, 0)))
-    assert not bisectors_equal_m(space, pair1, pair2)
-    assert bisectors_equal_m(space, pair1, pair1)
+    assert bisector_m(space, *pair1)[0] != bisector_m(space, *pair2)[0]
 
 
 def test_bisector_criteria_never_disagree_sampled(sp_m1_gf3):
-    # bisectors_equal_* raise if the set comparison and the closed-form
-    # criterion ever disagree; sweep a sample of pair-pairs through both
+    # equal t-bisectors exactly for proportional differences, equal m-bisectors
+    # exactly for equal sums, on a sample of pair-pairs
     space = sp_m1_gf3
     rng = np.random.default_rng(21)
     for _ in range(300):
-        i, j, k, l = (int(x) for x in rng.integers(0, 27, 4))
-        pair1 = (space.points[i], space.points[j])
-        pair2 = (space.points[k], space.points[l])
-        bisectors_equal_t(space, pair1, pair2)
-        bisectors_equal_m(space, pair1, pair2)
-
-
-# -- hyperplane symmetries ---------------------------------------------------------------
-
-
-def test_symmetry_m_of_realized_hyperplane(sp_m1_gf3):
-    space = sp_m1_gf3
-    p1, p2 = P((0,), (1, 0)), P((2,), (0, 1))
-    _, desc = bisector_m(space, p1, p2)
-    sym = symmetry_m(space, desc)
-    assert sym is not None
-    # central symmetry with centre (p1 + p2)/2: swaps p1 and p2, is an involution
-    assert sym(p1) == p2 and sym(p2) == p1
-    composed = sym.compose(sym)
-    assert (composed.perm == np.arange(27)).all()
-    mid = midpoint(space, p1, p2)
-    assert sym(mid) == mid
-
-
-def test_symmetry_m_void_for_unrealized_hyperplane(sp_m1_gf3):
-    space = sp_m1_gf3
-    # m-bisector equations always have alpha = -2 = 1 after normalization by
-    # the u0 pivot only when u0 != 0; an equation with alpha = 0 and u0 = 0 is
-    # empty or everything and is realized by no pair
-    desc = HyperplaneDescriptor.make(3, (0, 0), 0, 1)
-    assert symmetry_m(space, desc) is None
-
-
-def test_symmetry_m_matches_brute_force_over_pairs(sp_m1_gf3):
-    space = sp_m1_gf3
-    rho = space.form.eval
-    centre_sums = {}
-    for a, p1 in enumerate(space.points):
-        for p2 in space.points[a:]:
-            m_set = frozenset(q for q in space.points if rho(p1, q) == rho(q, p2))
-            centre_sums.setdefault(m_set, set()).add(p1.add(p2, 3))
-    for u0 in product(range(3), repeat=2):
-        for alpha, beta in product(range(3), repeat=2):
-            desc = HyperplaneDescriptor.make(3, u0, alpha, beta)
-            target = frozenset(
-                q for q in space.points
-                if space.form.eta.eval(desc.u0, q.u)[0] == (desc.beta + desc.alpha * q.v[0]) % 3
-            )
-            sums = centre_sums.get(target, set())
-            sym = symmetry_m(space, desc)
-            if not sums:
-                assert sym is None
-                continue
-            (s,) = sums  # every realizing pair has the same sum
-            assert [sym(q) for q in space.points] == [s.sub(q, 3) for q in space.points]
+        p1, p2, q1, q2 = (space.points[int(x)] for x in rng.integers(0, 27, 4))
+        d1, d2 = p2.sub(p1, 3), q2.sub(q1, 3)
+        proportional = d2 in (d1, d1.scale(2, 3))
+        assert (bisector_t(space, p1, p2)[0] == bisector_t(space, q1, q2)[0]) == proportional
+        same_sum = p1.add(p2, 3) == q1.add(q2, 3)
+        assert (bisector_m(space, p1, p2)[0] == bisector_m(space, q1, q2)[0]) == same_sum
 
 
 def test_translations_stay_inside_t_symmetry_class(sp_m1_gf3):
@@ -323,11 +259,25 @@ def test_translations_stay_inside_t_symmetry_class(sp_m1_gf3):
 # -- the polar correspondence ---------------------------------------------------------
 
 
+def polar_correspondence_holds(space, p1, p2) -> bool:
+    """The m-bisector of p1, p2 is the neighborhood of their midpoint, and the
+    t-bisector is {[a, u] : eta(u2 - u1, u) = v2 - v1}: the points [a, u] whose
+    (1, a, u) is orthogonal to the direction (0, v2 - v1, u2 - u1) of the line
+    p1 p2 under xi((a1,b1,w1),(a2,b2,w2)) = a1 b2 - a2 b1 + eta(w1, w2)."""
+    p = space.p
+    mid = midpoint(p1, p2, p)
+    du = tuple((a - b) % p for a, b in zip(p2.u, p1.u))
+    dv = (p2.v[0] - p1.v[0]) % p
+    neighbors = tuple(q for q in space.points if space.adjacent(mid, q))
+    ortho = tuple(q for q in space.points if space.form.eta.eval(du, q.u) == (dv,))
+    return bisector_m(space, p1, p2)[0] == neighbors and bisector_t(space, p1, p2)[0] == ortho
+
+
 def test_polar_correspondence_exhaustive_m1(sp_m1_gf3):
     space = sp_m1_gf3
     for i, p1 in enumerate(space.points):
         for p2 in space.points[i + 1 :]:
-            assert polar_correspondence_check(space, p1, p2)
+            assert polar_correspondence_holds(space, p1, p2)
 
 
 def test_polar_correspondence_vertical_pair_consistency(sp_m1_gf3):
@@ -336,13 +286,13 @@ def test_polar_correspondence_vertical_pair_consistency(sp_m1_gf3):
     p1, p2 = P((0,), (0, 0)), P((1,), (0, 0))
     pts, _ = bisector_t(space, p1, p2)
     assert pts == ()
-    assert polar_correspondence_check(space, p1, p2)
+    assert polar_correspondence_holds(space, p1, p2)
 
 
 def test_polar_correspondence_equal_pair_reduces_to_neighborhood(sp_m1_gf3):
     space = sp_m1_gf3
     p0 = P((1,), (2, 1))
-    assert polar_correspondence_check(space, p0, p0)
+    assert polar_correspondence_holds(space, p0, p0)
 
 
 # -- translation non-invariance ---------------------------------------------------------
@@ -361,7 +311,7 @@ def test_translation_noninvariance_witness(sp_m1_gf3):
     assert got is not None
     assert got == first_in_loop_order()
     p1, p2, t = got
-    assert space.rho(p1.add(t, 3), p2.add(t, 3)) != space.rho(p1, p2)
+    assert space.form.eval(p1.add(t, 3), p2.add(t, 3)) != space.form.eval(p1, p2)
 
 
 # -- reports ------------------------------------------------------------------------------
@@ -481,6 +431,26 @@ def test_bisectors_suite_detects_a_corrupted_table(sp_m1_gf3, sp_m1_gf5, monkeyp
     report = run_suite("bisectors", SemipolarSpace(space.form), SuiteConfig())
     failed = {c["name"] for c in report["checks"] if not c["passed"]}
     assert {"t-cardinalities", "m-cardinalities", "polar-correspondence"} <= failed
+
+
+@pytest.mark.parametrize("entry", [(5, 14), (26, 3)])
+def test_metric_and_bisector_checks_detect_a_corrupted_entry(sp_m1_gf3, monkeypatch, entry):
+    # each named check is the only place its law is checked over all pairs;
+    # a diagonal entry would leave midpoint-congruence intact (p = (p + p) / 2)
+    table = np.asarray(sp_m1_gf3.value_table).copy()
+    table[entry] = (table[entry] + 1) % 3
+    monkeypatch.setattr(Semiform, "value_table", lambda self, budget=None: table)
+    space = SemipolarSpace(sp_m1_gf3.form)
+    failed = {
+        c["name"]
+        for suite in ("metric", "bisectors")
+        for c in run_suite(suite, space, SuiteConfig())["checks"]
+        if not c["passed"]
+    }
+    assert {
+        "reversal-law", "swap-congruence", "midpoint-congruence", "sphere-cardinality",
+        "t-bisector-criterion", "m-bisector-criterion",
+    } <= failed
 
 
 def test_polar_correspondence_detects_a_corrupted_eta_table(sp_m1_gf3, monkeypatch):
