@@ -27,6 +27,7 @@ from .linalg import (
     distinct_rows,
     encode_vecs,
     enumerate_vectors,
+    first_occurrences,
     pack_rows,
     projective_classes,
     rref,
@@ -323,6 +324,34 @@ class SemipolarSpace:
         """Line key of the singular line through point i in u-class c."""
         return self._line_keys(self.line_codes(np.arange(self.size)[:, None], self._singular_dirs))
 
+    @cached_property
+    def _distinct_singular_keys(self) -> tuple[np.ndarray, np.ndarray]:
+        """first_occurrences of `_singular_keys`: each key once, increasing, and
+        the flat index (point * classes + class) where it first occurs."""
+        return first_occurrences(self._singular_keys)
+
+    @cached_property
+    def _singular_line_table(self) -> np.ndarray:
+        """table[x, d]: the line x + <d> is named by a key of `_singular_keys`,
+        for every point code x and direction code d.
+
+        A key decodes to its line's two smallest codes s0 < s1, the line
+        s0 + <s1 - s0>; each of its points is marked with each nonzero multiple
+        of that direction, a block of keys at a time.  A key naming no line
+        (negative, or s0 >= s1) marks nothing.
+        """
+        _, sub, scale = self._tables
+        s0, s1 = np.divmod(self._distinct_singular_keys[0], self.size)
+        named = (s0 >= 0) & (s0 < s1)
+        s0, s1 = s0[named], s1[named]
+        table = np.zeros((self.size, self.size), dtype=bool)
+        step = max(1, _CHUNK // (self.p * (self.p - 1)))
+        for lo in range(0, len(s0), step):
+            base, d = s0[lo : lo + step], sub[s1[lo : lo + step], s0[lo : lo + step]]
+            table[self.line_codes(base, d)[:, :, None], scale[1:, d].T[:, None, :]] = True
+        table.setflags(write=False)
+        return table
+
     def singular_lines_through(self, pt: Point) -> list[AffLine]:
         i = self.index(pt)
         return [self.decode_line(i, d) for d in self._singular_dirs[i].tolist()]
@@ -336,7 +365,7 @@ class SemipolarSpace:
         second smallest, so both come out of the line key.
         """
         _, sub, _ = self._tables
-        bases, second = np.divmod(np.unique(self._singular_keys), self.size)
+        bases, second = np.divmod(self._distinct_singular_keys[0], self.size)
         dirs = sub[second, bases].astype(np.int64)
         order = np.lexsort((dirs, bases))
         return bases[order], dirs[order]
@@ -394,30 +423,38 @@ class SemipolarSpace:
 
     def _is_affine_codes(self, codes) -> np.ndarray:
         """is_affine_point_set for each row of a (..., s) array of point codes,
-        a block of rows at a time."""
+        a block of rows at a time.  The tables are read by flat index, one
+        1-d take each: add[x, y] is add.ravel()[x * |Y| + y]."""
         add, sub, scale = self._tables
+        add, sub, size = add.ravel(), sub.ravel(), self.size
         codes = np.asarray(codes)
-        rows = codes.reshape(-1, codes.shape[-1])
+        rows = codes.reshape(-1, codes.shape[-1]).astype(np.intp)
         s = rows.shape[1]
         out = np.ones(len(rows), dtype=bool)
-        step = max(1, _CHUNK // max(s * s, self.size))
+        step = max(1, _CHUNK // max(s * s, size))
         for lo in range(0, len(rows), step):
             block = rows[lo : lo + step]
-            at = np.arange(len(block))[:, None]
-            member = np.zeros((len(block), self.size), dtype=bool)
-            member[at, block] = True
+            at = np.arange(len(block))[:, None] * size
+            member = np.zeros(len(block) * size, dtype=bool)
+            member[at + block] = True
             x = block[:, :, None]
-            diff = sub[block[:, None, :], x]
+            diff = sub.take(block[:, None, :] * size + x)  # y - x
             for a in range(2, self.p):
-                out[lo : lo + step] &= member[at[:, :, None], add[x, scale[a, diff]]].all(axis=(1, 2))
+                inside = member.take(at[:, :, None] + add.take(x * size + scale[a].take(diff)))
+                out[lo : lo + step] &= inside.all(axis=(1, 2))
         return out.reshape(codes.shape[:-1])
 
-    def joinable_subspace(self, pt: Point) -> tuple[Point, ...]:
-        """{x : x ~ pt}; always an affine subspace of dimension dim V."""
-        z = self.zset(pt.u, pt.v, -1)
-        if z.kind != "affine" or z.dim != self.n:
-            raise DegenerateForm(f"joinable set of {pt} is not a dim-{self.n} subspace")
-        return z.points
+    def joinable_masks(self, codes) -> np.ndarray:
+        """zset_mask(u_k, v_k, -1) of each point code k, one row each: the points
+        [v, u] with eta(u_k, u) = v_k - v, which on the simplified form is
+        rho(y_k, [v, u]) = 0.  Built a block of rows of about _CHUNK elements
+        at a time."""
+        codes = np.asarray(codes)
+        out = np.empty((len(codes), self.size), dtype=bool)
+        step = max(1, _CHUNK // self.size)
+        for lo in range(0, len(codes), step):
+            out[lo : lo + step] = self.rho_codes(codes[lo : lo + step]) == 0
+        return out
 
     # -- triangles ----------------------------------------------------------
 
@@ -434,17 +471,23 @@ class SemipolarSpace:
         return out
 
     def triangle_census(self) -> int:
-        """Total number of triangles; each counted once."""
-        adj = self.adjacency
+        """Total number of triangles; each counted once.
+
+        With B the adjacency without its diagonal, row i of (B @ B) * B counts
+        the ordered adjacent pairs among the neighbors of point i, so the row
+        sums add up to trace(B^3).  B @ B is taken a block of rows at a time in
+        float32, exact while |Y|^2 < 2^24 bounds every row sum (float64 above).
+        """
         lines_per_point = len(self.u_direction_classes)
         collinear_pairs = lines_per_point * ((self.p - 1) * (self.p - 2) // 2)
-        total = 0
-        for i in range(self.size):
-            nbrs = np.flatnonzero(adj[i])
-            nbrs = nbrs[nbrs != i]
-            sub = adj[np.ix_(nbrs, nbrs)]
-            adjacent_pairs = (int(sub.sum()) - len(nbrs)) // 2
-            total += adjacent_pairs - collinear_pairs
+        b = self.adjacency.astype(np.float32 if self.size**2 < 1 << 24 else np.float64)
+        np.fill_diagonal(b, 0)
+        ordered = np.empty(self.size, dtype=np.int64)
+        step = max(1, _CHUNK // self.size)
+        for lo in range(0, self.size, step):
+            rows = b[lo : lo + step]
+            ordered[lo : lo + step] = ((rows @ b) * rows).sum(axis=1)
+        total = int((ordered // 2 - collinear_pairs).sum())
         assert total % 3 == 0
         return total // 3
 
@@ -455,22 +498,24 @@ class SemipolarSpace:
         through the common point; maximal singular subspaces are affine subspaces.
 
         Runs a block of points at a time: for every pair of singular lines d1, d2
-        through a point, each line with direction d1 + a*d2 is looked up among
-        the sorted keys of the singular lines.
+        through a point, each line with direction d1 + a*d2 is looked up in
+        `_singular_line_table`.  Both tables are read by flat index, one 1-d
+        take each.
         """
         add, _, scale = self._tables
+        add, size = add.ravel(), self.size
+        multiples = np.ascontiguousarray(scale[1:].T)  # multiples[d]: a*d for a >= 1
         through = self._singular_dirs
-        keys = np.unique(self._singular_keys)
-        step = max(1, _CHUNK // (through.shape[1] ** 2 * self.p))
+        table = self._singular_line_table.ravel()
+        first, second = np.triu_indices(through.shape[1], 1)
+        step = max(1, _CHUNK // max(1, len(first) * (self.p - 1)))
         report = Report()
         wit = None
-        for lo in range(0, self.size, step):
+        for lo in range(0, size, step):
             dirs = through[lo : lo + step]
-            first, second = np.triu_indices(dirs.shape[1], 1)
-            mixed = add[dirs[:, first, None], scale[1:, dirs[:, second]].transpose(1, 2, 0)]  # d1 + a*d2, a >= 1
-            at = np.arange(lo, lo + len(dirs))[:, None, None]
-            cand = self._line_keys(self.line_codes(at, mixed))
-            missing = keys[np.minimum(np.searchsorted(keys, cand), len(keys) - 1)] != cand
+            # d1 + a*d2 for a >= 1, along the last axis
+            mixed = add.take((dirs[:, first] * size)[:, :, None] + multiples.take(dirs[:, second], axis=0))
+            missing = ~table.take(np.arange(lo, lo + len(dirs))[:, None, None] * size + mixed)
             if missing.any():
                 b, k, a = np.unravel_index(int(np.flatnonzero(missing)[0]), missing.shape)
                 named = (dirs[b, first[k]], dirs[b, second[k]], mixed[b, k, a])
@@ -492,15 +537,14 @@ class SemipolarSpace:
         """Every singular line has a parallel affine line that is not singular.
 
         The parallels tried are the translates by [0, e_k] for the basis vectors
-        e_k of V with eta(e_k, u_dir) != 0, looked up among the singular lines.
+        e_k of V with eta(e_k, u_dir) != 0, looked up in `_singular_line_table`.
         """
         add, _, _ = self._tables
         bases, dirs = self.singular_line_codes
         shifts = self.p ** np.arange(self.n - 1, -1, -1)  # codes of [0, e_k]
         eta = np.einsum("kbj,lb->lkj", self.form.eta.gram, self._coords[dirs, self.nu :])
         eligible = (eta % self.p).any(axis=2)
-        keys = self._line_keys(add[self.line_codes(bases, dirs)[:, None, :], shifts[None, :, None]])
-        singular = np.isin(keys, self._singular_keys)
+        singular = self._singular_line_table[add[bases[:, None], shifts[None, :]], dirs[:, None]]
         missing = np.flatnonzero(~(eligible & ~singular).any(axis=1))
         wit = (repr(self.decode_line(bases[missing[0]], dirs[missing[0]])),) if len(missing) else None
         report = Report()
@@ -510,17 +554,34 @@ class SemipolarSpace:
     # -- condition (*) and line recovery ------------------------------------
 
     @cached_property
+    def kernel_mask(self) -> np.ndarray:
+        """kernel_mask[c, w]: eta(u_c, w) = 0 for the representative u_c of u-class
+        c and the vector w of V with code w; row c is the partial kernel of u_c."""
+        reps = np.array(self.u_direction_classes, dtype=np.int64).reshape(-1, self.n)
+        vecs = enumerate_vectors(self.p, self.n)
+        mask = np.ones((len(reps), len(vecs)), dtype=bool)
+        for k in range(self.nu):
+            mask &= (reps @ self.form.eta.gram[:, :, k] @ vecs.T) % self.p == 0
+        mask.setflags(write=False)
+        return mask
+
+    @cached_property
     def separating_kernels(self) -> bool:
-        """For non-parallel u', u'' some y0 has eta(u', y0) = 0 but eta(u'', y0) != 0."""
-        kernels = {u: self.form.eta.eta_u(u).kernel() for u in self.u_direction_classes}
-        for u1 in self.u_direction_classes:
-            k1 = kernels[u1].matrix()
-            for u2 in self.u_direction_classes:
-                if u1 == u2:
-                    continue
-                img = self.form.eta.eta_u(u2).apply_rows(k1)
-                if not img.any():
-                    return False
+        """For non-parallel u', u'' some y0 has eta(u', y0) = 0 but eta(u'', y0) != 0,
+        that is, no partial kernel lies inside another.
+
+        |ker u' & ker u''| over all class pairs is one count product of
+        `kernel_mask` with its transpose, a block of rows at a time, exact in
+        float32 because a count is at most p^n < 2^24.
+        """
+        mask = self.kernel_mask.astype(np.float32)
+        sizes = mask.sum(axis=1)
+        step = max(1, _CHUNK // len(mask))
+        for lo in range(0, len(mask), step):
+            inside = mask[lo : lo + step] @ mask.T == sizes[lo : lo + step, None]
+            inside[np.arange(len(inside)), np.arange(lo, lo + len(inside))] = False
+            if inside.any():
+                return False
         return True
 
     def neighborhood_intersection_words(self, i, j) -> np.ndarray:
@@ -535,20 +596,35 @@ class SemipolarSpace:
     # -- singular planes and maximal singular subspaces ----------------------
 
     def singular_planes_through(self, pt: Point) -> list[frozenset[int]]:
-        """Singular planes through pt as point-index sets."""
+        """Singular planes through pt as point-index sets, ordered by their sorted
+        members.
+
+        The plane pt + <d1, d2> of every pair of singular directions through pt
+        is tested pairwise adjacent in one adjacency gather per block of pairs,
+        (pairs x p^2 x p^2) within about _CHUNK elements.
+        """
         add, _, scale = self._tables
         i = self.index(pt)
-        out = set()
-        for d1, d2 in combinations(self._singular_dirs[i].tolist(), 2):
-            members = add[self.line_codes(i, d1)[:, None], scale[:, d2]].ravel()
-            if self.adjacency[np.ix_(members, members)].all():
-                out.add(frozenset(members.tolist()))
-        return sorted(out, key=sorted)
+        dirs = self._singular_dirs[i]
+        first, second = np.triu_indices(len(dirs), 1)
+        width = self.p**2
+        found = [np.zeros((0, width), dtype=add.dtype)]
+        step = max(1, _CHUNK // (width * width))
+        for lo in range(0, len(first), step):
+            d1, d2 = dirs[first[lo : lo + step]], dirs[second[lo : lo + step]]
+            members = add[self.line_codes(i, d1)[:, :, None], scale[:, d2].T[:, None, :]]
+            members = members.reshape(len(d1), width)
+            singular = self.adjacency[members[:, :, None], members[:, None, :]].all(axis=(1, 2))
+            found.append(members[singular])
+        members = np.sort(np.concatenate(found), axis=1)
+        # distinct_rows orders by the reversed rows, so reverse them first
+        planes = members[distinct_rows(members[:, ::-1])]
+        return [frozenset(plane) for plane in planes.tolist()]
 
     @cached_property
     def _u_class_orthogonal(self) -> np.ndarray:
-        reps = np.array(self.u_direction_classes, dtype=np.int64)
-        table = self.form.eta.pair_table(reps) == 0
+        """[c, d]: eta(u_c, u_d) = 0, the class representatives' columns of kernel_mask."""
+        table = self.kernel_mask[:, self._u_classes[0]]
         table.setflags(write=False)
         return table
 
@@ -568,7 +644,7 @@ class SemipolarSpace:
     @cached_property
     def _maximal_singular_subspaces(self) -> list[frozenset[int]]:
         dirs = self._singular_dirs
-        _, first = np.unique(self._singular_keys, return_index=True)
+        _, first = self._distinct_singular_keys
         bases, cls = np.divmod(first, dirs.shape[1])
         members = np.sort(self.line_codes(bases, dirs[bases, cls]), axis=1)
         layer = (members, bases, self._u_class_orthogonal[cls])

@@ -277,16 +277,32 @@ class Semiform:
 
     def value_codes(self, a, b) -> np.ndarray:
         """Encoded rho for every pair of coordinate rows: out[i, j] is the base-p
-        code of rho(a[i], b[j]), each row a flat (v, u) point of Y."""
+        code of rho(a[i], b[j]), each row a flat (v, u) point of Y.
+
+        Built in place in int32, one V' coordinate at a time: the digit of
+        coordinate k is u_a . (G_k u_b) - phi(v_a)_k + phi(v_b)_k, with G_k u_b
+        reduced first so the int32 products stay below n * p^2.  The build holds
+        the output and one digit table, and no (len(a), len(b)) int64 array.
+        """
         p, nu = self.p, self.nu
         a, b = as_vec(a, p), as_vec(b, p)
-        phi_a = self.atlas.phi.apply_rows(a[:, :nu])
-        phi_b = self.atlas.phi.apply_rows(b[:, :nu])
-        out = np.zeros((len(a), len(b)), dtype=np.int32)
+        phi = self.atlas.phi.matrix.T  # a and b are reduced: no second reduction as in apply_rows
+        phi_a = (a[:, :nu] @ phi) % p
+        phi_b = (b[:, :nu] @ phi) % p
+        u_a = a[:, nu:].astype(np.int32)
+        # the first digit table becomes the output; later ones share one buffer
+        out = digit = None
         for k in range(nu):
-            eta_k = a[:, nu:] @ self.eta.gram[:, :, k] @ b[:, nu:].T
-            delta_k = phi_a[:, k][:, None] - phi_b[:, k][None, :]
-            out = out * p + ((eta_k - delta_k) % p).astype(np.int32)
+            right = ((self.eta.gram[:, :, k] @ b[:, nu:].T) % p).astype(np.int32)
+            digit = np.matmul(u_a, right, out=digit)
+            digit -= phi_a[:, k, None]
+            digit += phi_b[:, k]
+            digit %= p
+            if out is None:
+                out, digit = digit, None
+            else:
+                out *= p
+                out += digit
         return out
 
     def value_table(self, budget: int = DEFAULT_BUDGET) -> np.ndarray:

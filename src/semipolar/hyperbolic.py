@@ -36,6 +36,7 @@ from .linalg import (
     encode_vecs,
     enumerate_subspaces,
     enumerate_vectors,
+    first_occurrences,
     normalize_rows,
     pack_rows,
     projective_classes,
@@ -118,7 +119,7 @@ def projective_reps(vectors: np.ndarray, p: int) -> list[tuple[int, ...]]:
         return []
     reps = normalize_rows(reps, p)
     reps = reps[reps.any(axis=1)]
-    _, first = np.unique(encode_vecs(reps, p), return_index=True)
+    _, first = first_occurrences(encode_vecs(reps, p))
     return [tuple(r) for r in reps[np.sort(first)].tolist()]
 
 

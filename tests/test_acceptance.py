@@ -142,8 +142,14 @@ def test_c07_joinable_sizes(sp_m1_gf3, sp_m2_gf3, sp_cross_gf3):
     ok = True
     for space in (sp_m1_gf3, sp_m2_gf3, sp_cross_gf3):
         expected = 3**space.n
+        masks = space.joinable_masks(np.arange(space.size))
+        if not (masks.sum(axis=1) == expected).all():
+            ok = False
+            break
+        # the equation's own classification: an affine subspace of dimension n
         for pt in space.points:
-            if len(space.joinable_subspace(pt)) != expected:
+            z = space.zset(pt.u, pt.v, -1)
+            if z.kind != "affine" or z.dim != space.n:
                 ok = False
                 break
     conclude(7, "every neighborhood has exactly 3^dim(V) points on the GF(3) instances", ok)

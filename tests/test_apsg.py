@@ -288,16 +288,20 @@ def test_affine_point_set_agrees_with_point_closure(sp_m1_gf3, sp_m2_gf3, data):
 
 def test_joinable_counts_and_membership(sp_m1_gf3, sp_m2_gf3, sp_cross_gf3):
     for space, expect in ((sp_m1_gf3, 9), (sp_m2_gf3, 81), (sp_cross_gf3, 27)):
-        pts = space.joinable_subspace(space.origin)
-        assert len(pts) == expect == space.p**space.n
-        assert space.origin in pts
-        nbrs = {space.points[i] for i in np.flatnonzero(space.adjacency[0])}
-        assert set(pts) == nbrs
+        masks = space.joinable_masks(np.arange(space.size))
+        assert expect == space.p**space.n
+        assert (masks.sum(axis=1) == expect).all()
+        assert masks.diagonal().all()
+        # the joinable set of a point is its neighborhood
+        assert (masks == space.adjacency).all()
+        z = space.zset(space.origin.u, space.origin.v, -1)
+        assert z.kind == "affine" and z.dim == space.n
+        assert set(z.points) == {space.points[i] for i in np.flatnonzero(masks[0])}
     # off-origin spot checks
     for space in (sp_m1_gf3, sp_cross_gf3):
         pt = space.points[7]
-        pts = space.joinable_subspace(pt)
-        assert len(pts) == space.p**space.n and pt in pts
+        z = space.zset(pt.u, pt.v, -1)
+        assert z.kind == "affine" and len(z.points) == space.p**space.n and pt in z.points
 
 
 # -- triangles -------------------------------------------------------------------------
@@ -644,6 +648,131 @@ def test_maximal_singular_subspaces_match_brute_force_on_random_forms(shape, exa
         assert space.verify_gamma_space().check("singular-subspaces-affine").passed
 
     check()
+
+
+# -- batched kernels against their definitions on random forms ---------------------------------
+
+KERNEL_SHAPES = [((3, 2, 1), 6), ((5, 2, 1), 6), ((3, 2, 2), 6), ((3, 3, 2), 3)]
+
+
+def kernels_separate_by_definition(space):
+    """Condition (*) pair by pair, over every y0 of V: some y0 has eta(u', y0) = 0
+    and eta(u'', y0) != 0."""
+    eta = space.form.eta
+    vecs = [tuple(v) for v in enumerate_vectors(space.p, space.n).tolist()]
+    zero = {u: [not any(eta.eval(u, y)) for y in vecs] for u in space.u_direction_classes}
+    return all(
+        any(z1 and not z2 for z1, z2 in zip(zero[u1], zero[u2]))
+        for u1 in zero
+        for u2 in zero
+        if u1 != u2
+    )
+
+
+def planes_by_definition(space, pt):
+    """Spans of two singular lines through pt whose point pairs are all adjacent."""
+    p, out = space.p, set()
+    for l1, l2 in combinations(space.singular_lines_through(pt), 2):
+        members = {
+            space.index(pt.add(l1.direction.scale(a, p), p).add(l2.direction.scale(b, p), p))
+            for a in range(p)
+            for b in range(p)
+        }
+        if all(space.adjacency[x, y] for x, y in combinations(members, 2)):
+            out.add(frozenset(members))
+    return sorted(out, key=sorted)
+
+
+@pytest.mark.parametrize("shape, examples", KERNEL_SHAPES)
+def test_triangle_census_matches_triangles_through_on_random_forms(shape, examples):
+    @settings(max_examples=examples, deadline=None, derandomize=True)
+    @given(space=random_spaces(shape))
+    def check(space):
+        per_point = sum(len(space.triangles_through(pt)) for pt in space.points)
+        assert per_point == 3 * space.triangle_census()
+
+    check()
+
+
+@pytest.mark.parametrize("shape, examples", KERNEL_SHAPES)
+def test_separating_kernels_matches_the_pair_condition_on_random_forms(shape, examples):
+    @settings(max_examples=examples, deadline=None, derandomize=True)
+    @given(space=random_spaces(shape))
+    def check(space):
+        assert space.separating_kernels == kernels_separate_by_definition(space)
+
+    check()
+
+
+def test_separating_kernels_fails_where_the_pair_condition_fails():
+    # (*) holds on every nondegenerate scalar form and for n = 2; search the
+    # (3, 3, 2) forms for one with two u-classes sharing a partial kernel
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        upper = {(i, j): tuple(rng.integers(0, 3, 2).tolist()) for i, j in combinations(range(3), 2)}
+        eta = AlternatingMap(3, 3, 2, upper)
+        if not eta.is_nondegenerate():
+            continue
+        space = SemipolarSpace(Semiform(eta))
+        if not kernels_separate_by_definition(space):
+            break
+    else:
+        pytest.fail("no nondegenerate (3, 3, 2) form without kernel separation in 200 draws")
+    assert not space.separating_kernels
+
+
+@pytest.mark.parametrize("shape, examples", KERNEL_SHAPES)
+def test_singular_planes_through_match_pairwise_adjacency_on_random_forms(shape, examples):
+    @settings(max_examples=examples, deadline=None, derandomize=True)
+    @given(space=random_spaces(shape))
+    def check(space):
+        for k in (0, space.size // 2, space.size - 1):
+            pt = space.points[k]
+            assert space.singular_planes_through(pt) == planes_by_definition(space, pt)
+
+    check()
+
+
+@pytest.mark.parametrize("shape, examples", KERNEL_SHAPES)
+def test_joinable_masks_match_zset_mask_rows_on_random_forms(shape, examples):
+    @settings(max_examples=examples, deadline=None, derandomize=True)
+    @given(space=random_spaces(shape))
+    def check(space):
+        masks = space.joinable_masks(np.arange(space.size))
+        for k, pt in enumerate(space.points):
+            assert (masks[k] == space.zset_mask(pt.u, pt.v, -1)).all()
+
+    check()
+
+
+@pytest.mark.parametrize("shape, examples", KERNEL_SHAPES)
+def test_singular_line_table_matches_pairwise_adjacency_on_random_forms(shape, examples):
+    @settings(max_examples=examples, deadline=None, derandomize=True)
+    @given(space=random_spaces(shape))
+    def check(space):
+        table = space._singular_line_table
+        _, _, scale = space._tables
+        assert not table[:, 0].any()
+        # every (point, nonzero direction) entry lies on exactly one affine line
+        for b, d in zip(*space.affine_lines()):
+            singular = space.line_singular_by_pairs(space.decode_line(b, d))
+            rows = space.line_codes(b, d)
+            assert (table[rows[:, None], scale[1:, d][None, :]] == singular).all()
+
+    check()
+
+
+def test_one_corrupted_adjacency_pair_changes_census_and_pencil(sp_m2_gf3):
+    space = SemipolarSpace(sp_m2_gf3.form)
+    plane = sorted(space.singular_planes_through(space.origin)[0])
+    a, b = plane[1], plane[-1]
+    common = int((space.adjacency[a] & space.adjacency[b]).sum()) - 2
+    adj = space.adjacency.copy()
+    adj[a, b] = adj[b, a] = False
+    space.__dict__["adjacency"] = adj
+    # each triangle on the pair {a, b} is gone, one per other common neighbor
+    assert space.triangle_census() == sp_m2_gf3.triangle_census() - common
+    assert len(space.singular_planes_through(space.origin)) == 39
 
 
 def test_maximal_singular_subspaces_m2_are_planes(sp_m2_gf3):

@@ -1,0 +1,27 @@
+"""What a verify run imports, seen from a fresh interpreter."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_verify_all_does_not_import_numpy_ma(tmp_path):
+    # plain np.unique imports numpy.ma (with inspect and re) on first use;
+    # the engine deduplicates by sorting, so a verify run never loads it
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    inst, report = tmp_path / "m1.json", tmp_path / "report.json"
+    code = (
+        "import sys\n"
+        "from semipolar.cli import main\n"
+        f"assert main(['build', '--field', '3', '--kind', 'symplectic', '--index', '1', '--out', {str(inst)!r}]) == 0\n"
+        f"assert main(['verify', {str(inst)!r}, '--suite', 'all', '--out', {str(report)!r}]) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -14,6 +14,7 @@ from semipolar.linalg import (
     encode_vecs,
     enumerate_subspaces,
     enumerate_vectors,
+    first_occurrences,
     gaussian_binomial,
     index_vec,
     vec_index,
@@ -200,3 +201,12 @@ def test_subspace_contains_matches_vector_set():
     members = set(s.vectors())
     for v in product(range(3), repeat=3):
         assert s.contains(v) == (v in members)
+
+
+@pytest.mark.parametrize("shape", [(0,), (1,), (50,), (7, 30)])
+def test_first_occurrences_is_unique_with_first_indices(shape):
+    values = np.random.default_rng(len(shape)).integers(-3, 12, shape)
+    got_values, got_first = first_occurrences(values)
+    want_values, want_first = np.unique(values, return_index=True)
+    assert got_values.tolist() == want_values.tolist()
+    assert got_first.tolist() == want_first.tolist()

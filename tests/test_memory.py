@@ -4,6 +4,9 @@ is what a kernel allocates, not what the process happens to hold."""
 
 import tracemalloc
 
+import pytest
+
+from semipolar.apsg import SemipolarSpace
 from semipolar.forms import group_tables
 from semipolar.suites import SuiteConfig, run_suite
 
@@ -25,6 +28,25 @@ def test_bisectors_suite_allocates_a_few_tables(sp_m2_gf3):
     peak = traced_peak(lambda: run_suite("bisectors", space, SuiteConfig()))
     # a |Y|^3 boolean tensor alone would be |Y| = 243 bytes per table element
     assert peak < 48 * space.size**2
+
+
+@pytest.mark.parametrize("name", ["gamma", "pencil", "triangles", "joinable"])
+def test_point_loop_suites_allocate_a_few_tables(sp_m2_gf3, name):
+    # a fresh space, so the suite's own cached tables count; the value table,
+    # the adjacency and the group tables are inputs built beforehand
+    space = SemipolarSpace(sp_m2_gf3.form)
+    space.adjacency
+    group_tables(space.p, space.ydim)
+    peak = traced_peak(lambda: run_suite(name, space, SuiteConfig()))
+    # a |Y|^3 boolean tensor alone would be 243 * |Y|^2 bytes
+    assert peak < 48 * space.size**2
+
+
+def test_value_table_build_allocates_a_few_int32_tables(sp_m2_gf3):
+    out = []
+    peak = traced_peak(lambda: out.append(sp_m2_gf3.form.value_table()))
+    # the table itself and one digit table; an int64 (|Y|, |Y|) temporary is two
+    assert peak < 3 * out[0].nbytes
 
 
 def test_group_tables_build_allocates_a_few_tables():
