@@ -23,6 +23,7 @@ from .errors import (
 )
 from .forms import Report, Semiform, group_tables, normalize
 from .linalg import (
+    CHUNK,
     as_vec,
     distinct_rows,
     encode_vecs,
@@ -31,18 +32,9 @@ from .linalg import (
     pack_rows,
     projective_classes,
     rref,
+    subspace_closure,
     unpack_rows,
 )
-
-_CHUNK = 1 << 16  # elements in one block of a sweep's temporaries
-
-
-def _distinct_parts(parts: list[tuple]) -> tuple:
-    """Concatenate (key, *data) row blocks and keep the rows whose keys are distinct."""
-    merged = [np.concatenate(part) for part in zip(*parts)]
-    keep = distinct_rows(merged[0])
-    return tuple(part[keep] for part in merged)
-
 
 class Point(NamedTuple):
     """A point [v, u] of Y = V' + V."""
@@ -153,19 +145,19 @@ def neighborhood_intersections(adjacency: np.ndarray, words: np.ndarray, i, j) -
     A pair without common neighbors gets every point, the empty intersection.
 
     Runs in blocks of pairs: the common-neighbor masks of a block hold about
-    _CHUNK elements, and the words gathered at once, common neighbors x words,
-    about _CHUNK too, cut between pairs (a pair with more takes a block alone).
+    CHUNK elements, and the words gathered at once, common neighbors x words,
+    about CHUNK too, cut between pairs (a pair with more takes a block alone).
     """
     i, j = np.asarray(i), np.asarray(j)
     size, width = adjacency.shape[1], words.shape[1]
     out = np.empty((len(i), width), dtype=np.uint64)
     out[:] = pack_rows(np.ones(size, dtype=bool))
-    step = max(1, _CHUNK // size)
+    step = max(1, CHUNK // size)
     for lo in range(0, len(i), step):
         pair, nbr = np.nonzero(adjacency[i[lo : lo + step]] & adjacency[j[lo : lo + step]])
         a = 0
         while a < len(pair):
-            b = a + max(1, _CHUNK // width)
+            b = a + max(1, CHUNK // width)
             if b < len(pair):
                 b = np.searchsorted(pair, pair[b], side="right" if pair[b] == pair[a] else "left")
             run = pair[a:b]
@@ -325,10 +317,9 @@ class SemipolarSpace:
         return self._line_keys(self.line_codes(np.arange(self.size)[:, None], self._singular_dirs))
 
     @cached_property
-    def _distinct_singular_keys(self) -> tuple[np.ndarray, np.ndarray]:
-        """first_occurrences of `_singular_keys`: each key once, increasing, and
-        the flat index (point * classes + class) where it first occurs."""
-        return first_occurrences(self._singular_keys)
+    def _distinct_singular_keys(self) -> np.ndarray:
+        """Each key of `_singular_keys` once, increasing."""
+        return first_occurrences(self._singular_keys)[0]
 
     @cached_property
     def _singular_line_table(self) -> np.ndarray:
@@ -341,11 +332,11 @@ class SemipolarSpace:
         (negative, or s0 >= s1) marks nothing.
         """
         _, sub, scale = self._tables
-        s0, s1 = np.divmod(self._distinct_singular_keys[0], self.size)
+        s0, s1 = np.divmod(self._distinct_singular_keys, self.size)
         named = (s0 >= 0) & (s0 < s1)
         s0, s1 = s0[named], s1[named]
         table = np.zeros((self.size, self.size), dtype=bool)
-        step = max(1, _CHUNK // (self.p * (self.p - 1)))
+        step = max(1, CHUNK // (self.p * (self.p - 1)))
         for lo in range(0, len(s0), step):
             base, d = s0[lo : lo + step], sub[s1[lo : lo + step], s0[lo : lo + step]]
             table[self.line_codes(base, d)[:, :, None], scale[1:, d].T[:, None, :]] = True
@@ -365,7 +356,7 @@ class SemipolarSpace:
         second smallest, so both come out of the line key.
         """
         _, sub, _ = self._tables
-        bases, second = np.divmod(self._distinct_singular_keys[0], self.size)
+        bases, second = np.divmod(self._distinct_singular_keys, self.size)
         dirs = sub[second, bases].astype(np.int64)
         order = np.lexsort((dirs, bases))
         return bases[order], dirs[order]
@@ -431,7 +422,7 @@ class SemipolarSpace:
         rows = codes.reshape(-1, codes.shape[-1]).astype(np.intp)
         s = rows.shape[1]
         out = np.ones(len(rows), dtype=bool)
-        step = max(1, _CHUNK // max(s * s, size))
+        step = max(1, CHUNK // max(s * s, size))
         for lo in range(0, len(rows), step):
             block = rows[lo : lo + step]
             at = np.arange(len(block))[:, None] * size
@@ -447,11 +438,11 @@ class SemipolarSpace:
     def joinable_masks(self, codes) -> np.ndarray:
         """zset_mask(u_k, v_k, -1) of each point code k, one row each: the points
         [v, u] with eta(u_k, u) = v_k - v, which on the simplified form is
-        rho(y_k, [v, u]) = 0.  Built a block of rows of about _CHUNK elements
+        rho(y_k, [v, u]) = 0.  Built a block of rows of about CHUNK elements
         at a time."""
         codes = np.asarray(codes)
         out = np.empty((len(codes), self.size), dtype=bool)
-        step = max(1, _CHUNK // self.size)
+        step = max(1, CHUNK // self.size)
         for lo in range(0, len(codes), step):
             out[lo : lo + step] = self.rho_codes(codes[lo : lo + step]) == 0
         return out
@@ -483,7 +474,7 @@ class SemipolarSpace:
         b = self.adjacency.astype(np.float32 if self.size**2 < 1 << 24 else np.float64)
         np.fill_diagonal(b, 0)
         ordered = np.empty(self.size, dtype=np.int64)
-        step = max(1, _CHUNK // self.size)
+        step = max(1, CHUNK // self.size)
         for lo in range(0, self.size, step):
             rows = b[lo : lo + step]
             ordered[lo : lo + step] = ((rows @ b) * rows).sum(axis=1)
@@ -508,7 +499,7 @@ class SemipolarSpace:
         through = self._singular_dirs
         table = self._singular_line_table.ravel()
         first, second = np.triu_indices(through.shape[1], 1)
-        step = max(1, _CHUNK // max(1, len(first) * (self.p - 1)))
+        step = max(1, CHUNK // max(1, len(first) * (self.p - 1)))
         report = Report()
         wit = None
         for lo in range(0, size, step):
@@ -576,7 +567,7 @@ class SemipolarSpace:
         """
         mask = self.kernel_mask.astype(np.float32)
         sizes = mask.sum(axis=1)
-        step = max(1, _CHUNK // len(mask))
+        step = max(1, CHUNK // len(mask))
         for lo in range(0, len(mask), step):
             inside = mask[lo : lo + step] @ mask.T == sizes[lo : lo + step, None]
             inside[np.arange(len(inside)), np.arange(lo, lo + len(inside))] = False
@@ -601,7 +592,7 @@ class SemipolarSpace:
 
         The plane pt + <d1, d2> of every pair of singular directions through pt
         is tested pairwise adjacent in one adjacency gather per block of pairs,
-        (pairs x p^2 x p^2) within about _CHUNK elements.
+        (pairs x p^2 x p^2) within about CHUNK elements.
         """
         add, _, scale = self._tables
         i = self.index(pt)
@@ -609,7 +600,7 @@ class SemipolarSpace:
         first, second = np.triu_indices(len(dirs), 1)
         width = self.p**2
         found = [np.zeros((0, width), dtype=add.dtype)]
-        step = max(1, _CHUNK // (width * width))
+        step = max(1, CHUNK // (width * width))
         for lo in range(0, len(first), step):
             d1, d2 = dirs[first[lo : lo + step]], dirs[second[lo : lo + step]]
             members = add[self.line_codes(i, d1)[:, :, None], scale[:, d2].T[:, None, :]]
@@ -629,92 +620,26 @@ class SemipolarSpace:
         return table
 
     def maximal_singular_subspaces(self) -> list[frozenset[int]]:
-        """Exhaustive closure: grow singular subspaces from lines until nothing extends.
+        """Exhaustive closure: grow singular subspaces from points until nothing extends.
 
-        A subspace is held as its sorted point codes, a base point and its
-        candidates, the u-classes orthogonal to the u-classes of its singular
-        directions.  It extends by the singular line through the base in a
-        candidate class; an extension counts when its span has p^(k+1) distinct
-        points that are pairwise adjacent.  Every singular subspace of one
-        dimension more is reached this way, so a subspace with no extension is
-        maximal.
+        `linalg.subspace_closure` grows them on the adjacency words, a
+        subspace extending by the affine span with an adjacent point outside
+        it; a subspace with no such point is maximal.
         """
         return self._maximal_singular_subspaces
 
     @cached_property
     def _maximal_singular_subspaces(self) -> list[frozenset[int]]:
-        dirs = self._singular_dirs
-        _, first = self._distinct_singular_keys
-        bases, cls = np.divmod(first, dirs.shape[1])
-        members = np.sort(self.line_codes(bases, dirs[bases, cls]), axis=1)
-        layer = (members, bases, self._u_class_orthogonal[cls])
         maximal: list[frozenset[int]] = []
-        while len(layer[0]):
-            top, layer = self._extend(*layer)
-            maximal += map(frozenset, top.tolist())
+        for members, top in subspace_closure(self._adjacency_words, self._affine_span):
+            maximal += map(frozenset, members[top].tolist())
         return sorted(maximal, key=sorted)
 
-    def _extend(self, members: np.ndarray, bases: np.ndarray, cand: np.ndarray):
-        """One layer of the closure: the member rows that have no extension, and
-        the distinct extensions as (members, bases, candidates).
-
-        The lowest live candidate c of a row gives the span of the row and the
-        singular line through its base in class c.  If that span is singular,
-        every class whose tip add[b, dirs[b, c']] lies in it gives the same
-        extension or none, so all of them are struck; otherwise c alone is.
-        Only the u-classes of span points minus the base can have their tip in
-        the span, so only those tips are looked up.
-
-        The layer is swept in blocks of rows.  Extensions are deduplicated on
-        their sorted point codes (a point mask would cost |Y| per extension)
-        whenever the new ones outnumber the distinct ones kept, so the sorting
-        stays proportional to the extensions made.
-        """
+    def _affine_span(self, members: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Codes of the affine span of each row of member codes with the point x[i]."""
         add, sub, scale = self._tables
-        dirs, orth = self._singular_dirs, self._u_class_orthogonal
-        u_class = self._u_classes[1]
-        width = members.shape[1] * self.p
-        step = max(1, _CHUNK // (width * width))
-        top = np.ones(len(members), dtype=bool)
-        none = np.zeros(0, dtype=np.intp)
-        # (members, row extended, class added) of the extensions so far
-        found = [(members[:0].reshape(0, width), none, none)]
-        pending = 0
-        for lo in range(0, len(members), step):
-            block, b = members[lo : lo + step], bases[lo : lo + step]
-            live = cand[lo : lo + step].copy()
-            rows = np.flatnonzero(live.any(axis=1))
-            while rows.size:
-                c = live[rows].argmax(axis=1)
-                live[rows, c] = False
-                span = add[block[rows][:, :, None], scale[:, dirs[b[rows], c]].T[:, None, :]]
-                span = np.sort(span.reshape(len(rows), width), axis=1)
-                ok = (np.diff(span, axis=1) != 0).all(axis=1)
-                indep = span[ok]
-                ok[ok] = self.adjacency[indep[:, :, None], indep[:, None, :]].all(axis=(1, 2))
-                if ok.any():
-                    r, span = rows[ok], span[ok]
-                    # tips of those classes, looked up in the spans offset row by row
-                    classes = u_class[sub[span, b[r][:, None]] % self.p**self.n]
-                    offset = np.arange(len(r))[:, None] * self.size
-                    keys = (span + offset).ravel()
-                    tips = add[b[r][:, None], dirs[b[r][:, None], classes]] + offset
-                    inside = keys[np.minimum(np.searchsorted(keys, tips), len(keys) - 1)] == tips
-                    live[np.broadcast_to(r[:, None], inside.shape)[inside], classes[inside]] = False
-                    top[lo + r] = False
-                    found.append((span, lo + r, c[ok]))
-                    pending += len(r)
-                rows = rows[live[rows].any(axis=1)]
-            if pending >= len(found[0][0]):
-                found, pending = [_distinct_parts(found)], 0
-        grown, row, added = _distinct_parts(found)
-        # the candidates of the extensions, a block of rows at a time: two whole
-        # (extensions x classes) gathers would triple the largest array of a layer
-        nxt = np.empty((len(row), cand.shape[1]), dtype=bool)
-        step = max(1, _CHUNK // cand.shape[1])
-        for lo in range(0, len(row), step):
-            np.logical_and(cand[row[lo : lo + step]], orth[added[lo : lo + step]], out=nxt[lo : lo + step])
-        return members[top], (grown, bases[row], nxt)
+        moves = scale[:, sub[x, members[:, 0]]].T  # a * (x - base), a = 0..p-1
+        return add[members[:, :, None], moves[:, None, :]].reshape(len(x), -1)
 
     # -- the pencil of lines and planes through a point -----------------------
 

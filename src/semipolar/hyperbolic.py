@@ -8,10 +8,11 @@ leaves a reduct from which the deleted geometry is rebuilt: punctured-plane
 maximals are grouped by their incidences against affine-plane maximals, the
 groups are the deleted points, the affine maximals the deleted hyperplanes.
 
-Inside the engine a totally isotropic subspace is a boolean mask over the
-quadric points: spans come from coefficient grids looked up in a table from
-vector code to quadric-point index, and intersections are mask products.
-`Subspace` values are decoded only where the public functions return them.
+Inside the engine a totally isotropic subspace is a row of quadric-point
+indices: spans are looked up in a table from vector code to quadric-point
+index, and the maximal subspaces are also held as boolean masks over the
+quadric points, whose intersections are mask products.  `Subspace` values are
+decoded only where the public functions return them.
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ from .errors import (
 )
 from .gf import GF
 from .linalg import (
+    CHUNK,
     Subspace,
     as_vec,
-    distinct_rows,
     encode_vecs,
     enumerate_subspaces,
     enumerate_vectors,
@@ -41,12 +42,8 @@ from .linalg import (
     pack_rows,
     projective_classes,
     rank,
-    unpack_rows,
+    subspace_closure,
 )
-
-# bytes the largest intermediate of one block of a batched computation may hold
-_CHUNK = 1 << 20
-
 
 def is_square(a: int, p: int) -> bool:
     a %= p
@@ -128,8 +125,10 @@ def subspace_reps(s: Subspace) -> list[tuple[int, ...]]:
 
 
 def _meet_counts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """|a_i & b_j| for every pair of rows of two boolean point-mask matrices."""
-    return np.rint(a.astype(np.float64) @ b.T.astype(np.float64)).astype(np.int64)
+    """|a_i & b_j| for every pair of rows of two boolean point-mask matrices, as
+    float32, which is exact for counts below 2^24; a is converted once when b is a."""
+    fa = a.astype(np.float32)
+    return fa @ (fa if b is a else b.astype(np.float32)).T
 
 
 class HypPolarSpace:
@@ -158,8 +157,6 @@ class HypPolarSpace:
         by_class = np.full(len(reps) + 1, -1, dtype=np.int64)
         by_class[np.flatnonzero(iso)] = np.arange(len(self._rep_matrix))
         self._point_index = by_class[cls]
-        self._layers: list[tuple[np.ndarray, np.ndarray]] = []
-        self._top = None  # index of the maximal layer once the closure has reached it
 
     # -- structure verification -------------------------------------------------
 
@@ -180,7 +177,7 @@ class HypPolarSpace:
         k = self.zeta.dim // 2
         return is_square(((-1) ** k) * disc, self.p)
 
-    # -- subspaces as point masks ---------------------------------------------------
+    # -- spans, closure layers and point masks ---------------------------------------
 
     def _span_indices(self, bases: np.ndarray) -> np.ndarray:
         """Quadric-point index of every nonzero member of each span of (m, k, 2n)
@@ -188,7 +185,7 @@ class HypPolarSpace:
         m, k, dim = bases.shape
         grid = enumerate_vectors(self.p, k)[1:]
         out = np.empty((m, len(grid)), dtype=np.int64)
-        step = max(1, _CHUNK // (8 * max(1, grid.size * dim)))
+        step = max(1, CHUNK // max(1, grid.size * dim))
         for lo in range(0, m, step):
             vecs = (grid @ bases[lo : lo + step]) % self.p
             out[lo : lo + step] = self._point_index[encode_vecs(vecs, self.p)]
@@ -213,30 +210,36 @@ class HypPolarSpace:
         return mask
 
     @cached_property
-    def _orthogonal(self) -> np.ndarray:
-        """Q x Q: the quadric points i and j are zeta-orthogonal (collinear or equal)."""
+    def _orthogonal_words(self) -> np.ndarray:
+        """Row i marks the quadric points zeta-orthogonal to point i (collinear
+        or equal), as pack_rows words, built a block of rows at a time."""
         r = self._rep_matrix
-        return (r @ self.zeta.gram @ r.T) % self.p == 0
+        words = np.empty((len(r), -(-len(r) // 64)), dtype=np.uint64)
+        step = max(1, CHUNK // len(r))
+        for lo in range(0, len(r), step):
+            words[lo : lo + step] = pack_rows((r[lo : lo + step] @ self.zeta.gram @ r.T) % self.p == 0)
+        return words
 
     def _dims(self, counts) -> np.ndarray:
-        """Dimension d of subspaces from their numbers of points, (p^d - 1)/(p - 1)."""
-        table = (self.p ** np.arange(2 * self.n + 1) - 1) // (self.p - 1)
-        counts = np.asarray(counts)
-        d = np.minimum(np.searchsorted(table, counts), len(table) - 1)
-        if (table[d] != counts).any():
+        """Dimension d of subspaces from their numbers of points, (p^d - 1)/(p - 1),
+        read from a table indexed by count."""
+        sizes = (self.p ** np.arange(2 * self.n + 1) - 1) // (self.p - 1)
+        dim_of = np.full(sizes[-1] + 1, -1, dtype=np.int8)
+        dim_of[sizes] = np.arange(len(sizes))
+        d = dim_of[np.asarray(counts, dtype=np.intp)]
+        if (d < 0).any():
             raise DegenerateForm("a point count that no subspace has")
         return d
 
-    def _echelon(self, masks: np.ndarray) -> np.ndarray:
-        """The reduced row-echelon bases of the subspaces with these point masks,
-        as (m, k) quadric-point indices.
+    def _echelon(self, points: np.ndarray) -> np.ndarray:
+        """The reduced row-echelon bases of the subspaces with these rows of
+        member indices, as (m, k) quadric-point indices.
 
         The pivots are the leading positions of the members, and row r is the
         member whose pivot coordinates are the r-th unit vector; it is
         normalised, so it is one of the quadric-point representatives.
         """
-        m = len(masks)
-        points = np.nonzero(masks)[1].reshape(m, -1)
+        m = len(points)
         members = self._rep_matrix[points]
         is_pivot = np.zeros((m, members.shape[2]), dtype=bool)
         is_pivot[np.arange(m)[:, None], (members != 0).argmax(axis=2)] = True
@@ -246,70 +249,41 @@ class HypPolarSpace:
         row_of = (proj[:, None, :, :] == unit[None, :, None, :]).all(axis=3).argmax(axis=2)
         return np.take_along_axis(points, row_of, axis=1)
 
-    def _extend(self, masks: np.ndarray, basis: np.ndarray):
-        """The distinct one-point extensions of a layer of subspaces, or None
-        when every member is maximal.
+    def _span_with(self, members: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Quadric-point indices of the span of each row of member indices with
+        the point x[i]: the points <s + a*x> for every member s and scalar a, and x."""
+        rep = self._rep_matrix
+        a = np.arange(self.p)[:, None]
+        vecs = rep[members][:, :, None, :] + a * rep[x][:, None, None, :]
+        idx = self._point_index[encode_vecs(vecs, self.p)].reshape(len(x), -1)
+        return np.concatenate([idx, x[:, None]], axis=1)
 
-        The candidates of a subspace are the points orthogonal to its basis
-        points and outside it.  The lowest candidate gives one extension; its
-        span is struck from the candidates, since each of its points gives the
-        same extension, and the next lowest gives the next.  Extensions found
-        from several subspaces fall together on their packed masks.  The layer
-        is swept in blocks of rows, deduplicating after each block, so the
-        (rows x points) masks and the packed extensions stay bounded.
-        """
-        q = masks.shape[1]
-        found = np.zeros((0, -(-q // 64)), dtype=np.uint64)
-        extendable = 0
-        step = max(1, _CHUNK // q)
-        for lo in range(0, len(masks), step):
-            cand = ~masks[lo : lo + step]
-            block = basis[lo : lo + step]
-            for col in block.T:
-                cand &= self._orthogonal[col]
-            rows = np.flatnonzero(cand.any(axis=1))
-            extendable += len(rows)
-            grown = [found]
-            while rows.size:
-                point = cand[rows].argmax(axis=1)
-                gens = np.concatenate([block[rows], point[:, None]], axis=1)
-                span = self._span_masks(self._rep_matrix[gens])
-                cand[rows] &= ~span
-                grown.append(pack_rows(span))
-                rows = rows[cand[rows].any(axis=1)]
-            found = np.concatenate(grown)
-            found = found[distinct_rows(found)]
-        if not extendable:
-            return None  # commuting points inside every mask: the layer is maximal
-        if extendable < len(masks):
-            raise DegenerateForm("maximal singular subspaces of different dimensions")
-        return self._sorted_layer(found)
-
-    def _sorted_layer(self, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(masks, echelon basis points) of packed subspace masks, ordered by
-        the echelon bases; the masks are unpacked twice rather than copied."""
-        q = len(self.quadric_points)
-        basis = self._echelon(unpack_rows(words, q))
+    def _sorted(self, members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(member indices, echelon basis points) of a layer, ordered by basis."""
+        basis = self._echelon(members)
         order = np.lexsort(self._rep_matrix[basis].reshape(len(basis), -1).T[::-1])
-        return unpack_rows(words[order], q), basis[order]
+        return members[order], basis[order]
 
-    def _layer(self, k: int):
-        """(point masks, echelon basis points) of the totally isotropic
-        (k+1)-subspaces, sorted by basis; None beyond the maximal ones."""
-        if not self._layers:
-            q = len(self.quadric_points)
-            self._layers.append((np.eye(q, dtype=bool), np.arange(q)[:, None]))
-        while len(self._layers) <= k and self._top is None:
-            grown = self._extend(*self._layers[-1])
-            if grown is None:
-                self._top = len(self._layers) - 1
-            else:
-                self._layers.append(grown)
-        return self._layers[k] if k < len(self._layers) else None
+    @cached_property
+    def _layers(self) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+        """The lines and the maximal subspaces, each as `_sorted` gives them, from
+        `linalg.subspace_closure` on the orthogonality words."""
+        closure = subspace_closure(self._orthogonal_words, self._span_with)
+        for k, (members, top) in enumerate(closure):
+            if k == 1:
+                lines = members
+            if top.any():
+                if not top.all():
+                    raise DegenerateForm("maximal singular subspaces of different dimensions")
+                return self._sorted(lines), self._sorted(members)
 
-    def _maximal_layer(self) -> tuple[np.ndarray, np.ndarray]:
-        self._layer(2 * self.n)
-        return self._layers[self._top]
+    @cached_property
+    def _maximal_masks(self) -> np.ndarray:
+        """The maximal subspaces as boolean masks over the quadric points."""
+        members, _ = self._layers[1]
+        masks = np.zeros((len(members), len(self.quadric_points)), dtype=bool)
+        masks[np.arange(len(members))[:, None], members] = True
+        return masks
 
     def _decode(self, basis: np.ndarray) -> list[Subspace]:
         rows = self._rep_matrix[basis].tolist()
@@ -317,11 +291,11 @@ class HypPolarSpace:
 
     @cached_property
     def _lines(self) -> list[Subspace]:
-        return self._decode(self._layer(1)[1])
+        return self._decode(self._layers[0][1])
 
     @cached_property
     def _maximals(self) -> list[Subspace]:
-        return self._decode(self._maximal_layer()[1])
+        return self._decode(self._layers[1][1])
 
     def lines(self) -> list[Subspace]:
         """All totally isotropic 2-subspaces (the lines of the polar space)."""
@@ -334,7 +308,7 @@ class HypPolarSpace:
     def parity_classes(self) -> tuple[list[int], np.ndarray]:
         """Split the maximals into the two equivalence classes of even-intersection
         parity; returns (class id per maximal, the relation matrix)."""
-        masks, _ = self._maximal_layer()
+        masks = self._maximal_masks
         k = len(masks)
         dims = self._dims(masks.sum(axis=1))
         rel = (dims[:, None] - self._dims(_meet_counts(masks, masks))) % 2 == 0
@@ -380,7 +354,16 @@ class Reduct:
     space: HypPolarSpace
     z: Subspace
     points: tuple[tuple[int, ...], ...]
-    lines: tuple[frozenset[tuple[int, ...]], ...]
+    line_members: np.ndarray  # quadric-point indices of the polar lines keeping two points
+
+    @cached_property
+    def lines(self) -> tuple[frozenset[tuple[int, ...]], ...]:
+        """The reduct lines: the points of each kept polar line off the deleted subspace."""
+        pts = self.space.quadric_points
+        off_z = ~self.z_mask[self.line_members]
+        return tuple(
+            frozenset(pts[i] for i in line[off].tolist()) for line, off in zip(self.line_members, off_z)
+        )
 
     @cached_property
     def line_set(self) -> frozenset[frozenset[tuple[int, ...]]]:
@@ -398,14 +381,9 @@ def reduct(space: HypPolarSpace, z: Subspace) -> Reduct:
     z_mask = space.point_mask(z)
     pts = space.quadric_points
     points = tuple(pts[i] for i in np.flatnonzero(~z_mask).tolist())
-    rows, cols = np.nonzero(space._layer(1)[0])
-    off_z = ~z_mask[cols]
-    rows, cols = rows[off_z], cols[off_z]
-    kept = np.bincount(rows)[rows] >= 2
-    rows, cols = rows[kept], cols[kept]
-    members = np.split(cols, np.flatnonzero(np.diff(rows)) + 1) if len(rows) else []
-    lines = tuple(frozenset(pts[i] for i in line.tolist()) for line in members)
-    return Reduct(space, z, points, lines)
+    members, _ = space._layers[0]
+    kept = (~z_mask[members]).sum(axis=1) >= 2
+    return Reduct(space, z, points, members[kept])
 
 
 @dataclass
@@ -419,7 +397,7 @@ class ReductClassification:
 def _classify(red: Reduct) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Indices into the maximals of R0, R1 and the rest, by the dimension of
     their meet with the deleted subspace Z (Z itself left out)."""
-    masks, _ = red.space._maximal_layer()
+    masks = red.space._maximal_masks
     z = red.z_mask
     dims = red.space._dims((masks & z).sum(axis=1))
     kept = ~(masks == z).all(axis=1)
@@ -493,7 +471,7 @@ def reconstruct_deleted_subspace(red: Reduct) -> Reconstruction:
     every incidence is compared both ways.
     """
     space = red.space
-    masks, _ = space._maximal_layer()
+    masks = space._maximal_masks
     z = red.z_mask
     r0, r1, other = _classify(red)
     x0, x1 = masks[r0], masks[r1]
@@ -570,10 +548,10 @@ def reconstruction_report(space: HypPolarSpace, z: Subspace) -> dict:
         "field": space.p,
         "base_dim": space.n,
         "quadric_points": len(space.quadric_points),
-        "polar_lines": len(space.lines()),
+        "polar_lines": len(space._layers[0][0]),
         "maximal_singulars": len(space.maximal_singulars()),
         "parity_class_sizes": sizes,
         "reduct_points": len(red.points),
-        "reduct_lines": len(red.lines),
+        "reduct_lines": len(red.line_members),
         "reconstruction": rec.to_jsonable(),
     }

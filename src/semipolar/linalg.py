@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 from itertools import combinations, product
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
 from .errors import DEFAULT_BUDGET, DimensionMismatch, check_budget
+
+CHUNK = 1 << 16  # elements in one block of a batched sweep's temporaries
 
 
 def as_vec(x, p: int) -> np.ndarray:
@@ -102,6 +104,86 @@ def first_occurrences(values) -> tuple[np.ndarray, np.ndarray]:
 def unpack_rows(words: np.ndarray, n: int) -> np.ndarray:
     """The first n bits of each row of pack_rows words, as booleans."""
     return np.unpackbits(np.ascontiguousarray(words).view(np.uint8), axis=-1, count=n).view(bool)
+
+
+def _without(words: np.ndarray, members: np.ndarray, n: int) -> np.ndarray:
+    """pack_rows words over n points with each row's member codes cleared."""
+    bits = unpack_rows(words, n)
+    bits[np.arange(len(bits))[:, None], members] = False
+    return pack_rows(bits)
+
+
+def subspace_closure(
+    words: np.ndarray, span: Callable[[np.ndarray, np.ndarray], np.ndarray]
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The singular subspaces of a geometry on n points, one layer per dimension.
+
+    `words` are the n collinearity rows as pack_rows words: row x marks the
+    points joined to x by a singular line, and x itself.  `span(members, x)`
+    gives the point codes of the span of each subspace, a row of member codes,
+    with a point x[i] outside it.  For each layer, from the single points up,
+    yields the sorted member codes of its subspaces, one row each in no fixed
+    order, and whether each is maximal.
+
+    A subspace's candidates are the points collinear with all the points that
+    spanned it, less its members.  The lowest candidate x gives the extension
+    span(S, x), and every point of that span is struck, since each gives the
+    same extension.  An extension's candidates are its parent's, as they were
+    before striking, and `words[x]`, less its own members.  A subspace with no
+    candidates is maximal.
+
+    Every candidate gives an extension, with no test of its points.  The
+    points collinear with a point y form a subspace, since the form is linear
+    (affine, for a semiform) in the second argument, and collinearity is
+    symmetric.  So a candidate x is collinear with all of S, and the points
+    collinear with a point of S, or with x, form a subspace holding S and x,
+    hence span(S, x).  Every point of span(S, x) is then collinear with S and
+    x, so with all of span(S, x): the extension is singular, and as x lies
+    outside S it has p times the points of S (p times plus one, projectively).
+    For the same reason its candidates do not depend on the parent that gave
+    it.  Conversely a singular subspace one dimension above S that holds S is
+    span(S, x) for each of its points x outside S, which are candidates of S,
+    so the layers are complete.
+
+    The layer is swept in blocks of rows, its candidates unpacked a block at a
+    time.  Extensions are deduplicated on their sorted codes
+    (`distinct_rows`) whenever the new ones outnumber the distinct ones kept.
+    """
+    def distinct(found: list[tuple]) -> tuple:
+        merged = [np.concatenate(part) for part in zip(*found)]
+        keep = distinct_rows(merged[0])
+        return tuple(part[keep] for part in merged)
+
+    n = len(words)
+    members = np.arange(n)[:, None]
+    cand = _without(words, members, n)
+    step = max(1, CHUNK // n)
+    while True:
+        top = np.ones(len(members), dtype=bool)
+        found, kept, pending = [], 0, 0  # (codes, parent row, x) of the extensions
+        for lo in range(0, len(members), step):
+            live = unpack_rows(cand[lo : lo + step], n)
+            rows = np.flatnonzero(live.any(axis=1))
+            top[lo + rows] = False
+            while rows.size:
+                x = live[rows].argmax(axis=1)
+                grown = np.sort(span(members[lo + rows], x), axis=1)
+                live[rows[:, None], grown] = False
+                found.append((grown, lo + rows, x))
+                pending += len(rows)
+                rows = rows[live[rows].any(axis=1)]
+            if found and pending >= kept:
+                found = [distinct(found)]
+                kept, pending = len(found[0][0]), 0
+        yield members, top
+        if not found:
+            return
+        members, parent, x = distinct(found)
+        nxt = np.empty((len(parent), cand.shape[1]), dtype=cand.dtype)
+        for lo in range(0, len(parent), step):
+            at = slice(lo, lo + step)
+            nxt[at] = _without(cand[parent[at]] & words[x[at]], members[at], n)
+        cand = nxt
 
 
 def rref(mat, p: int) -> tuple[np.ndarray, list[int]]:

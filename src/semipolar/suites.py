@@ -14,7 +14,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import apsg
 from .apsg import SemipolarSpace
 from .autos import (
     ORACLE_CAP,
@@ -40,7 +39,7 @@ from .hyperbolic import (
     reconstruction_report,
     standard_doubling_base,
 )
-from .linalg import LinearMap, encode_vecs, normalize_rows, pack_rows
+from .linalg import CHUNK, LinearMap, encode_vecs, normalize_rows, pack_rows
 from .metric import translation_noninvariance_witness
 
 
@@ -186,9 +185,9 @@ def suite_triangles(space: SemipolarSpace, cfg: SuiteConfig) -> Report:
 def _first_failing_pair(space: SemipolarSpace, pairs: np.ndarray, fails: Callable):
     """The first row of a (pairs, 2) code array on which `fails(i, j)` (one flag
     per pair of code arrays) holds, as the repr of a pair of points, or None.
-    A block of pairs holds (pairs x |Y|) masks of about apsg._CHUNK elements."""
+    A block of pairs holds (pairs x |Y|) masks of about CHUNK elements."""
     i, j = pairs.T
-    step = max(1, apsg._CHUNK // space.size)
+    step = max(1, CHUNK // space.size)
     for lo in range(0, len(i), step):
         a, b = i[lo : lo + step], j[lo : lo + step]
         bad = np.flatnonzero(fails(a, b))

@@ -497,7 +497,7 @@ def test_packed_neighborhood_kernel_blocks_match_the_reference(monkeypatch, chun
     upper = np.triu(rng.random((130, 130)) < 0.6)
     adj = upper | upper.T
     i, j = rng.integers(0, 130, (2, 50))
-    monkeypatch.setattr(apsg, "_CHUNK", chunk)
+    monkeypatch.setattr(apsg, "CHUNK", chunk)
     got = unpack_rows(neighborhood_intersections(adj, pack_rows(adj), i, j), 130)
     for k in range(len(i)):
         assert set(np.flatnonzero(got[k]).tolist()) == big_int_neighborhood_intersection(

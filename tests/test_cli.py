@@ -264,6 +264,8 @@ PINNED_REPORTS = {
         "024e35d5ad2f5aa7f4d34760566c65104b6a6b7595bcd559485ed0891228da6d",
     ("verify", "m2", "--suite", "all"):
         "22f2fb503d5ddf4fa816f042107bb24ab20235513808aa01ae32187129469834",
+    ("verify", "cross", "--suite", "gamma"):
+        "ca5425a03f9013cd808dc65a571b9175f32c043e00e8b98480590d828a4e1089",
 }
 
 

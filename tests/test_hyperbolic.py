@@ -1,9 +1,11 @@
 """The doubled polar space, its maximal singular subspaces, reducts, reconstruction."""
 
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from semipolar.errors import DegenerateForm, DimensionMismatch, InvalidSubspace
 from semipolar.hyperbolic import (
@@ -23,7 +25,7 @@ from semipolar.hyperbolic import (
     standard_doubling_base,
     subspace_reps,
 )
-from semipolar.linalg import Subspace, enumerate_subspaces, enumerate_vectors, rank
+from semipolar.linalg import Subspace, enumerate_vectors, rank, subspace_closure
 
 
 @pytest.fixture(scope="session")
@@ -146,14 +148,62 @@ def test_parity_classes_are_two_equal_halves(hyp_identity):
             assert (classes[i] == classes[j]) == rel[i, j]
 
 
-def test_maximal_singulars_equal_brute_force(hyp_identity, hyp_diag112):
-    # every 3-subspace of GF(3)^6 on which zeta vanishes, by enumeration
-    subs = enumerate_subspaces(3, 6, 3)
-    bases = np.array([s.matrix() for s in subs])
-    for space in (hyp_identity, hyp_diag112):
-        vals = bases @ space.zeta.gram @ bases.transpose(0, 2, 1) % 3
-        brute = [s for s, v in zip(subs, vals) if not v.any()]
-        assert space.maximal_singulars() == sorted(brute, key=lambda s: s.basis)
+def isotropic_echelon_bases(space, k):
+    """Every totally isotropic k-subspace of the doubled space, by its reduced
+    echelon basis, built row by row: each row a vector whose first nonzero
+    coordinate is 1, its pivot right of the rows before, zero at their pivots,
+    and zeta-isotropic and orthogonal to every other row."""
+    p, gram = space.p, space.zeta.gram
+    vecs = enumerate_vectors(p, 2 * space.n)
+    lead = (vecs != 0).argmax(axis=1)
+    rows = vecs[(vecs[np.arange(len(vecs)), lead] == 1) & ((vecs @ gram * vecs).sum(axis=1) % p == 0)]
+    lead = (rows != 0).argmax(axis=1)
+    orth = rows @ gram @ rows.T % p == 0
+    bases = np.arange(len(rows))[:, None]
+    for _ in range(k - 1):
+        ok = lead[None, :] > lead[bases[:, -1]][:, None]
+        for col in bases.T:
+            ok &= orth[col] & (rows[col][:, lead] == 0)
+        i, j = np.nonzero(ok)
+        bases = np.concatenate([bases[i], j[:, None]], axis=1)
+    return sorted((Subspace.from_echelon(rows[b], p, 2 * space.n) for b in bases), key=lambda s: s.basis)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(
+    base=st.sampled_from([3, 5]).flatmap(
+        lambda p: st.tuples(st.just(p), st.lists(st.integers(1, p - 1), min_size=3, max_size=3))
+    )
+)
+@example(base=(3, [1, 1, 1]))
+@example(base=(3, [1, 1, 2]))
+def test_maximal_singulars_equal_brute_force(base):
+    # random nondegenerate diagonal forms on GF(p)^3: the lines and the maximal
+    # subspaces equal the echelon enumeration, and no isotropic 4-subspace exists
+    p, diag = base
+    space = build_double(3, standard_doubling_base(3, p, diag=diag))
+    assert space.lines() == isotropic_echelon_bases(space, 2)
+    assert space.maximal_singulars() == isotropic_echelon_bases(space, 3)
+    assert isotropic_echelon_bases(space, 4) == []
+
+
+def test_closure_spans_each_extension_once(hyp_identity):
+    # a subspace S has one candidate per point of each extension U outside S,
+    # and the first of them strikes the rest, so every U is spanned once from
+    # each of its hyperplanes; a projective U has as many hyperplanes as points
+    space, spans = hyp_identity, []
+
+    def span(members, x):
+        spans.append(len(x))
+        return space._span_with(members, x)
+
+    closure = subspace_closure(space._orthogonal_words, span)
+    layers = []
+    for count, (members, top) in zip([130, 520, 80], closure):
+        assert len(members) == count
+        assert top.all() == (count == 80) and top.any() == top.all()
+        layers.append(members)
+    assert sum(spans) == layers[1].size + layers[2].size
 
 
 def test_parity_classes_match_rank_definition(hyp_identity, hyp_diag112):

@@ -55,3 +55,10 @@ def test_group_tables_build_allocates_a_few_tables():
     _, add, sub, _, _ = out[0]
     # one more (p^n, p^n) table besides add and sub; a (p^n, p^n, n) int64 array is 6x both
     assert peak < 2 * (add.nbytes + sub.nbytes)
+
+
+def test_hyperbolic_suite_holds_no_unpacked_layer():
+    # over GF(5) the 4,836 polar lines as an unpacked mask over the 806 quadric
+    # points would be 4,836 * 806 bytes; the closure holds them as member codes
+    peak = traced_peak(lambda: run_suite("hyperbolic", None, SuiteConfig(field=5)))
+    assert peak < 4836 * 806

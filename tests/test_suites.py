@@ -147,7 +147,8 @@ def test_recover_witnesses_are_the_first_failing_pairs(sp_m1_gf3, monkeypatch, c
     # give the vertical pair (0, j) a common neighbor k: that breaks the
     # vertical check and the recovery of every pair that now sees k.  Blocks of
     # 7 elements hold one pair each, blocks of 2048 elements 75 pairs
-    monkeypatch.setattr(apsg, "_CHUNK", chunk)
+    monkeypatch.setattr(apsg, "CHUNK", chunk)
+    monkeypatch.setattr(suites, "CHUNK", chunk)
     space = SemipolarSpace(sp_m1_gf3.form)
     adj = space.adjacency.copy()
     j = next(j for j in range(1, space.size) if space.points[j].u == space.points[0].u)
