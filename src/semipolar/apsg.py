@@ -258,11 +258,19 @@ class SemipolarSpace:
     def _adjacency_words(self) -> np.ndarray:
         return pack_rows(self.adjacency)
 
+    @cached_property
+    def _row_factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """`Semiform.row_factors` of every point, built on first use."""
+        return self.form.row_factors(self._coords)
+
     def rho_codes(self, rows=None, cols=None) -> np.ndarray:
         """Encoded rho from the points `rows` to the points `cols`, both point-code
         arrays (None is all of Y): a row or a column costs O(|Y|), not the table."""
-        c = self._coords
-        return self.form.value_codes(c if rows is None else c[rows], c if cols is None else c[cols])
+        f = self._row_factors
+        return self.form.codes_from_factors(
+            f if rows is None else tuple(x[rows] for x in f),
+            f if cols is None else tuple(x[cols] for x in f),
+        )
 
     def adjacent(self, p1: Point, p2: Point) -> bool:
         return bool(self.adjacency[self.index(p1), self.index(p2)])

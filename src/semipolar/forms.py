@@ -275,33 +275,42 @@ class Semiform:
         d = np.array(self.atlas.delta(v1, v2), dtype=np.int64)
         return tuple(int(c) for c in (e - d) % self.p)
 
+    def row_factors(self, rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The per-row parts of `value_codes` for coordinate rows, each a flat
+        (v, u) point of Y: phi(v), u as int32, and G_k u reduced mod p as a
+        (rows, nu, n) int32 array.  Each part has one row per input row, so the
+        factors of a subset of the rows are row selections of these."""
+        p, nu = self.p, self.nu
+        rows = as_vec(rows, p)
+        phi = self.atlas.phi.matrix.T  # rows are reduced: no second reduction as in apply_rows
+        gu = (np.einsum("ijk,rj->rki", self.eta.gram, rows[:, nu:]) % p).astype(np.int32)
+        return (rows[:, :nu] @ phi) % p, rows[:, nu:].astype(np.int32), gu
+
     def value_codes(self, a, b) -> np.ndarray:
         """Encoded rho for every pair of coordinate rows: out[i, j] is the base-p
-        code of rho(a[i], b[j]), each row a flat (v, u) point of Y.
+        code of rho(a[i], b[j]), each row a flat (v, u) point of Y."""
+        return self.codes_from_factors(self.row_factors(a), self.row_factors(b))
+
+    def codes_from_factors(self, fa, fb) -> np.ndarray:
+        """`value_codes` from the `row_factors` of its two row sets.
 
         Built in place in int32, one V' coordinate at a time: the digit of
         coordinate k is u_a . (G_k u_b) - phi(v_a)_k + phi(v_b)_k, with G_k u_b
         reduced first so the int32 products stay below n * p^2.  The build holds
         the output and one digit table, and no (len(a), len(b)) int64 array.
         """
-        p, nu = self.p, self.nu
-        a, b = as_vec(a, p), as_vec(b, p)
-        phi = self.atlas.phi.matrix.T  # a and b are reduced: no second reduction as in apply_rows
-        phi_a = (a[:, :nu] @ phi) % p
-        phi_b = (b[:, :nu] @ phi) % p
-        u_a = a[:, nu:].astype(np.int32)
+        (phi_a, u_a, _), (phi_b, _, gu_b) = fa, fb
         # the first digit table becomes the output; later ones share one buffer
         out = digit = None
-        for k in range(nu):
-            right = ((self.eta.gram[:, :, k] @ b[:, nu:].T) % p).astype(np.int32)
-            digit = np.matmul(u_a, right, out=digit)
+        for k in range(self.nu):
+            digit = np.matmul(u_a, np.ascontiguousarray(gu_b[:, k].T), out=digit)
             digit -= phi_a[:, k, None]
             digit += phi_b[:, k]
-            digit %= p
+            digit %= self.p
             if out is None:
                 out, digit = digit, None
             else:
-                out *= p
+                out *= self.p
                 out += digit
         return out
 
@@ -427,28 +436,36 @@ def _first_fail(ok: np.ndarray) -> tuple:
     return np.unravel_index(flat, ok.shape)
 
 
-def _flat_dtype(m: int):
-    """The smallest unsigned dtype that holds the flat index a*m + b of two V' codes."""
-    return np.uint8 if m * m <= 1 << 8 else np.uint16 if m * m <= 1 << 16 else np.intp
+def _code_dtype(top: int):
+    """The smallest unsigned dtype that holds the integers 0..top."""
+    return np.uint8 if top <= 0xFF else np.uint16 if top <= 0xFFFF else np.uint32
 
 
 def _first_additivity_fail(cols: np.ndarray, offsets: np.ndarray, padd: np.ndarray, vadd: np.ndarray):
     """The first (i, j, n) in loop order (n, then i, then j) with
     col[i + j] != col[i] + col[j] + offsets[n] for col = cols[n], or None.
 
-    Flat kernel: for each offset c, lut[c] holds (a + b) + c at a*m + b.
+    The expected table is built in code space from class rows:
+    vadd[:, vadd[col, c]] holds a + col[j] + c at row a, and taking its rows
+    at col gives col[i] + col[j] + c with no V' lookup per pair.
     """
-    m = len(vadd)
-    dt = _flat_dtype(m)
-    lut = vadd[vadd.ravel()].T.astype(dt)
+    dt = _code_dtype(len(vadd) - 1)
+    vadd = vadd.astype(dt)
     cols = cols.astype(dt)
     pair_sum = padd.astype(np.intp)
     for n, col in enumerate(cols):
-        eq = col.take(pair_sum) == lut[offsets[n]].take((col * dt(m))[:, None] + col[None, :])
+        want = vadd[:, vadd[col, offsets[n]]].take(col, axis=0)
+        eq = col.take(pair_sum) == want
         if not eq.all():
             i, j = _first_fail(eq)
             return int(i), int(j), n
     return None
+
+
+def _residue_planes(codes: np.ndarray, p: int, nu: int, dt) -> np.ndarray:
+    """The base-p digits of V' codes as nu planes of dtype dt: plane c holds
+    coordinate c of every value (the first coordinate is the leading digit)."""
+    return np.stack([(codes // p ** (nu - 1 - c) % p).astype(dt) for c in range(nu)])
 
 
 def check_atlas_axioms(
@@ -738,24 +755,26 @@ def verify_identities(t: np.ndarray, rho: Semiform, budget: int = DEFAULT_BUDGET
             break
     report.add("alpha-scaling-pairs", ok, wit)
 
-    # Flat kernel: codes in the smallest dtype, vsub flattened so that entry
-    # (a, b) sits at a*m + b, and the first argument premultiplied by m.
-    m = len(vsub)
-    dt = _flat_dtype(m)
-    sub_flat = vsub.ravel().astype(dt)
-    tc = t.astype(dt)
-    tm = tc * dt(m)
-    ec = eta_codes.T.astype(dt)  # ec[k, i] = code(eta(u_i, y_k))
-    em = ec * dt(m)
-    shift = padd.T.astype(np.intp)
+    # Residue planes in difference coordinates: plane c holds V' coordinate c of
+    # S[i, d] = t[i, i + d].  With j = i + d the identity at (i, j, k) reads
+    # S[i + k, d] = S[i, d] + E[d] mod p, where E[d] = eta(u_i - u_j, y_k) =
+    # eta(-u_d, y_k) does not depend on i: the translated plane is a row gather,
+    # and with R = S + E < 2p the residue is min(R, R - p) in unsigned arithmetic.
+    dt = _code_dtype(2 * p - 1)
+    planes = _residue_planes(np.take_along_axis(t, padd, axis=1), p, nu, dt)
+    eta_planes = _residue_planes(eta_codes.T[:, pneg], p, nu, dt)  # [c, k, d]: eta(-u_d, y_k)
     ok, wit = True, None
     for k in range(size):
-        rows = shift[k]
-        lhs = sub_flat.take(tm.take(rows, 0).take(rows, 1) + tc)
-        rhs = sub_flat.take(em[k][:, None] + ec[k][None, :])
-        eq = lhs == rhs
+        eq = None
+        for plane, e in zip(planes, eta_planes[:, k]):
+            # E repeated into rows: a broadcast row is several times slower in uint8
+            r = plane + e[None, :].repeat(size, axis=0)
+            plane_eq = plane.take(padd[k], axis=0) == np.minimum(r, r - dt(p))
+            eq = plane_eq if eq is None else eq & plane_eq
         if not eq.all():
-            i, j = _first_fail(eq)
+            # the first failing (i, j): the first failing row, its least j = i + d
+            i = int(np.flatnonzero(~eq.all(axis=1))[0])
+            j = int(padd[i, ~eq[i]].min())
             ok, wit = False, (pt(i), pt(j), pt(k))
             break
     report.add("translation-shift", ok, wit)

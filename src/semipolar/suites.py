@@ -32,14 +32,14 @@ from .autos import (
     verify_semiform_scaling,
 )
 from .errors import DEFAULT_BUDGET, DegenerateForm, DimensionMismatch, check_budget
-from .forms import Report, _flat_dtype, check_semiform_axioms, group_tables, verify_identities
+from .forms import Report, _code_dtype, check_semiform_axioms, group_tables, verify_identities
 from .hyperbolic import (
     build_double,
     default_deleted_subspace,
     reconstruction_report,
     standard_doubling_base,
 )
-from .linalg import CHUNK, LinearMap, encode_vecs, normalize_rows, pack_rows
+from .linalg import CHUNK, LinearMap, encode_vecs, first_occurrences, normalize_rows, pack_rows
 from .metric import translation_noninvariance_witness
 
 
@@ -196,16 +196,43 @@ def _first_failing_pair(space: SemipolarSpace, pairs: np.ndarray, fails: Callabl
     return None
 
 
-def _first_unrecovered(space: SemipolarSpace, pairs: np.ndarray):
-    """The first pair whose double-neighborhood intersection is not the affine
-    line through it, as the repr of a pair of points, or None."""
+def _unrecovered(space: SemipolarSpace, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """One flag per pair (i[k], j[k]) of point codes: the double-neighborhood
+    intersection of the pair is not the affine line through it.  A block of
+    pairs holds (pairs x |Y|) masks of about CHUNK elements."""
+    out = np.empty(len(i), dtype=bool)
+    step = max(1, CHUNK // space.size)
+    for lo in range(0, len(i), step):
+        a, b = i[lo : lo + step], j[lo : lo + step]
+        line = np.zeros((len(a), space.size), dtype=bool)
+        line[np.arange(len(a))[:, None], space.lines_through_pairs(a, b)] = True
+        out[lo : lo + step] = (space.neighborhood_intersection_words(a, b) != pack_rows(line)).any(axis=1)
+    return out
 
-    def fails(i, j):
-        line = np.zeros((len(i), space.size), dtype=bool)
-        line[np.arange(len(i))[:, None], space.lines_through_pairs(i, j)] = True
-        return (space.neighborhood_intersection_words(i, j) != pack_rows(line)).any(axis=1)
 
-    return _first_failing_pair(space, pairs, fails)
+def _first_unrecovered(space: SemipolarSpace, pair_sets: list[np.ndarray]) -> list:
+    """For each (pairs, 2) code array, its first pair whose double-neighborhood
+    intersection is not the affine line through it, as the repr of a pair of
+    points, or None.  A pair in several sets is intersected once."""
+    keys = [i * space.size + j for i, j in (pairs.T for pairs in pair_sets)]
+    distinct = first_occurrences(np.concatenate(keys))[0]
+    bad = _unrecovered(space, *np.divmod(distinct, space.size))
+    witnesses = []
+    for pairs, k in zip(pair_sets, keys):
+        hits = np.flatnonzero(bad[np.searchsorted(distinct, k)])
+        witnesses.append(repr(tuple(space.points[c] for c in pairs[hits[0]])) if hits.size else None)
+    return witnesses
+
+
+def _point_pairs(space: SemipolarSpace, cfg: SuiteConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The (sampled) pairs of distinct points, as (non-vertical, vertical)
+    (pairs, 2) code arrays.  The V part is the leading digits of a point code,
+    so a vertical pair has equal codes mod p^n."""
+    pairs = np.stack(np.triu_indices(space.size, 1), axis=1)
+    pairs = pairs[_maybe_sample(len(pairs), cfg, "point pairs")]
+    u = pairs % space.p**space.n
+    vertical = u[:, 0] == u[:, 1]
+    return pairs[~vertical], pairs[vertical]
 
 
 def suite_recover(space: SemipolarSpace, cfg: SuiteConfig) -> Report:
@@ -217,21 +244,20 @@ def suite_recover(space: SemipolarSpace, cfg: SuiteConfig) -> Report:
     adj = space.adjacency
     pairs = np.argwhere(np.triu(adj, 1))
     pairs = pairs[_maybe_sample(len(pairs), cfg, "adjacent pairs")]
-    wit = _first_unrecovered(space, pairs)
-    report.add("adjacent-pairs", wit is None, wit, "intersection equals the singular line")
+    pair_sets = [pairs]
     if space.nu == 1:
         # scalar case: the double-neighborhood intersection of any distinct
         # non-vertical pair is the full affine line through it; vertical pairs
         # have no common neighbors at all, so the construction degenerates
-        all_pairs = np.stack(np.triu_indices(space.size, 1), axis=1)
-        all_pairs = all_pairs[_maybe_sample(len(all_pairs), cfg, "point pairs")]
-        u = space._coords[:, space.nu :]
-        vertical = (u[all_pairs[:, 0]] == u[all_pairs[:, 1]]).all(axis=1)
-        wit2 = _first_unrecovered(space, all_pairs[~vertical])
+        nonvertical, vertical = _point_pairs(space, cfg)
+        pair_sets.append(nonvertical)
+    wit = _first_unrecovered(space, pair_sets)
+    report.add("adjacent-pairs", wit[0] is None, wit[0], "intersection equals the singular line")
+    if space.nu == 1:
         vert_wit = _first_failing_pair(
-            space, all_pairs[vertical], lambda i, j: (adj[i] & adj[j]).any(axis=1)
+            space, vertical, lambda i, j: (adj[i] & adj[j]).any(axis=1)
         )
-        report.add("nonvertical-pairs-affine-line", wit2 is None, wit2,
+        report.add("nonvertical-pairs-affine-line", wit[1] is None, wit[1],
                    "the intersection is the affine line through the pair")
         report.add("vertical-pairs-degenerate", vert_wit is None, vert_wit,
                    "vertical pairs have no common neighbors")
@@ -398,7 +424,7 @@ def suite_bisectors(space: SemipolarSpace, cfg: SuiteConfig) -> Report:
 
     _, padd, psub, _, pscl = group_tables(p, space.ydim)
     half = pscl[pow(2, p - 2, p)]
-    dt = _flat_dtype(p)
+    dt = _code_dtype(p - 1)
     tc = t.astype(dt)
     tc_cols = np.ascontiguousarray(tc.T)
     # the polar condition eta(u_j - u_i, u_x) = v_j - v_i on (i, j, x) says

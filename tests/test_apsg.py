@@ -91,6 +91,18 @@ def test_adjacency_iff_semiform_vanishes(sp_m1_gf3):
             assert sp_m1_gf3.adjacent(x, y) == (not any(sp_m1_gf3.form.eval(x, y)))
 
 
+def test_rho_codes_read_rows_and_columns_of_the_value_table(sp_cross_gf3):
+    # the per-point factors are built on the first read, not with the space
+    space = SemipolarSpace(sp_cross_gf3.form)
+    assert "_row_factors" not in space.__dict__
+    rows, cols = [5, 0, 700, 5], [3, 728, 41]
+    table = sp_cross_gf3.value_table
+    assert (space.rho_codes(rows, cols) == table[np.ix_(rows, cols)]).all()
+    assert (space.rho_codes(rows) == table[rows]).all()
+    assert (space.rho_codes(cols=cols) == table[:, cols]).all()
+    assert "_row_factors" in space.__dict__
+
+
 def test_degenerate_map_rejected():
     zero = AlternatingMap(3, 2, 1, {})
     with pytest.raises(DegenerateForm):

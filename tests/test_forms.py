@@ -215,9 +215,9 @@ RANDOM_SHAPES = [(3, 2, 1), (3, 4, 1), (5, 2, 1), (3, 3, 2)]
 
 
 @st.composite
-def random_semiforms(draw):
+def random_semiforms(draw, shapes=RANDOM_SHAPES):
     """A nondegenerate alternating map of a drawn shape with an invertible atlas."""
-    p, n, nu = draw(st.sampled_from(RANDOM_SHAPES))
+    p, n, nu = draw(st.sampled_from(shapes))
     coeff = st.integers(0, p - 1)
     upper = {
         (i, j): tuple(draw(coeff) for _ in range(nu)) for i, j in combinations(range(n), 2)
@@ -321,39 +321,112 @@ def test_group_tables_match_the_broadcast_definition(p, n):
     assert not any(t.flags.writeable for t in (vecs, add, sub, neg, scale))
 
 
+def first_shift_failure(table, rho):
+    """The first (k, i, j) in loop order with rho(p_i + q, p_j + q) - rho(p_i, p_j)
+    != eta(u_i - u_j, y) for q = p_k = [v, y], or None: point sums by
+    coordinates, eta from the Gram tensor, rho read from the table."""
+    p, nu = rho.p, rho.nu
+    pts = enumerate_vectors(p, rho.ydim)
+    vals = enumerate_vectors(p, nu).astype(np.int16)[table]
+    for k, q in enumerate(pts):
+        moved = encode_vecs((pts + q) % p, p)
+        lhs = vals[moved][:, moved] - vals
+        # eta(u_i - u_j, y) = u_i G y - u_j G y, in integers before reduction
+        e = (pts[:, nu:] @ np.einsum("abc,b->ac", rho.eta.gram, q[nu:]) % p).astype(np.int16)
+        bad = np.flatnonzero((lhs - (e[:, None] - e[None, :])) % p)
+        if bad.size:
+            i, j = divmod(int(bad[0]) // nu, len(pts))
+            return k, i, j
+    return None
+
+
+def first_additivity_failure(table, p, ydim, nu, columns, offsets):
+    """The first (n, i, j) in loop order with rho(p_i + p_j, q) - rho(p_i, q) -
+    rho(p_j, q) != offsets[n] for q = columns[n], or None."""
+    pts = enumerate_vectors(p, ydim)
+    vals = enumerate_vectors(p, nu).astype(np.int16)[table]
+    total = encode_vecs((pts[:, None] + pts[None, :]) % p, p)
+    for n, q in enumerate(columns):
+        col = vals[:, q]
+        bad = np.flatnonzero((col[total] - col[:, None] - col[None, :] - offsets[n]) % p)
+        if bad.size:
+            i, j = divmod(int(bad[0]) // nu, len(pts))
+            return n, i, j
+    return None
+
+
+def assert_witnesses_are_first_failures(table, rho):
+    """translation-shift, additivity-defect and A3 on a table: each fails
+    exactly when its definition fails somewhere, with the first failure in
+    loop order as its witness."""
+    p, nu, ydim = rho.p, rho.nu, rho.ydim
+
+    def codes(witness):
+        return tuple(vec_index(w, p) for w in witness)
+
+    ids = verify_identities(table, rho)
+    axioms = check_semiform_axioms(table, p, ydim, nu)
+
+    first = first_shift_failure(table, rho)
+    check = ids.check("translation-shift")
+    assert check.passed == (first is None)
+    if first is not None:
+        k, i, j = first
+        assert codes(check.witness) == (i, j, k)
+
+    pts = enumerate_vectors(p, ydim)
+    phi = rho.atlas.phi.apply_rows(pts[:, :nu])
+    first = first_additivity_failure(table, p, ydim, nu, range(len(pts)), -phi)
+    check = ids.check("additivity-defect")
+    assert check.passed == (first is None)
+    if first is not None:
+        n, i, j = first
+        assert codes(check.witness) == (i, j, n)
+
+    m_set = np.flatnonzero(table[0] == 0)
+    first = first_additivity_failure(table, p, ydim, nu, m_set, np.zeros((len(m_set), nu), dtype=np.int64))
+    check = axioms.check("A3")
+    assert check.passed == (first is None)
+    if first is not None:
+        n, i, j = first
+        assert codes(check.witness) == (i, j, m_set[n])
+
+
 def test_identities_detect_a_corrupted_table():
-    rho = Semiform(standard_symplectic(1, 3))
-    table = corrupted_m1_table(5, 14)
-    report = verify_identities(table, rho)
-    pts = enumerate_vectors(3, 3)
-    size = len(pts)
+    # (13, 5) and (400, 5) lie in kernel-part columns, so A3 fails as well;
+    # (5, 14) does not, and A3 passes
+    for rho, (i, j) in [
+        (Semiform(standard_symplectic(1, 3)), (5, 14)),
+        (Semiform(standard_symplectic(1, 3)), (13, 5)),
+        (Semiform(cross_product_map(3)), (400, 5)),
+    ]:
+        table = rho.value_table().copy()
+        table[i, j] = (table[i, j] + 1) % 3
+        report = verify_identities(table, rho)
+        assert not report.check("translation-shift").passed
+        assert not report.check("additivity-defect").passed
+        assert check_semiform_axioms(table, 3, rho.ydim, rho.nu).check("A3").passed == (table[0, j] != 0)
+        assert_witnesses_are_first_failures(table, rho)
 
-    def shift_fails(i, j, k, t):
-        lhs = (t(point_sum(i, k), point_sum(j, k)) - t(i, j)) % 3
-        return lhs != rho.eta.eval((pts[i][1:] - pts[j][1:]) % 3, pts[k][1:])[0]
 
-    def additivity_fails(i, j, k, t):
-        return (t(point_sum(i, j), k) - t(i, k) - t(j, k)) % 3 != (-pts[k][0]) % 3
+# (p, n, nu) of the random semiforms for the Y^3 kernels, with examples each:
+# every nu in {1, 2, 3} and every p in {3, 5, 7}, |Y| <= 343 for the brute force
+KERNEL_SHAPES = [((3, 2, 1), 4), ((5, 2, 1), 4), ((7, 2, 1), 3), ((3, 4, 1), 3), ((3, 2, 2), 4), ((3, 2, 3), 2)]
 
-    def from_table(a, b):
-        return int(table[a, b])
 
-    def from_eval(a, b):
-        return rho.eval(pts[a], pts[b])[0]
+@pytest.mark.parametrize("shape, examples", KERNEL_SHAPES)
+def test_value_table_kernels_match_their_definitions_on_random_forms(shape, examples):
+    @settings(max_examples=examples, deadline=None, derandomize=True)
+    @given(rho=random_semiforms([shape]), data=st.data())
+    def check(rho, data):
+        table = rho.value_table()
+        assert_witnesses_are_first_failures(table, rho)
+        size, codes = len(table), rho.p**rho.nu
+        i, j = data.draw(st.integers(0, size - 1)), data.draw(st.integers(0, size - 1))
+        table[i, j] = (table[i, j] + data.draw(st.integers(1, codes - 1))) % codes
+        assert_witnesses_are_first_failures(table, rho)
 
-    for name, fails in (("translation-shift", shift_fails), ("additivity-defect", additivity_fails)):
-        check = report.check(name)
-        assert not check.passed
-        i, j, k = (vec_index(w, 3) for w in check.witness)
-        # the witness fails on the corrupted table and holds on rho.eval
-        assert fails(i, j, k, from_table)
-        assert not fails(i, j, k, from_eval)
-        # and it is the first failing triple in loop order: k, then i, then j
-        first = next(
-            (a, b, c) for c in range(size) for a in range(size) for b in range(size)
-            if fails(a, b, c, from_table)
-        )
-        assert (i, j, k) == first
+    check()
 
 
 # -- atlas axioms ----------------------------------------------------------------

@@ -10,14 +10,19 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def test_verify_all_does_not_import_numpy_ma(tmp_path):
     # plain np.unique imports numpy.ma (with inspect and re) on first use;
-    # the engine deduplicates by sorting, so a verify run never loads it
+    # the engine deduplicates by sorting, so a verify run never loads it.  The
+    # sampled recover run pinned in test_cli.py also dedups the union of its
+    # two sampled pair sets, which are nested in an exhaustive run
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
-    inst, report = tmp_path / "m1.json", tmp_path / "report.json"
+    m1, m2, report = tmp_path / "m1.json", tmp_path / "m2.json", tmp_path / "report.json"
+    sampled = ["--suite", "recover", "--suite", "lines", "--suite", "joinable", "--sample", "50", "--seed", "3"]
     code = (
         "import sys\n"
         "from semipolar.cli import main\n"
-        f"assert main(['build', '--field', '3', '--kind', 'symplectic', '--index', '1', '--out', {str(inst)!r}]) == 0\n"
-        f"assert main(['verify', {str(inst)!r}, '--suite', 'all', '--out', {str(report)!r}]) == 0\n"
+        f"assert main(['build', '--field', '3', '--kind', 'symplectic', '--index', '1', '--out', {str(m1)!r}]) == 0\n"
+        f"assert main(['build', '--field', '3', '--kind', 'symplectic', '--index', '2', '--out', {str(m2)!r}]) == 0\n"
+        f"assert main(['verify', {str(m1)!r}, '--suite', 'all', '--out', {str(report)!r}]) == 0\n"
+        f"assert main(['verify', {str(m2)!r}, *{sampled!r}, '--out', {str(report)!r}]) == 0\n"
         "print('numpy.ma' in sys.modules)\n"
     )
     proc = subprocess.run(
