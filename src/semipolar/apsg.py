@@ -24,6 +24,7 @@ from .errors import (
 from .forms import Report, Semiform, group_tables, normalize
 from .linalg import (
     CHUNK,
+    and_tables,
     as_vec,
     distinct_rows,
     encode_vecs,
@@ -139,31 +140,27 @@ class PencilStructure:
     isomorphic: bool
 
 
-def neighborhood_intersections(adjacency: np.ndarray, words: np.ndarray, i, j) -> np.ndarray:
+def neighborhood_intersections(words: np.ndarray, tables: np.ndarray, size: int, i, j) -> np.ndarray:
     """For each pair (i[k], j[k]) of point codes: the points adjacent to every
-    common neighbor of both, as pack_rows words (`words` is pack_rows(adjacency)).
-    A pair without common neighbors gets every point, the empty intersection.
+    common neighbor of both, as pack_rows words (`words` is pack_rows of the
+    adjacency over `size` points, `tables` its and_tables).  A pair without
+    common neighbors gets every point, the empty intersection.
 
-    Runs in blocks of pairs: the common-neighbor masks of a block hold about
-    CHUNK elements, and the words gathered at once, common neighbors x words,
-    about CHUNK too, cut between pairs (a pair with more takes a block alone).
+    The intersection is the AND over the bytes b of the pair's common-neighbor
+    row of tables[b, byte b], masked to the valid bits.  A block holds
+    CHUNK / 8W pairs of W words, so its arrays hold about CHUNK / 8 words.
     """
     i, j = np.asarray(i), np.asarray(j)
-    size, width = adjacency.shape[1], words.shape[1]
+    width = words.shape[1]
+    valid = pack_rows(np.ones(size, dtype=bool))
     out = np.empty((len(i), width), dtype=np.uint64)
-    out[:] = pack_rows(np.ones(size, dtype=bool))
-    step = max(1, CHUNK // size)
+    step = max(1, CHUNK // (8 * width))
     for lo in range(0, len(i), step):
-        pair, nbr = np.nonzero(adjacency[i[lo : lo + step]] & adjacency[j[lo : lo + step]])
-        a = 0
-        while a < len(pair):
-            b = a + max(1, CHUNK // width)
-            if b < len(pair):
-                b = np.searchsorted(pair, pair[b], side="right" if pair[b] == pair[a] else "left")
-            run = pair[a:b]
-            starts = np.flatnonzero(np.r_[True, run[1:] != run[:-1]])
-            out[lo + run[starts]] = np.bitwise_and.reduceat(words[nbr[a:b]], starts, axis=0)
-            a = b
+        common = (words[i[lo : lo + step]] & words[j[lo : lo + step]]).view(np.uint8).T.copy()
+        acc = out[lo : lo + step]
+        acc[:] = valid
+        for b, byte in enumerate(common):
+            acc &= tables[b].take(byte, axis=0)
     return out
 
 
@@ -257,6 +254,11 @@ class SemipolarSpace:
     @cached_property
     def _adjacency_words(self) -> np.ndarray:
         return pack_rows(self.adjacency)
+
+    @cached_property
+    def _adjacency_and_tables(self) -> np.ndarray:
+        """and_tables of the adjacency words, for neighborhood_intersection."""
+        return and_tables(self._adjacency_words)
 
     @cached_property
     def _row_factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -583,13 +585,11 @@ class SemipolarSpace:
                 return False
         return True
 
-    def neighborhood_intersection_words(self, i, j) -> np.ndarray:
-        """neighborhood_intersection for arrays of point codes, as pack_rows words."""
-        return neighborhood_intersections(self.adjacency, self._adjacency_words, i, j)
-
     def neighborhood_intersection(self, p1: Point, p2: Point) -> tuple[Point, ...]:
         """Intersection of the neighbor sets of all common neighbors of p1, p2."""
-        words = self.neighborhood_intersection_words([self.index(p1)], [self.index(p2)])
+        words = neighborhood_intersections(
+            self._adjacency_words, self._adjacency_and_tables, self.size, [self.index(p1)], [self.index(p2)]
+        )
         return tuple(self.points[k] for k in np.flatnonzero(unpack_rows(words, self.size)[0]))
 
     # -- singular planes and maximal singular subspaces ----------------------

@@ -278,10 +278,27 @@ def fixes_vertical_direction(space: SemipolarSpace, pmap: PointMap) -> bool:
     return fixed
 
 
+def shift_images(space: SemipolarSpace, start: Point) -> np.ndarray:
+    """Code of point_transitive_auto(space, start, dst)(start) for every point
+    code dst, in one array pass.
+
+    Those maps are the general maps with psi1 = phi = id, whose shared linear
+    parts are validated once.  With u0 = u_dst - u_s and v0 = v_dst - v_s -
+    eta(u_s, u0), the image of start = [v_s, u_s] is [v_s - eta(u0, u_s) + v0,
+    u_s + u0].
+    """
+    p, nu = space.p, space.nu
+    build_general_auto(
+        space, LinearMap.identity(nu, p), LinearMap.identity(space.n, p), (0,) * space.n, (0,) * nu
+    )
+    gram = space.form.eta.gram
+    v_s, u_s = np.array(start.v, dtype=np.int64), np.array(start.u, dtype=np.int64)
+    u0 = space._coords[:, nu:] - u_s
+    v0 = space._coords[:, :nu] - v_s - np.einsum("a,abk,lb->lk", u_s, gram, u0)
+    image = np.concatenate([v_s - np.einsum("la,abk,b->lk", u0, gram, u_s) + v0, u_s + u0], axis=1)
+    return encode_vecs(image, p)
+
+
 def orbit_of(space: SemipolarSpace, start: Point) -> set[Point]:
     """Orbit of a point under the constructed shift automorphisms."""
-    out = set()
-    for dst in space.points:
-        pmap = point_transitive_auto(space, start, dst)
-        out.add(pmap(start))
-    return out
+    return {space.points[c] for c in shift_images(space, start).tolist()}

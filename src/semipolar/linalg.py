@@ -78,13 +78,47 @@ def pack_rows(mask: np.ndarray) -> np.ndarray:
     return np.packbits(padded, axis=-1).view(np.uint64)
 
 
+def pack_codes(codes: np.ndarray, n: int) -> np.ndarray:
+    """pack_rows of the rows over n points that hold the codes of each row of
+    `codes`, distinct within a row, without the n-wide boolean rows.  Code c
+    is bit 8 * (c // 8 % 8) + 7 - c % 8 of word c // 64."""
+    codes = np.asarray(codes, dtype=np.int64)
+    width = -(-n // 64)
+    words = np.zeros(len(codes) * width, dtype=np.uint64)
+    at = np.arange(len(codes))[:, None] * width + (codes >> 6)  # flat word index
+    bits = np.uint64(1) << (8 * (codes >> 3 & 7) + 7 - (codes & 7)).astype(np.uint64)
+    for k in range(codes.shape[1]):
+        words[at[:, k]] |= bits[:, k]
+    return words.reshape(len(codes), width)
+
+
+def and_tables(words: np.ndarray) -> np.ndarray:
+    """AND tables of pack_rows rows, one row of W words per point: T[b, v] is
+    the AND of the rows of the points whose bits are set in the value v of
+    byte b of a row, all ones for v = 0.  (8W, 256, W) words, built by
+    doubling over the 8 bits of a byte."""
+    width = words.shape[1]
+    rows = np.full((64 * width, width), ~np.uint64(0))  # a padding code ANDs nothing away
+    rows[: len(words)] = words
+    rows = rows.reshape(8 * width, 8, width)  # rows[b, t]: the point of bit 7 - t of byte b
+    tables = np.empty((8 * width, 256, width), dtype=np.uint64)
+    tables[:, 0] = ~np.uint64(0)
+    for k in range(8):
+        tables[:, 1 << k : 2 << k] = tables[:, : 1 << k] & rows[:, 7 - k, None, :]
+    tables.setflags(write=False)
+    return tables
+
+
 def distinct_rows(words: np.ndarray) -> np.ndarray:
-    """Indices of the distinct rows of a 2-d array, the first of each set of
-    equal rows, in the lexicographic order of the reversed rows."""
-    order = np.lexsort(words.T)
-    ordered = words[order]
+    """Indices of the distinct rows of a 2-d array of nonnegative integers, the
+    first of each set of equal rows, in the lexicographic order of the reversed
+    rows: one stable sort of the reversed rows as big-endian byte strings."""
+    reversed_rows = np.ascontiguousarray(words[:, ::-1], dtype=words.dtype.newbyteorder(">"))
+    keys = reversed_rows.view(np.dtype((np.void, reversed_rows.itemsize * words.shape[1]))).ravel()
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
     keep = np.ones(len(words), dtype=bool)
-    keep[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    keep[1:] = ordered[1:] != ordered[:-1]
     return order[keep]
 
 

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .apsg import SemipolarSpace
+from .apsg import SemipolarSpace, neighborhood_intersections
 from .autos import (
     ORACLE_CAP,
     PointMap,
@@ -39,7 +39,15 @@ from .hyperbolic import (
     reconstruction_report,
     standard_doubling_base,
 )
-from .linalg import CHUNK, LinearMap, encode_vecs, first_occurrences, normalize_rows, pack_rows
+from .linalg import (
+    CHUNK,
+    LinearMap,
+    and_tables,
+    encode_vecs,
+    first_occurrences,
+    normalize_rows,
+    pack_codes,
+)
 from .metric import translation_noninvariance_witness
 
 
@@ -182,31 +190,22 @@ def suite_triangles(space: SemipolarSpace, cfg: SuiteConfig) -> Report:
     return report
 
 
-def _first_failing_pair(space: SemipolarSpace, pairs: np.ndarray, fails: Callable):
-    """The first row of a (pairs, 2) code array on which `fails(i, j)` (one flag
-    per pair of code arrays) holds, as the repr of a pair of points, or None.
-    A block of pairs holds (pairs x |Y|) masks of about CHUNK elements."""
-    i, j = pairs.T
-    step = max(1, CHUNK // space.size)
-    for lo in range(0, len(i), step):
-        a, b = i[lo : lo + step], j[lo : lo + step]
-        bad = np.flatnonzero(fails(a, b))
-        if bad.size:
-            return repr((space.points[a[bad[0]]], space.points[b[bad[0]]]))
-    return None
-
-
 def _unrecovered(space: SemipolarSpace, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """One flag per pair (i[k], j[k]) of point codes: the double-neighborhood
-    intersection of the pair is not the affine line through it.  A block of
-    pairs holds (pairs x |Y|) masks of about CHUNK elements."""
+    intersection of the pair is not the affine line through it, a block of
+    pairs at a time, sized as neighborhood_intersections sizes its blocks.
+
+    The suite builds its own AND table and drops it on return: the space's
+    cached one would hold about 4 |Y|^2 bytes through every later suite."""
+    _, sub, _ = space._tables
+    words = space._adjacency_words
+    tables = and_tables(words)
     out = np.empty(len(i), dtype=bool)
-    step = max(1, CHUNK // space.size)
+    step = max(1, CHUNK // (8 * words.shape[1]))
     for lo in range(0, len(i), step):
         a, b = i[lo : lo + step], j[lo : lo + step]
-        line = np.zeros((len(a), space.size), dtype=bool)
-        line[np.arange(len(a))[:, None], space.lines_through_pairs(a, b)] = True
-        out[lo : lo + step] = (space.neighborhood_intersection_words(a, b) != pack_rows(line)).any(axis=1)
+        line = pack_codes(space.line_codes(a, sub[b, a]), space.size)
+        out[lo : lo + step] = (neighborhood_intersections(words, tables, space.size, a, b) != line).any(axis=1)
     return out
 
 
@@ -214,11 +213,12 @@ def _first_unrecovered(space: SemipolarSpace, pair_sets: list[np.ndarray]) -> li
     """For each (pairs, 2) code array, its first pair whose double-neighborhood
     intersection is not the affine line through it, as the repr of a pair of
     points, or None.  A pair in several sets is intersected once."""
-    keys = [i * space.size + j for i, j in (pairs.T for pairs in pair_sets)]
-    distinct = first_occurrences(np.concatenate(keys))[0]
+    keys = np.concatenate([i * space.size + j for i, j in (pairs.T for pairs in pair_sets)])
+    distinct = first_occurrences(keys)[0]
     bad = _unrecovered(space, *np.divmod(distinct, space.size))
     witnesses = []
-    for pairs, k in zip(pair_sets, keys):
+    ends = np.cumsum([len(pairs) for pairs in pair_sets])
+    for pairs, k in zip(pair_sets, np.split(keys, ends[:-1])):
         hits = np.flatnonzero(bad[np.searchsorted(distinct, k)])
         witnesses.append(repr(tuple(space.points[c] for c in pairs[hits[0]])) if hits.size else None)
     return witnesses
@@ -254,9 +254,9 @@ def suite_recover(space: SemipolarSpace, cfg: SuiteConfig) -> Report:
     wit = _first_unrecovered(space, pair_sets)
     report.add("adjacent-pairs", wit[0] is None, wit[0], "intersection equals the singular line")
     if space.nu == 1:
-        vert_wit = _first_failing_pair(
-            space, vertical, lambda i, j: (adj[i] & adj[j]).any(axis=1)
-        )
+        words = space._adjacency_words
+        shared = np.flatnonzero((words[vertical[:, 0]] & words[vertical[:, 1]]).any(axis=1))
+        vert_wit = repr(tuple(space.points[c] for c in vertical[shared[0]])) if shared.size else None
         report.add("nonvertical-pairs-affine-line", wit[1] is None, wit[1],
                    "the intersection is the affine line through the pair")
         report.add("vertical-pairs-degenerate", vert_wit is None, vert_wit,

@@ -18,7 +18,14 @@ from semipolar.apsg import (
 )
 from semipolar.errors import DegenerateForm
 from semipolar.forms import AlternatingMap, Semiform
-from semipolar.linalg import Subspace, enumerate_subspaces, enumerate_vectors, pack_rows, unpack_rows
+from semipolar.linalg import (
+    Subspace,
+    and_tables,
+    enumerate_subspaces,
+    enumerate_vectors,
+    pack_rows,
+    unpack_rows,
+)
 
 
 def P(v, u):
@@ -483,6 +490,12 @@ def big_int_neighborhood_intersection(adj, i, j):
     return {k for k in range(len(adj)) if acc >> k & 1}
 
 
+def kernel_intersections(adj, i, j):
+    """neighborhood_intersections on a boolean adjacency, unpacked to rows."""
+    words = pack_rows(adj)
+    return unpack_rows(neighborhood_intersections(words, and_tables(words), len(adj), i, j), len(adj))
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_packed_neighborhood_kernel_matches_big_int_reference(data):
@@ -494,7 +507,7 @@ def test_packed_neighborhood_kernel_matches_big_int_reference(data):
     adj = upper | upper.T
     i = np.array(data.draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=40)))
     j = rng.integers(0, size, len(i))
-    got = unpack_rows(neighborhood_intersections(adj, pack_rows(adj), i, j), size)
+    got = kernel_intersections(adj, i, j)
     for k in range(len(i)):
         assert set(np.flatnonzero(got[k]).tolist()) == big_int_neighborhood_intersection(
             adj, i[k], j[k]
@@ -503,18 +516,48 @@ def test_packed_neighborhood_kernel_matches_big_int_reference(data):
 
 @pytest.mark.parametrize("chunk", [1, 64, 300, 2000])
 def test_packed_neighborhood_kernel_blocks_match_the_reference(monkeypatch, chunk):
-    # 130 points, 3 words a row: blocks of one pair, of pairs cut before a pair
-    # that would overflow, and of pairs whose common neighbors exceed a block
+    # 130 points, 3 words and 24 bytes a row: blocks of one pair, of 2, of 12,
+    # and all 50 pairs in one block
     rng = np.random.default_rng(chunk)
     upper = np.triu(rng.random((130, 130)) < 0.6)
     adj = upper | upper.T
     i, j = rng.integers(0, 130, (2, 50))
     monkeypatch.setattr(apsg, "CHUNK", chunk)
-    got = unpack_rows(neighborhood_intersections(adj, pack_rows(adj), i, j), 130)
+    got = kernel_intersections(adj, i, j)
     for k in range(len(i)):
         assert set(np.flatnonzero(got[k]).tolist()) == big_int_neighborhood_intersection(
             adj, i[k], j[k]
         )
+
+
+def test_packed_neighborhood_kernel_without_common_neighbors_gives_every_point():
+    # points 0 and 1 are adjacent only to each other and 2 to nothing, so the
+    # pairs (0, 1), (0, 2) and (2, 2) have no common neighbor; (0, 0) has one
+    adj = np.zeros((70, 70), dtype=bool)
+    adj[0, 1] = adj[1, 0] = True
+    got = kernel_intersections(adj, [0, 0, 2, 0], [1, 2, 2, 0])
+    assert got[:3].all()
+    assert np.flatnonzero(got[3]).tolist() == [0]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_and_tables_entries_are_the_and_of_their_set_bits(data):
+    # every entry at sizes 1..140, across the byte and word padding of a row:
+    # bit k of byte b is point 8b + 7 - k, and a padding point ANDs nothing away
+    size = data.draw(st.integers(1, 140))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    words = pack_rows(rng.random((size, size)) < data.draw(st.sampled_from([0.2, 0.8])))
+    tables = and_tables(words)
+    width = words.shape[1]
+    assert tables.shape == (8 * width, 256, width)
+    for b in range(8 * width):
+        for v in range(256):
+            expect = np.full(width, ~np.uint64(0))
+            for k in range(8):
+                if v >> k & 1 and 8 * b + 7 - k < size:
+                    expect &= words[8 * b + 7 - k]
+            assert (tables[b, v] == expect).all(), (size, b, v)
 
 
 def test_neighborhood_intersection_gives_affine_line_m2_sample(sp_m2_gf3):

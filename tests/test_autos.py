@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from semipolar.apsg import Point
+from semipolar.apsg import Point, SemipolarSpace
 from semipolar.autos import (
     PointMap,
     SymplecticAutoParams,
@@ -22,12 +22,14 @@ from semipolar.autos import (
     orbit_of,
     point_transitive_auto,
     rho_scaling_constant,
+    shift_images,
     symplectic_family,
     verify_semiform_scaling,
 )
 from semipolar.errors import EnumerationTooLarge, NotCompatible
 from semipolar.forms import AlternatingMap
 from semipolar.linalg import LinearMap
+from test_forms import random_semiforms
 
 
 def P(v, u):
@@ -232,6 +234,28 @@ def test_point_transitive_auto_hits_target(sp_m1_gf3, sp_cross_gf3):
 def test_orbit_of_origin_is_everything(sp_m1_gf3, sp_cross_gf3):
     for space in (sp_m1_gf3, sp_cross_gf3):
         assert orbit_of(space, space.origin) == set(space.points)
+
+
+def assert_shift_images_match_the_maps(space, starts):
+    for start in starts:
+        start = space.points[start]
+        images = shift_images(space, start)
+        for dst, got in zip(space.points, images.tolist()):
+            assert space.points[got] == point_transitive_auto(space, start, dst)(start)
+
+
+@pytest.mark.parametrize("instance", ["sp_m1_gf3", "sp_m2_gf3", "sp_cross_gf3", "sp_wedge3_gf3"])
+def test_shift_images_match_point_transitive_auto(request, instance):
+    space = request.getfixturevalue(instance)
+    assert_shift_images_match_the_maps(space, [0, 5, space.size - 1])
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(rho=random_semiforms(), data=st.data())
+def test_shift_images_match_point_transitive_auto_on_random_forms(rho, data):
+    space = SemipolarSpace(rho)
+    starts = data.draw(st.lists(st.integers(0, space.size - 1), min_size=3, max_size=3))
+    assert_shift_images_match_the_maps(space, starts)
 
 
 # -- symplectic automorphisms ----------------------------------------------------

@@ -11,12 +11,15 @@ from semipolar.gf import GF
 from semipolar.linalg import (
     LinearMap,
     Subspace,
+    distinct_rows,
     encode_vecs,
     enumerate_subspaces,
     enumerate_vectors,
     first_occurrences,
     gaussian_binomial,
     index_vec,
+    pack_codes,
+    pack_rows,
     vec_index,
 )
 
@@ -210,3 +213,34 @@ def test_first_occurrences_is_unique_with_first_indices(shape):
     want_values, want_first = np.unique(values, return_index=True)
     assert got_values.tolist() == want_values.tolist()
     assert got_first.tolist() == want_first.tolist()
+
+
+def lexsort_distinct_rows(rows):
+    """Reference: one lexsort pass per column, the first row of each equal run."""
+    order = np.lexsort(rows.T)
+    ordered = rows[order]
+    keep = np.ones(len(rows), dtype=bool)
+    keep[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    return order[keep]
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint64, np.uint16, np.uint8])
+@pytest.mark.parametrize("shape, top", [((0, 3), 5), ((1, 1), 5), ((40, 1), 4), ((900, 9), 3), ((2000, 27), 2), ((600, 4), 255)])
+def test_distinct_rows_matches_the_lexsort_reference(dtype, shape, top):
+    # repeated rows, and values filling whole bytes: the sort must be stable
+    # and order multi-byte values by magnitude, not by their low byte
+    rng = np.random.default_rng(shape[0])
+    rows = rng.integers(0, top + 1, shape).astype(dtype)
+    if np.iinfo(dtype).max > 2**16:
+        rows[::5] *= 257
+    rows[1::3] = rows[::3][: len(rows[1::3])]
+    assert distinct_rows(rows).tolist() == lexsort_distinct_rows(rows).tolist()
+
+
+@pytest.mark.parametrize("n", [1, 7, 63, 64, 65, 130])
+def test_pack_codes_matches_pack_rows(n):
+    rng = np.random.default_rng(n)
+    codes = np.array([rng.permutation(n)[: min(n, 5)] for _ in range(30)])
+    mask = np.zeros((len(codes), n), dtype=bool)
+    mask[np.arange(len(codes))[:, None], codes] = True
+    assert np.array_equal(pack_codes(codes, n), pack_rows(mask))

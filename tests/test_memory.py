@@ -30,15 +30,20 @@ def test_bisectors_suite_allocates_a_few_tables(sp_m2_gf3):
     assert peak < 48 * space.size**2
 
 
-@pytest.mark.parametrize("name", ["gamma", "pencil", "triangles", "joinable"])
-def test_point_loop_suites_allocate_a_few_tables(sp_m2_gf3, name):
-    # a fresh space, so the suite's own cached tables count; the value table,
-    # the adjacency and the group tables are inputs built beforehand
-    space = SemipolarSpace(sp_m2_gf3.form)
+@pytest.mark.parametrize(
+    "name, instance",
+    [pytest.param(name, "sp_m2_gf3", id=name) for name in ["gamma", "pencil", "triangles", "joinable", "recover"]]
+    + [pytest.param("recover", "sp_cross_gf3", id="recover-cross")],
+)
+def test_point_loop_suites_allocate_a_few_tables(request, instance, name):
+    # a fresh space, so the suite's own tables count, recover's AND table of
+    # about 4 |Y|^2 bytes among them; the value table, the adjacency and the
+    # group tables are inputs built beforehand
+    space = SemipolarSpace(request.getfixturevalue(instance).form)
     space.adjacency
     group_tables(space.p, space.ydim)
     peak = traced_peak(lambda: run_suite(name, space, SuiteConfig()))
-    # a |Y|^3 boolean tensor alone would be 243 * |Y|^2 bytes
+    # a |Y|^3 boolean tensor alone would be |Y| * |Y|^2 bytes
     assert peak < 48 * space.size**2
 
 
