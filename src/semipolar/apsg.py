@@ -208,10 +208,11 @@ class SemipolarSpace:
         return add, sub, scale
 
     def line_codes(self, base, direction) -> np.ndarray:
-        """Codes of the lines base + a*direction, a = 0..p-1, along a new last axis."""
+        """Codes of the lines base + a*direction, a = 0..p-1, along a new last
+        axis, read by flat index: add[x, y] is add.ravel()[x * |Y| + y]."""
         add, _, scale = self._tables
-        base, direction = np.asarray(base), np.asarray(direction)
-        return add[base[..., None], np.moveaxis(scale[:, direction], 0, -1)]
+        base = np.asarray(base, dtype=np.intp)
+        return add.ravel().take(base[..., None] * self.size + scale.T.take(direction, axis=0))
 
     def lines_through_pairs(self, i, j) -> np.ndarray:
         """Sorted codes of the affine line through points i != j, for arrays of pairs."""
@@ -261,18 +262,18 @@ class SemipolarSpace:
         return and_tables(self._adjacency_words)
 
     @cached_property
-    def _row_factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _row_factors(self) -> tuple[np.ndarray, np.ndarray]:
         """`Semiform.row_factors` of every point, built on first use."""
         return self.form.row_factors(self._coords)
 
-    def rho_codes(self, rows=None, cols=None) -> np.ndarray:
-        """Encoded rho from the points `rows` to the points `cols`, both point-code
-        arrays (None is all of Y): a row or a column costs O(|Y|), not the table."""
-        f = self._row_factors
-        return self.form.codes_from_factors(
-            f if rows is None else tuple(x[rows] for x in f),
-            f if cols is None else tuple(x[cols] for x in f),
-        )
+    def rho_codes(self, rows=(), cols=()) -> np.ndarray:
+        """Whole lines of the value table, one row of the result per line:
+        the row rho(x, .) for each point code x of `rows`, then the column
+        rho(., x) for each of `cols`.  All of them cost one take and one O(|Y|)
+        matmul per V' coordinate, and never the table."""
+        left, right = self._row_factors
+        lines = np.concatenate([np.asarray(rows, dtype=np.intp) + self.size, np.asarray(cols, dtype=np.intp)])
+        return self.form.codes_from_factors(left, right.take(lines, axis=2)).T
 
     def adjacent(self, p1: Point, p2: Point) -> bool:
         return bool(self.adjacency[self.index(p1), self.index(p2)])
@@ -454,7 +455,7 @@ class SemipolarSpace:
         out = np.empty((len(codes), self.size), dtype=bool)
         step = max(1, CHUNK // self.size)
         for lo in range(0, len(codes), step):
-            out[lo : lo + step] = self.rho_codes(codes[lo : lo + step]) == 0
+            np.equal(self.rho_codes(codes[lo : lo + step]), 0, out=out[lo : lo + step])
         return out
 
     # -- triangles ----------------------------------------------------------

@@ -11,6 +11,8 @@ import json
 import sys
 from typing import Optional
 
+import numpy as np
+
 from .apsg import SemipolarSpace
 from .errors import DimensionMismatch, EnumerationTooLarge, GeometryError
 from .forms import Semiform, cross_product_map, exterior_square, standard_symplectic
@@ -22,7 +24,7 @@ from .hyperbolic import (
     standard_doubling_base,
 )
 from .linalg import LinearMap
-from .metric import pair_report
+from .metric import pair_reports
 from .suites import SuiteConfig, applicable_suites, run_suite
 
 
@@ -152,17 +154,14 @@ def cmd_export(args) -> int:
         return 0
 
     if args.what == "bisectors":
-        entries = []
         if args.pair:
             i, j = (int(x) for x in args.pair.split(","))
-            indices = [(i, j)]
+            if not (0 <= i < space.size and 0 <= j < space.size):
+                raise ValueError(f"--pair needs point indices below {space.size}")
+            first, second = [i], [j]
         else:
-            indices = [
-                (i, j) for i in range(space.size) for j in range(i + 1, space.size)
-            ]
-        for i, j in indices:
-            entries.extend(pair_report(space, space.point(i), space.point(j)))
-        _dump(entries, args.out)
+            first, second = (codes.tolist() for codes in np.triu_indices(space.size, 1))
+        _dump(pair_reports(space, first, second), args.out)
         return 0
 
     print(f"unknown export {args.what!r}", file=sys.stderr)

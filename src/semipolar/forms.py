@@ -23,6 +23,7 @@ from .errors import (
 )
 from .gf import GF
 from .linalg import (
+    CHUNK,
     LinearMap,
     Subspace,
     as_vec,
@@ -275,51 +276,65 @@ class Semiform:
         d = np.array(self.atlas.delta(v1, v2), dtype=np.int64)
         return tuple(int(c) for c in (e - d) % self.p)
 
-    def row_factors(self, rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The per-row parts of `value_codes` for coordinate rows, each a flat
-        (v, u) point of Y: phi(v), u as int32, and G_k u reduced mod p as a
-        (rows, nu, n) int32 array.  Each part has one row per input row, so the
-        factors of a subset of the rows are row selections of these."""
-        p, nu = self.p, self.nu
+    def row_factors(self, rows) -> tuple[np.ndarray, np.ndarray]:
+        """The (left, right) factors of `codes_from_factors` for r coordinate
+        rows, each a flat (v, u) point x of Y, as int32 arrays with one
+        (n + 2)-vector per point and V' coordinate k:
+
+          left   (nu, r, n + 2)   left[k][x]         = [u, phi(v)_k, 1]
+          right  (nu, n + 2, 2r)  right[k][:, x]     = [G_k u mod p, p - 1, phi(v)_k]
+                                  right[k][:, r + x] = [G_k^T u mod p, 1, (p - 1) phi(v)_k]
+
+        so left[k][y] . right[k][:, x] = u_y . G_k u + (p - 1) phi(v_y)_k +
+        phi(v)_k is coordinate k of rho(y, x) mod p, and left[k][y] .
+        right[k][:, r + x] = u . G_k u_y + phi(v_y)_k + (p - 1) phi(v)_k that
+        of rho(x, y).  The right factor holds a column and a row of rho for
+        every point, and any set of them is one `take` on its last axis."""
+        p, nu, n = self.p, self.nu, self.n
         rows = as_vec(rows, p)
-        phi = self.atlas.phi.matrix.T  # rows are reduced: no second reduction as in apply_rows
-        gu = (np.einsum("ijk,rj->rki", self.eta.gram, rows[:, nu:]) % p).astype(np.int32)
-        return (rows[:, :nu] @ phi) % p, rows[:, nu:].astype(np.int32), gu
+        u = rows[:, nu:]
+        phi = ((rows[:, :nu] @ self.atlas.phi.matrix.T) % p).T  # rows are reduced: no second reduction
+        left = np.ones((nu, len(rows), n + 2), dtype=np.int32)
+        left[:, :, :n] = u
+        left[:, :, n] = phi
+        right = np.empty((nu, n + 2, 2, len(rows)), dtype=np.int32)
+        right[:, :n, 0] = np.einsum("ijk,rj->kir", self.eta.gram, u) % p
+        right[:, :n, 1] = np.einsum("jik,rj->kir", self.eta.gram, u) % p
+        right[:, n] = [[p - 1], [1]]
+        right[:, n + 1, 0] = phi
+        right[:, n + 1, 1] = (p - 1) * phi
+        return left, right.reshape(nu, n + 2, 2 * len(rows))
 
     def value_codes(self, a, b) -> np.ndarray:
         """Encoded rho for every pair of coordinate rows: out[i, j] is the base-p
         code of rho(a[i], b[j]), each row a flat (v, u) point of Y."""
-        return self.codes_from_factors(self.row_factors(a), self.row_factors(b))
+        return self.codes_from_factors(self.row_factors(a)[0], self.row_factors(b)[1][:, :, : len(b)])
 
-    def codes_from_factors(self, fa, fb) -> np.ndarray:
-        """`value_codes` from the `row_factors` of its two row sets.
+    def codes_from_factors(self, left, right) -> np.ndarray:
+        """Encoded rho from `row_factors`: out[y, c] is the base-p code whose
+        coordinate k is left[k][y] . right[k][:, c] mod p.
 
-        Built in place in int32, one V' coordinate at a time: the digit of
-        coordinate k is u_a . (G_k u_b) - phi(v_a)_k + phi(v_b)_k, with G_k u_b
-        reduced first so the int32 products stay below n * p^2.  The build holds
-        the output and one digit table, and no (len(a), len(b)) int64 array.
+        Built in place in int32, one matmul per V' coordinate; every term is
+        reduced first, so the int32 sums stay below (n + 2) p^2.  The build
+        holds the output and one digit table, and no int64 table.
         """
-        (phi_a, u_a, _), (phi_b, _, gu_b) = fa, fb
-        # the first digit table becomes the output; later ones share one buffer
-        out = digit = None
-        for k in range(self.nu):
-            digit = np.matmul(u_a, np.ascontiguousarray(gu_b[:, k].T), out=digit)
-            digit -= phi_a[:, k, None]
-            digit += phi_b[:, k]
-            digit %= self.p
-            if out is None:
-                out, digit = digit, None
-            else:
-                out *= self.p
-                out += digit
+        p = self.p
+        out = left[0] @ right[0]
+        out %= p
+        digit = None  # the later coordinates share one buffer
+        for k in range(1, self.nu):
+            digit = np.matmul(left[k], right[k], out=digit)
+            digit %= p
+            out *= p
+            out += digit
         return out
 
     def value_table(self, budget: int = DEFAULT_BUDGET) -> np.ndarray:
         """Encoded rho over all point pairs of Y, indexed by vec_index of (v, u)."""
         size = self.p**self.ydim
         check_budget(size * size, budget, "semiform value table")
-        pts = enumerate_vectors(self.p, self.ydim)
-        return self.value_codes(pts, pts)
+        left, right = self.row_factors(enumerate_vectors(self.p, self.ydim))
+        return self.codes_from_factors(left, right[:, :, :size])
 
     def to_jsonable(self) -> dict:
         return {
@@ -441,25 +456,42 @@ def _code_dtype(top: int):
     return np.uint8 if top <= 0xFF else np.uint16 if top <= 0xFFFF else np.uint32
 
 
-def _first_additivity_fail(cols: np.ndarray, offsets: np.ndarray, padd: np.ndarray, vadd: np.ndarray):
+def _first_additivity_fail(tab: np.ndarray, offsets: np.ndarray, padd: np.ndarray, p: int, nu: int):
     """The first (i, j, n) in loop order (n, then i, then j) with
-    col[i + j] != col[i] + col[j] + offsets[n] for col = cols[n], or None.
+    tab[i + j, n] != tab[i, n] + tab[j, n] + offsets[n] in V', or None.
 
-    The expected table is built in code space from class rows:
-    vadd[:, vadd[col, c]] holds a + col[j] + c at row a, and taking its rows
-    at col gives col[i] + col[j] + c with no V' lookup per pair.
+    The columns are held as residue planes and checked a block of shifts j
+    at a time, one shift or about CHUNK elements per plane: rows i + j of a
+    plane must be min(R, R - p) for R = plane + ((plane[j] + offset) mod p)
+    < 2p, a row gather and an unsigned add.  The identity is symmetric in i
+    and j, so the rows i <= j of each shift cover it.  The first failing
+    column is then checked at all (i, j) for its witness.
     """
-    dt = _code_dtype(len(vadd) - 1)
-    vadd = vadd.astype(dt)
-    cols = cols.astype(dt)
-    pair_sum = padd.astype(np.intp)
-    for n, col in enumerate(cols):
-        want = vadd[:, vadd[col, offsets[n]]].take(col, axis=0)
-        eq = col.take(pair_sum) == want
-        if not eq.all():
-            i, j = _first_fail(eq)
-            return int(i), int(j), n
-    return None
+    size = len(tab)
+    dt = _code_dtype(2 * p - 1)
+    top = dt(p)
+    planes = _residue_planes(tab, p, nu, dt)
+    offsets_planes = _residue_planes(np.asarray(offsets), p, nu, dt)
+    failed = np.zeros(tab.shape[1], dtype=bool)
+    step = max(1, CHUNK // tab.size)
+    for lo in range(0, size, step):
+        hi = min(lo + step, size)
+        ok = None
+        for plane, offset in zip(planes, offsets_planes):
+            shifts = plane[lo:hi, None] + offset
+            shifts = np.minimum(shifts, shifts - top)
+            r = plane[:hi] + shifts
+            plane_ok = plane.take(padd[lo:hi, :hi], axis=0) == np.minimum(r, r - top)
+            ok = plane_ok if ok is None else ok & plane_ok
+        failed |= ~ok.all(axis=(0, 1))
+    if not failed.any():
+        return None
+    n = int(np.argmax(failed))
+    _, vadd, _, _, _ = group_tables(p, nu)
+    col = tab[:, n]
+    bad = col.take(padd) != vadd[vadd[col, offsets[n]][:, None], col[None, :]]
+    i, j = _first_fail(~bad)
+    return int(i), int(j), n
 
 
 def _residue_planes(codes: np.ndarray, p: int, nu: int, dt) -> np.ndarray:
@@ -595,7 +627,7 @@ def check_semiform_axioms(
             break
     report.add("A2", ok, wit, "homogeneity of rho_p on the kernel part")
 
-    fail = _first_additivity_fail(t.T[m_set], np.zeros(len(m_set), dtype=np.intp), padd, vadd)
+    fail = _first_additivity_fail(t[:, m_set], np.zeros(len(m_set), dtype=np.intp), padd, p, nu)
     wit = None if fail is None else (pt(fail[0]), pt(fail[1]), pt(int(m_set[fail[2]])))
     report.add("A3", fail is None, wit, "additivity of rho_p on the kernel part")
 
@@ -800,7 +832,7 @@ def verify_identities(t: np.ndarray, rho: Semiform, budget: int = DEFAULT_BUDGET
     report.add("alpha-scaling-left", ok, wit)
 
     # The identity holds exactly when rho(p1+p2, q) = rho(p1,q) + rho(p2,q) - phi(v).
-    fail = _first_additivity_fail(t.T, vneg[phi_codes], padd, vadd)
+    fail = _first_additivity_fail(t, vneg[phi_codes], padd, p, nu)
     wit = None if fail is None else tuple(pt(i) for i in fail)
     report.add("additivity-defect", fail is None, wit)
     return report

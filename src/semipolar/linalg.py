@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations, product
 from typing import Callable, Iterator, Optional
 
@@ -43,17 +44,32 @@ def enumerate_vectors(p: int, n: int, budget: int = DEFAULT_BUDGET) -> np.ndarra
 
 def encode_vecs(arr: np.ndarray, p: int) -> np.ndarray:
     """Base-p integer code of the trailing axis (same convention as vec_index)."""
-    n = arr.shape[-1]
+    return (arr % p) @ _code_weights(p, arr.shape[-1])
+
+
+@lru_cache(maxsize=None)
+def _code_weights(p: int, n: int) -> np.ndarray:
     weights = p ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    return (arr % p) @ weights
+    weights.setflags(write=False)
+    return weights
 
 
 def normalize_rows(vectors, p: int) -> np.ndarray:
     """Each row scaled so that its first nonzero coordinate is 1; zero rows stay zero."""
     v = as_vec(vectors, p)
-    first = np.take_along_axis(v, (v != 0).argmax(axis=-1)[..., None], axis=-1)
-    inverses = np.array([0] + [pow(a, p - 2, p) for a in range(1, p)], dtype=np.int64)
-    return (v * inverses[first]) % p
+    flat = v.reshape(-1, v.shape[-1])
+    first = flat[np.arange(len(flat)), (flat != 0).argmax(axis=1)]
+    flat *= _inverses(p)[first][:, None]
+    flat %= p
+    return flat.reshape(v.shape)
+
+
+@lru_cache(maxsize=None)
+def _inverses(p: int) -> np.ndarray:
+    """inv[a] = a^-1 mod p for a != 0, and inv[0] = 0."""
+    inv = np.array([0] + [pow(a, p - 2, p) for a in range(1, p)], dtype=np.int64)
+    inv.setflags(write=False)
+    return inv
 
 
 def projective_classes(vecs: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:

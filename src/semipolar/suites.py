@@ -209,30 +209,44 @@ def _unrecovered(space: SemipolarSpace, i: np.ndarray, j: np.ndarray) -> np.ndar
     return out
 
 
-def _first_unrecovered(space: SemipolarSpace, pair_sets: list[np.ndarray]) -> list:
-    """For each (pairs, 2) code array, its first pair whose double-neighborhood
-    intersection is not the affine line through it, as the repr of a pair of
-    points, or None.  A pair in several sets is intersected once."""
-    keys = np.concatenate([i * space.size + j for i, j in (pairs.T for pairs in pair_sets)])
-    distinct = first_occurrences(keys)[0]
+def _first_unrecovered(space: SemipolarSpace, key_sets: list[np.ndarray]) -> list:
+    """For each array of pair keys i * |Y| + j, its first pair whose
+    double-neighborhood intersection is not the affine line through it, as
+    the repr of a pair of points, or None.  A pair in several sets is
+    intersected once."""
+    distinct = first_occurrences(np.concatenate(key_sets))[0]
     bad = _unrecovered(space, *np.divmod(distinct, space.size))
     witnesses = []
-    ends = np.cumsum([len(pairs) for pairs in pair_sets])
-    for pairs, k in zip(pair_sets, np.split(keys, ends[:-1])):
-        hits = np.flatnonzero(bad[np.searchsorted(distinct, k)])
-        witnesses.append(repr(tuple(space.points[c] for c in pairs[hits[0]])) if hits.size else None)
+    for keys in key_sets:
+        hits = np.flatnonzero(bad[np.searchsorted(distinct, keys)])
+        witnesses.append(_pair_repr(space, keys[hits[0]]) if hits.size else None)
     return witnesses
 
 
+def _pair_repr(space: SemipolarSpace, key) -> str:
+    return repr(tuple(space.points[c] for c in divmod(int(key), space.size)))
+
+
+def _pair_keys(mask: np.ndarray, cfg: SuiteConfig, tag: str) -> np.ndarray:
+    """Keys i * |Y| + j of the pairs i < j set in a (|Y|, |Y|) mask, in
+    row-major order, or the seeded sample of `_maybe_sample` in sampled mode."""
+    keys = np.flatnonzero(np.triu(mask, 1))
+    if cfg.sample is None:
+        check_budget(len(keys), cfg.budget, tag)
+        return keys
+    return keys[_maybe_sample(len(keys), cfg, tag)]
+
+
 def _point_pairs(space: SemipolarSpace, cfg: SuiteConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The (sampled) pairs of distinct points, as (non-vertical, vertical)
-    (pairs, 2) code arrays.  The V part is the leading digits of a point code,
+    """The keys of the (sampled) pairs of distinct points, as (non-vertical,
+    vertical).  The V coordinates are the trailing n digits of a point code,
     so a vertical pair has equal codes mod p^n."""
-    pairs = np.stack(np.triu_indices(space.size, 1), axis=1)
-    pairs = pairs[_maybe_sample(len(pairs), cfg, "point pairs")]
-    u = pairs % space.p**space.n
-    vertical = u[:, 0] == u[:, 1]
-    return pairs[~vertical], pairs[vertical]
+    size = space.size
+    v_codes = np.arange(size) % space.p**space.n
+    vertical = (v_codes[:, None] == v_codes[None, :]).ravel()
+    keys = _pair_keys(np.ones((size, size), dtype=bool), cfg, "point pairs")
+    split = vertical[keys]
+    return keys[~split], keys[split]
 
 
 def suite_recover(space: SemipolarSpace, cfg: SuiteConfig) -> Report:
@@ -241,27 +255,26 @@ def suite_recover(space: SemipolarSpace, cfg: SuiteConfig) -> Report:
     report.add("kernel-separation", star, None, "distinct direction kernels separate")
     if not star:
         return report
-    adj = space.adjacency
-    pairs = np.argwhere(np.triu(adj, 1))
-    pairs = pairs[_maybe_sample(len(pairs), cfg, "adjacent pairs")]
-    pair_sets = [pairs]
+    adjacent = _pair_keys(space.adjacency, cfg, "adjacent pairs")
+    key_sets = [adjacent]
     if space.nu == 1:
         # scalar case: the double-neighborhood intersection of any distinct
         # non-vertical pair is the full affine line through it; vertical pairs
         # have no common neighbors at all, so the construction degenerates
         nonvertical, vertical = _point_pairs(space, cfg)
-        pair_sets.append(nonvertical)
-    wit = _first_unrecovered(space, pair_sets)
+        key_sets.append(nonvertical)
+    wit = _first_unrecovered(space, key_sets)
     report.add("adjacent-pairs", wit[0] is None, wit[0], "intersection equals the singular line")
     if space.nu == 1:
         words = space._adjacency_words
-        shared = np.flatnonzero((words[vertical[:, 0]] & words[vertical[:, 1]]).any(axis=1))
-        vert_wit = repr(tuple(space.points[c] for c in vertical[shared[0]])) if shared.size else None
+        i, j = np.divmod(vertical, space.size)
+        shared = np.flatnonzero((words[i] & words[j]).any(axis=1))
+        vert_wit = _pair_repr(space, vertical[shared[0]]) if shared.size else None
         report.add("nonvertical-pairs-affine-line", wit[1] is None, wit[1],
                    "the intersection is the affine line through the pair")
         report.add("vertical-pairs-degenerate", vert_wit is None, vert_wit,
                    "vertical pairs have no common neighbors")
-    report.data = {"pairs": len(pairs)}
+    report.data = {"pairs": len(adjacent)}
     return report
 
 

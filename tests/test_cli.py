@@ -266,6 +266,8 @@ PINNED_REPORTS = {
         "22f2fb503d5ddf4fa816f042107bb24ab20235513808aa01ae32187129469834",
     ("verify", "cross", "--suite", "gamma"):
         "ca5425a03f9013cd808dc65a571b9175f32c043e00e8b98480590d828a4e1089",
+    ("export", "m1", "--what", "bisectors"):
+        "04d2bb94c79fbb24a0f24338044e550395fd9b0bdea6097c2fbd957e10730c3e",
 }
 
 

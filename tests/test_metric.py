@@ -11,10 +11,12 @@ from semipolar.apsg import Point, SemipolarSpace, line_through
 from semipolar.errors import DimensionMismatch
 from semipolar.forms import AlternatingMap, Semiform
 from semipolar.metric import (
+    KINDS,
     HyperplaneDescriptor,
     bisector_m,
     bisector_t,
     pair_report,
+    pair_sets,
     sphere,
     translation_noninvariance_witness,
 )
@@ -390,6 +392,38 @@ def test_bisectors_spheres_and_reports_match_definitions(space, data):
         })
     if space.nu == 1:
         assert pair_report(space, p1, p2) == reference
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(space=random_spaces(), data=st.data())
+def test_pair_sets_match_their_definitions_in_blocks(space, data):
+    pick = st.integers(0, space.size - 1)
+    pairs = data.draw(st.lists(st.tuples(pick, pick), min_size=2, max_size=7))
+    i, j = (np.array(codes) for codes in zip(*pairs))
+    sets = pair_sets(space, i, j)
+    t, p = space.value_table, space.p
+    assert sets.masks.shape == (3, len(pairs), space.size)
+    for b, (x, y) in enumerate(pairs):
+        assert (sets.masks[0, b] == (t[x] == t[y])).all()
+        assert (sets.masks[1, b] == (t[x] == t[:, y])).all()
+        assert (sets.masks[2, b] == (t[x] == t[x, y])).all()
+    assert (sets.sizes == sets.masks.sum(axis=2)).all()
+    if space.nu != 1:
+        assert sets.equations is None
+        return
+    sizes = {"hyperplane": space.size // p, "all": space.size, "empty": 0}
+    for b, (x, y) in enumerate(pairs):
+        ((a1,), u1), ((a2,), u2) = space.points[x], space.points[y]
+        want = {
+            "t": HyperplaneDescriptor.make(p, [c - d for c, d in zip(u1, u2)], 0, a1 - a2),
+            "m": HyperplaneDescriptor.make(p, [c + d for c, d in zip(u1, u2)], -2, a1 + a2),
+            "sphere": HyperplaneDescriptor.make(p, u1, -1, int(t[x, y]) + a1),
+        }
+        for k, kind in enumerate(KINDS):
+            desc = HyperplaneDescriptor.from_row(p, sets.equations[k, b].tolist())
+            assert desc == want[kind]
+            assert (space.zset_mask(desc.u0, (desc.beta,), desc.alpha) == sets.masks[k, b]).all()
+            assert sets.sizes[k, b] == sizes[desc.classification()]
 
 
 # -- the bisectors suite --------------------------------------------------------------

@@ -181,6 +181,25 @@ def test_recover_witnesses_are_the_first_failing_pairs(sp_m1_gf3, monkeypatch, c
     assert got == expect
 
 
+@pytest.mark.parametrize("sample", [None, 40])
+def test_recover_pairs_are_the_row_major_pairs_or_their_seeded_sample(sp_m1_gf3, sample):
+    space = sp_m1_gf3
+    cfg = SuiteConfig(sample=sample, seed=5)
+    pairs = [(a, b) for a in range(space.size) for b in range(a + 1, space.size)]
+    adjacent = [(a, b) for a, b in pairs if space.adjacency[a, b]]
+    if sample is not None:
+        pairs = [pairs[k] for k in random.Random(5).sample(range(len(pairs)), sample)]
+        adjacent = [adjacent[k] for k in random.Random(5).sample(range(len(adjacent)), sample)]
+
+    def decode(keys):
+        return [divmod(int(key), space.size) for key in keys]
+
+    assert decode(suites._pair_keys(space.adjacency, cfg, "adjacent pairs")) == adjacent
+    nonvertical, vertical = suites._point_pairs(space, cfg)
+    assert decode(nonvertical) == [(a, b) for a, b in pairs if space.points[a].u != space.points[b].u]
+    assert decode(vertical) == [(a, b) for a, b in pairs if space.points[a].u == space.points[b].u]
+
+
 def test_unknown_suite_raises():
     with pytest.raises(KeyError):
         run_suite("bogus", None, SuiteConfig())
