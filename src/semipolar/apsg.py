@@ -32,6 +32,7 @@ from .linalg import (
     first_occurrences,
     pack_rows,
     projective_classes,
+    rank,
     rref,
     subspace_closure,
     unpack_rows,
@@ -379,16 +380,14 @@ class SemipolarSpace:
 
     def direction_excluded_set(self) -> frozenset[Point]:
         """Direction classes carrying no singular line: eta(u0, .) = v0 unsolvable,
-        that is, the target column of the augmented matrix is a pivot column."""
-        out = set()
-        for q in self.direction_classes:
-            if not any(q.u):
-                out.add(q)
-                continue
-            aug = np.hstack([self.form.eta.eta_u(q.u).matrix, np.array(q.v)[:, None]])
-            if self.n in rref(aug, self.p)[1]:
-                out.add(q)
-        return frozenset(out)
+        that is, column n of the augmented matrix [eta(u0, .) | v0] is a pivot
+        column.  One rref of the matrices of every class; a vertical class
+        (u0 = 0, v0 != 0) has the zero matrix, so it is always excluded."""
+        reps, _ = projective_classes(self._coords, self.p)
+        v, u = self._coords[reps, : self.nu], self._coords[reps, self.nu :]
+        aug = np.concatenate([np.einsum("li,ijk->lkj", u, self.form.eta.gram), v[:, :, None]], axis=2)
+        excluded = rref(aug, self.p)[1][:, self.n]
+        return frozenset(self.direction_classes[i] for i in np.flatnonzero(excluded).tolist())
 
     # -- solution sets of one linear adjacency equation ---------------------
 
@@ -420,30 +419,29 @@ class SemipolarSpace:
         return ZSet(members, "affine", dim)
 
     def is_affine_point_set(self, pts) -> bool:
-        """Closure under x + a(y - x) for all scalars a."""
-        return bool(self._is_affine_codes(np.array([self.index(q) for q in pts], dtype=np.int64)))
+        """Closure under x + a(y - x) for all scalars a: for odd p the nonempty
+        closed sets are the affine subspaces, and the empty set is closed.
+        Tested by rank: s distinct points S are an affine subspace iff
+        s = p^rank(S - s0) for a member s0, since S lies in the coset
+        s0 + span(S - s0), which has p^rank points."""
+        codes = np.array([self.index(q) for q in pts], dtype=np.int64)
+        return not codes.size or bool(self._is_affine_codes(codes))
 
     def _is_affine_codes(self, codes) -> np.ndarray:
         """is_affine_point_set for each row of a (..., s) array of point codes,
-        a block of rows at a time.  The tables are read by flat index, one
-        1-d take each: add[x, y] is add.ravel()[x * |Y| + y]."""
-        add, sub, scale = self._tables
-        add, sub, size = add.ravel(), sub.ravel(), self.size
+        s >= 1, repeats allowed: its distinct points against p^rank of the row
+        less its first point.  Runs a block of rows at a time, whose (rows, s,
+        ydim) stack holds about CHUNK / 2 elements, since the rank test keeps
+        three int64 arrays of that size."""
         codes = np.asarray(codes)
-        rows = codes.reshape(-1, codes.shape[-1]).astype(np.intp)
-        s = rows.shape[1]
-        out = np.ones(len(rows), dtype=bool)
-        step = max(1, CHUNK // max(s * s, size))
+        rows = codes.reshape(-1, codes.shape[-1])
+        out = np.empty(len(rows), dtype=bool)
+        step = max(1, CHUNK // (2 * rows.shape[1] * self.ydim))
         for lo in range(0, len(rows), step):
-            block = rows[lo : lo + step]
-            at = np.arange(len(block))[:, None] * size
-            member = np.zeros(len(block) * size, dtype=bool)
-            member[at + block] = True
-            x = block[:, :, None]
-            diff = sub.take(block[:, None, :] * size + x)  # y - x
-            for a in range(2, self.p):
-                inside = member.take(at[:, :, None] + add.take(x * size + scale[a].take(diff)))
-                out[lo : lo + step] &= inside.all(axis=(1, 2))
+            block = np.sort(rows[lo : lo + step], axis=1)
+            distinct = 1 + (block[:, 1:] != block[:, :-1]).sum(axis=1)
+            diffs = self._coords[block] - self._coords[block[:, :1]]
+            out[lo : lo + step] = distinct == self.p ** rank(diffs, self.p)
         return out.reshape(codes.shape[:-1])
 
     def joinable_masks(self, codes) -> np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 from .apsg import Point, SemipolarSpace
 from .errors import DimensionMismatch, EnumerationTooLarge, NotCompatible
 from .forms import AlternatingMap
-from .linalg import LinearMap, as_vec, encode_vecs, enumerate_vectors
+from .linalg import LinearMap, as_vec, encode_vecs, enumerate_vectors, rank
 
 ORACLE_CAP = 27  # largest |Y| whose full affine group the oracle sweeps
 MATRIX_SWEEP_CAP = 10**7  # most n x n matrices invertible_matrices enumerates
@@ -35,6 +35,14 @@ class PointMap:
         self.shift = as_vec(shift, space.p)
         self._perm = None
 
+    @classmethod
+    def of_bijection(cls, space: SemipolarSpace, linear: LinearMap, shift) -> "PointMap":
+        """The map for a linear part already known to be a bijection of Y,
+        which is not tested again."""
+        pmap = cls.__new__(cls)
+        pmap.space, pmap.linear, pmap.shift, pmap._perm = space, linear, as_vec(shift, space.p), None
+        return pmap
+
     @property
     def perm(self) -> np.ndarray:
         if self._perm is None:
@@ -49,7 +57,7 @@ class PointMap:
     def compose(self, other: "PointMap") -> "PointMap":
         mat = (self.linear.matrix @ other.linear.matrix) % self.space.p
         shift = (self.linear.matrix @ other.shift + self.shift) % self.space.p
-        return PointMap(self.space, LinearMap(mat, self.space.p), shift)
+        return PointMap.of_bijection(self.space, LinearMap(mat, self.space.p), shift)
 
     def preserves_adjacency(self) -> bool:
         adj = self.space.adjacency
@@ -114,14 +122,23 @@ def build_general_auto(
     # Both sides are alternating tensors, so this is the test on the pairs i < j.
     if not (eta.pullback(phi) == psi1.apply_rows(eta.gram)).all():
         raise NotCompatible("phi does not twist eta by psi1")
+    return _general_auto(space, psi1, phi, u0, v0)
+
+
+def _general_auto(
+    space: SemipolarSpace, psi1: LinearMap, phi: LinearMap, u0: tuple, v0: tuple
+) -> tuple[PointMap, GeneralAutoParams]:
+    """build_general_auto for parts that passed its tests.  The block matrix
+    [[psi1, psi2], [0, phi]] is then a bijection, of determinant
+    det(psi1) det(phi)."""
+    p = space.p
     # psi2(u) = eta(phi u, u0) = -eta(u0, phi u).
-    psi2 = LinearMap(-eta.eta_u(u0).compose(phi).matrix, p)
+    psi2 = LinearMap(-space.form.eta.eta_u(u0).compose(phi).matrix, p)
     block = np.zeros((space.ydim, space.ydim), dtype=np.int64)
     block[: space.nu, : space.nu] = psi1.matrix
     block[: space.nu, space.nu :] = psi2.matrix
     block[space.nu :, space.nu :] = phi.matrix
-    shift = np.array(v0 + u0, dtype=np.int64)
-    pmap = PointMap(space, LinearMap(block, p), shift)
+    pmap = PointMap.of_bijection(space, LinearMap(block, p), v0 + u0)
     return pmap, GeneralAutoParams(psi1, phi, u0, v0, psi2)
 
 
@@ -196,24 +213,11 @@ def rho_scaling_constant(space: SemipolarSpace, pmap: PointMap) -> int | None:
 
 
 def invertible_matrices(n: int, p: int) -> np.ndarray:
-    """All invertible n x n matrices over GF(p) (n <= 3)."""
-    if n > 3:
-        raise EnumerationTooLarge("full matrix sweep supported only up to 3 x 3")
+    """All invertible n x n matrices over GF(p), in the code order of their entries."""
     if p ** (n * n) > MATRIX_SWEEP_CAP:
         raise EnumerationTooLarge("matrix space exceeds the sweep budget")
-    flat = enumerate_vectors(p, n * n)
-    mats = flat.reshape(-1, n, n)
-    if n == 1:
-        det = mats[:, 0, 0]
-    elif n == 2:
-        det = mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]
-    else:
-        det = (
-            mats[:, 0, 0] * (mats[:, 1, 1] * mats[:, 2, 2] - mats[:, 1, 2] * mats[:, 2, 1])
-            - mats[:, 0, 1] * (mats[:, 1, 0] * mats[:, 2, 2] - mats[:, 1, 2] * mats[:, 2, 0])
-            + mats[:, 0, 2] * (mats[:, 1, 0] * mats[:, 2, 1] - mats[:, 1, 1] * mats[:, 2, 0])
-        )
-    return mats[det % p != 0]
+    mats = enumerate_vectors(p, n * n).reshape(-1, n, n)
+    return mats[rank(mats, p) == n]
 
 
 def brute_force_aut_group(space: SemipolarSpace) -> list[PointMap]:
@@ -242,7 +246,7 @@ def brute_force_aut_group(space: SemipolarSpace) -> list[PointMap]:
             img = adj[sl[:, :, None], sl[:, None, :]]
             good = np.flatnonzero((img == adj[None]).all(axis=(1, 2)))
             for g in good:
-                out.append(PointMap(space, LinearMap(mats[lo + int(g)], p), coords[t]))
+                out.append(PointMap.of_bijection(space, LinearMap(mats[lo + int(g)], p), coords[t]))
     return out
 
 
@@ -257,10 +261,12 @@ def symplectic_family(space: SemipolarSpace) -> list[tuple[SymplecticAutoParams,
         alpha = multiplier(space.form.eta, phi)
         if alpha is None or alpha == 0:
             continue
+        # multiplier has tested phi and its twist by alpha, for every (w, b)
+        psi1 = LinearMap([[alpha]], p)
         for w in product(range(p), repeat=space.n):
             for b in range(p):
-                pmap, params = build_symplectic_auto(space, alpha, b, w, phi)
-                out.append((params, pmap))
+                pmap, g = _general_auto(space, psi1, phi, w, (b,))
+                out.append((SymplecticAutoParams(alpha, b, w, phi, tuple(g.psi2.matrix[0].tolist())), pmap))
     return out
 
 

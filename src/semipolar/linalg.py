@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from itertools import combinations, product
 from typing import Callable, Iterator, Optional
@@ -236,35 +237,41 @@ def subspace_closure(
         cand = nxt
 
 
-def rref(mat, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row-echelon form over GF(p) and the pivot columns."""
-    m = as_vec(np.atleast_2d(mat), p).copy()
-    rows, cols = m.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pr = None
-        for i in range(r, rows):
-            if m[i, c] % p:
-                pr = i
-                break
-        if pr is None:
-            continue
-        if pr != r:
-            m[[r, pr]] = m[[pr, r]]
-        m[r] = (m[r] * pow(int(m[r, c]), p - 2, p)) % p
-        for i in range(rows):
-            if i != r and m[i, c]:
-                m[i] = (m[i] - m[i, c] * m[r]) % p
-        pivots.append(c)
-        r += 1
-        if r == rows:
+def rref(mats, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced row-echelon forms over GF(p) of one (r, c) matrix or a (..., r, c)
+    stack, its nonzero rows first, and a (..., c) mask of the pivot columns.
+    The stack is reduced together, one column j at a time: in each matrix, the
+    first row at or below its next pivot row with a nonzero entry in column j
+    is swapped up, scaled to a leading 1 and subtracted from the other rows."""
+    m = as_vec(np.atleast_2d(mats), p)
+    stack = m.reshape((math.prod(m.shape[:-2]),) + m.shape[-2:])
+    count, rows, cols = stack.shape
+    pivots = np.zeros((count, cols), dtype=bool)
+    nxt = np.zeros(count, dtype=np.int64)  # the next pivot row of each matrix
+    inv, below = _inverses(p), np.arange(rows)
+    for j in range(cols):
+        if (nxt == rows).all():
             break
-    return m[: len(pivots)], pivots
+        cand = (stack[:, :, j] != 0) & (below >= nxt[:, None])
+        b = np.flatnonzero(cand.any(axis=1))
+        if not b.size:
+            continue
+        at, r = cand[b].argmax(axis=1), nxt[b]
+        top = np.zeros((count, cols), dtype=np.int64)  # zero in a matrix without a pivot
+        top[b] = stack[b, at]
+        top = top * inv[top[:, j]][:, None] % p
+        stack[b, at] = stack[b, r]
+        stack -= stack[:, :, j, None] @ top[:, None, :]  # clears the pivot row too
+        stack %= p
+        stack[b, r] = top[b]
+        pivots[b, j] = True
+        nxt[b] += 1
+    return stack.reshape(m.shape), pivots.reshape(m.shape[:-2] + (cols,))
 
 
-def rank(mat, p: int) -> int:
-    return len(rref(mat, p)[1])
+def rank(mats, p: int):
+    """The rank of a matrix, or of each matrix of a (..., r, c) stack."""
+    return rref(mats, p)[1].sum(axis=-1)
 
 
 class Subspace:
@@ -285,11 +292,8 @@ class Subspace:
             ambient_dim = dims.pop()
         if any(d != ambient_dim for d in dims):
             raise DimensionMismatch(f"generators of mixed ambient dimension: {sorted(dims)}")
-        if gens:
-            basis, _ = rref(np.array(gens, dtype=np.int64), p)
-            self.basis = tuple(tuple(int(c) for c in row) for row in basis)
-        else:
-            self.basis = ()
+        basis, pivots = rref(np.array(gens, dtype=np.int64).reshape(-1, ambient_dim), p)
+        self.basis = tuple(tuple(int(c) for c in row) for row in basis[: pivots.sum()])
         self.p = p
         self.ambient_dim = ambient_dim
 
@@ -315,10 +319,8 @@ class Subspace:
         v = as_vec(v, self.p)
         if v.shape != (self.ambient_dim,):
             raise DimensionMismatch("vector has wrong ambient dimension")
-        if not self.basis:
-            return not v.any()
         stacked = np.vstack([self.matrix(), v])
-        return rank(stacked, self.p) == self.dim
+        return bool(rank(stacked, self.p) == self.dim)
 
     def vectors(self) -> Iterator[tuple[int, ...]]:
         """All p^dim members."""
@@ -328,20 +330,13 @@ class Subspace:
             yield tuple(int(c) for c in v)
 
     def intersection(self, other: "Subspace") -> "Subspace":
-        """Row-space intersection via the double-orthocomplement trick."""
+        """Row-space intersection by Zassenhaus: the rows of the reduced
+        [[A, A], [B, 0]] whose left half is zero span it in their right half."""
         if (self.p, self.ambient_dim) != (other.p, other.ambient_dim):
             raise DimensionMismatch("ambient mismatch")
-        # x in rowspace(B) iff x is orthogonal to null(B) for the standard dot.
-        null_b = matrix_kernel(other.matrix(), self.p, self.ambient_dim)
-        a = self.matrix()
-        if self.dim == 0 or other.dim == 0:
-            return Subspace([], self.p, self.ambient_dim)
-        constraints = (a @ null_b.matrix().T) % self.p
-        coeff_space = matrix_kernel(constraints.T, self.p, self.dim) if null_b.dim else Subspace(
-            np.eye(self.dim, dtype=np.int64), self.p, self.dim
-        )
-        gens = (coeff_space.matrix() @ a) % self.p
-        return Subspace(gens, self.p, self.ambient_dim)
+        a, b, n = self.matrix(), other.matrix(), self.ambient_dim
+        reduced, _ = rref(np.block([[a, a], [b, np.zeros_like(b)]]), self.p)
+        return Subspace(reduced[~reduced[:, :n].any(axis=1), n:], self.p, n)
 
     def __eq__(self, other):
         return (
@@ -364,14 +359,10 @@ def matrix_kernel(mat: np.ndarray, p: int, domain_dim: int) -> Subspace:
     if mat.size == 0:
         return Subspace(np.eye(domain_dim, dtype=np.int64), p, domain_dim)
     r, pivots = rref(mat, p)
-    free = [c for c in range(domain_dim) if c not in pivots]
-    gens = []
-    for f in free:
-        v = np.zeros(domain_dim, dtype=np.int64)
-        v[f] = 1
-        for row_i, c in enumerate(pivots):
-            v[c] = (-r[row_i, f]) % p
-        gens.append(v)
+    free = np.flatnonzero(~pivots)
+    gens = np.zeros((len(free), domain_dim), dtype=np.int64)
+    gens[np.arange(len(free)), free] = 1
+    gens[:, pivots] = -r[: pivots.sum(), free].T % p
     return Subspace(gens, p, domain_dim)
 
 
@@ -403,7 +394,7 @@ class LinearMap:
 
     @property
     def rank(self) -> int:
-        return rank(self.matrix, self.p)
+        return int(rank(self.matrix, self.p))
 
     def is_bijective(self) -> bool:
         if self.domain_dim != self.codomain_dim:

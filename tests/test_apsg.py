@@ -26,6 +26,7 @@ from semipolar.linalg import (
     pack_rows,
     unpack_rows,
 )
+from test_forms import random_semiforms
 
 
 def P(v, u):
@@ -303,6 +304,41 @@ def test_affine_point_set_agrees_with_point_closure(sp_m1_gf3, sp_m2_gf3, data):
         swapped = (pts - {out}) | {into}
         assert not closed_by_point_arithmetic(space, swapped)
         assert not space.is_affine_point_set(swapped)
+
+
+def test_empty_point_set_is_affine(sp_m1_gf3):
+    # closure under x + a(y - x) holds vacuously
+    assert closed_by_point_arithmetic(sp_m1_gf3, [])
+    assert sp_m1_gf3.is_affine_point_set([]) is True
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(rho=random_semiforms(), data=st.data())
+def test_affine_codes_agree_with_point_closure_on_random_forms(rho, data):
+    # rows of four kinds: affine spans, spans with one member swapped for an
+    # outside point, spans with a repeated point, and point sets whose size is
+    # no power of p; all in one call, padded by repeating their first point
+    space = SemipolarSpace(rho)
+    p = space.p
+    pick = st.integers(0, space.size - 1)
+    rows = []
+    for _ in range(3):
+        base = space.points[data.draw(pick)]
+        dirs = [space.points[i] for i in data.draw(st.lists(pick, max_size=3 if p == 3 else 2))]
+        span = sorted(space.index(q) for q in affine_span(space, base, dirs))
+        rows.append(span)
+        if 1 < len(span) < space.size:
+            outside = sorted(set(range(space.size)) - set(span))
+            swapped = list(span)
+            swapped[data.draw(st.integers(0, len(span) - 1))] = data.draw(st.sampled_from(outside))
+            rows.append(swapped)
+        rows.append(span + [span[data.draw(st.integers(0, len(span) - 1))]])
+    size = data.draw(st.integers(2, min(30, space.size - 1)).filter(lambda s: s not in {p**k for k in range(4)}))
+    rows.append(data.draw(st.lists(pick, min_size=size, max_size=size, unique=True)))
+    width = max(map(len, rows))
+    affine = space._is_affine_codes(np.array([r + r[:1] * (width - len(r)) for r in rows]))
+    for row, got in zip(rows, affine.tolist()):
+        assert got == closed_by_point_arithmetic(space, {space.points[c] for c in row}), row
 
 
 def test_joinable_counts_and_membership(sp_m1_gf3, sp_m2_gf3, sp_cross_gf3):

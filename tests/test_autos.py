@@ -28,6 +28,7 @@ from semipolar.autos import (
 )
 from semipolar.errors import EnumerationTooLarge, NotCompatible
 from semipolar.forms import AlternatingMap
+from semipolar import linalg
 from semipolar.linalg import LinearMap
 from test_forms import random_semiforms
 
@@ -347,6 +348,24 @@ def test_symplectic_family_is_the_general_map_with_psi1_alpha(sp_m1_gf3):
         block[0] = [params.alpha, *v]
         block[1:, 1:] = params.phi.matrix
         assert PointMap(space, LinearMap(block, 3), (params.b, *params.w)) == pmap
+
+
+def test_family_and_oracle_rank_test_each_matrix_once(sp_m1_gf3, monkeypatch):
+    # phi is tested once for all its (w, b), and the oracle's linear parts
+    # come from the one batched rank test of invertible_matrices
+    calls = []
+    rref = linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda *args: calls.append(args) or rref(*args))
+    phis = invertible_matrices(sp_m1_gf3.n, 3)
+    family = symplectic_family(sp_m1_gf3)
+    assert len(family) == len(phis) * 3 ** (sp_m1_gf3.n + 1)
+    assert len(calls) <= 2 + len(phis)
+    calls.clear()
+    brute_force_aut_group(sp_m1_gf3)
+    assert len(calls) == 1
+    # the public constructor still tests what it is given
+    with pytest.raises(NotCompatible):
+        PointMap(sp_m1_gf3, LinearMap([[1, 0, 0], [0, 1, 2], [0, 1, 2]], 3), (0, 0, 0))
 
 
 # -- the oracle --------------------------------------------------------------------

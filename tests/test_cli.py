@@ -268,6 +268,8 @@ PINNED_REPORTS = {
         "ca5425a03f9013cd808dc65a571b9175f32c043e00e8b98480590d828a4e1089",
     ("export", "m1", "--what", "bisectors"):
         "04d2bb94c79fbb24a0f24338044e550395fd9b0bdea6097c2fbd957e10730c3e",
+    ("verify", "cross", "--suite", "dset", "--suite", "joinable"):
+        "6f42fbf0872eb2f7ba4acd773a5bf1550e6010714771729fd777db3df1e7f5bf",
 }
 
 

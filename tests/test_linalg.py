@@ -5,6 +5,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semipolar.errors import DimensionMismatch, EnumerationTooLarge
 from semipolar.gf import GF
@@ -20,6 +22,8 @@ from semipolar.linalg import (
     index_vec,
     pack_codes,
     pack_rows,
+    rank,
+    rref,
     vec_index,
 )
 
@@ -134,6 +138,69 @@ def test_is_bijective_matches_an_image_count(monkeypatch):
     # an upper unitriangular matrix is answered without a rank test
     monkeypatch.setattr("semipolar.linalg.rref", None)
     assert LinearMap([[1, 2, 0], [0, 1, 1], [0, 0, 1]], 3).is_bijective()
+
+
+def scalar_rref(mat, p):
+    """Reference: one matrix, one row operation at a time; the reduced rows
+    of its rank and the list of pivot columns."""
+    m = np.array(mat, dtype=np.int64) % p
+    rows, cols = m.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pr = None
+        for i in range(r, rows):
+            if m[i, c] % p:
+                pr = i
+                break
+        if pr is None:
+            continue
+        if pr != r:
+            m[[r, pr]] = m[[pr, r]]
+        m[r] = (m[r] * pow(int(m[r, c]), p - 2, p)) % p
+        for i in range(rows):
+            if i != r and m[i, c]:
+                m[i] = (m[i] - m[i, c] * m[r]) % p
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return m[: len(pivots)], pivots
+
+
+@st.composite
+def matrix_stacks(draw):
+    """A (count, rows, cols) stack over GF(p), some of its rows zero or
+    repeats of another row of the same matrix."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    count, rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 6)), draw(st.integers(1, 7))
+    entries = st.lists(st.integers(0, p - 1), min_size=count * rows * cols, max_size=count * rows * cols)
+    stack = np.array(draw(entries), dtype=np.int64).reshape(count, rows, cols)
+    for k in range(count):
+        for i in range(rows):
+            kind = draw(st.sampled_from(["drawn", "drawn", "zero", "repeat"]))
+            if kind == "zero":
+                stack[k, i] = 0
+            elif kind == "repeat":
+                stack[k, i] = stack[k, draw(st.integers(0, rows - 1))]
+    return stack, p
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=matrix_stacks())
+def test_batched_rref_matches_the_scalar_loop(case):
+    stack, p = case
+    reduced, pivots = rref(stack, p)
+    assert reduced.shape == stack.shape and pivots.shape == (len(stack), stack.shape[2])
+    for k, mat in enumerate(stack):
+        want, want_pivots = scalar_rref(mat, p)
+        assert np.flatnonzero(pivots[k]).tolist() == want_pivots
+        assert reduced[k, : len(want_pivots)].tolist() == want.tolist()
+        assert not reduced[k, len(want_pivots) :].any()
+        one, one_pivots = rref(mat, p)  # one matrix is a stack of one
+        assert one.tolist() == reduced[k].tolist() and one_pivots.tolist() == pivots[k].tolist()
+        assert rank(mat, p) == len(want_pivots)
+    assert rank(stack, p).tolist() == pivots.sum(axis=1).tolist()
 
 
 def brute_force_subspace_count(n, k, p):
