@@ -29,7 +29,6 @@ from .linalg import (
     distinct_rows,
     encode_vecs,
     enumerate_vectors,
-    first_occurrences,
     pack_rows,
     projective_classes,
     rank,
@@ -215,17 +214,6 @@ class SemipolarSpace:
         base = np.asarray(base, dtype=np.intp)
         return add.ravel().take(base[..., None] * self.size + scale.T.take(direction, axis=0))
 
-    def lines_through_pairs(self, i, j) -> np.ndarray:
-        """Sorted codes of the affine line through points i != j, for arrays of pairs."""
-        _, sub, _ = self._tables
-        i, j = np.asarray(i), np.asarray(j)
-        return np.sort(self.line_codes(i, sub[j, i]), axis=-1)
-
-    def _line_keys(self, rows: np.ndarray) -> np.ndarray:
-        """One integer per line row: its two smallest codes, which fix the line."""
-        s = np.sort(rows, axis=-1)
-        return s[..., 0].astype(np.int64) * self.size + s[..., 1]
-
     def decode_line(self, base: int, direction: int) -> AffLine:
         """The AffLine base + <direction> for a base code and a direction code."""
         return AffLine(self.points[base], self.points[direction], self.p)
@@ -234,7 +222,7 @@ class SemipolarSpace:
         """(base, direction) codes of every affine line of Y once, in the order of
         the canonical AffLine (base, direction): the direction is a direction class
         and the base has coordinate 0 at the direction's pivot."""
-        dirs = np.array([self.index(d) for d in self.direction_classes], dtype=np.int64)
+        dirs = self._y_classes[0]
         pivots = (self._coords[dirs] != 0).argmax(axis=1)
         bases, k = np.nonzero(self._coords[:, pivots] == 0)
         return bases, dirs[k]
@@ -282,10 +270,14 @@ class SemipolarSpace:
     # -- directions and singular lines -------------------------------------
 
     @cached_property
+    def _y_classes(self) -> tuple[np.ndarray, np.ndarray]:
+        """projective_classes of Y: representative codes and the class of every code."""
+        return projective_classes(self._coords, self.p)
+
+    @cached_property
     def direction_classes(self) -> tuple[Point, ...]:
         """One point per 1-subspace of Y, its first nonzero coordinate 1, in code order."""
-        reps, _ = projective_classes(self._coords, self.p)
-        return tuple(self.points[i] for i in reps.tolist())
+        return tuple(self.points[i] for i in self._y_classes[0].tolist())
 
     @cached_property
     def _u_classes(self) -> tuple[np.ndarray, np.ndarray]:
@@ -324,34 +316,17 @@ class SemipolarSpace:
         return out
 
     @cached_property
-    def _singular_keys(self) -> np.ndarray:
-        """Line key of the singular line through point i in u-class c."""
-        return self._line_keys(self.line_codes(np.arange(self.size)[:, None], self._singular_dirs))
-
-    @cached_property
-    def _distinct_singular_keys(self) -> np.ndarray:
-        """Each key of `_singular_keys` once, increasing."""
-        return first_occurrences(self._singular_keys)[0]
-
-    @cached_property
     def _singular_line_table(self) -> np.ndarray:
-        """table[x, d]: the line x + <d> is named by a key of `_singular_keys`,
-        for every point code x and direction code d.
+        """table[x, d]: the line x + <d> is singular, for every point code x and
+        direction code d (column d = 0 is cleared).
 
-        A key decodes to its line's two smallest codes s0 < s1, the line
-        s0 + <s1 - s0>; each of its points is marked with each nonzero multiple
-        of that direction, a block of keys at a time.  A key naming no line
-        (negative, or s0 >= s1) marks nothing.
+        On the simplified form rho(x + a*d, x + b*d) = (b - a)(eta(u_x, u_d) + v_d),
+        so the line is singular exactly when x ~ x + d: the table is the
+        adjacency gathered along `add`, adjacency[x, add[x, d]].
         """
-        _, sub, scale = self._tables
-        s0, s1 = np.divmod(self._distinct_singular_keys, self.size)
-        named = (s0 >= 0) & (s0 < s1)
-        s0, s1 = s0[named], s1[named]
-        table = np.zeros((self.size, self.size), dtype=bool)
-        step = max(1, CHUNK // (self.p * (self.p - 1)))
-        for lo in range(0, len(s0), step):
-            base, d = s0[lo : lo + step], sub[s1[lo : lo + step], s0[lo : lo + step]]
-            table[self.line_codes(base, d)[:, :, None], scale[1:, d].T[:, None, :]] = True
+        add, _, _ = self._tables
+        table = np.take_along_axis(self.adjacency, add, axis=1)
+        table[:, 0] = False
         table.setflags(write=False)
         return table
 
@@ -362,32 +337,32 @@ class SemipolarSpace:
     @cached_property
     def singular_line_codes(self) -> tuple[np.ndarray, np.ndarray]:
         """(base, direction) codes of every singular line once, as the canonical
-        AffLine has them, sorted by (base, direction).
-
-        The canonical base is the line's smallest code, base + direction its
-        second smallest, so both come out of the line key.
-        """
-        _, sub, _ = self._tables
-        bases, second = np.divmod(self._distinct_singular_keys, self.size)
-        dirs = sub[second, bases].astype(np.int64)
-        order = np.lexsort((dirs, bases))
-        return bases[order], dirs[order]
+        AffLine has them, sorted by (base, direction): the `affine_lines` whose
+        `_singular_line_table` entry is set."""
+        bases, dirs = self.affine_lines()
+        singular = self._singular_line_table[bases, dirs]
+        return bases[singular], dirs[singular]
 
     @cached_property
     def singular_lines(self) -> frozenset[AffLine]:
         bases, dirs = self.singular_line_codes
         return frozenset(self.decode_line(b, d) for b, d in zip(bases.tolist(), dirs.tolist()))
 
-    def direction_excluded_set(self) -> frozenset[Point]:
-        """Direction classes carrying no singular line: eta(u0, .) = v0 unsolvable,
-        that is, column n of the augmented matrix [eta(u0, .) | v0] is a pivot
-        column.  One rref of the matrices of every class; a vertical class
-        (u0 = 0, v0 != 0) has the zero matrix, so it is always excluded."""
-        reps, _ = projective_classes(self._coords, self.p)
+    @cached_property
+    def _excluded_classes(self) -> np.ndarray:
+        """One flag per direction class (`_y_classes` order): it carries no
+        singular line, that is, eta(u0, .) = v0 is unsolvable, so column n of
+        the augmented matrix [eta(u0, .) | v0] is a pivot column.  One rref of
+        the matrices of every class; a vertical class (u0 = 0, v0 != 0) has the
+        zero matrix, so it is always excluded."""
+        reps = self._y_classes[0]
         v, u = self._coords[reps, : self.nu], self._coords[reps, self.nu :]
         aug = np.concatenate([np.einsum("li,ijk->lkj", u, self.form.eta.gram), v[:, :, None]], axis=2)
-        excluded = rref(aug, self.p)[1][:, self.n]
-        return frozenset(self.direction_classes[i] for i in np.flatnonzero(excluded).tolist())
+        return rref(aug, self.p)[1][:, self.n]
+
+    def direction_excluded_set(self) -> frozenset[Point]:
+        """Direction classes carrying no singular line."""
+        return frozenset(self.direction_classes[i] for i in np.flatnonzero(self._excluded_classes).tolist())
 
     # -- solution sets of one linear adjacency equation ---------------------
 
@@ -460,13 +435,15 @@ class SemipolarSpace:
 
     def triangles_through(self, pt: Point) -> list[tuple[Point, Point, Point]]:
         """Non-collinear pairwise-adjacent triples through pt."""
+        _, sub, _ = self._tables
         i = self.index(pt)
         nbrs = np.flatnonzero(self.adjacency[i])
         nbrs = nbrs[nbrs != i]
-        keys = self._line_keys(self.lines_through_pairs(i, nbrs)).tolist()
+        # a and b lie on one line through pt when a - pt and b - pt span one class
+        classes = self._y_classes[1][sub[nbrs, i]].tolist()
         out = []
-        for (a, ka), (b, kb) in combinations(zip(nbrs.tolist(), keys), 2):
-            if self.adjacency[a, b] and ka != kb:
+        for (a, ca), (b, cb) in combinations(zip(nbrs.tolist(), classes), 2):
+            if self.adjacency[a, b] and ca != cb:
                 out.append((pt, self.points[a], self.points[b]))
         return out
 
@@ -671,15 +648,16 @@ class SemipolarSpace:
         A line maps to the u-class of its direction; line k is expected in
         class k, so a plane maps to the sorted classes of its lines.
         """
-        lines = self.singular_lines_through(pt)
+        i = self.index(pt)
+        dirs = self._singular_dirs[i]
         planes = self.singular_planes_through(pt)
-        line_points = [frozenset(self.index(q) for q in l.points()) for l in lines]
+        line_points = [frozenset(row) for row in self.line_codes(i, dirs).tolist()]
         plane_members = [
-            frozenset(i for i, lp in enumerate(line_points) if lp <= plane) for plane in planes
+            frozenset(k for k, lp in enumerate(line_points) if lp <= plane) for plane in planes
         ]
         null_points, null_lines = self.null_system()
-        u = np.array([l.direction.u for l in lines], dtype=np.int64).reshape(-1, self.n)
-        classes = self._u_classes[1][encode_vecs(u, self.p)]
+        classes = self._u_classes[1][dirs % self.p**self.n]  # the u-part is a code's last n digits
+        lines = self.singular_lines_through(pt)
         iso = np.array_equal(classes, np.arange(len(null_points))) and null_lines == sorted(
             tuple(sorted(plane)) for plane in plane_members
         )

@@ -288,15 +288,11 @@ def shift_images(space: SemipolarSpace, start: Point) -> np.ndarray:
     """Code of point_transitive_auto(space, start, dst)(start) for every point
     code dst, in one array pass.
 
-    Those maps are the general maps with psi1 = phi = id, whose shared linear
-    parts are validated once.  With u0 = u_dst - u_s and v0 = v_dst - v_s -
-    eta(u_s, u0), the image of start = [v_s, u_s] is [v_s - eta(u0, u_s) + v0,
-    u_s + u0].
+    Those maps are the general maps with psi1 = phi = id.  With u0 = u_dst - u_s
+    and v0 = v_dst - v_s - eta(u_s, u0), the image of start = [v_s, u_s] is
+    [v_s - eta(u0, u_s) + v0, u_s + u0].
     """
     p, nu = space.p, space.nu
-    build_general_auto(
-        space, LinearMap.identity(nu, p), LinearMap.identity(space.n, p), (0,) * space.n, (0,) * nu
-    )
     gram = space.form.eta.gram
     v_s, u_s = np.array(start.v, dtype=np.int64), np.array(start.u, dtype=np.int64)
     u0 = space._coords[:, nu:] - u_s

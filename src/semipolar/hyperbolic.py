@@ -376,9 +376,13 @@ class Reduct:
 
 def reduct(space: HypPolarSpace, z: Subspace) -> Reduct:
     """Delete a maximal singular subspace: clip its points from every line."""
-    if z not in set(space.maximal_singulars()):
+    try:
+        z_mask = space.point_mask(z)
+        maximal = (space._maximal_masks == z_mask).all(axis=1).any()
+    except DimensionMismatch:
+        maximal = False
+    if not maximal:
         raise InvalidSubspace("the deleted subspace must be maximal singular")
-    z_mask = space.point_mask(z)
     pts = space.quadric_points
     points = tuple(pts[i] for i in np.flatnonzero(~z_mask).tolist())
     members, _ = space._layers[0]
@@ -549,7 +553,7 @@ def reconstruction_report(space: HypPolarSpace, z: Subspace) -> dict:
         "base_dim": space.n,
         "quadric_points": len(space.quadric_points),
         "polar_lines": len(space._layers[0][0]),
-        "maximal_singulars": len(space.maximal_singulars()),
+        "maximal_singulars": len(space._maximal_masks),
         "parity_class_sizes": sizes,
         "reduct_points": len(red.points),
         "reduct_lines": len(red.line_members),

@@ -127,21 +127,19 @@ def suite_lines(space: SemipolarSpace, cfg: SuiteConfig) -> Report:
 
 
 def suite_dset(space: SemipolarSpace, cfg: SuiteConfig) -> Report:
-    excluded = space.direction_excluded_set()
-    carried = set(space.singular_line_codes[1].tolist())  # canonical: class representatives
-    classes = {space.index(q) for q in space.direction_classes}
-    excluded_codes = {space.index(q) for q in excluded}
-    partition_ok = (carried | excluded_codes == classes) and not (carried & excluded_codes)
-    report = Report(data={"excluded": len(excluded), "classes": len(classes)})
-    report.add("partition", partition_ok, None,
+    reps, cls = space._y_classes
+    excluded = space._excluded_classes
+    carried = np.zeros(len(reps), dtype=bool)
+    carried[cls[space.singular_line_codes[1]]] = True
+    vertical = ~space._coords[reps, space.nu :].any(axis=1)
+    report = Report(data={"excluded": int(excluded.sum()), "classes": len(reps)})
+    report.add("partition", (carried != excluded).all(), None,
                "every direction is excluded or carries a singular line, never both")
     if space.nu == 1:
-        vertical = next(d for d in space.direction_classes if not any(d.u))
-        report.add("vertical-only", excluded == {vertical}, None,
+        report.add("vertical-only", (excluded == vertical).all(), None,
                    "scalar case: only the vertical direction is excluded")
     else:
-        vertical_in = all(q in excluded for q in space.direction_classes if not any(q.u))
-        report.add("vertical-included", vertical_in, None,
+        report.add("vertical-included", excluded[vertical].all(), None,
                    "pure V'-directions never carry singular lines")
     return report
 
@@ -503,7 +501,7 @@ def suite_hyperbolic(space: Optional[SemipolarSpace], cfg: SuiteConfig) -> Repor
     report.add("hyperbolic-type", hyp.hyperbolic_by_discriminant(), None,
                "discriminant classification: maximal index")
     report.add("two-parity-classes",
-               data["parity_class_sizes"] == [len(hyp.maximal_singulars()) // 2])
+               data["parity_class_sizes"] == [len(hyp._maximal_masks) // 2])
     report.add("reconstruction-isomorphic", rec["isomorphic"])
     report.add("class-count", rec["class_count"] == expected_points, None,
                f"one class per deleted projective point ({expected_points})")

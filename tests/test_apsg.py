@@ -421,14 +421,16 @@ def test_gamma_space_corrupted_line_set_fails(sp_m2_gf3):
     assert len(inside) == 4
     corrupted = set(space.singular_lines)
     corrupted.remove(inside[-1])
-    # a fresh space whose line keys lack the dropped line: -1 keys no line
+    # a fresh space whose line table lacks the dropped line: each of its points
+    # with each nonzero multiple of its direction
     broken = SemipolarSpace(space.form)
-    keys = broken._singular_keys.copy()
-    rows = np.array([space.index(q) for q in inside[-1].points()])
-    dropped = broken._line_keys(rows)
-    assert (keys == dropped).sum() == 3
-    keys[keys == dropped] = -1
-    broken.__dict__["_singular_keys"] = keys
+    table = broken._singular_line_table.copy()
+    _, _, scale = space._tables
+    rows = np.array([space.index(q) for q in inside[-1].points()])[:, None]
+    multiples = scale[1:, space.index(inside[-1].direction)][None, :]
+    assert table[rows, multiples].all()
+    table[rows, multiples] = False
+    broken.__dict__["_singular_line_table"] = table
     report = broken.verify_gamma_space()
     assert not report.check("plane-closure").passed
     assert report.check("singular-subspaces-affine").passed
@@ -845,10 +847,16 @@ def test_singular_line_table_matches_pairwise_adjacency_on_random_forms(shape, e
         _, _, scale = space._tables
         assert not table[:, 0].any()
         # every (point, nonzero direction) entry lies on exactly one affine line
+        expected = []
         for b, d in zip(*space.affine_lines()):
-            singular = space.line_singular_by_pairs(space.decode_line(b, d))
+            line = space.decode_line(b, d)
+            singular = space.line_singular_by_pairs(line)
             rows = space.line_codes(b, d)
             assert (table[rows[:, None], scale[1:, d][None, :]] == singular).all()
+            if singular:
+                expected.append((space.index(line.base), space.index(line.direction)))
+        bases, dirs = space.singular_line_codes
+        assert list(zip(bases.tolist(), dirs.tolist())) == sorted(expected)
 
     check()
 

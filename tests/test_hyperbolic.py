@@ -264,6 +264,12 @@ def test_reduct_point_and_line_counts(red_identity):
 def test_reduct_rejects_non_maximal(hyp_identity):
     with pytest.raises(InvalidSubspace):
         reduct(hyp_identity, Subspace([(1, 0, 0, 0, 0, 0)], 3))
+    # so are a subspace that is not totally isotropic and one of the wrong
+    # ambient dimension
+    with pytest.raises(InvalidSubspace):
+        reduct(hyp_identity, Subspace([(1, 0, 0, 1, 0, 0)], 3))
+    with pytest.raises(InvalidSubspace):
+        reduct(hyp_identity, Subspace(np.eye(3, 4, dtype=np.int64), 3))
 
 
 def test_classification_sizes(red_identity):

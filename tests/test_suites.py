@@ -156,12 +156,13 @@ def test_recover_witnesses_are_the_first_failing_pairs(sp_m1_gf3, monkeypatch, c
     adj[[0, j, k, k], [k, k, 0, j]] = True
     space.__dict__["adjacency"] = adj
     nbrs = [set(np.flatnonzero(row).tolist()) for row in adj]
+    _, sub, _ = space._tables
 
     def recovered(a, b):
         out = set(range(space.size))
         for c in nbrs[a] & nbrs[b]:
             out &= nbrs[c]
-        return out == set(space.lines_through_pairs(a, b).tolist())
+        return out == set(space.line_codes(a, sub[b, a]).tolist())
 
     def first(pairs, bad):
         return next((repr((space.points[a], space.points[b])) for a, b in pairs if bad(a, b)), None)
