@@ -433,19 +433,24 @@ class SemipolarSpace:
 
     # -- triangles ----------------------------------------------------------
 
-    def triangles_through(self, pt: Point) -> list[tuple[Point, Point, Point]]:
-        """Non-collinear pairwise-adjacent triples through pt."""
+    def triangle_codes(self, i: int) -> np.ndarray:
+        """Non-collinear pairwise-adjacent triples through point code i, one
+        row (i, a, b) of codes each, the pairs (a, b) of neighbors of i in
+        the order of itertools.combinations."""
         _, sub, _ = self._tables
-        i = self.index(pt)
         nbrs = np.flatnonzero(self.adjacency[i])
         nbrs = nbrs[nbrs != i]
-        # a and b lie on one line through pt when a - pt and b - pt span one class
-        classes = self._y_classes[1][sub[nbrs, i]].tolist()
-        out = []
-        for (a, ca), (b, cb) in combinations(zip(nbrs.tolist(), classes), 2):
-            if self.adjacency[a, b] and ca != cb:
-                out.append((pt, self.points[a], self.points[b]))
-        return out
+        # a and b lie on one line through i when a - i and b - i span one class
+        classes = self._y_classes[1][sub[nbrs, i]]
+        a, b = np.triu_indices(len(nbrs), 1)
+        keep = self.adjacency[nbrs[a], nbrs[b]] & (classes[a] != classes[b])
+        a, b = nbrs[a[keep]], nbrs[b[keep]]
+        return np.stack([np.full_like(a, i), a, b], axis=1)
+
+    def triangles_through(self, pt: Point) -> list[tuple[Point, Point, Point]]:
+        """Non-collinear pairwise-adjacent triples through pt."""
+        pts = self.points
+        return [tuple(pts[c] for c in row) for row in self.triangle_codes(self.index(pt)).tolist()]
 
     def triangle_census(self) -> int:
         """Total number of triangles; each counted once.

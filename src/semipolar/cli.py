@@ -2,6 +2,11 @@
 
 Exit codes: 0 all suites pass, 1 a suite failed, 2 usage error, 3 enumeration
 budget exceeded.  All reports are JSON with sorted keys, byte-identical on rerun.
+
+Each command imports the layers it runs, when it runs them: `build` and the
+instance loaders need only apsg, forms, linalg and gf; `verify` imports the
+suites and through them every layer, `export --what reconstruct` the
+hyperbolic engine and `export --what bisectors` the metric layer.
 """
 
 from __future__ import annotations
@@ -17,15 +22,7 @@ from .apsg import SemipolarSpace
 from .errors import DimensionMismatch, EnumerationTooLarge, GeometryError
 from .forms import Semiform, cross_product_map, exterior_square, standard_symplectic
 from .gf import GF
-from .hyperbolic import (
-    build_double,
-    default_deleted_subspace,
-    reconstruction_report,
-    standard_doubling_base,
-)
 from .linalg import LinearMap
-from .metric import pair_reports
-from .suites import SuiteConfig, applicable_suites, run_suite
 
 
 def _dump(obj, path: Optional[str]) -> None:
@@ -81,6 +78,8 @@ def _space_from_args(args) -> Optional[SemipolarSpace]:
 
 
 def cmd_verify(args) -> int:
+    from .suites import SuiteConfig, applicable_suites, run_suite
+
     cfg = SuiteConfig(
         budget=args.budget,
         sample=args.sample,
@@ -115,6 +114,13 @@ def cmd_verify(args) -> int:
 
 def cmd_export(args) -> int:
     if args.what == "reconstruct":
+        from .hyperbolic import (
+            build_double,
+            default_deleted_subspace,
+            reconstruction_report,
+            standard_doubling_base,
+        )
+
         p = args.field or 3
         base = standard_doubling_base(args.hyp_dim, p, diag=args.hyp_diag)
         hyp = build_double(args.hyp_dim, base)
@@ -154,6 +160,8 @@ def cmd_export(args) -> int:
         return 0
 
     if args.what == "bisectors":
+        from .metric import pair_reports
+
         if args.pair:
             i, j = (int(x) for x in args.pair.split(","))
             if not (0 <= i < space.size and 0 <= j < space.size):

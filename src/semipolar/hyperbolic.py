@@ -35,7 +35,6 @@ from .linalg import (
     Subspace,
     as_vec,
     encode_vecs,
-    enumerate_subspaces,
     enumerate_vectors,
     first_occurrences,
     normalize_rows,
@@ -524,9 +523,16 @@ def reconstruct_deleted_subspace(red: Reduct) -> Reconstruction:
 
 
 def _hyperplanes_of(space: HypPolarSpace, z: Subspace) -> np.ndarray:
-    """Point masks of the codimension-1 subspaces of z."""
-    coeffs = np.array([s.matrix() for s in enumerate_subspaces(z.dim - 1, z.dim, z.p)])
-    return space._span_masks(coeffs.reshape(-1, z.dim - 1, z.dim) @ z.matrix() % z.p)
+    """Point masks of the codimension-1 subspaces of z, one per normalized
+    nonzero c in GF(p)^k: the points whose coordinates g in z's basis have
+    c . g = 0."""
+    grid = enumerate_vectors(z.p, z.dim)
+    reps, _ = projective_classes(grid, z.p)
+    points = space._span_indices(z.matrix()[None])[0]  # the point of each g in grid[1:]
+    planes, members = np.nonzero(grid[reps] @ grid[1:].T % z.p == 0)
+    masks = np.zeros((len(reps), len(space.quadric_points)), dtype=bool)
+    masks[planes, points[members]] = True
+    return masks
 
 
 def _recovered_lines_match(space: HypPolarSpace, class_list, profiles, improper_points) -> bool:

@@ -179,10 +179,9 @@ def suite_triangles(space: SemipolarSpace, cfg: SuiteConfig) -> Report:
     report = Report(data={"census": census})
     report.add("census-matches-kernel-profile", (census == 0) == predicted_empty, None,
                "no triangles exactly when every partial kernel is a line")
-    sample = space.triangles_through(space.origin)[:20]
-    codes = np.array([[space.index(q) for q in tri] for tri in sample], dtype=np.int64).reshape(-1, 3)
-    _, _, psub, _, _ = group_tables(space.p, space.ydim)
-    legs = space._coords[psub[codes[:, 1:], codes[:, :1]], space.nu :]  # u-parts of p1 - p0, p2 - p0
+    codes = space.triangle_codes(space.index(space.origin))[:20]
+    _, sub, _ = space._tables
+    legs = space._coords[sub[codes[:, 1:], codes[:, :1]], space.nu :]  # u-parts of p1 - p0, p2 - p0
     eta = np.einsum("ka,abj,kb->kj", legs[:, 0], space.form.eta.gram, legs[:, 1]) % space.p
     report.add("parametric-form", not eta.any(), None, "triangle legs have orthogonal directions")
     return report

@@ -12,6 +12,7 @@ from semipolar.hyperbolic import (
     HypPolarSpace,
     Reconstruction,
     SymmetricForm,
+    _hyperplanes_of,
     build_double,
     classify_reduct_maximals,
     default_deleted_subspace,
@@ -25,7 +26,7 @@ from semipolar.hyperbolic import (
     standard_doubling_base,
     subspace_reps,
 )
-from semipolar.linalg import Subspace, enumerate_vectors, rank, subspace_closure
+from semipolar.linalg import Subspace, enumerate_subspaces, enumerate_vectors, rank, subspace_closure
 
 
 @pytest.fixture(scope="session")
@@ -238,6 +239,20 @@ def test_reconstruction_base_dimension_four():
     assert rec.class_count == 40  # points of PG(3, 3)
     assert rec.r1_size == 40  # one per plane of PG(3, 3)
     assert rec.lines_ok and rec.isomorphic
+
+
+@pytest.mark.parametrize("n, p", [(3, 3), (4, 3), (3, 5)])
+def test_hyperplane_masks_match_enumerated_subspaces(n, p):
+    # the masks from normalized c with c . g = 0 against the spans of the
+    # enumerated (dim Z - 1)-subspaces of coordinate space, mapped into Z
+    space = build_double(n, standard_doubling_base(n, p))
+    coeffs = np.array([s.matrix() for s in enumerate_subspaces(n - 1, n, p)])
+    for z in (default_deleted_subspace(space), space.maximal_singulars()[-1]):
+        expected = space._span_masks(coeffs @ z.matrix() % p)
+        masks = _hyperplanes_of(space, z)
+        assert len(masks) == len(expected) == (p**n - 1) // (p - 1)
+        assert (masks.sum(axis=1) == (p ** (n - 1) - 1) // (p - 1)).all()
+        assert {row.tobytes() for row in masks} == {row.tobytes() for row in expected}
 
 
 # -- reducts --------------------------------------------------------------------------

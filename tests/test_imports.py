@@ -30,3 +30,26 @@ def test_verify_all_does_not_import_numpy_ma(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_build_and_reconstruct_import_only_the_layers_they_run(tmp_path):
+    # the pair-query session's imports and a build load no suite, hyperbolic
+    # or automorphism code; reconstruct then adds the hyperbolic engine alone
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    m1, out = tmp_path / "m1.json", tmp_path / "out.json"
+    code = (
+        "import sys\n"
+        "from semipolar.cli import load_instance, main\n"
+        "import semipolar.metric\n"
+        f"assert main(['build', '--field', '3', '--kind', 'symplectic', '--index', '1', '--out', {str(m1)!r}]) == 0\n"
+        f"load_instance({str(m1)!r})\n"
+        "loaded = lambda: sorted(m for m in ('suites', 'hyperbolic', 'autos') if 'semipolar.' + m in sys.modules)\n"
+        "print(loaded())\n"
+        f"assert main(['export', '--what', 'reconstruct', '--out', {str(out)!r}]) == 0\n"
+        "print(loaded())\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "['hyperbolic']"]
