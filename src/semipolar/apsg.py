@@ -506,12 +506,14 @@ class SemipolarSpace:
                 break
         report.add("plane-closure", wit is None, wit, "lines through a common point inside a span stay singular")
 
-        rows = [sorted(s) for s in self.maximal_singular_subspaces()]
-        width = max(map(len, rows), default=0)
-        # pad with a repeated point, which adds no pair, so all rows run in one batch
-        codes = np.array([r + r[:1] * (width - len(r)) for r in rows], dtype=np.int64)
-        affine = self._is_affine_codes(codes.reshape(len(rows), width))
-        aff_wit = None if affine.all() else (rows[int(np.flatnonzero(~affine)[0])],)
+        # each width runs in one batch; the witness is the first failing row in
+        # the order of maximal_singular_subspaces
+        failing = []
+        for codes in self.maximal_subspace_codes:
+            bad = np.flatnonzero(~self._is_affine_codes(codes))
+            if bad.size:
+                failing.append(codes[bad[0]].tolist())
+        aff_wit = (min(failing),) if failing else None
         report.add("singular-subspaces-affine", aff_wit is None, aff_wit, "maximal singular subspaces carry affine geometry")
         return report
 
@@ -609,20 +611,30 @@ class SemipolarSpace:
         return table
 
     def maximal_singular_subspaces(self) -> list[frozenset[int]]:
+        """The maximal singular subspaces as point-code sets, ordered by their
+        sorted members, decoded from `maximal_subspace_codes` on each call."""
+        rows = [row for codes in self.maximal_subspace_codes for row in codes.tolist()]
+        return [frozenset(row) for row in sorted(rows)]
+
+    @cached_property
+    def maximal_subspace_codes(self) -> tuple[np.ndarray, ...]:
         """Exhaustive closure: grow singular subspaces from points until nothing extends.
 
         `linalg.subspace_closure` grows them on the adjacency words, a
         subspace extending by the affine span with an adjacent point outside
-        it; a subspace with no such point is maximal.
+        it; a subspace with no such point is maximal.  One array per layer
+        that has maximal subspaces, in increasing width: their sorted member
+        codes, one row each, in lexicographic order.
         """
-        return self._maximal_singular_subspaces
-
-    @cached_property
-    def _maximal_singular_subspaces(self) -> list[frozenset[int]]:
-        maximal: list[frozenset[int]] = []
+        found = []
         for members, top in subspace_closure(self._adjacency_words, self._affine_span):
-            maximal += map(frozenset, members[top].tolist())
-        return sorted(maximal, key=sorted)
+            if top.any():
+                rows = members[top]
+                # distinct_rows orders by the reversed rows, so reverse them first
+                rows = rows[distinct_rows(rows[:, ::-1])]
+                rows.setflags(write=False)
+                found.append(rows)
+        return tuple(found)
 
     def _affine_span(self, members: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Codes of the affine span of each row of member codes with the point x[i]."""

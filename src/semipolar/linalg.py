@@ -157,13 +157,6 @@ def unpack_rows(words: np.ndarray, n: int) -> np.ndarray:
     return np.unpackbits(np.ascontiguousarray(words).view(np.uint8), axis=-1, count=n).view(bool)
 
 
-def _without(words: np.ndarray, members: np.ndarray, n: int) -> np.ndarray:
-    """pack_rows words over n points with each row's member codes cleared."""
-    bits = unpack_rows(words, n)
-    bits[np.arange(len(bits))[:, None], members] = False
-    return pack_rows(bits)
-
-
 def subspace_closure(
     words: np.ndarray, span: Callable[[np.ndarray, np.ndarray], np.ndarray]
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -176,12 +169,12 @@ def subspace_closure(
     yields the sorted member codes of its subspaces, one row each in no fixed
     order, and whether each is maximal.
 
-    A subspace's candidates are the points collinear with all the points that
-    spanned it, less its members.  The lowest candidate x gives the extension
-    span(S, x), and every point of that span is struck, since each gives the
-    same extension.  An extension's candidates are its parent's, as they were
-    before striking, and `words[x]`, less its own members.  A subspace with no
-    candidates is maximal.
+    A row of the k-th layer keeps, besides its members, the k + 1 points that
+    spanned it: its parent's and the point x it was extended by.  Its
+    candidates are the points collinear with all of them, the AND of their
+    `words` rows, less its members.  The lowest candidate x gives the
+    extension span(S, x), and every point of that span is struck, since each
+    gives the same extension.  A subspace with no candidates is maximal.
 
     Every candidate gives an extension, with no test of its points.  The
     points collinear with a point y form a subspace, since the form is linear
@@ -191,36 +184,41 @@ def subspace_closure(
     hence span(S, x).  Every point of span(S, x) is then collinear with S and
     x, so with all of span(S, x): the extension is singular, and as x lies
     outside S it has p times the points of S (p times plus one, projectively).
-    For the same reason its candidates do not depend on the parent that gave
-    it.  Conversely a singular subspace one dimension above S that holds S is
-    span(S, x) for each of its points x outside S, which are candidates of S,
-    so the layers are complete.
+    For the same reason its candidates are the points collinear with all of
+    it, less its members, whichever points spanned it.  Conversely a singular
+    subspace one dimension above S that holds S is span(S, x) for each of its
+    points x outside S, which are candidates of S, so the layers are complete.
 
-    The layer is swept in blocks of rows, its candidates unpacked a block at a
-    time.  Extensions are deduplicated on their sorted codes
-    (`distinct_rows`) whenever the new ones outnumber the distinct ones kept.
+    The layer is swept in blocks of rows, its candidates built and unpacked a
+    block at a time, so a layer holds k + 1 spanning codes a row, never a row
+    of candidate words.  Extensions are deduplicated on their sorted codes
+    (`distinct_rows`) whenever the new ones outnumber the distinct ones kept;
+    each keeps its parent row and x as int32.
     """
     def distinct(found: list[tuple]) -> tuple:
         merged = [np.concatenate(part) for part in zip(*found)]
+        found.clear()  # the blocks go before the sort copies the merged codes
         keep = distinct_rows(merged[0])
         return tuple(part[keep] for part in merged)
 
     n = len(words)
     members = np.arange(n)[:, None]
-    cand = _without(words, members, n)
+    spanners = members.astype(np.int32)  # the points that spanned each row
     step = max(1, CHUNK // n)
     while True:
         top = np.ones(len(members), dtype=bool)
         found, kept, pending = [], 0, 0  # (codes, parent row, x) of the extensions
         for lo in range(0, len(members), step):
-            live = unpack_rows(cand[lo : lo + step], n)
+            block = members[lo : lo + step]
+            live = unpack_rows(np.bitwise_and.reduce(words[spanners[lo : lo + step]], axis=1), n)
+            live[np.arange(len(block))[:, None], block] = False
             rows = np.flatnonzero(live.any(axis=1))
             top[lo + rows] = False
             while rows.size:
                 x = live[rows].argmax(axis=1)
-                grown = np.sort(span(members[lo + rows], x), axis=1)
+                grown = np.sort(span(block[rows], x), axis=1)
                 live[rows[:, None], grown] = False
-                found.append((grown, lo + rows, x))
+                found.append((grown, (lo + rows).astype(np.int32), x.astype(np.int32)))
                 pending += len(rows)
                 rows = rows[live[rows].any(axis=1)]
             if found and pending >= kept:
@@ -230,11 +228,7 @@ def subspace_closure(
         if not found:
             return
         members, parent, x = distinct(found)
-        nxt = np.empty((len(parent), cand.shape[1]), dtype=cand.dtype)
-        for lo in range(0, len(parent), step):
-            at = slice(lo, lo + step)
-            nxt[at] = _without(cand[parent[at]] & words[x[at]], members[at], n)
-        cand = nxt
+        spanners = np.concatenate([spanners[parent], x[:, None]], axis=1)
 
 
 def rref(mats, p: int) -> tuple[np.ndarray, np.ndarray]:

@@ -92,7 +92,7 @@ def suite_gamma(space: SemipolarSpace, cfg: SuiteConfig) -> Report:
     report.checks += space.verify_parallel_unclosed().checks
     report.data = {
         "singular_lines": len(space.singular_line_codes[0]),
-        "maximal_singular_subspaces": len(space.maximal_singular_subspaces()),
+        "maximal_singular_subspaces": sum(map(len, space.maximal_subspace_codes)),
     }
     return report
 

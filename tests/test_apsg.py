@@ -452,6 +452,45 @@ def test_gamma_space_corrupted_line_set_fails(sp_m2_gf3):
     assert candidate not in corrupted
 
 
+def with_swapped_members(space, picks):
+    """A fresh space on the same form whose cached maximal subspaces have, for
+    each (array, row) of `picks`, the row's last member swapped for the lowest
+    point outside it, the row kept sorted; and the corrupted rows."""
+    arrays = [codes.copy() for codes in space.maximal_subspace_codes]
+    rows = []
+    for k, r in picks:
+        row = arrays[k][r]
+        row[-1] = min(set(range(space.size)) - set(row.tolist()))
+        row.sort()
+        rows.append(row.tolist())
+    broken = SemipolarSpace(space.form)
+    broken.__dict__["maximal_subspace_codes"] = tuple(arrays)
+    return broken, rows
+
+
+# (3, 3, 2): 729 maximal lines and 27 maximal planes; the witness is the
+# first failing row across both widths, the order of maximal_singular_subspaces
+MIXED_WIDTHS = AlternatingMap(3, 3, 2, {(0, 1): (1, 0), (0, 2): (0, 1), (1, 2): (0, 0)})
+
+
+@pytest.mark.parametrize(
+    "mixed, picks",
+    [
+        pytest.param(False, [(0, 540)], id="m2"),
+        pytest.param(True, [(1, 13)], id="mixed-plane"),
+        pytest.param(True, [(0, 728), (1, 0)], id="mixed-line-and-plane"),
+    ],
+)
+def test_singular_subspaces_affine_fails_on_a_swapped_member(sp_m2_gf3, mixed, picks):
+    space = SemipolarSpace(Semiform(MIXED_WIDTHS)) if mixed else sp_m2_gf3
+    assert len(space.maximal_subspace_codes) == (2 if mixed else 1)
+    broken, rows = with_swapped_members(space, picks)
+    check = broken.verify_gamma_space().check("singular-subspaces-affine")
+    assert not check.passed
+    assert check.witness == (min(rows),)
+    assert not broken.is_affine_point_set([broken.points[c] for c in check.witness[0]])
+
+
 def test_parallel_unclosed(sp_m1_gf3, sp_m2_gf3):
     for space in (sp_m1_gf3, sp_m2_gf3):
         assert space.verify_parallel_unclosed().passed

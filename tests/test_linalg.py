@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from semipolar.errors import DimensionMismatch, EnumerationTooLarge
 from semipolar.gf import GF
+from semipolar.hyperbolic import build_double, standard_doubling_base
 from semipolar.linalg import (
+    CHUNK,
     LinearMap,
     Subspace,
     distinct_rows,
@@ -24,8 +26,11 @@ from semipolar.linalg import (
     pack_rows,
     rank,
     rref,
+    subspace_closure,
+    unpack_rows,
     vec_index,
 )
+from test_apsg import random_spaces
 
 
 def span_set(generators, p, n):
@@ -311,3 +316,69 @@ def test_pack_codes_matches_pack_rows(n):
     mask = np.zeros((len(codes), n), dtype=bool)
     mask[np.arange(len(codes))[:, None], codes] = True
     assert np.array_equal(pack_codes(codes, n), pack_rows(mask))
+
+
+def reference_closure(words, span):
+    """Reference: the closure that keeps every row's candidates as pack_rows
+    words.  An extension's candidates are its parent's, before striking, and
+    words[x], less its members."""
+    def without(cand, members, n):
+        bits = unpack_rows(cand, n)
+        bits[np.arange(len(bits))[:, None], members] = False
+        return pack_rows(bits)
+
+    def distinct(found):
+        merged = [np.concatenate(part) for part in zip(*found)]
+        keep = distinct_rows(merged[0])
+        return tuple(part[keep] for part in merged)
+
+    n = len(words)
+    members = np.arange(n)[:, None]
+    cand = without(words, members, n)
+    step = max(1, CHUNK // n)
+    while True:
+        top = np.ones(len(members), dtype=bool)
+        found = []
+        for lo in range(0, len(members), step):
+            live = unpack_rows(cand[lo : lo + step], n)
+            rows = np.flatnonzero(live.any(axis=1))
+            top[lo + rows] = False
+            while rows.size:
+                x = live[rows].argmax(axis=1)
+                grown = np.sort(span(members[lo + rows], x), axis=1)
+                live[rows[:, None], grown] = False
+                found.append((grown, lo + rows, x))
+                rows = rows[live[rows].any(axis=1)]
+        yield members, top
+        if not found:
+            return
+        members, parent, x = distinct(found)
+        cand = without(cand[parent] & words[x], members, n)
+
+
+def closure_layers(closure):
+    """Each layer as the sorted list of its (member row, maximal) pairs."""
+    return [sorted(zip(map(tuple, members.tolist()), top.tolist())) for members, top in closure]
+
+
+def assert_closures_agree(words, span):
+    got, want = closure_layers(subspace_closure(words, span)), closure_layers(reference_closure(words, span))
+    assert got == want
+    assert all(top for _, top in got[-1])
+
+
+# (3, 3, 2) has maximal singular lines and planes side by side
+@pytest.mark.parametrize("shape, examples", [((3, 2, 1), 6), ((5, 2, 1), 6), ((3, 2, 2), 6), ((3, 3, 2), 3)])
+def test_subspace_closure_matches_the_candidate_word_reference(shape, examples):
+    @settings(max_examples=examples, deadline=None, derandomize=True)
+    @given(space=random_spaces(shape))
+    def check(space):
+        assert_closures_agree(space._adjacency_words, space._affine_span)
+
+    check()
+
+
+@pytest.mark.parametrize("p, diag", [(3, None), (3, (1, 1, -1)), (5, None)])
+def test_subspace_closure_matches_the_reference_on_hyperbolic_words(p, diag):
+    space = build_double(3, standard_doubling_base(3, p, diag=diag))
+    assert_closures_agree(space._orthogonal_words, space._span_with)

@@ -47,6 +47,22 @@ def test_point_loop_suites_allocate_a_few_tables(request, instance, name):
     assert peak < 48 * space.size**2
 
 
+def test_gamma_suite_keeps_the_maximal_subspaces_as_codes(sp_m2_gf3):
+    # the space holds about 4.2 |Y|^2 bytes after the suite, its line tables
+    # and the 1,080 maximal planes as int32 code rows (0.7 |Y|^2) among them;
+    # as frozensets the planes alone would be about 13 |Y|^2
+    space = SemipolarSpace(sp_m2_gf3.form)
+    space.adjacency
+    group_tables(space.p, space.ydim)
+    tracemalloc.start()
+    try:
+        run_suite("gamma", space, SuiteConfig())
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 8 * space.size**2
+
+
 @pytest.mark.parametrize("name", ["identities", "axioms"])
 @pytest.mark.parametrize("instance", ["sp_m2_gf3", "sp_cross_gf3"])
 def test_value_table_suites_allocate_a_few_tables(request, instance, name):
