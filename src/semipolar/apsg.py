@@ -24,7 +24,6 @@ from .errors import (
 from .forms import Report, Semiform, group_tables, normalize
 from .linalg import (
     CHUNK,
-    and_tables,
     as_vec,
     distinct_rows,
     encode_vecs,
@@ -34,7 +33,6 @@ from .linalg import (
     rank,
     rref,
     subspace_closure,
-    unpack_rows,
 )
 
 class Point(NamedTuple):
@@ -244,11 +242,6 @@ class SemipolarSpace:
     @cached_property
     def _adjacency_words(self) -> np.ndarray:
         return pack_rows(self.adjacency)
-
-    @cached_property
-    def _adjacency_and_tables(self) -> np.ndarray:
-        """and_tables of the adjacency words, for neighborhood_intersection."""
-        return and_tables(self._adjacency_words)
 
     @cached_property
     def _row_factors(self) -> tuple[np.ndarray, np.ndarray]:
@@ -569,11 +562,11 @@ class SemipolarSpace:
         return True
 
     def neighborhood_intersection(self, p1: Point, p2: Point) -> tuple[Point, ...]:
-        """Intersection of the neighbor sets of all common neighbors of p1, p2."""
-        words = neighborhood_intersections(
-            self._adjacency_words, self._adjacency_and_tables, self.size, [self.index(p1)], [self.index(p2)]
-        )
-        return tuple(self.points[k] for k in np.flatnonzero(unpack_rows(words, self.size)[0]))
+        """Intersection of the neighbor sets of all common neighbors of p1, p2:
+        the AND of their adjacency rows, every point when there are none."""
+        adj = self.adjacency
+        common = adj[self.index(p1)] & adj[self.index(p2)]
+        return tuple(self.points[k] for k in np.flatnonzero(adj[common].all(axis=0)))
 
     # -- singular planes and maximal singular subspaces ----------------------
 
@@ -581,11 +574,12 @@ class SemipolarSpace:
         """Singular planes through pt as point-index sets, ordered by their sorted
         members.
 
-        The plane pt + <d1, d2> of every pair of singular directions through pt
-        is tested pairwise adjacent in one adjacency gather per block of pairs,
+        The plane pt + <d1, d2> of every pair of singular directions through pt,
+        the closure's affine span of the line pt + <d1> with pt + d2, is tested
+        pairwise adjacent in one adjacency gather per block of pairs,
         (pairs x p^2 x p^2) within about CHUNK elements.
         """
-        add, _, scale = self._tables
+        add, _, _ = self._tables
         i = self.index(pt)
         dirs = self._singular_dirs[i]
         first, second = np.triu_indices(len(dirs), 1)
@@ -594,13 +588,11 @@ class SemipolarSpace:
         step = max(1, CHUNK // (width * width))
         for lo in range(0, len(first), step):
             d1, d2 = dirs[first[lo : lo + step]], dirs[second[lo : lo + step]]
-            members = add[self.line_codes(i, d1)[:, :, None], scale[:, d2].T[:, None, :]]
-            members = members.reshape(len(d1), width)
+            members = self._affine_span(self.line_codes(i, d1), add[i, d2])
             singular = self.adjacency[members[:, :, None], members[:, None, :]].all(axis=(1, 2))
             found.append(members[singular])
         members = np.sort(np.concatenate(found), axis=1)
-        # distinct_rows orders by the reversed rows, so reverse them first
-        planes = members[distinct_rows(members[:, ::-1])]
+        planes = members[distinct_rows(members)]
         return [frozenset(plane) for plane in planes.tolist()]
 
     @cached_property
@@ -624,14 +616,12 @@ class SemipolarSpace:
         subspace extending by the affine span with an adjacent point outside
         it; a subspace with no such point is maximal.  One array per layer
         that has maximal subspaces, in increasing width: their sorted member
-        codes, one row each, in lexicographic order.
+        codes, one row each, in lexicographic order, as the closure yields them.
         """
         found = []
         for members, top in subspace_closure(self._adjacency_words, self._affine_span):
             if top.any():
                 rows = members[top]
-                # distinct_rows orders by the reversed rows, so reverse them first
-                rows = rows[distinct_rows(rows[:, ::-1])]
                 rows.setflags(write=False)
                 found.append(rows)
         return tuple(found)
@@ -656,7 +646,8 @@ class SemipolarSpace:
         i, j = np.nonzero(np.triu(self._u_class_orthogonal, 1))
         spans = (reps[j][:, None, :] + np.arange(p)[None, :, None] * reps[i][:, None, :]) % p
         members = np.concatenate([i[:, None], self._u_classes[1][encode_vecs(spans, p)]], axis=1)
-        lines = sorted(set(map(tuple, np.sort(members, axis=1).tolist())))
+        members = np.sort(members, axis=1)
+        lines = list(map(tuple, members[distinct_rows(members)].tolist()))
         return [(c,) for c in range(len(reps))], lines
 
     def pencil_structure(self, pt: Point) -> PencilStructure:
@@ -688,21 +679,16 @@ class SemipolarSpace:
             f"index = sum(coord[k] * {self.p}^({self.ydim}-1-k))"
         )
 
+    def _edge_lines(self, template: str) -> list[str]:
+        """template.format(i, j) for every adjacent pair i < j, in row-major order."""
+        i, j = np.nonzero(np.triu(self.adjacency, 1))
+        return [template.format(a, b) for a, b in zip(i.tolist(), j.tolist())]
+
     def adjacency_dot(self) -> str:
-        lines = ["// " + self.index_doc(), "graph adjacency {"]
-        for i in range(self.size):
-            lines.append(f"  {i};")
-        for i in range(self.size):
-            for j in range(i + 1, self.size):
-                if self.adjacency[i, j]:
-                    lines.append(f"  {i} -- {j};")
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        vertices = [f"  {i};" for i in range(self.size)]
+        edges = self._edge_lines("  {} -- {};")
+        return "\n".join(["// " + self.index_doc(), "graph adjacency {", *vertices, *edges, "}"]) + "\n"
 
     def adjacency_csv(self) -> str:
-        lines = ["# " + self.index_doc(), "p_index,q_index"]
-        for i in range(self.size):
-            for j in range(i + 1, self.size):
-                if self.adjacency[i, j]:
-                    lines.append(f"{i},{j}")
+        lines = ["# " + self.index_doc(), "p_index,q_index", *self._edge_lines("{},{}")]
         return "\n".join(lines) + "\n"

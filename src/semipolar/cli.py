@@ -25,21 +25,16 @@ from .gf import GF
 from .linalg import LinearMap
 
 
-def _dump(obj, path: Optional[str]) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _write_text(text: str, path: Optional[str]) -> None:
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _dump(obj, path: Optional[str]) -> None:
+    _write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", path)
 
 
 def build_instance(kind: str, field: int, index: int) -> Semiform:
@@ -133,17 +128,16 @@ def cmd_export(args) -> int:
         return 2
 
     if args.what == "adjacency":
-        if args.format == "dot":
-            _write_text(space.adjacency_dot(), args.out)
-        elif args.format == "csv":
-            _write_text(space.adjacency_csv(), args.out)
-        else:
-            print(f"adjacency export supports dot or csv, not {args.format!r}", file=sys.stderr)
-            return 2
+        _write_text(space.adjacency_dot() if args.format == "dot" else space.adjacency_csv(), args.out)
         return 0
 
     if args.what == "pencil":
-        at = space.origin if args.at in (None, "origin") else space.point(int(args.at))
+        if args.at in (None, "origin"):
+            at = space.origin
+        elif 0 <= int(args.at) < space.size:
+            at = space.point(int(args.at))
+        else:
+            raise ValueError(f"--at needs 'origin' or a point index below {space.size}")
         pencil = space.pencil_structure(at)
         out = {
             "at": list(at.flat()),
@@ -208,7 +202,7 @@ def make_parser() -> argparse.ArgumentParser:
     e.add_argument("instance", nargs="?", help="instance JSON file")
     e.add_argument("--what", choices=["adjacency", "pencil", "bisectors", "reconstruct"],
                    required=True)
-    e.add_argument("--format", choices=["dot", "csv", "json"], default="json")
+    e.add_argument("--format", choices=["dot", "csv"], default="dot", help="adjacency format")
     e.add_argument("--at", help="pencil base point: 'origin' or a point index")
     e.add_argument("--pair", help="bisector pair 'i,j' (point indices)")
     e.add_argument("--field", type=int, default=None)

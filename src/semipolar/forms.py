@@ -642,11 +642,17 @@ def check_semiform_axioms(
         ok, wit = False, (pt(1),)
     report.add("A4", ok, wit, "separating witnesses in the kernel part")
 
+    # rho(-p, -q), gathered once: A5 and A7 read the parity sum
+    # rho(-p,-q) + rho(p,q), and A8 the rows with rho(-p,-q) = -rho(p,q)
+    neg = t.take(pneg, axis=0).take(pneg, axis=1)
+    parity_sum = vadd[neg, t]
+    row_ok = (neg == vneg[t]).all(axis=1)
+    del neg
+
     # A5: rho(-p,-q) + rho(p,q) = 2(rho(p,p+q) - rho(theta,q)).
-    lhs = vadd[t[pneg[:, None], pneg[None, :]], t]
     inner = vsub[t[np.arange(size)[:, None], padd], t[0, :][None, :]]
     rhs = vscl[2 % p][inner]
-    eq = lhs == rhs
+    eq = parity_sum == rhs
     wit = None if eq.all() else tuple(pt(i) for i in _first_fail(eq))
     report.add("A5", bool(eq.all()), wit, "parity defect matches the doubled offset")
     # The shift part of the decomposition: rho(q, q + r) = rho(theta, r) for all r.
@@ -667,7 +673,6 @@ def check_semiform_axioms(
 
     # A7: 2(rho(a p1, a p2) - a rho(p1, p2)) = a(a-1)(rho(-p1,-p2) + rho(p1,p2)).
     ok, wit = True, None
-    parity_sum = vadd[t[pneg[:, None], pneg[None, :]], t]
     for a in range(p):
         lhs = vscl[2 % p][vsub[t[pscl[a][:, None], pscl[a][None, :]], vscl[a][t]]]
         rhs = vscl[(a * (a - 1)) % p][parity_sum]
@@ -683,7 +688,6 @@ def check_semiform_axioms(
     # row d = q - p has rho(-d, -r) = -rho(d, r) for all r, so the rows are
     # tested once and every kernel-part p of every q is one lookup.
     m_row = np.flatnonzero(t[:, 0] == 0)
-    row_ok = (t[pneg][:, pneg] == vneg[t]).all(axis=1)
     found = row_ok[psub[:, m_row]].any(axis=1)
     wit = None if found.all() else (pt(int(np.flatnonzero(~found)[0])),)
     report.add("A8", wit is None, wit, "existence of a kernel-part complement point")

@@ -34,6 +34,7 @@ from .linalg import (
     CHUNK,
     Subspace,
     as_vec,
+    distinct_rows,
     encode_vecs,
     enumerate_vectors,
     first_occurrences,
@@ -41,6 +42,7 @@ from .linalg import (
     pack_rows,
     projective_classes,
     rank,
+    rref,
     subspace_closure,
 )
 
@@ -190,23 +192,25 @@ class HypPolarSpace:
             out[lo : lo + step] = self._point_index[encode_vecs(vecs, self.p)]
         return out
 
-    def _span_masks(self, bases: np.ndarray) -> np.ndarray:
-        """Point masks of the spans of (m, k, 2n) bases of totally isotropic subspaces."""
-        idx = self._span_indices(bases)
+    def _masks(self, idx: np.ndarray) -> np.ndarray:
+        """Boolean masks over the quadric points of rows of quadric-point
+        indices; an index -1 sets no point."""
         masks = np.zeros((len(idx), len(self.quadric_points) + 1), dtype=bool)
         masks[np.arange(len(idx))[:, None], idx] = True  # -1 lands in the spare last column
         return masks[:, :-1]
+
+    def _span_masks(self, bases: np.ndarray) -> np.ndarray:
+        """Point masks of the spans of (m, k, 2n) bases of totally isotropic subspaces."""
+        return self._masks(self._span_indices(bases))
 
     def point_mask(self, s: Subspace) -> np.ndarray:
         """The quadric points of a totally isotropic subspace, as a mask over quadric_points."""
         if (s.p, s.ambient_dim) != (self.p, 2 * self.n):
             raise DimensionMismatch("subspace is not in the doubled space")
-        idx = self._span_indices(s.matrix()[None])[0]
+        idx = self._span_indices(s.matrix()[None])
         if (idx < 0).any():
             raise InvalidSubspace("subspace is not totally isotropic")
-        mask = np.zeros(len(self.quadric_points), dtype=bool)
-        mask[idx] = True
-        return mask
+        return self._masks(idx)[0]
 
     @cached_property
     def _orthogonal_words(self) -> np.ndarray:
@@ -230,24 +234,6 @@ class HypPolarSpace:
             raise DegenerateForm("a point count that no subspace has")
         return d
 
-    def _echelon(self, points: np.ndarray) -> np.ndarray:
-        """The reduced row-echelon bases of the subspaces with these rows of
-        member indices, as (m, k) quadric-point indices.
-
-        The pivots are the leading positions of the members, and row r is the
-        member whose pivot coordinates are the r-th unit vector; it is
-        normalised, so it is one of the quadric-point representatives.
-        """
-        m = len(points)
-        members = self._rep_matrix[points]
-        is_pivot = np.zeros((m, members.shape[2]), dtype=bool)
-        is_pivot[np.arange(m)[:, None], (members != 0).argmax(axis=2)] = True
-        pivots = np.nonzero(is_pivot)[1].reshape(m, -1)
-        proj = np.take_along_axis(members, pivots[:, None, :], axis=2)
-        unit = np.eye(pivots.shape[1], dtype=np.int64)
-        row_of = (proj[:, None, :, :] == unit[None, :, None, :]).all(axis=3).argmax(axis=2)
-        return np.take_along_axis(points, row_of, axis=1)
-
     def _span_with(self, members: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Quadric-point indices of the span of each row of member indices with
         the point x[i]: the points <s + a*x> for every member s and scalar a, and x."""
@@ -258,9 +244,17 @@ class HypPolarSpace:
         return np.concatenate([idx, x[:, None]], axis=1)
 
     def _sorted(self, members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(member indices, echelon basis points) of a layer, ordered by basis."""
-        basis = self._echelon(members)
-        order = np.lexsort(self._rep_matrix[basis].reshape(len(basis), -1).T[::-1])
+        """(member indices, reduced row-echelon bases) of a layer, ordered by
+        basis.  The bases are the nonzero rows of the `rref` of the members'
+        vectors, reduced a block of rows at a time, whose stack holds about
+        CHUNK / 2 elements."""
+        m, s = members.shape
+        k = int(self._dims([s])[0])
+        basis = np.empty((m, k, 2 * self.n), dtype=np.int64)
+        step = max(1, CHUNK // (2 * s * 2 * self.n))
+        for lo in range(0, m, step):
+            basis[lo : lo + step] = rref(self._rep_matrix[members[lo : lo + step]], self.p)[0][:, :k]
+        order = distinct_rows(basis.reshape(m, -1))  # the bases are distinct: this sorts them
         return members[order], basis[order]
 
     @cached_property
@@ -279,14 +273,10 @@ class HypPolarSpace:
     @cached_property
     def _maximal_masks(self) -> np.ndarray:
         """The maximal subspaces as boolean masks over the quadric points."""
-        members, _ = self._layers[1]
-        masks = np.zeros((len(members), len(self.quadric_points)), dtype=bool)
-        masks[np.arange(len(members))[:, None], members] = True
-        return masks
+        return self._masks(self._layers[1][0])
 
     def _decode(self, basis: np.ndarray) -> list[Subspace]:
-        rows = self._rep_matrix[basis].tolist()
-        return [Subspace.from_echelon(b, self.p, 2 * self.n) for b in rows]
+        return [Subspace.from_echelon(b, self.p, 2 * self.n) for b in basis.tolist()]
 
     @cached_property
     def _lines(self) -> list[Subspace]:

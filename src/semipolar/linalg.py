@@ -128,10 +128,10 @@ def and_tables(words: np.ndarray) -> np.ndarray:
 
 def distinct_rows(words: np.ndarray) -> np.ndarray:
     """Indices of the distinct rows of a 2-d array of nonnegative integers, the
-    first of each set of equal rows, in the lexicographic order of the reversed
-    rows: one stable sort of the reversed rows as big-endian byte strings."""
-    reversed_rows = np.ascontiguousarray(words[:, ::-1], dtype=words.dtype.newbyteorder(">"))
-    keys = reversed_rows.view(np.dtype((np.void, reversed_rows.itemsize * words.shape[1]))).ravel()
+    first of each set of equal rows, in the lexicographic order of the rows:
+    one stable sort of the rows as big-endian byte strings."""
+    rows = np.ascontiguousarray(words, dtype=words.dtype.newbyteorder(">"))
+    keys = rows.view(np.dtype((np.void, rows.itemsize * words.shape[1]))).ravel()
     order = np.argsort(keys, kind="stable")
     ordered = keys[order]
     keep = np.ones(len(words), dtype=bool)
@@ -166,8 +166,8 @@ def subspace_closure(
     points joined to x by a singular line, and x itself.  `span(members, x)`
     gives the point codes of the span of each subspace, a row of member codes,
     with a point x[i] outside it.  For each layer, from the single points up,
-    yields the sorted member codes of its subspaces, one row each in no fixed
-    order, and whether each is maximal.
+    yields the sorted member codes of its subspaces, one row each in
+    lexicographic order, and whether each is maximal.
 
     A row of the k-th layer keeps, besides its members, the k + 1 points that
     spanned it: its parent's and the point x it was extended by.  Its
@@ -192,8 +192,9 @@ def subspace_closure(
     The layer is swept in blocks of rows, its candidates built and unpacked a
     block at a time, so a layer holds k + 1 spanning codes a row, never a row
     of candidate words.  Extensions are deduplicated on their sorted codes
-    (`distinct_rows`) whenever the new ones outnumber the distinct ones kept;
-    each keeps its parent row and x as int32.
+    (`distinct_rows`) whenever the new ones outnumber the distinct ones kept,
+    and once more when the layer ends, which leaves it in lexicographic row
+    order; each keeps its parent row and x as int32.
     """
     def distinct(found: list[tuple]) -> tuple:
         merged = [np.concatenate(part) for part in zip(*found)]

@@ -1,8 +1,9 @@
 """Named verification suites over a space, each returning a Report.
 
 Every suite is exhaustive by default and guarded by the enumeration budget;
-seeded sampling thins the Python-level quantifier loops for instances above
-desk scale.  Reports are deterministic given (instance, seed).
+seeded sampling thins the quantifiers of `lines`, `joinable` and `recover`
+for instances above desk scale, and only those suites report a sampled mode.
+Reports are deterministic given (instance, seed).
 """
 
 from __future__ import annotations
@@ -59,6 +60,9 @@ class SuiteConfig:
     hyp_dim: int = 3
     hyp_diag: Optional[tuple[int, ...]] = None
     field: Optional[int] = None
+
+
+SAMPLING_SUITES = ("lines", "joinable", "recover")  # the suites that read cfg.sample
 
 
 def _maybe_sample(count: int, cfg: SuiteConfig, tag: str) -> np.ndarray:
@@ -547,5 +551,6 @@ def run_suite(name: str, space: Optional[SemipolarSpace], cfg: SuiteConfig) -> d
     if name != "hyperbolic" and space is None:
         raise DimensionMismatch(f"suite {name} needs an instance")
     out = SUITES[name](space, cfg).to_jsonable(name)
-    out["mode"] = "exhaustive" if cfg.sample is None else {"sample": cfg.sample, "seed": cfg.seed}
+    sampled = cfg.sample is not None and name in SAMPLING_SUITES
+    out["mode"] = {"sample": cfg.sample, "seed": cfg.seed} if sampled else "exhaustive"
     return out

@@ -110,6 +110,18 @@ def test_verify_sampled_mode_without_seed_is_reproducible(m1_instance, tmp_path,
     assert json.loads(out0.read_text())["suites"] == report["suites"]
 
 
+def test_verify_sampled_mode_labels_only_the_sampling_suites(m1_instance, tmp_path, capsys):
+    out = tmp_path / "sampled.json"
+    code, _, _ = run(["verify", str(m1_instance), "--suite", "all", "--sample", "5",
+                      "--out", str(out)], capsys)
+    assert code == 0
+    modes = {s["suite"]: s["mode"] for s in json.loads(out.read_text())["suites"]}
+    assert {"lines", "joinable", "recover", "gamma", "hyperbolic"} <= set(modes)
+    for name, mode in modes.items():
+        sampled = name in ("lines", "joinable", "recover")
+        assert mode == ({"sample": 5, "seed": 0} if sampled else "exhaustive"), name
+
+
 def test_verify_budget_exceeded_exit_code(m1_instance, capsys):
     code, _, err = run(["verify", str(m1_instance), "--suite", "identities",
                         "--budget", "10"], capsys)
@@ -190,9 +202,27 @@ def test_export_adjacency_dot_and_csv(m1_instance, tmp_path, capsys):
 
 
 def test_export_adjacency_bad_format(m1_instance, capsys):
-    code, _, _ = run(["export", str(m1_instance), "--what", "adjacency",
-                      "--format", "json"], capsys)
+    # no export reads json, so argparse rejects it with a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["export", str(m1_instance), "--what", "adjacency", "--format", "json"])
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
+
+
+def test_export_adjacency_defaults_to_dot(m1_instance, tmp_path, capsys):
+    default, dot = tmp_path / "default.dot", tmp_path / "g.dot"
+    argv = ["export", str(m1_instance), "--what", "adjacency"]
+    assert run(argv + ["--out", str(default)], capsys)[0] == 0
+    assert run(argv + ["--format", "dot", "--out", str(dot)], capsys)[0] == 0
+    assert default.read_bytes() == dot.read_bytes()
+
+
+@pytest.mark.parametrize("at", ["27", "99", "-1"])
+def test_export_pencil_out_of_range_point_is_usage_error(m1_instance, capsys, at):
+    code, out, err = run(["export", str(m1_instance), "--what", "pencil", "--at", at], capsys)
     assert code == 2
+    assert "usage error" in err and "below 27" in err
+    assert out == ""
 
 
 def test_export_pencil(m1_instance, tmp_path, capsys):
@@ -270,6 +300,10 @@ PINNED_REPORTS = {
         "04d2bb94c79fbb24a0f24338044e550395fd9b0bdea6097c2fbd957e10730c3e",
     ("verify", "cross", "--suite", "dset", "--suite", "joinable"):
         "6f42fbf0872eb2f7ba4acd773a5bf1550e6010714771729fd777db3df1e7f5bf",
+    ("export", "m2", "--what", "adjacency", "--format", "dot"):
+        "53fb838c0a4aed0d0ace7c91a0c589c77273e5f2f41144883777c15910dbe61e",
+    ("export", "m2", "--what", "adjacency", "--format", "csv"):
+        "6f0f2e23c28a690f063e6163190187f582731d6b5c90d39bd6b3cabd61f7eadf",
 }
 
 

@@ -288,8 +288,9 @@ def test_first_occurrences_is_unique_with_first_indices(shape):
 
 
 def lexsort_distinct_rows(rows):
-    """Reference: one lexsort pass per column, the first row of each equal run."""
-    order = np.lexsort(rows.T)
+    """Reference: one lexsort pass per column, the first column primary, the
+    first row of each equal run."""
+    order = np.lexsort(rows.T[::-1])
     ordered = rows[order]
     keep = np.ones(len(rows), dtype=bool)
     keep[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
@@ -382,3 +383,26 @@ def test_subspace_closure_matches_the_candidate_word_reference(shape, examples):
 def test_subspace_closure_matches_the_reference_on_hyperbolic_words(p, diag):
     space = build_double(3, standard_doubling_base(3, p, diag=diag))
     assert_closures_agree(space._orthogonal_words, space._span_with)
+
+
+def assert_layers_in_row_order(words, span):
+    """Every layer's rows strictly increase lexicographically: sorted and distinct."""
+    for members, _ in subspace_closure(words, span):
+        rows = members.tolist()
+        assert all(a < b for a, b in zip(rows, rows[1:]))
+
+
+@pytest.mark.parametrize("shape, examples", [((3, 2, 1), 6), ((5, 2, 1), 6), ((3, 2, 2), 6), ((3, 3, 2), 3)])
+def test_subspace_closure_layers_are_in_lexicographic_row_order(shape, examples):
+    @settings(max_examples=examples, deadline=None, derandomize=True)
+    @given(space=random_spaces(shape))
+    def check(space):
+        assert_layers_in_row_order(space._adjacency_words, space._affine_span)
+
+    check()
+
+
+@pytest.mark.parametrize("p, diag", [(3, None), (3, (1, 1, -1)), (5, None)])
+def test_subspace_closure_layers_are_in_lexicographic_row_order_on_hyperbolic_words(p, diag):
+    space = build_double(3, standard_doubling_base(3, p, diag=diag))
+    assert_layers_in_row_order(space._orthogonal_words, space._span_with)
