@@ -18,7 +18,6 @@ from .errors import (
     DEFAULT_BUDGET,
     DegenerateForm,
     DimensionMismatch,
-    InvalidPair,
     check_budget,
 )
 from .forms import Report, Semiform, group_tables, normalize
@@ -108,12 +107,6 @@ class AffLine:
 
     def __repr__(self):
         return f"AffLine(base={self.base}, dir={self.direction})"
-
-
-def line_through(p1: Point, p2: Point, p: int) -> AffLine:
-    if p1 == p2:
-        raise InvalidPair("two distinct points are needed to span a line")
-    return AffLine(p1, p2.sub(p1, p), p)
 
 
 class ZSet(NamedTuple):
@@ -268,11 +261,6 @@ class SemipolarSpace:
         return projective_classes(self._coords, self.p)
 
     @cached_property
-    def direction_classes(self) -> tuple[Point, ...]:
-        """One point per 1-subspace of Y, its first nonzero coordinate 1, in code order."""
-        return tuple(self.points[i] for i in self._y_classes[0].tolist())
-
-    @cached_property
     def _u_classes(self) -> tuple[np.ndarray, np.ndarray]:
         """projective_classes of V: representative codes and the class of every code."""
         return projective_classes(enumerate_vectors(self.p, self.n), self.p)
@@ -352,10 +340,6 @@ class SemipolarSpace:
         v, u = self._coords[reps, : self.nu], self._coords[reps, self.nu :]
         aug = np.concatenate([np.einsum("li,ijk->lkj", u, self.form.eta.gram), v[:, :, None]], axis=2)
         return rref(aug, self.p)[1][:, self.n]
-
-    def direction_excluded_set(self) -> frozenset[Point]:
-        """Direction classes carrying no singular line."""
-        return frozenset(self.direction_classes[i] for i in np.flatnonzero(self._excluded_classes).tolist())
 
     # -- solution sets of one linear adjacency equation ---------------------
 
@@ -439,11 +423,6 @@ class SemipolarSpace:
         keep = self.adjacency[nbrs[a], nbrs[b]] & (classes[a] != classes[b])
         a, b = nbrs[a[keep]], nbrs[b[keep]]
         return np.stack([np.full_like(a, i), a, b], axis=1)
-
-    def triangles_through(self, pt: Point) -> list[tuple[Point, Point, Point]]:
-        """Non-collinear pairwise-adjacent triples through pt."""
-        pts = self.points
-        return [tuple(pts[c] for c in row) for row in self.triangle_codes(self.index(pt)).tolist()]
 
     def triangle_census(self) -> int:
         """Total number of triangles; each counted once.

@@ -181,7 +181,8 @@ def make_parser() -> argparse.ArgumentParser:
     b.add_argument("--field", type=int, required=True, help="odd prime p")
     b.add_argument("--kind", choices=["symplectic", "wedge", "cross", "custom"], required=True)
     b.add_argument("--index", type=int, default=None,
-                   help="symplectic index m (dim V = 2m) or wedge dimension n")
+                   help="symplectic index m >= 1 (dim V = 2m) or wedge dimension n >= 2; "
+                        "refused with cross and custom")
     b.add_argument("--in", dest="infile", help="existing instance file for --kind custom")
     b.add_argument("--out", help="output path (stdout when omitted)")
 
@@ -219,7 +220,9 @@ def main(argv=None) -> int:
     try:
         if args.command == "build":
             if args.index is None:
-                args.index = {"symplectic": 1, "wedge": 3}.get(args.kind, 0)
+                args.index = {"symplectic": 1, "wedge": 3}.get(args.kind)
+            elif args.kind in ("cross", "custom"):
+                raise ValueError(f"--index does not apply to --kind {args.kind}")
             return cmd_build(args)
         if args.command == "verify":
             return cmd_verify(args)

@@ -29,10 +29,6 @@ class NotCompatible(GeometryError):
     pass
 
 
-class InvalidPair(GeometryError):
-    pass
-
-
 class InvalidSubspace(GeometryError):
     pass
 

@@ -154,6 +154,8 @@ def wedge_coordinates(n: int) -> list[tuple[int, int]]:
 
 def exterior_square(g: LinearMap, n: int) -> AlternatingMap:
     """The alternating map u1, u2 -> g(u1 ^ u2) for a linear g on wedge coordinates."""
+    if n < 2:
+        raise DimensionMismatch("wedge dimension must be at least 2")
     pairs = wedge_coordinates(n)
     if g.domain_dim != len(pairs):
         raise DimensionMismatch(
@@ -304,11 +306,6 @@ class Semiform:
         right[:, n + 1, 0] = phi
         right[:, n + 1, 1] = (p - 1) * phi
         return left, right.reshape(nu, n + 2, 2 * len(rows))
-
-    def value_codes(self, a, b) -> np.ndarray:
-        """Encoded rho for every pair of coordinate rows: out[i, j] is the base-p
-        code of rho(a[i], b[j]), each row a flat (v, u) point of Y."""
-        return self.codes_from_factors(self.row_factors(a)[0], self.row_factors(b)[1][:, :, : len(b)])
 
     def codes_from_factors(self, left, right) -> np.ndarray:
         """Encoded rho from `row_factors`: out[y, c] is the base-p code whose
@@ -590,9 +587,9 @@ def check_semiform_axioms(
     A7  2(rho(a p1, a p2) - a rho(p1,p2)) = a(a-1)(rho(-p1,-p2) + rho(p1,p2))
     A8  every q admits p with rho(p, theta) = 0 and rho(p-q, -r) = -rho(q-p, r)
 
-    On a full pass the report also carries the kernel part M, the shift part D,
-    the direct-sum confirmation Y = D + M, and the pointwise reconstruction of
-    the table from its restrictions to M and D.
+    On a full pass the report also carries the dimensions of the kernel part M
+    and the shift part D, the direct-sum confirmation Y = D + M, and the
+    pointwise reconstruction of the table from its restrictions to M and D.
     """
     size = p**ydim
     check_budget(size * size, budget, "semiform axiom quantification")
@@ -717,8 +714,6 @@ def check_semiform_axioms(
     report.add("decomposition", decomposition_ok, None, "Y is the direct sum D + M")
     report.data["M_dim"] = m_space.dim
     report.data["D_dim"] = d_space.dim
-    report.data["M_basis"] = [list(b) for b in m_space.basis]
-    report.data["D_basis"] = [list(b) for b in d_space.basis]
     if not decomposition_ok:
         return report
 

@@ -37,8 +37,6 @@ from .linalg import (
     distinct_rows,
     encode_vecs,
     enumerate_vectors,
-    first_occurrences,
-    normalize_rows,
     pack_rows,
     projective_classes,
     rank,
@@ -108,21 +106,6 @@ def diagonalize_symmetric(gram: np.ndarray, p: int) -> list[int]:
             g[:, i] = (g[:, i] - c * g[:, pivot]) % p
         idx.remove(pivot)
     return diag
-
-
-def projective_reps(vectors: np.ndarray, p: int) -> list[tuple[int, ...]]:
-    """Canonical representatives (first nonzero = 1) of the spanned 1-subspaces."""
-    reps = np.asarray(vectors, dtype=np.int64)
-    if not reps.size:
-        return []
-    reps = normalize_rows(reps, p)
-    reps = reps[reps.any(axis=1)]
-    _, first = first_occurrences(encode_vecs(reps, p))
-    return [tuple(r) for r in reps[np.sort(first)].tolist()]
-
-
-def subspace_reps(s: Subspace) -> list[tuple[int, ...]]:
-    return projective_reps(enumerate_vectors(s.p, s.dim) @ s.matrix() % s.p, s.p)
 
 
 def _meet_counts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -379,14 +362,6 @@ def reduct(space: HypPolarSpace, z: Subspace) -> Reduct:
     return Reduct(space, z, points, members[kept])
 
 
-@dataclass
-class ReductClassification:
-    reduct: Reduct
-    r0: list[Subspace] = field(default_factory=list)  # meet Z in a projective point
-    r1: list[Subspace] = field(default_factory=list)  # meet Z in a projective hyperplane of Z
-    other: list[Subspace] = field(default_factory=list)
-
-
 def _classify(red: Reduct) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Indices into the maximals of R0, R1 and the rest, by the dimension of
     their meet with the deleted subspace Z (Z itself left out)."""
@@ -400,13 +375,6 @@ def _classify(red: Reduct) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         np.flatnonzero(kept & plane),
         np.flatnonzero(kept & ~point & ~plane),
     )
-
-
-def classify_reduct_maximals(red: Reduct) -> ReductClassification:
-    """Sort the surviving maximals by how they met the deleted subspace."""
-    maximals = red.space.maximal_singulars()
-    r0, r1, other = ([maximals[i] for i in idx.tolist()] for idx in _classify(red))
-    return ReductClassification(red, r0, r1, other)
 
 
 def inc_relation(red: Reduct, x0: Subspace, x1: Subspace) -> bool:

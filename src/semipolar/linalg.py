@@ -310,13 +310,6 @@ class Subspace:
             return np.zeros((0, self.ambient_dim), dtype=np.int64)
         return np.array(self.basis, dtype=np.int64)
 
-    def contains(self, v) -> bool:
-        v = as_vec(v, self.p)
-        if v.shape != (self.ambient_dim,):
-            raise DimensionMismatch("vector has wrong ambient dimension")
-        stacked = np.vstack([self.matrix(), v])
-        return bool(rank(stacked, self.p) == self.dim)
-
     def vectors(self) -> Iterator[tuple[int, ...]]:
         """All p^dim members."""
         b = self.matrix()

@@ -47,17 +47,10 @@ class HyperplaneDescriptor(NamedTuple):
     beta: int
 
     @classmethod
-    def make(cls, p: int, u0, alpha: int, beta: int) -> "HyperplaneDescriptor":
-        return cls.from_row(p, normalize_rows([*u0, alpha, beta], p).tolist())
-
-    @classmethod
     def from_row(cls, p: int, row: list) -> "HyperplaneDescriptor":
         """The descriptor of one normalized row (u0..., alpha, beta)."""
         *u0, alpha, beta = row
         return cls(p, tuple(u0), alpha, beta)
-
-    def classification(self) -> str:
-        return _classification(self.u0, self.alpha, self.beta)
 
     def members(self, space: SemipolarSpace) -> tuple[Point, ...]:
         return _decode(space, space.zset_mask(self.u0, (self.beta,), self.alpha))
@@ -141,11 +134,6 @@ def bisector_t(space: SemipolarSpace, p1: Point, p2: Point):
 def bisector_m(space: SemipolarSpace, p1: Point, p2: Point):
     """{p : rho(p1, p) = rho(p, p2)}: always a hyperplane on scalar spaces."""
     return _pair_set(space, p1, p2, "m")
-
-
-def sphere(space: SemipolarSpace, p1: Point, p2: Point):
-    """{p : rho(p1, p) = rho(p1, p2)}: a hyperplane on scalar spaces."""
-    return _pair_set(space, p1, p2, "sphere")
 
 
 def translation_noninvariance_witness(space: SemipolarSpace):

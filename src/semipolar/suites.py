@@ -44,10 +44,12 @@ from .linalg import (
     CHUNK,
     LinearMap,
     and_tables,
+    distinct_rows,
     encode_vecs,
     first_occurrences,
     normalize_rows,
     pack_codes,
+    pack_rows,
 )
 from .metric import translation_noninvariance_witness
 
@@ -80,11 +82,7 @@ def _maybe_sample(count: int, cfg: SuiteConfig, tag: str) -> np.ndarray:
 
 
 def suite_axioms(space: SemipolarSpace, cfg: SuiteConfig) -> Report:
-    report = check_semiform_axioms(
-        space.value_table, space.p, space.ydim, space.nu, budget=cfg.budget
-    )
-    report.data = {k: v for k, v in report.data.items() if not k.endswith("basis")}
-    return report
+    return check_semiform_axioms(space.value_table, space.p, space.ydim, space.nu, budget=cfg.budget)
 
 
 def suite_identities(space: SemipolarSpace, cfg: SuiteConfig) -> Report:
@@ -418,6 +416,17 @@ def _bisector_counts(t: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     return eq, m
 
 
+def _group_counts(masks: np.ndarray, ids: np.ndarray) -> tuple[int, int, int]:
+    """The numbers of distinct masks, of distinct (mask, id) rows and of
+    distinct ids over the ordered pairs (i, j), for a mask masks[i, j] and an
+    id ids[i, j] >= -1 of each: the ids name the masks one to one exactly
+    when the three are equal.  One `distinct_rows` sort each."""
+    words = pack_rows(masks.reshape(-1, masks.shape[-1]))
+    shifted = (ids.reshape(-1, 1) + 1).astype(np.uint64)  # the diagonal's -1 becomes 0
+    rows = (words, np.concatenate([words, shifted], axis=1), shifted)
+    return tuple(len(distinct_rows(r)) for r in rows)
+
+
 def suite_bisectors(space: SemipolarSpace, cfg: SuiteConfig) -> Report:
     _scalar_only(space, "bisectors")
     t = np.asarray(space.value_table)
@@ -460,33 +469,17 @@ def suite_bisectors(space: SemipolarSpace, cfg: SuiteConfig) -> Report:
 
     report.data["hyperplane_size"] = hyper
     if size * size <= 1000:
-        pairs = [(i, j) for i in range(size) for j in range(size)]
         # code of the direction class of y_j - y_i, -1 on the diagonal
         dir_ids = encode_vecs(normalize_rows(space._coords[psub.T], p), p)
         np.fill_diagonal(dir_ids, -1)
-        dir_ids = dir_ids.tolist()
-
-        t_groups: dict[bytes, set] = {}
-        m_groups: dict[bytes, set] = {}
-        t_ids = {}
-        sum_ids = {}
-        for i, j in pairs:
-            t_ids[(i, j)] = dir_ids[i][j]
-            sum_ids[(i, j)] = int(padd[i, j])
-            t_groups.setdefault((t[i] == t[j]).tobytes(), set()).add(t_ids[(i, j)])
-            m_groups.setdefault((t[i] == t.T[j]).tobytes(), set()).add(sum_ids[(i, j)])
-        t_crit_ok = all(len(g) == 1 for g in t_groups.values()) and len(t_groups) == len(
-            set(t_ids.values())
-        )
-        m_crit_ok = all(len(g) == 1 for g in m_groups.values()) and len(m_groups) == len(
-            set(sum_ids.values())
-        )
-        report.add("t-bisector-criterion", t_crit_ok, None,
-                             "equal t-bisectors exactly for proportional differences")
-        report.add("m-bisector-criterion", m_crit_ok, None,
-                             "equal m-bisectors exactly for equal sums")
-        report.data["pair_groups_t"] = len(t_groups)
-        report.data["pair_groups_m"] = len(m_groups)
+        t_counts = _group_counts(t[:, None, :] == t[None, :, :], dir_ids)
+        m_counts = _group_counts(t[:, None, :] == t.T[None, :, :], padd)
+        report.add("t-bisector-criterion", len(set(t_counts)) == 1, None,
+                   "equal t-bisectors exactly for proportional differences")
+        report.add("m-bisector-criterion", len(set(m_counts)) == 1, None,
+                   "equal m-bisectors exactly for equal sums")
+        report.data["pair_groups_t"] = t_counts[0]
+        report.data["pair_groups_m"] = m_counts[0]
     return report
 
 

@@ -9,7 +9,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from semipolar.apsg import line_through
+from semipolar.apsg import AffLine
 from semipolar.autos import (
     PointMap,
     orbit_of,
@@ -128,7 +128,7 @@ def test_c06_line_recovery_all_adjacent_pairs_m2(sp_m2_gf3):
                 continue
             p1, p2 = space.points[i], space.points[int(j)]
             got = set(space.neighborhood_intersection(p1, p2))
-            if got != set(line_through(p1, p2, 3).points()):
+            if got != set(AffLine(p1, p2.sub(p1, 3), 3).points()):
                 ok = False
                 break
             checked += 1

@@ -13,7 +13,6 @@ from semipolar.apsg import (
     Point,
     SemipolarSpace,
     canonical_direction,
-    line_through,
     neighborhood_intersections,
 )
 from semipolar.errors import DegenerateForm
@@ -42,8 +41,8 @@ def all_affine_lines(space):
     """Every affine line of Y, once: oracle enumeration by (point, direction class)."""
     out = set()
     for pt in space.points:
-        for d in space.direction_classes:
-            out.add(AffLine(pt, d, space.p))
+        for d in space._y_classes[0].tolist():
+            out.add(AffLine(pt, space.points[d], space.p))
     return out
 
 
@@ -189,43 +188,45 @@ def test_total_singular_line_counts(sp_m1_gf3, sp_m2_gf3, sp_cross_gf3):
 # -- excluded directions -----------------------------------------------------------
 
 
+def excluded_codes(space) -> set:
+    """The representative codes of the direction classes `_excluded_classes` flags."""
+    return set(space._y_classes[0][space._excluded_classes].tolist())
+
+
 def test_direction_exclusion_scalar_is_the_vertical_class(sp_m1_gf3, sp_m2_gf3):
     for space in (sp_m1_gf3, sp_m2_gf3):
-        excluded = space.direction_excluded_set()
         vertical = canonical_direction(
             Point((1,) + (0,) * (space.nu - 1), (0,) * space.n), space.p
         )
-        assert excluded == {vertical}
+        assert excluded_codes(space) == {space.index(vertical)}
 
 
 def test_direction_exclusion_cross_matches_orthogonality(sp_cross_gf3):
     # [v, 0] always excluded; [v, u] with u != 0 excluded iff u not perpendicular
     # to v for the dot product attached to the vector product.
-    excluded = sp_cross_gf3.direction_excluded_set()
+    space = sp_cross_gf3
     expected = set()
-    for q in sp_cross_gf3.direction_classes:
-        if not any(q.u):
-            expected.add(q)
-        elif sum(a * b for a, b in zip(q.u, q.v)) % 3 != 0:
-            expected.add(q)
-    assert excluded == expected
+    for code in space._y_classes[0].tolist():
+        q = space.points[code]
+        if not any(q.u) or sum(a * b for a, b in zip(q.u, q.v)) % 3 != 0:
+            expected.add(code)
+    assert excluded_codes(space) == expected
 
 
 def test_vertical_directions_always_excluded(sp_cross_gf3, sp_m2_gf3):
     for space in (sp_cross_gf3, sp_m2_gf3):
-        for q in space.direction_excluded_set():
-            if not any(q.u):
-                assert any(q.v)
+        vertical = {c for c in space._y_classes[0].tolist() if not any(space.points[c].u)}
+        assert vertical and vertical <= excluded_codes(space)
 
 
 def test_direction_partition_against_singular_line_scan(sp_m1_gf3, sp_cross_gf3):
     # every direction class either is excluded or carries a singular line; never both
     for space in (sp_m1_gf3, sp_cross_gf3):
         carried = {
-            canonical_direction(line.direction, space.p) for line in space.singular_lines
+            space.index(canonical_direction(line.direction, space.p)) for line in space.singular_lines
         }
-        excluded = space.direction_excluded_set()
-        assert carried | excluded == set(space.direction_classes)
+        excluded = excluded_codes(space)
+        assert carried | excluded == set(space._y_classes[0].tolist())
         assert not carried & excluded
 
 
@@ -369,18 +370,19 @@ def test_triangle_censuses(sp_m1_gf3, sp_m2_gf3, sp_cross_gf3):
 
 
 def test_triangles_through_origin_match_census_shape(sp_m1_gf3, sp_m2_gf3, sp_cross_gf3):
-    assert sp_m1_gf3.triangles_through(sp_m1_gf3.origin) == []
-    assert sp_cross_gf3.triangles_through(sp_cross_gf3.origin) == []
-    tris = sp_m2_gf3.triangles_through(sp_m2_gf3.origin)
-    assert tris
+    # the origin is point code 0
+    assert len(sp_m1_gf3.triangle_codes(0)) == 0
+    assert len(sp_cross_gf3.triangle_codes(0)) == 0
+    assert len(sp_m2_gf3.triangle_codes(0))
     # census cross-check: total over all points is 3x the triangle count
-    per_point = sum(len(sp_m2_gf3.triangles_through(pt)) for pt in sp_m2_gf3.points)
+    per_point = sum(len(sp_m2_gf3.triangle_codes(i)) for i in range(sp_m2_gf3.size))
     assert per_point == 3 * sp_m2_gf3.triangle_census()
 
 
 def test_triangles_have_parametric_form(sp_m2_gf3):
     space = sp_m2_gf3
-    for p0, p1, p2 in space.triangles_through(space.origin)[:50]:
+    for row in space.triangle_codes(0)[:50].tolist():
+        p0, p1, p2 = map(space.point, row)
         u = p1.sub(p0, 3).u
         y = p2.sub(p0, 3).u
         assert not any(space.form.eta.eval(u, y))  # eta(u, y) = 0
@@ -529,7 +531,7 @@ def test_recover_line_exhaustive_m1(sp_m1_gf3):
                 continue
             p1, p2 = space.points[i], space.points[int(j)]
             got = set(space.neighborhood_intersection(p1, p2))
-            expect = set(line_through(p1, p2, 3).points())
+            expect = set(AffLine(p1, p2.sub(p1, 3), 3).points())
             assert got == expect
 
 
@@ -537,7 +539,7 @@ def test_recover_line_examples_m2(sp_m2_gf3):
     space = sp_m2_gf3
     q = P((0,), (1, 0, 0, 0))
     got = set(space.neighborhood_intersection(space.origin, q))
-    assert got == set(line_through(space.origin, q, 3).points())
+    assert got == set(AffLine(space.origin, q, 3).points())
     assert space.origin in got and q in got and len(got) == 3
 
 
@@ -553,7 +555,7 @@ def test_neighborhood_intersection_scalar_case_dichotomy(sp_m1_gf3):
                 assert not (space.adjacency[i] & space.adjacency[j]).any()
             else:
                 got = set(space.neighborhood_intersection(p1, p2))
-                assert got == set(line_through(p1, p2, 3).points())
+                assert got == set(AffLine(p1, p2.sub(p1, 3), 3).points())
 
 
 def big_int_neighborhood_intersection(adj, i, j):
@@ -649,7 +651,7 @@ def test_neighborhood_intersection_gives_affine_line_m2_sample(sp_m2_gf3):
         if p1.u == p2.u:
             continue
         got = set(space.neighborhood_intersection(p1, p2))
-        assert got == set(line_through(p1, p2, 3).points())
+        assert got == set(AffLine(p1, p2.sub(p1, 3), 3).points())
         hits += 1
 
 
@@ -820,7 +822,7 @@ def test_triangle_census_matches_triangles_through_on_random_forms(shape, exampl
     @settings(max_examples=examples, deadline=None, derandomize=True)
     @given(space=random_spaces(shape))
     def check(space):
-        per_point = sum(len(space.triangles_through(pt)) for pt in space.points)
+        per_point = sum(len(space.triangle_codes(i)) for i in range(space.size))
         assert per_point == 3 * space.triangle_census()
 
     check()

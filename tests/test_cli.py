@@ -44,6 +44,38 @@ def test_build_rejects_composite_field(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("index", ["1", "0"])
+def test_build_wedge_below_dimension_2_is_usage_error(index, tmp_path, capsys):
+    # n < 2 has no wedge coordinates, so nu = 0 and the instance would not load
+    out = tmp_path / "wedge.json"
+    code, _, err = run(["build", "--field", "3", "--kind", "wedge", "--index", index,
+                        "--out", str(out)], capsys)
+    assert code == 2
+    assert "usage error" in err and "wedge dimension" in err
+    assert not out.exists()
+
+
+def test_build_wedge_dimension_2_verifies(tmp_path, capsys):
+    out = tmp_path / "wedge.json"
+    assert run(["build", "--field", "3", "--kind", "wedge", "--index", "2", "--out", str(out)], capsys)[0] == 0
+    assert run(["verify", str(out), "--suite", "axioms"], capsys)[0] == 0
+
+
+def test_build_cross_refuses_index(capsys):
+    code, _, err = run(["build", "--field", "3", "--kind", "cross", "--index", "3"], capsys)
+    assert code == 2
+    assert "usage error" in err and "--index" in err
+
+
+def test_build_custom_refuses_index(tmp_path, capsys):
+    first = tmp_path / "a.json"
+    assert run(["build", "--field", "3", "--kind", "symplectic", "--out", str(first)], capsys)[0] == 0
+    code, _, err = run(["build", "--field", "3", "--kind", "custom", "--in", str(first),
+                        "--index", "2"], capsys)
+    assert code == 2
+    assert "usage error" in err and "--index" in err
+
+
 def test_build_custom_round_trip(tmp_path, capsys):
     first = tmp_path / "a.json"
     second = tmp_path / "b.json"

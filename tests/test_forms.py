@@ -231,18 +231,22 @@ def random_semiforms(draw, shapes=RANDOM_SHAPES):
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(rho=random_semiforms(), data=st.data())
-def test_value_codes_and_table_match_pointwise_eval(rho, data):
+def test_factor_codes_and_table_match_pointwise_eval(rho, data):
+    # the first |Y| columns of the right factor give rho(y, x), the last |Y| rho(x, y)
     p = rho.p
     pts = enumerate_vectors(p, rho.ydim)
+    left, right = rho.row_factors(pts)
     rows = st.lists(st.integers(0, len(pts) - 1), min_size=1, max_size=6)
     a, b = data.draw(rows), data.draw(rows)
-    codes = rho.value_codes(pts[a], pts[b])
+    codes = rho.codes_from_factors(left[:, a], right[:, :, b])
+    swapped = rho.codes_from_factors(left[:, a], right[:, :, len(pts) + np.array(b, dtype=np.intp)])
     table = rho.value_table()
-    assert codes.shape == (len(a), len(b))
+    assert codes.shape == swapped.shape == (len(a), len(b))
     for r, i in enumerate(a):
         for c, j in enumerate(b):
             want = vec_index(rho.eval(pts[i], pts[j]), p)
             assert codes[r, c] == want
+            assert swapped[r, c] == vec_index(rho.eval(pts[j], pts[i]), p)
             assert table[i, j] == want
 
 

@@ -12,21 +12,26 @@ from semipolar.hyperbolic import (
     HypPolarSpace,
     Reconstruction,
     SymmetricForm,
+    _classify,
     _hyperplanes_of,
     build_double,
-    classify_reduct_maximals,
     default_deleted_subspace,
     diagonalize_symmetric,
     inc_relation,
     is_square,
-    projective_reps,
     reconstruct_deleted_subspace,
     reconstruction_report,
     reduct,
     standard_doubling_base,
-    subspace_reps,
 )
-from semipolar.linalg import Subspace, enumerate_subspaces, enumerate_vectors, rank, subspace_closure
+from semipolar.linalg import (
+    Subspace,
+    enumerate_subspaces,
+    enumerate_vectors,
+    projective_classes,
+    rank,
+    subspace_closure,
+)
 
 
 @pytest.fixture(scope="session")
@@ -41,7 +46,8 @@ def hyp_diag112():
 
 def brute_force_isotropic_projective_count(space):
     total = 0
-    for r in projective_reps(enumerate_vectors(3, 6), 3):
+    vecs = enumerate_vectors(3, 6)
+    for r in vecs[projective_classes(vecs, 3)[0]].tolist():
         if space.zeta.eval(r, r) == 0:
             total += 1
     return total
@@ -271,7 +277,7 @@ def test_reduct_point_and_line_counts(red_identity):
     # point survive with 3 points; disjoint ones keep all 4
     sizes = {len(l) for l in red.lines}
     assert sizes == {3, 4}
-    inside = [l for l in red.space.lines() if all(r in set(subspace_reps(red.z)) for r in subspace_reps(l))]
+    inside = [l for l in red.space.lines() if not (red.space.point_mask(l) & ~red.z_mask).any()]
     assert len(red.lines) == 520 - len(inside)
     assert len(inside) == 13  # the 13 lines of the deleted projective plane
 
@@ -288,27 +294,25 @@ def test_reduct_rejects_non_maximal(hyp_identity):
 
 
 def test_classification_sizes(red_identity):
-    cls = classify_reduct_maximals(red_identity)
-    assert len(cls.r0) == 39  # same parity class as Z, minus Z itself
-    assert len(cls.r1) == 13  # opposite class, meeting Z in a line
-    assert len(cls.other) == 27  # opposite class, disjoint from Z
-    assert len(cls.r0) + len(cls.r1) + len(cls.other) == 79
-    for x in cls.r0:
-        assert x.intersection(red_identity.z).dim == 1
-    for x in cls.r1:
-        assert x.intersection(red_identity.z).dim == 2
-    for x in cls.other:
-        assert x.intersection(red_identity.z).dim == 0
+    r0, r1, other = _classify(red_identity)
+    assert len(r0) == 39  # same parity class as Z, minus Z itself
+    assert len(r1) == 13  # opposite class, meeting Z in a line
+    assert len(other) == 27  # opposite class, disjoint from Z
+    assert len(r0) + len(r1) + len(other) == 79
+    maximals = red_identity.space.maximal_singulars()
+    for idx, dim in ((r0, 1), (r1, 2), (other, 0)):
+        for i in idx.tolist():
+            assert maximals[i].intersection(red_identity.z).dim == dim
 
 
 def test_surviving_maximals_are_maximal_cliques(red_identity):
     red = red_identity
-    z_reps = set(subspace_reps(red.z))
+    pts = red.space.quadric_points
     point_set = set(red.points)
     for x in red.space.maximal_singulars()[:12]:
         if x == red.z:
             continue
-        members = [r for r in subspace_reps(x) if r not in z_reps]
+        members = [pts[i] for i in np.flatnonzero(red.space.point_mask(x) & ~red.z_mask)]
         for a, b in combinations(members, 2):
             assert red.space.zeta.eval(a, b) == 0
         # no outside point is collinear with all members
@@ -318,18 +322,24 @@ def test_surviving_maximals_are_maximal_cliques(red_identity):
 
 def test_inc_relation_routes_agree(red_identity):
     red = red_identity
-    cls = classify_reduct_maximals(red)
-    z_reps = set(subspace_reps(red.z))
-    for x0 in cls.r0[:10]:
-        j0 = set(subspace_reps(x0)) - z_reps
-        for x1 in cls.r1:
+    r0, r1, _ = _classify(red)
+    maximals = red.space.maximal_singulars()
+    pts = red.space.quadric_points
+
+    def clipped(x):
+        return {pts[i] for i in np.flatnonzero(red.space.point_mask(x) & ~red.z_mask)}
+
+    for x0 in (maximals[i] for i in r0[:10].tolist()):
+        j0 = clipped(x0)
+        for x1 in (maximals[i] for i in r1.tolist()):
             got = inc_relation(red, x0, x1)
-            j1 = set(subspace_reps(x1)) - z_reps
+            j1 = clipped(x1)
             brute = any(l <= j0 and l <= j1 for l in red.lines)
             assert got == brute
             # ground truth: the improper point lies on the improper line
             pt = x0.intersection(red.z).matrix()[0]
-            assert got == x1.intersection(red.z).contains(pt)
+            line = x1.intersection(red.z)
+            assert got == (rank(np.vstack([line.matrix(), pt]), 3) == line.dim)
 
 
 # -- reconstruction ---------------------------------------------------------------------
@@ -349,13 +359,14 @@ def test_reconstruction_classes_match_inc_relation(red_identity, hyp_diag112):
     z = next(
         m
         for m in hyp_diag112.maximal_singulars()
-        if all(r[3:] == (0, 0, 0) for r in subspace_reps(m))
+        if not m.matrix()[:, 3:].any()
     )
     for red in (red_identity, reduct(hyp_diag112, z)):
-        cls = classify_reduct_maximals(red)
+        r0, r1, _ = _classify(red)
+        maximals = red.space.maximal_singulars()
         groups = {}
-        for i, x0 in enumerate(cls.r0):
-            profile = tuple(inc_relation(red, x0, x1) for x1 in cls.r1)
+        for i, a in enumerate(r0.tolist()):
+            profile = tuple(inc_relation(red, maximals[a], maximals[b]) for b in r1.tolist())
             groups.setdefault(profile, []).append(i)
         assert reconstruct_deleted_subspace(red).classes == sorted(groups.values())
 
@@ -364,7 +375,7 @@ def test_reconstruction_diag112(hyp_diag112):
     z = next(
         m
         for m in hyp_diag112.maximal_singulars()
-        if all(r[3:] == (0, 0, 0) for r in subspace_reps(m))
+        if not m.matrix()[:, 3:].any()
     )
     rec = reconstruct_deleted_subspace(reduct(hyp_diag112, z))
     assert rec.class_count == 13

@@ -271,13 +271,6 @@ def test_subspace_intersection_against_brute_force():
         assert set(inter.vectors()) == oracle
 
 
-def test_subspace_contains_matches_vector_set():
-    s = Subspace([(1, 0, 2), (0, 1, 1)], 3)
-    members = set(s.vectors())
-    for v in product(range(3), repeat=3):
-        assert s.contains(v) == (v in members)
-
-
 @pytest.mark.parametrize("shape", [(0,), (1,), (50,), (7, 30)])
 def test_first_occurrences_is_unique_with_first_indices(shape):
     values = np.random.default_rng(len(shape)).integers(-3, 12, shape)

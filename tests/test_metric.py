@@ -7,20 +7,22 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from semipolar.apsg import Point, SemipolarSpace, line_through
+from semipolar.apsg import Point, SemipolarSpace, canonical_direction
 from semipolar.errors import DimensionMismatch
 from semipolar.forms import AlternatingMap, Semiform
 from semipolar.metric import (
     KINDS,
     HyperplaneDescriptor,
     bisector_m,
+    _classification,
+    _pair_set,
     bisector_t,
     pair_report,
     pair_sets,
-    sphere,
     translation_noninvariance_witness,
 )
-from semipolar.suites import SuiteConfig, _bisector_counts, run_suite
+from semipolar.linalg import normalize_rows
+from semipolar.suites import SuiteConfig, _bisector_counts, _group_counts, run_suite
 
 
 def P(v, u):
@@ -97,15 +99,15 @@ def test_bisector_t_trivial_and_empty_cases(sp_m1_gf3):
     space = sp_m1_gf3
     p0 = P((0,), (1, 2))
     pts, desc = bisector_t(space, p0, p0)
-    assert len(pts) == 27 and desc.classification() == "all"
+    assert len(pts) == 27 and _classification(*desc[1:]) == "all"
     pts, desc = bisector_t(space, P((0,), (0, 0)), P((1,), (0, 0)))
-    assert pts == () and desc.classification() == "empty"
+    assert pts == () and _classification(*desc[1:]) == "empty"
 
 
 def test_bisector_t_hyperplane_case(sp_m1_gf3):
     pts, desc = bisector_t(sp_m1_gf3, P((0,), (1, 0)), P((0,), (0, 0)))
     assert len(pts) == 9
-    assert desc.classification() == "hyperplane"
+    assert _classification(*desc[1:]) == "hyperplane"
 
 
 def test_bisector_t_empty_exactly_for_vertical_pairs(sp_m1_gf3):
@@ -127,7 +129,7 @@ def test_bisector_m_always_hyperplane(sp_m1_gf3):
         for p2 in space.points:
             pts, desc = bisector_m(space, p1, p2)
             assert len(pts) == 9
-            assert desc.classification() == "hyperplane"
+            assert _classification(*desc[1:]) == "hyperplane"
 
 
 def test_bisector_m_of_equal_pair_is_the_neighborhood(sp_m1_gf3):
@@ -141,13 +143,13 @@ def test_sphere_cardinalities_and_membership(sp_m1_gf3):
     space = sp_m1_gf3
     for p1 in space.points:
         for p2 in space.points:
-            pts, desc = sphere(space, p1, p2)
+            pts, desc = _pair_set(space, p1, p2, "sphere")
             assert len(pts) == 9
             assert p2 in set(pts)
-            assert desc.classification() == "hyperplane"
+            assert _classification(*desc[1:]) == "hyperplane"
     # contains p1 iff p1 ~ p2 (rho(p1,p1) = 0)
     p1, p2 = P((0,), (1, 0)), P((1,), (0, 1))
-    pts, _ = sphere(space, p1, p2)
+    pts, _ = _pair_set(space, p1, p2, "sphere")
     assert (p1 in set(pts)) == space.adjacent(p1, p2)
 
 
@@ -157,17 +159,19 @@ def test_descriptor_sets_match_definitional_sets(sp_m1_gf3):
     for _ in range(60):
         i, j = rng.integers(0, 27, 2)
         p1, p2 = space.points[int(i)], space.points[int(j)]
-        for fn in (bisector_t, bisector_m, sphere):
-            pts, desc = fn(space, p1, p2)
+        for kind in KINDS:
+            pts, desc = _pair_set(space, p1, p2, kind)
             assert set(desc.members(space)) == set(pts)
 
 
 def test_descriptor_normalization_identifies_scaled_equations():
-    d1 = HyperplaneDescriptor.make(3, (2, 0), 2, 1)
-    d2 = HyperplaneDescriptor.make(3, (1, 0), 1, 2)
+    d1, d2, empty, whole = (
+        HyperplaneDescriptor.from_row(3, row)
+        for row in normalize_rows([[2, 0, 2, 1], [1, 0, 1, 2], [0, 0, 0, 2], [0, 0, 0, 0]], 3).tolist()
+    )
     assert d1 == d2
-    assert HyperplaneDescriptor.make(3, (0, 0), 0, 2).classification() == "empty"
-    assert HyperplaneDescriptor.make(3, (0, 0), 0, 0).classification() == "all"
+    assert _classification(*empty[1:]) == "empty"
+    assert _classification(*whole[1:]) == "all"
 
 
 def test_bisectors_and_spheres_on_m2(sp_m2_gf3):
@@ -178,7 +182,7 @@ def test_bisectors_and_spheres_on_m2(sp_m2_gf3):
         p1, p2 = space.points[int(i)], space.points[int(j)]
         t_pts, _ = bisector_t(space, p1, p2)
         m_pts, _ = bisector_m(space, p1, p2)
-        s_pts, _ = sphere(space, p1, p2)
+        s_pts, _ = _pair_set(space, p1, p2, "sphere")
         assert len(m_pts) == 81 and len(s_pts) == 81
         if p1 == p2:
             assert len(t_pts) == space.size
@@ -375,8 +379,13 @@ def test_bisectors_spheres_and_reports_match_definitions(space, data):
     p1, p2 = space.points[i], space.points[j]
     want = definitional_sets(space, p1, p2)
     reference = []
-    for kind, fn in (("t", bisector_t), ("m", bisector_m), ("sphere", sphere)):
-        pts, desc = fn(space, p1, p2)
+    found = {
+        "t": bisector_t(space, p1, p2),
+        "m": bisector_m(space, p1, p2),
+        "sphere": _pair_set(space, p1, p2, "sphere"),
+    }
+    for kind in KINDS:
+        pts, desc = found[kind]
         assert pts == tuple(q for q in space.points if q in want[kind])
         if space.nu != 1:
             assert desc is None
@@ -414,16 +423,17 @@ def test_pair_sets_match_their_definitions_in_blocks(space, data):
     sizes = {"hyperplane": space.size // p, "all": space.size, "empty": 0}
     for b, (x, y) in enumerate(pairs):
         ((a1,), u1), ((a2,), u2) = space.points[x], space.points[y]
-        want = {
-            "t": HyperplaneDescriptor.make(p, [c - d for c, d in zip(u1, u2)], 0, a1 - a2),
-            "m": HyperplaneDescriptor.make(p, [c + d for c, d in zip(u1, u2)], -2, a1 + a2),
-            "sphere": HyperplaneDescriptor.make(p, u1, -1, int(t[x, y]) + a1),
+        rows = {
+            "t": [*(c - d for c, d in zip(u1, u2)), 0, a1 - a2],
+            "m": [*(c + d for c, d in zip(u1, u2)), -2, a1 + a2],
+            "sphere": [*u1, -1, int(t[x, y]) + a1],
         }
+        want = {k: HyperplaneDescriptor.from_row(p, normalize_rows(r, p).tolist()) for k, r in rows.items()}
         for k, kind in enumerate(KINDS):
             desc = HyperplaneDescriptor.from_row(p, sets.equations[k, b].tolist())
             assert desc == want[kind]
             assert (space.zset_mask(desc.u0, (desc.beta,), desc.alpha) == sets.masks[k, b]).all()
-            assert sets.sizes[k, b] == sizes[desc.classification()]
+            assert sets.sizes[k, b] == sizes[_classification(*desc[1:])]
 
 
 # -- the bisectors suite --------------------------------------------------------------
@@ -503,3 +513,76 @@ def test_polar_correspondence_detects_a_corrupted_eta_table(sp_m1_gf3, monkeypat
     report = run_suite("bisectors", space, SuiteConfig())
     failed = {c["name"] for c in report["checks"] if not c["passed"]}
     assert failed == {"polar-correspondence"}
+
+
+# -- the equal-bisector criteria ----------------------------------------------------------
+
+
+def dict_loop_criterion(masks: np.ndarray, ids: np.ndarray) -> tuple[bool, int]:
+    """Reference: group the ordered pairs by their mask in a dict of id sets.
+    The criterion holds when every group has one id and there are as many
+    groups as ids; also returns the number of groups."""
+    groups, seen = {}, set()
+    for i in range(ids.shape[0]):
+        for j in range(ids.shape[1]):
+            groups.setdefault(masks[i, j].tobytes(), set()).add(int(ids[i, j]))
+            seen.add(int(ids[i, j]))
+    return all(len(g) == 1 for g in groups.values()) and len(groups) == len(seen), len(groups)
+
+
+def assert_group_counts_match_the_dict_loop(masks, ids) -> bool:
+    counts = _group_counts(masks, ids)
+    ok, groups = dict_loop_criterion(masks, ids)
+    assert (len(set(counts)) == 1, counts[0]) == (ok, groups)
+    return ok
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    size=st.integers(1, 9),
+    p=st.sampled_from([2, 3, 5]),
+    ids_from_masks=st.booleans(),
+)
+def test_group_counts_match_the_dict_loop_on_random_tables(seed, size, p, ids_from_masks):
+    rng = np.random.default_rng(seed)
+    t = rng.integers(0, p, (size, size))
+    for masks in (t[:, None, :] == t[None, :, :], t[:, None, :] == t.T[None, :, :]):
+        if ids_from_masks:
+            # a one-to-one naming: the code of the mask's first pair, -1 for pair (0, 0)'s
+            first = {}
+            for i, j in np.ndindex(size, size):
+                first.setdefault(masks[i, j].tobytes(), i * size + j - 1)
+            ids = np.array([[first[masks[i, j].tobytes()] for j in range(size)] for i in range(size)])
+            assert assert_group_counts_match_the_dict_loop(masks, ids)
+        else:
+            assert_group_counts_match_the_dict_loop(masks, rng.integers(-1, size, (size, size)))
+
+
+def pair_ids(space):
+    """Per ordered pair: the code of the direction class of y_j - y_i (-1 on the
+    diagonal) and the code of y_i + y_j, by Point arithmetic."""
+    p, pts = space.p, space.points
+    direction = np.array([
+        [space.index(canonical_direction(b.sub(a, p), p)) if a != b else -1 for b in pts] for a in pts
+    ])
+    total = np.array([[space.index(a.add(b, p)) for b in pts] for a in pts])
+    return direction, total
+
+
+@pytest.mark.parametrize("entry", [None, (5, 14)])
+def test_bisector_criteria_match_the_dict_loop(sp_m1_gf3, monkeypatch, entry):
+    table = np.asarray(sp_m1_gf3.value_table).copy()
+    if entry is not None:
+        table[entry] = (table[entry] + 1) % 3
+        monkeypatch.setattr(Semiform, "value_table", lambda self, budget=None: table)
+    space = SemipolarSpace(sp_m1_gf3.form)
+    report = run_suite("bisectors", space, SuiteConfig())
+    verdicts = {c["name"]: c["passed"] for c in report["checks"]}
+    direction, total = pair_ids(space)
+    t_ok, t_groups = dict_loop_criterion(table[:, None, :] == table[None, :, :], direction)
+    m_ok, m_groups = dict_loop_criterion(table[:, None, :] == table.T[None, :, :], total)
+    assert (verdicts["t-bisector-criterion"], report["data"]["pair_groups_t"]) == (t_ok, t_groups)
+    assert (verdicts["m-bisector-criterion"], report["data"]["pair_groups_m"]) == (m_ok, m_groups)
+    assert t_ok == m_ok == (entry is None)
+
