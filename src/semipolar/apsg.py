@@ -23,7 +23,9 @@ from .errors import (
 from .forms import Report, Semiform, group_tables, normalize
 from .linalg import (
     CHUNK,
+    SplitTable,
     as_vec,
+    code_dtype,
     distinct_rows,
     encode_vecs,
     enumerate_vectors,
@@ -193,17 +195,18 @@ class SemipolarSpace:
         return self.points[i]
 
     @cached_property
-    def _tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(add, sub, scale) on point codes: add[i, j] is the code of points i + j."""
+    def _tables(self) -> tuple[SplitTable, SplitTable, np.ndarray]:
+        """(add, sub, scale) on point codes, from `group_tables` of Y: add[i, j]
+        is the code of points i + j and scale[a, i] that of a * point i.  add
+        and sub are `SplitTable`s of O(|Y|) entries, never a (|Y|, |Y|) table;
+        a kernel that reads whole rows builds a block of them with `rows`."""
         _, add, sub, _, scale = group_tables(self.p, self.ydim)
         return add, sub, scale
 
     def line_codes(self, base, direction) -> np.ndarray:
-        """Codes of the lines base + a*direction, a = 0..p-1, along a new last
-        axis, read by flat index: add[x, y] is add.ravel()[x * |Y| + y]."""
+        """Codes of the lines base + a*direction, a = 0..p-1, along a new last axis."""
         add, _, scale = self._tables
-        base = np.asarray(base, dtype=np.intp)
-        return add.ravel().take(base[..., None] * self.size + scale.T.take(direction, axis=0))
+        return add[np.asarray(base)[..., None], scale.T.take(direction, axis=0)]
 
     def decode_line(self, base: int, direction: int) -> AffLine:
         """The AffLine base + <direction> for a base code and a direction code."""
@@ -222,6 +225,7 @@ class SemipolarSpace:
 
     @cached_property
     def value_table(self) -> np.ndarray:
+        """`Semiform.value_table`: rho of every point pair at code width."""
         t = self.form.value_table(budget=self.budget)
         t.setflags(write=False)
         return t
@@ -292,24 +296,19 @@ class SemipolarSpace:
         reps = np.array(self.u_direction_classes, dtype=np.int64)
         eta = np.einsum("ia,abk,cb->ick", self._coords[:, self.nu :], self.form.eta.gram, reps)
         dirs = np.concatenate([-eta, np.broadcast_to(reps, eta.shape[:2] + (self.n,))], axis=2)
-        out = encode_vecs(dirs, p)
+        out = encode_vecs(dirs, p).astype(code_dtype(self.size - 1))
         out.setflags(write=False)
         return out
 
-    @cached_property
-    def _singular_line_table(self) -> np.ndarray:
-        """table[x, d]: the line x + <d> is singular, for every point code x and
-        direction code d (column d = 0 is cleared).
+    def _singular_at(self, x, d) -> np.ndarray:
+        """The line x + <d> is singular, for point codes x and nonzero
+        direction codes d broadcast together.
 
         On the simplified form rho(x + a*d, x + b*d) = (b - a)(eta(u_x, u_d) + v_d),
-        so the line is singular exactly when x ~ x + d: the table is the
-        adjacency gathered along `add`, adjacency[x, add[x, d]].
+        so the line is singular exactly when x ~ x + d: adjacency[x, add[x, d]].
         """
         add, _, _ = self._tables
-        table = np.take_along_axis(self.adjacency, add, axis=1)
-        table[:, 0] = False
-        table.setflags(write=False)
-        return table
+        return self.adjacency[x, add[x, d]]
 
     def singular_lines_through(self, pt: Point) -> list[AffLine]:
         i = self.index(pt)
@@ -318,11 +317,12 @@ class SemipolarSpace:
     @cached_property
     def singular_line_codes(self) -> tuple[np.ndarray, np.ndarray]:
         """(base, direction) codes of every singular line once, as the canonical
-        AffLine has them, sorted by (base, direction): the `affine_lines` whose
-        `_singular_line_table` entry is set."""
+        AffLine has them, sorted by (base, direction): the `affine_lines` that
+        `_singular_at` finds singular."""
         bases, dirs = self.affine_lines()
-        singular = self._singular_line_table[bases, dirs]
-        return bases[singular], dirs[singular]
+        singular = self._singular_at(bases, dirs)
+        code = code_dtype(self.size - 1)
+        return bases[singular].astype(code), dirs[singular].astype(code)
 
     @cached_property
     def singular_lines(self) -> frozenset[AffLine]:
@@ -452,24 +452,24 @@ class SemipolarSpace:
         through the common point; maximal singular subspaces are affine subspaces.
 
         Runs a block of points at a time: for every pair of singular lines d1, d2
-        through a point, each line with direction d1 + a*d2 is looked up in
-        `_singular_line_table`.  Both tables are read by flat index, one 1-d
-        take each.
+        through a point, each line with direction d1 + a*d2 is looked up in the
+        block's rows of the line table, `_singular_at` of the block's points and
+        every direction, gathered once along the `add` rows of the block.
         """
         add, _, scale = self._tables
-        add, size = add.ravel(), self.size
         multiples = np.ascontiguousarray(scale[1:].T)  # multiples[d]: a*d for a >= 1
         through = self._singular_dirs
-        table = self._singular_line_table.ravel()
         first, second = np.triu_indices(through.shape[1], 1)
         step = max(1, CHUNK // max(1, len(first) * (self.p - 1)))
         report = Report()
         wit = None
-        for lo in range(0, size, step):
+        for lo in range(0, self.size, step):
             dirs = through[lo : lo + step]
             # d1 + a*d2 for a >= 1, along the last axis
-            mixed = add.take((dirs[:, first] * size)[:, :, None] + multiples.take(dirs[:, second], axis=0))
-            missing = ~table.take(np.arange(lo, lo + len(dirs))[:, None, None] * size + mixed)
+            mixed = add[dirs[:, first, None], multiples.take(dirs[:, second], axis=0)]
+            codes = np.arange(lo, lo + len(dirs))
+            lines = np.take_along_axis(self.adjacency[codes], add.rows(codes), axis=1)
+            missing = ~lines.take((codes - lo)[:, None, None] * self.size + mixed)
             if missing.any():
                 b, k, a = np.unravel_index(int(np.flatnonzero(missing)[0]), missing.shape)
                 named = (dirs[b, first[k]], dirs[b, second[k]], mixed[b, k, a])
@@ -493,14 +493,14 @@ class SemipolarSpace:
         """Every singular line has a parallel affine line that is not singular.
 
         The parallels tried are the translates by [0, e_k] for the basis vectors
-        e_k of V with eta(e_k, u_dir) != 0, looked up in `_singular_line_table`.
+        e_k of V with eta(e_k, u_dir) != 0, tested by `_singular_at`.
         """
         add, _, _ = self._tables
         bases, dirs = self.singular_line_codes
         shifts = self.p ** np.arange(self.n - 1, -1, -1)  # codes of [0, e_k]
         eta = np.einsum("kbj,lb->lkj", self.form.eta.gram, self._coords[dirs, self.nu :])
         eligible = (eta % self.p).any(axis=2)
-        singular = self._singular_line_table[add[bases[:, None], shifts[None, :]], dirs[:, None]]
+        singular = self._singular_at(add[bases[:, None], shifts[None, :]], dirs[:, None])
         missing = np.flatnonzero(~(eligible & ~singular).any(axis=1))
         wit = (repr(self.decode_line(bases[missing[0]], dirs[missing[0]])),) if len(missing) else None
         report = Report()

@@ -209,7 +209,7 @@ def rho_scaling_constant(space: SemipolarSpace, pmap: PointMap) -> int | None:
     alpha = (b * pow(a, space.p - 2, space.p)) % space.p
     if alpha == 0:
         return None
-    return alpha if bool((mapped == (alpha * t) % space.p).all()) else None
+    return alpha if bool((mapped == (alpha * t.astype(np.int64)) % space.p).all()) else None
 
 
 def invertible_matrices(n: int, p: int) -> np.ndarray:

@@ -118,7 +118,7 @@ def cmd_export(args) -> int:
 
         p = args.field or 3
         base = standard_doubling_base(args.hyp_dim, p, diag=args.hyp_diag)
-        hyp = build_double(args.hyp_dim, base)
+        hyp = build_double(args.hyp_dim, base, budget=args.budget)
         _dump(reconstruction_report(hyp, default_deleted_subspace(hyp)), args.out)
         return 0
 

@@ -25,8 +25,10 @@ from .gf import GF
 from .linalg import (
     CHUNK,
     LinearMap,
+    SplitTable,
     Subspace,
     as_vec,
+    code_dtype,
     encode_vecs,
     enumerate_vectors,
     index_vec,
@@ -38,25 +40,19 @@ from .linalg import (
 def group_tables(p: int, n: int):
     """Index-arithmetic tables for GF(p)^n under the vec_index encoding.
 
-    Returns (vectors, add, sub, neg, scale) where add[i,j] is the index of
-    vectors[i]+vectors[j], scale[a,i] of a*vectors[i], and so on.  The
-    (p^n, p^n) tables are encoded one coordinate at a time, in place, so the
-    build needs one more table of that size and never a (p^n, p^n, n) array.
+    Returns (vectors, add, sub, neg, scale): add[i, j] is the code of
+    vectors[i] + vectors[j] and sub[i, j] that of vectors[i] - vectors[j],
+    each a `SplitTable` of two half tables, neg[i] the code of -vectors[i],
+    and scale[a, i] that of a * vectors[i].  Every code is at code width,
+    `code_dtype(p^n - 1)`, so the tables hold O(p^n) entries and no
+    (p^n, p^n) array.
     """
     vecs = enumerate_vectors(p, n)
-    size = len(vecs)
-    add = np.zeros((size, size), dtype=np.int32)
-    sub = np.zeros((size, size), dtype=np.int32)
-    digit = np.empty((size, size), dtype=np.int32)
-    for col in vecs.T.astype(np.int32):
-        for table, op in ((add, np.add), (sub, np.subtract)):
-            op(col[:, None], col[None, :], out=digit)
-            digit %= p
-            table *= p
-            table += digit
-    neg = encode_vecs(-vecs, p).astype(np.int32)
-    scale = np.stack([encode_vecs(a * vecs, p) for a in range(p)]).astype(np.int32)
-    for t in (vecs, add, sub, neg, scale):
+    dt = code_dtype(p**n - 1)
+    add, sub = SplitTable.of_sum(p, n, 1), SplitTable.of_sum(p, n, -1)
+    neg = encode_vecs(-vecs, p).astype(dt)
+    scale = np.stack([encode_vecs(a * vecs, p) for a in range(p)]).astype(dt)
+    for t in (vecs, neg, scale):
         t.setflags(write=False)
     return vecs, add, sub, neg, scale
 
@@ -110,12 +106,17 @@ class AlternatingMap:
         return np.einsum("ai,abk,bj->ijk", a, self.gram, a) % self.p
 
     def pair_table(self, us: np.ndarray) -> np.ndarray:
-        """Encoded eta values for all row pairs of us: out[i,j] = code(eta(us[i], us[j]))."""
-        us = as_vec(us, self.p)
-        out = np.zeros((len(us), len(us)), dtype=np.int32)
-        for k in range(self.nu):
-            vals = (us @ self.gram[:, :, k] @ us.T) % self.p
-            out = out * self.p + vals.astype(np.int32)
+        """Encoded eta values for all row pairs of us: out[i,j] = code(eta(us[i], us[j])),
+        at code width, built a block of about CHUNK / 8 entries at a time."""
+        p = self.p
+        us = as_vec(us, p)
+        out = np.zeros((len(us), len(us)), dtype=code_dtype(p**self.nu - 1))
+        step = max(1, CHUNK // (8 * max(1, len(us))))
+        for lo in range(0, len(us), step):
+            block = out[lo : lo + step]
+            for k in range(self.nu):
+                block *= p
+                block += (us[lo : lo + step] @ self.gram[:, :, k] % p @ us.T % p).astype(out.dtype)
         return out
 
     def radical(self) -> Subspace:
@@ -217,7 +218,7 @@ class AffineAtlas:
         """Encoded delta over all of V' x V'."""
         vecs = enumerate_vectors(self.p, self.nu)
         img = self.phi.apply_rows(vecs)
-        return encode_vecs(img[:, None, :] - img[None, :, :], self.p).astype(np.int32)
+        return encode_vecs(img[:, None, :] - img[None, :, :], self.p).astype(code_dtype(self.p**self.nu - 1))
 
 
 class Semiform:
@@ -309,25 +310,32 @@ class Semiform:
 
     def codes_from_factors(self, left, right) -> np.ndarray:
         """Encoded rho from `row_factors`: out[y, c] is the base-p code whose
-        coordinate k is left[k][y] . right[k][:, c] mod p.
+        coordinate k is left[k][y] . right[k][:, c] mod p, at code width,
+        `code_dtype(p^nu - 1)`.
 
-        Built in place in int32, one matmul per V' coordinate; every term is
-        reduced first, so the int32 sums stay below (n + 2) p^2.  The build
-        holds the output and one digit table, and no int64 table.
+        Built a block of rows at a time, one int32 matmul per V' coordinate;
+        every term is reduced first, so the int32 sums stay below (n + 2) p^2,
+        and each digit is reduced into the block of the output, which holds
+        the code so far.  A block holds about CHUNK / 8 entries, so the build
+        holds the output and one int32 block, and no (rows, columns) int32
+        table.
         """
         p = self.p
-        out = left[0] @ right[0]
-        out %= p
-        digit = None  # the later coordinates share one buffer
-        for k in range(1, self.nu):
-            digit = np.matmul(left[k], right[k], out=digit)
-            digit %= p
-            out *= p
-            out += digit
+        out = np.empty((left.shape[1], right.shape[2]), dtype=code_dtype(p**self.nu - 1))
+        step = max(1, CHUNK // (8 * max(1, right.shape[2])))
+        for lo in range(0, len(out), step):
+            block = out[lo : lo + step]
+            np.remainder(left[0, lo : lo + step] @ right[0], p, out=block, casting="unsafe")
+            for k in range(1, self.nu):
+                digit = left[k, lo : lo + step] @ right[k]
+                digit %= p
+                block *= p
+                np.add(block, digit, out=block, casting="unsafe")
         return out
 
     def value_table(self, budget: int = DEFAULT_BUDGET) -> np.ndarray:
-        """Encoded rho over all point pairs of Y, indexed by vec_index of (v, u)."""
+        """Encoded rho over all point pairs of Y, indexed by vec_index of (v, u),
+        at code width: uint8 up to p^nu = 256."""
         size = self.p**self.ydim
         check_budget(size * size, budget, "semiform value table")
         left, right = self.row_factors(enumerate_vectors(self.p, self.ydim))
@@ -448,12 +456,7 @@ def _first_fail(ok: np.ndarray) -> tuple:
     return np.unravel_index(flat, ok.shape)
 
 
-def _code_dtype(top: int):
-    """The smallest unsigned dtype that holds the integers 0..top."""
-    return np.uint8 if top <= 0xFF else np.uint16 if top <= 0xFFFF else np.uint32
-
-
-def _first_additivity_fail(tab: np.ndarray, offsets: np.ndarray, padd: np.ndarray, p: int, nu: int):
+def _first_additivity_fail(tab: np.ndarray, offsets: np.ndarray, padd: SplitTable, p: int, nu: int):
     """The first (i, j, n) in loop order (n, then i, then j) with
     tab[i + j, n] != tab[i, n] + tab[j, n] + offsets[n] in V', or None.
 
@@ -461,11 +464,12 @@ def _first_additivity_fail(tab: np.ndarray, offsets: np.ndarray, padd: np.ndarra
     at a time, one shift or about CHUNK elements per plane: rows i + j of a
     plane must be min(R, R - p) for R = plane + ((plane[j] + offset) mod p)
     < 2p, a row gather and an unsigned add.  The identity is symmetric in i
-    and j, so the rows i <= j of each shift cover it.  The first failing
-    column is then checked at all (i, j) for its witness.
+    and j, so the rows i <= j of each shift cover it, read from the `padd`
+    rows of the block.  The first failing column is then checked at all
+    (i, j), a block of rows i at a time, for its witness.
     """
     size = len(tab)
-    dt = _code_dtype(2 * p - 1)
+    dt = code_dtype(2 * p - 1)
     top = dt(p)
     planes = _residue_planes(tab, p, nu, dt)
     offsets_planes = _residue_planes(np.asarray(offsets), p, nu, dt)
@@ -473,12 +477,13 @@ def _first_additivity_fail(tab: np.ndarray, offsets: np.ndarray, padd: np.ndarra
     step = max(1, CHUNK // tab.size)
     for lo in range(0, size, step):
         hi = min(lo + step, size)
+        sums = padd.rows(np.arange(lo, hi))[:, :hi]
         ok = None
         for plane, offset in zip(planes, offsets_planes):
             shifts = plane[lo:hi, None] + offset
             shifts = np.minimum(shifts, shifts - top)
             r = plane[:hi] + shifts
-            plane_ok = plane.take(padd[lo:hi, :hi], axis=0) == np.minimum(r, r - top)
+            plane_ok = plane.take(sums, axis=0) == np.minimum(r, r - top)
             ok = plane_ok if ok is None else ok & plane_ok
         failed |= ~ok.all(axis=(0, 1))
     if not failed.any():
@@ -486,15 +491,33 @@ def _first_additivity_fail(tab: np.ndarray, offsets: np.ndarray, padd: np.ndarra
     n = int(np.argmax(failed))
     _, vadd, _, _, _ = group_tables(p, nu)
     col = tab[:, n]
-    bad = col.take(padd) != vadd[vadd[col, offsets[n]][:, None], col[None, :]]
+    step = max(1, CHUNK // size)
+    for lo in range(0, size, step):
+        rows = np.arange(lo, min(lo + step, size))
+        bad = col.take(padd.rows(rows)) != vadd[vadd[col[rows], offsets[n]][:, None], col[None, :]]
+        if bad.any():
+            break
     i, j = _first_fail(~bad)
-    return int(i), int(j), n
+    return lo + int(i), int(j), n
 
 
 def _residue_planes(codes: np.ndarray, p: int, nu: int, dt) -> np.ndarray:
     """The base-p digits of V' codes as nu planes of dtype dt: plane c holds
     coordinate c of every value (the first coordinate is the leading digit)."""
     return np.stack([(codes // p ** (nu - 1 - c) % p).astype(dt) for c in range(nu)])
+
+
+def _along_sums(t: np.ndarray, padd: SplitTable) -> np.ndarray:
+    """The table in difference coordinates, S[i, d] = t[i, i + d], at the
+    dtype of t, gathered a block of about CHUNK / 8 entries at a time along
+    the `padd` rows of the block."""
+    size = len(t)
+    out = np.empty(t.shape, dtype=t.dtype)
+    step = max(1, CHUNK // (8 * size))
+    for lo in range(0, size, step):
+        rows = np.arange(lo, min(lo + step, size))
+        out[lo : lo + len(rows)] = np.take_along_axis(t[rows], padd.rows(rows), axis=1)
+    return out
 
 
 def check_atlas_axioms(
@@ -509,7 +532,7 @@ def check_atlas_axioms(
     """
     m = p**nu
     check_budget(m**3, budget, "atlas axiom quantification")
-    t = np.asarray(delta_table, dtype=np.int32)
+    t = np.asarray(delta_table)
     if t.shape != (m, m):
         raise DimensionMismatch(f"table must be {m}x{m}")
     vecs, vadd, vsub, vneg, vscl = group_tables(p, nu)
@@ -519,7 +542,8 @@ def check_atlas_axioms(
     ok1 = True
     wit1 = None
     for v in range(m):
-        shifted = t[vadd[:, v][:, None], vadd[:, v][None, :]]
+        moved = vadd.rows(v)  # v1 + v for every v1
+        shifted = t[moved[:, None], moved[None, :]]
         eq = shifted == t
         if not eq.all():
             i, j = _first_fail(eq)
@@ -558,7 +582,7 @@ def check_atlas_axioms(
     wit = None if eq.all() else tuple(tuple(vecs[i]) for i in _first_fail(eq))
     report.add("C6", bool(eq.all()), wit, "antisymmetry")
 
-    eq = t[vadd, 0] == vadd[t[:, 0][:, None], t[:, 0][None, :]]
+    eq = t[:, 0][vadd.rows(np.arange(m))] == vadd[t[:, 0][:, None], t[:, 0][None, :]]
     wit = None if eq.all() else tuple(tuple(vecs[i]) for i in _first_fail(eq))
     report.add("C7", bool(eq.all()), wit, "additivity against the origin")
 
@@ -593,7 +617,7 @@ def check_semiform_axioms(
     """
     size = p**ydim
     check_budget(size * size, budget, "semiform axiom quantification")
-    t = np.asarray(rho_table, dtype=np.int32)
+    t = np.asarray(rho_table)
     if t.shape != (size, size):
         raise DimensionMismatch(f"table must be {size}x{size}")
     pts, padd, psub, pneg, pscl = group_tables(p, ydim)
@@ -647,7 +671,7 @@ def check_semiform_axioms(
     del neg
 
     # A5: rho(-p,-q) + rho(p,q) = 2(rho(p,p+q) - rho(theta,q)).
-    inner = vsub[t[np.arange(size)[:, None], padd], t[0, :][None, :]]
+    inner = vsub[_along_sums(t, padd), t[0, :][None, :]]
     rhs = vscl[2 % p][inner]
     eq = parity_sum == rhs
     wit = None if eq.all() else tuple(pt(i) for i in _first_fail(eq))
@@ -658,10 +682,11 @@ def check_semiform_axioms(
     # A6: shift-invariance propagates from the one-sided condition.
     ok, wit = True, None
     for q in range(size):
-        premise = (t[padd[:, q], q] == t[:, 0]).all()
+        moved = padd.rows(q)  # p + q for every p
+        premise = (t[moved, q] == t[:, 0]).all()
         if not premise:
             continue
-        eq = t[padd[:, q][:, None], padd[:, q][None, :]] == t
+        eq = t[moved[:, None], moved[None, :]] == t
         if not eq.all():
             p1, p2 = _first_fail(eq)
             ok, wit = False, (pt(q), pt(p1), pt(p2))
@@ -685,7 +710,7 @@ def check_semiform_axioms(
     # row d = q - p has rho(-d, -r) = -rho(d, r) for all r, so the rows are
     # tested once and every kernel-part p of every q is one lookup.
     m_row = np.flatnonzero(t[:, 0] == 0)
-    found = row_ok[psub[:, m_row]].any(axis=1)
+    found = row_ok[psub[np.arange(size)[:, None], m_row[None, :]]].any(axis=1)
     wit = None if found.all() else (pt(int(np.flatnonzero(~found)[0])),)
     report.add("A8", wit is None, wit, "existence of a kernel-part complement point")
 
@@ -723,7 +748,7 @@ def check_semiform_axioms(
     # reversed restriction is the difference map that recombines exactly).
     comp_m = np.full(size, -1, dtype=np.int64)
     comp_d = np.full(size, -1, dtype=np.int64)
-    q = padd[np.ix_(d_set, m_set)]
+    q = padd[d_set[:, None], m_set[None, :]]
     comp_m[q] = m_set[None, :]
     comp_d[q] = d_set[:, None]
     unique_cover = bool((comp_m >= 0).all())
@@ -769,7 +794,7 @@ def verify_identities(t: np.ndarray, rho: Semiform, budget: int = DEFAULT_BUDGET
     pts, padd, psub, pneg, pscl = group_tables(p, ydim)
     vvecs, vadd, vsub, vneg, vscl = group_tables(p, nu)
     eta_codes = rho.eta.pair_table(pts[:, nu:])
-    phi_codes = encode_vecs(rho.atlas.phi.apply_rows(pts[:, : nu]), p).astype(np.int32)
+    phi_codes = encode_vecs(rho.atlas.phi.apply_rows(pts[:, : nu]), p).astype(vneg.dtype)
     report = Report()
 
     def pt(i: int) -> tuple:
@@ -791,26 +816,29 @@ def verify_identities(t: np.ndarray, rho: Semiform, budget: int = DEFAULT_BUDGET
     # S[i + k, d] = S[i, d] + E[d] mod p, where E[d] = eta(u_i - u_j, y_k) =
     # eta(-u_d, y_k) does not depend on i: the translated plane is a row gather,
     # and with R = S + E < 2p the residue is min(R, R - p) in unsigned arithmetic.
-    dt = _code_dtype(2 * p - 1)
-    planes = _residue_planes(np.take_along_axis(t, padd, axis=1), p, nu, dt)
+    dt = code_dtype(2 * p - 1)
+    along = _along_sums(t, padd)
+    planes = _residue_planes(along, p, nu, dt)
     eta_planes = _residue_planes(eta_codes.T[:, pneg], p, nu, dt)  # [c, k, d]: eta(-u_d, y_k)
     ok, wit = True, None
     for k in range(size):
+        moved = padd.rows(k)  # i + k for every i
         eq = None
         for plane, e in zip(planes, eta_planes[:, k]):
             # E repeated into rows: a broadcast row is several times slower in uint8
             r = plane + e[None, :].repeat(size, axis=0)
-            plane_eq = plane.take(padd[k], axis=0) == np.minimum(r, r - dt(p))
+            plane_eq = plane.take(moved, axis=0) == np.minimum(r, r - dt(p))
             eq = plane_eq if eq is None else eq & plane_eq
         if not eq.all():
             # the first failing (i, j): the first failing row, its least j = i + d
             i = int(np.flatnonzero(~eq.all(axis=1))[0])
-            j = int(padd[i, ~eq[i]].min())
+            j = int(padd.rows(i)[~eq[i]].min())
             ok, wit = False, (pt(i), pt(j), pt(k))
             break
     report.add("translation-shift", ok, wit)
 
-    lhs = vsub[t[np.arange(size)[:, None], padd], t[0, :][None, :]]
+    lhs = vsub[along, t[0, :][None, :]]
+    del along
     eq = lhs == eta_codes
     wit = None if eq.all() else tuple(pt(i) for i in _first_fail(eq))
     report.add("offset-pair", bool(eq.all()), wit)

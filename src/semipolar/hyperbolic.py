@@ -129,7 +129,7 @@ class HypPolarSpace:
         z[self.n :, : self.n] = xi.gram
         self.zeta = SymmetricForm(z, self.p)
         check_budget(self.p ** (2 * self.n), budget, "doubled point enumeration")
-        vecs = enumerate_vectors(self.p, 2 * self.n)
+        vecs = enumerate_vectors(self.p, 2 * self.n, budget)
         reps, cls = projective_classes(vecs, self.p)
         self._all_reps = vecs[reps]
         g = self.zeta.gram
@@ -299,11 +299,12 @@ class HypPolarSpace:
         return classes, rel
 
 
-def build_double(n: int, xi: SymmetricForm) -> HypPolarSpace:
-    """Double a symmetric form on GF(p)^n into its hyperbolic polar space."""
+def build_double(n: int, xi: SymmetricForm, budget: int = DEFAULT_BUDGET) -> HypPolarSpace:
+    """Double a symmetric form on GF(p)^n into its hyperbolic polar space,
+    whose p^2n points must lie within the enumeration budget."""
     if xi.dim != n:
         raise DimensionMismatch(f"form has dimension {xi.dim}, expected {n}")
-    return HypPolarSpace(xi)
+    return HypPolarSpace(xi, budget)
 
 
 def default_deleted_subspace(space: HypPolarSpace) -> Subspace:

@@ -126,16 +126,102 @@ def and_tables(words: np.ndarray) -> np.ndarray:
     return tables
 
 
-def distinct_rows(words: np.ndarray) -> np.ndarray:
-    """Indices of the distinct rows of a 2-d array of nonnegative integers, the
-    first of each set of equal rows, in the lexicographic order of the rows:
-    one stable sort of the rows as big-endian byte strings."""
-    rows = np.ascontiguousarray(words, dtype=words.dtype.newbyteorder(">"))
-    keys = rows.view(np.dtype((np.void, rows.itemsize * words.shape[1]))).ravel()
-    order = np.argsort(keys, kind="stable")
-    ordered = keys[order]
-    keep = np.ones(len(words), dtype=bool)
-    keep[1:] = ordered[1:] != ordered[:-1]
+def code_dtype(top: int):
+    """The smallest unsigned dtype that holds the integers 0..top."""
+    return np.uint8 if top <= 0xFF else np.uint16 if top <= 0xFFFF else np.uint32
+
+
+class SplitTable:
+    """A group operation f(x, y) on the codes of GF(p)^n, held as two half tables.
+
+    GF(p)^n is the product of its leading ceil(n/2) and trailing floor(n/2)
+    coordinates, so a code is x = x_hi * P + x_lo with P = p^floor(n/2), and
+    f(x, y) = hi[x_hi, y_hi] + lo[x_lo, y_lo], hi holding its codes times P.
+    The halves have p^ceil(n/2) and p^floor(n/2) points, about 2 p^n entries
+    against the p^2n of the whole table.  Entries are codes at code width.
+    A lookup is four takes of the parts of x and y, kept per code in the
+    smallest dtype that holds a flat index of hi, and one take from each
+    flat half, so its temporaries are that narrow too.
+    """
+
+    __slots__ = ("hi", "lo", "size", "_parts")
+
+    def __init__(self, hi: np.ndarray, lo: np.ndarray):
+        self.hi, self.lo = hi, lo
+        self.size = len(hi) * len(lo)
+        self._parts = _code_parts(len(hi), len(lo))
+
+    @classmethod
+    def of_sum(cls, p: int, n: int, sign: int) -> "SplitTable":
+        """The table of code(a + sign * b) over GF(p)^n, at `code_dtype(p^n - 1)`."""
+        dt = code_dtype(p**n - 1)
+        low = n // 2
+        return cls(_half_table(p, n - low, sign, p**low, dt), _half_table(p, low, sign, 1, dt))
+
+    def __getitem__(self, key):
+        """f(x, y) for code arrays (or ints) x and y, broadcast together."""
+        x, y = key
+        hi_row, hi_col, lo_row, lo_col = self._parts
+        return (
+            self.hi.ravel().take(hi_row.take(x) + hi_col.take(y))
+            + self.lo.ravel().take(lo_row.take(x) + lo_col.take(y))
+        )
+
+    def rows(self, x) -> np.ndarray:
+        """f(x, y) for every code y, along a new last axis: the outer sum of
+        the hi row and the lo row of each x, which runs over y in code order."""
+        _, hi_col, _, lo_col = self._parts
+        out = self.hi[hi_col.take(x)][..., :, None] + self.lo[lo_col.take(x)][..., None, :]
+        return out.reshape(out.shape[:-2] + (self.size,))
+
+    @property
+    def dtype(self):
+        return self.hi.dtype
+
+    @property
+    def nbytes(self) -> int:
+        return self.hi.nbytes + self.lo.nbytes + self._parts.nbytes
+
+
+@lru_cache(maxsize=None)
+def _code_parts(high: int, low: int) -> np.ndarray:
+    """For every code x = x_hi * low + x_lo below high * low, as rows of
+    `code_dtype(high^2 - 1)`: x_hi * high and x_hi, the flat offset of its
+    row and its column in a (high, high) half, then x_lo * low and x_lo in a
+    (low, low) half, low <= high; a row offset plus a column stays below
+    high^2."""
+    x_hi, x_lo = np.divmod(np.arange(high * low), low)
+    parts = np.stack([x_hi * high, x_hi, x_lo * low, x_lo]).astype(code_dtype(high * high - 1))
+    parts.setflags(write=False)
+    return parts
+
+
+def _half_table(p: int, k: int, sign: int, weight: int, dt) -> np.ndarray:
+    """weight * code(a + sign * b) for all a, b in GF(p)^k, as dtype dt,
+    encoded one coordinate at a time."""
+    vecs = enumerate_vectors(p, k)
+    table = np.zeros((len(vecs), len(vecs)), dtype=np.int64)
+    for col in vecs.T:
+        table *= p
+        table += (col[:, None] + sign * col[None, :]) % p
+    table *= weight
+    table = table.astype(dt)
+    table.setflags(write=False)
+    return table
+
+
+def distinct_rows(rows: np.ndarray) -> np.ndarray:
+    """Indices of the distinct rows of a 2-d array of integers, the first of
+    each set of equal rows, in the lexicographic order of the rows: one stable
+    lexsort, the first column the primary key, and each sorted row compared
+    with the one before it a block at a time, so no second copy of the rows
+    is held."""
+    order = np.lexsort(rows.T[::-1])
+    keep = np.ones(len(order), dtype=bool)
+    step = max(1, CHUNK // rows.shape[1])
+    for lo in range(1, len(order), step):
+        at = order[lo : lo + step]
+        keep[lo : lo + len(at)] = (rows[at] != rows[order[lo - 1 : lo - 1 + len(at)]]).any(axis=1)
     return order[keep]
 
 
@@ -191,10 +277,12 @@ def subspace_closure(
 
     The layer is swept in blocks of rows, its candidates built and unpacked a
     block at a time, so a layer holds k + 1 spanning codes a row, never a row
-    of candidate words.  Extensions are deduplicated on their sorted codes
+    of candidate words.  A block's candidates take about 8 CHUNK booleans,
+    so that the few dozen array operations of a round each cover many rows.  Member and spanning codes are held at code width,
+    `code_dtype(n - 1)`.  Extensions are deduplicated on their sorted codes
     (`distinct_rows`) whenever the new ones outnumber the distinct ones kept,
     and once more when the layer ends, which leaves it in lexicographic row
-    order; each keeps its parent row and x as int32.
+    order; each keeps its parent row as int32.
     """
     def distinct(found: list[tuple]) -> tuple:
         merged = [np.concatenate(part) for part in zip(*found)]
@@ -203,9 +291,10 @@ def subspace_closure(
         return tuple(part[keep] for part in merged)
 
     n = len(words)
-    members = np.arange(n)[:, None]
-    spanners = members.astype(np.int32)  # the points that spanned each row
-    step = max(1, CHUNK // n)
+    code = code_dtype(n - 1)
+    members = np.arange(n, dtype=code)[:, None]
+    spanners = members  # the points that spanned each row
+    step = max(1, 8 * CHUNK // n)
     while True:
         top = np.ones(len(members), dtype=bool)
         found, kept, pending = [], 0, 0  # (codes, parent row, x) of the extensions
@@ -217,9 +306,9 @@ def subspace_closure(
             top[lo + rows] = False
             while rows.size:
                 x = live[rows].argmax(axis=1)
-                grown = np.sort(span(block[rows], x), axis=1)
+                grown = np.sort(span(block[rows], x), axis=1).astype(code, copy=False)
                 live[rows[:, None], grown] = False
-                found.append((grown, (lo + rows).astype(np.int32), x.astype(np.int32)))
+                found.append((grown, (lo + rows).astype(np.int32), x.astype(code)))
                 pending += len(rows)
                 rows = rows[live[rows].any(axis=1)]
             if found and pending >= kept:

@@ -138,15 +138,20 @@ def bisector_m(space: SemipolarSpace, p1: Point, p2: Point):
 
 def translation_noninvariance_witness(space: SemipolarSpace):
     """The first (p1, p2, t) in nested-loop order over the points with
-    rho(p1+t, p2+t) != rho(p1, p2), one p1 row of the value table at a time."""
+    rho(p1+t, p2+t) != rho(p1, p2), one p1 and a block of about CHUNK
+    (p2, t) pairs of the value table at a time."""
     _, add, _, _, _ = group_tables(space.p, space.ydim)
     t = space.value_table
-    for i in range(space.size):
-        # bad[j, k]: rho(p_i + p_k, p_j + p_k) != rho(p_i, p_j)
-        bad = t[add[i][None, :], add] != t[i][:, None]
-        if bad.any():
-            j, k = divmod(int(np.argmax(bad)), space.size)
-            return space.points[i], space.points[j], space.points[k]
+    size = space.size
+    step = max(1, CHUNK // size)
+    for i in range(size):
+        moved = add.rows(i)  # p_i + p_k for every k
+        for lo in range(0, size, step):
+            # bad[j, k]: rho(p_i + p_k, p_j + p_k) != rho(p_i, p_j), j in the block
+            bad = t[moved[None, :], add.rows(np.arange(lo, min(lo + step, size)))] != t[i, lo : lo + step, None]
+            if bad.any():
+                j, k = divmod(int(np.argmax(bad)), size)
+                return space.points[i], space.points[lo + j], space.points[k]
     return None
 
 

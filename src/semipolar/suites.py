@@ -33,7 +33,7 @@ from .autos import (
     verify_semiform_scaling,
 )
 from .errors import DEFAULT_BUDGET, DegenerateForm, DimensionMismatch, check_budget
-from .forms import Report, _code_dtype, check_semiform_axioms, group_tables, verify_identities
+from .forms import Report, check_semiform_axioms, group_tables, verify_identities
 from .hyperbolic import (
     build_double,
     default_deleted_subspace,
@@ -360,11 +360,12 @@ def _scalar_only(space: SemipolarSpace, name: str) -> None:
 
 def suite_metric(space: SemipolarSpace, cfg: SuiteConfig) -> Report:
     _scalar_only(space, "metric")
-    t = np.asarray(space.value_table)
+    t = space.value_table
     p, size = space.p, space.size
     report = Report()
 
-    report.add("reversal-law", bool((((-t) % p) == t.T).all()), None,
+    # p - t, not -t: the codes are unsigned, and p - t lies in 1..p
+    report.add("reversal-law", bool((((p - t) % p) == t.T).all()), None,
                "p1p2 = p3p4 iff p2p1 = p4p3")
     report.add("degenerate-congruence", bool((t.diagonal() == 0).all()), None,
                "pp has measure zero, so p1p2 = pp exactly for adjacent pairs")
@@ -372,12 +373,15 @@ def suite_metric(space: SemipolarSpace, cfg: SuiteConfig) -> Report:
                "p1p2 = p2p1 iff the points are adjacent")
 
     _, padd, _, _, pscl = group_tables(p, space.ydim)
-    inv2 = pow(2, p - 2, p)
-    mid = pscl[inv2][padd]
-    rows = np.arange(size)
-    lhs = t[rows[:, None], mid]
-    rhs = t[mid, rows[None, :]]
-    report.add("midpoint-congruence", bool((lhs == rhs).all()), None,
+    half = pscl[pow(2, p - 2, p)]
+    idx = np.arange(size)
+    mid_ok = True
+    step = max(1, CHUNK // size)
+    for lo in range(0, size, step):
+        rows = idx[lo : lo + step]
+        mid = half[padd.rows(rows)]  # (p1 + p2) / 2 for the block's p1 and every p2
+        mid_ok &= bool((t[rows[:, None], mid] == t[mid, idx[None, :]]).all())
+    report.add("midpoint-congruence", mid_ok, None,
                "p1 (p1+p2)/2 = (p1+p2)/2 p2 for all pairs")
 
     counts = np.stack([np.bincount(row, minlength=p) for row in t])
@@ -422,14 +426,38 @@ def _group_counts(masks: np.ndarray, ids: np.ndarray) -> tuple[int, int, int]:
     id ids[i, j] >= -1 of each: the ids name the masks one to one exactly
     when the three are equal.  One `distinct_rows` sort each."""
     words = pack_rows(masks.reshape(-1, masks.shape[-1]))
-    shifted = (ids.reshape(-1, 1) + 1).astype(np.uint64)  # the diagonal's -1 becomes 0
+    shifted = (ids.reshape(-1, 1).astype(np.int64) + 1).astype(np.uint64)  # the diagonal's -1 becomes 0
     rows = (words, np.concatenate([words, shifted], axis=1), shifted)
     return tuple(len(distinct_rows(r)) for r in rows)
 
 
+def _same_partitions(t: np.ndarray, w: np.ndarray, p: int) -> bool:
+    """Whether, in every column x, the rows with equal t-values are exactly the
+    rows with equal w-values, for (|Y|, |Y|) tables of values below p.
+
+    Two partitions of the rows are equal exactly when each has as many parts
+    as their common refinement, so a column passes when its distinct t-values,
+    distinct w-values and distinct (t, w) pairs are equally many.  The pairs
+    present in each column are marked a block of about CHUNK / 8 entries at
+    a time, in a (p^2, |Y|) table."""
+    size = t.shape[1]
+    present = np.zeros((p * p, size), dtype=bool)
+    cols = np.arange(size)
+    step = max(1, CHUNK // (8 * size))
+    for lo in range(0, len(t), step):
+        pairs = t[lo : lo + step].astype(np.intp) * p + w[lo : lo + step]
+        present[pairs, cols] = True
+    pair_count = present.sum(axis=0)
+    present = present.reshape(p, p, size)
+    return bool(
+        (present.any(axis=1).sum(axis=0) == pair_count).all()
+        and (present.any(axis=0).sum(axis=0) == pair_count).all()
+    )
+
+
 def suite_bisectors(space: SemipolarSpace, cfg: SuiteConfig) -> Report:
     _scalar_only(space, "bisectors")
-    t = np.asarray(space.value_table)
+    t = space.value_table
     p, size = space.p, space.size
     hyper = size // p
     un = p**space.n
@@ -447,33 +475,33 @@ def suite_bisectors(space: SemipolarSpace, cfg: SuiteConfig) -> Report:
 
     _, padd, psub, _, pscl = group_tables(p, space.ydim)
     half = pscl[pow(2, p - 2, p)]
-    dt = _code_dtype(p - 1)
-    tc = t.astype(dt)
-    tc_cols = np.ascontiguousarray(tc.T)
-    # the polar condition eta(u_j - u_i, u_x) = v_j - v_i on (i, j, x) says
-    # w[j, x] = w[i, x] for w[j, x] = eta(u_j, u_x) - v_j
-    eta_codes = np.asarray(space.form.eta.pair_table(space._coords[:, space.nu:]))
-    w = ((eta_codes - (idx // un).astype(np.int32)[:, None]) % p).astype(dt)
+    t_cols = np.ascontiguousarray(t.T)
     polar_ok = True
     for i in range(size):
-        m_member = tc[i][None, :] == tc_cols
-        nbr = tc.take(half[padd[i]], axis=0) == 0  # rows of the midpoints (y_i + y_j) / 2
+        m_member = t[i][None, :] == t_cols
+        nbr = t.take(half[padd.rows(i)], axis=0) == 0  # rows of the midpoints (y_i + y_j) / 2
         if not (m_member == nbr).all():
             polar_ok = False
             break
-        if not ((tc[i][None, :] == tc) == (w[i][None, :] == w)).all():
-            polar_ok = False
-            break
+    del t_cols
+    if polar_ok:
+        # the polar condition eta(u_j - u_i, u_x) = v_j - v_i on (i, j, x) says
+        # w[j, x] = w[i, x] for w[j, x] = eta(u_j, u_x) - v_j, read in V' codes
+        _, _, vsub, _, _ = group_tables(p, space.nu)
+        eta_codes = space.form.eta.pair_table(space._coords[:, space.nu:])
+        w = vsub[eta_codes, (idx // un)[:, None]]
+        polar_ok = _same_partitions(t, w, p)
+        del eta_codes, w
     report.add("polar-correspondence", polar_ok, None,
                "bisectors match the surrounding null polarity")
 
     report.data["hyperplane_size"] = hyper
     if size * size <= 1000:
         # code of the direction class of y_j - y_i, -1 on the diagonal
-        dir_ids = encode_vecs(normalize_rows(space._coords[psub.T], p), p)
+        dir_ids = encode_vecs(normalize_rows(space._coords[psub[idx[None, :], idx[:, None]]], p), p)
         np.fill_diagonal(dir_ids, -1)
         t_counts = _group_counts(t[:, None, :] == t[None, :, :], dir_ids)
-        m_counts = _group_counts(t[:, None, :] == t.T[None, :, :], padd)
+        m_counts = _group_counts(t[:, None, :] == t.T[None, :, :], padd[idx[:, None], idx[None, :]])
         report.add("t-bisector-criterion", len(set(t_counts)) == 1, None,
                    "equal t-bisectors exactly for proportional differences")
         report.add("m-bisector-criterion", len(set(m_counts)) == 1, None,
@@ -487,7 +515,7 @@ def suite_hyperbolic(space: Optional[SemipolarSpace], cfg: SuiteConfig) -> Repor
     p = cfg.field or (space.p if space is not None else 3)
     n = cfg.hyp_dim
     base = standard_doubling_base(n, p, diag=cfg.hyp_diag)
-    hyp = build_double(n, base)
+    hyp = build_double(n, base, budget=cfg.budget)
     data = reconstruction_report(hyp, default_deleted_subspace(hyp))
     expected_points = (p**n - 1) // (p - 1)
     rec = data["reconstruction"]

@@ -423,16 +423,17 @@ def test_gamma_space_corrupted_line_set_fails(sp_m2_gf3):
     assert len(inside) == 4
     corrupted = set(space.singular_lines)
     corrupted.remove(inside[-1])
-    # a fresh space whose line table lacks the dropped line: each of its points
-    # with each nonzero multiple of its direction
+    # a fresh space that lacks the dropped line: no two of its points are
+    # adjacent, so x + <a * direction> is not singular at any of its points x
     broken = SemipolarSpace(space.form)
-    table = broken._singular_line_table.copy()
+    adj = broken.adjacency.copy()
     _, _, scale = space._tables
-    rows = np.array([space.index(q) for q in inside[-1].points()])[:, None]
+    rows = np.array([space.index(q) for q in inside[-1].points()])
     multiples = scale[1:, space.index(inside[-1].direction)][None, :]
-    assert table[rows, multiples].all()
-    table[rows, multiples] = False
-    broken.__dict__["_singular_line_table"] = table
+    assert broken._singular_at(rows[:, None], multiples).all()
+    adj[rows[:, None], rows[None, :]] = np.eye(len(rows), dtype=bool)
+    broken.__dict__["adjacency"] = adj
+    assert not broken._singular_at(rows[:, None], multiples).any()
     report = broken.verify_gamma_space()
     assert not report.check("plane-closure").passed
     assert report.check("singular-subspaces-affine").passed
@@ -884,16 +885,14 @@ def test_singular_line_table_matches_pairwise_adjacency_on_random_forms(shape, e
     @settings(max_examples=examples, deadline=None, derandomize=True)
     @given(space=random_spaces(shape))
     def check(space):
-        table = space._singular_line_table
         _, _, scale = space._tables
-        assert not table[:, 0].any()
-        # every (point, nonzero direction) entry lies on exactly one affine line
+        # every (point, nonzero direction) pair lies on exactly one affine line
         expected = []
         for b, d in zip(*space.affine_lines()):
             line = space.decode_line(b, d)
             singular = space.line_singular_by_pairs(line)
             rows = space.line_codes(b, d)
-            assert (table[rows[:, None], scale[1:, d][None, :]] == singular).all()
+            assert (space._singular_at(rows[:, None], scale[1:, d][None, :]) == singular).all()
             if singular:
                 expected.append((space.index(line.base), space.index(line.direction)))
         bases, dirs = space.singular_line_codes

@@ -161,6 +161,20 @@ def test_verify_budget_exceeded_exit_code(m1_instance, capsys):
     assert "budget exceeded" in err
 
 
+@pytest.mark.parametrize("command", [
+    ["verify", "--suite", "hyperbolic"],
+    ["export", "--what", "reconstruct"],
+])
+def test_hyperbolic_commands_honour_budget(command, tmp_path, capsys):
+    # the doubled space over GF(3)^3 has 3^6 = 729 points: --budget decides,
+    # not the default budget, in both directions
+    args = command + ["--field", "3", "--hyp-dim", "3", "--out", str(tmp_path / "out.json")]
+    code, _, err = run(args + ["--budget", "728"], capsys)
+    assert code == 3
+    assert "doubled point enumeration: 729 exceeds budget 728" in err
+    assert run(args + ["--budget", "729"], capsys)[0] == 0
+
+
 def test_verify_oracle_over_cap_is_budget_error(tmp_path, capsys):
     path = tmp_path / "m2.json"
     assert main(["build", "--field", "3", "--kind", "symplectic", "--index", "2",

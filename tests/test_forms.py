@@ -23,7 +23,7 @@ from semipolar.forms import (
     verify_identities,
     wedge_coordinates,
 )
-from semipolar.linalg import LinearMap, enumerate_vectors, encode_vecs, vec_index
+from semipolar.linalg import LinearMap, code_dtype, enumerate_vectors, encode_vecs, vec_index
 
 
 # -- independent oracles -----------------------------------------------------
@@ -316,13 +316,65 @@ def point_sum(a, b, p=3, ydim=3):
 def test_group_tables_match_the_broadcast_definition(p, n):
     vecs, add, sub, neg, scale = group_tables.__wrapped__(p, n)
     want = enumerate_vectors(p, n)
+    codes = np.arange(p**n)
     assert (vecs == want).all()
-    assert (add == encode_vecs(want[:, None, :] + want[None, :, :], p)).all()
-    assert (sub == encode_vecs(want[:, None, :] - want[None, :, :], p)).all()
+    for table, sign in ((add, 1), (sub, -1)):
+        expect = encode_vecs(want[:, None, :] + sign * want[None, :, :], p)
+        assert (table[codes[:, None], codes[None, :]] == expect).all()
+        assert (table.rows(codes) == expect).all()
     assert (neg == encode_vecs(-want, p)).all()
     assert (scale == np.stack([encode_vecs(a * want, p) for a in range(p)])).all()
-    assert all(t.dtype == np.int32 for t in (add, sub, neg, scale))
-    assert not any(t.flags.writeable for t in (vecs, add, sub, neg, scale))
+    # codes at code width, in halves over ceil(n/2) and floor(n/2) coordinates
+    width = code_dtype(p**n - 1)
+    halves = [h for t in (add, sub) for h in (t.hi, t.lo)]
+    assert all(t.dtype == width for t in [neg, scale, *halves])
+    assert [h.shape for h in halves] == 2 * [(p ** (n - n // 2),) * 2, (p ** (n // 2),) * 2]
+    assert not any(t.flags.writeable for t in [vecs, neg, scale, *halves])
+
+
+@pytest.mark.parametrize("shape", RANDOM_SHAPES + [(7, 2, 1)])
+def test_split_table_lookups_match_vector_addition_on_random_forms(shape):
+    # the add and sub lookups of Y and of V': pointwise in broadcast blocks,
+    # at python ints, and as whole rows, against coordinatewise addition
+    @settings(max_examples=3, deadline=None, derandomize=True)
+    @given(rho=random_semiforms([shape]), data=st.data())
+    def check(rho, data):
+        p = rho.p
+        for n in (rho.ydim, rho.nu):
+            vecs, add, sub, _, _ = group_tables(p, n)
+            codes = st.lists(st.integers(0, p**n - 1), min_size=1, max_size=8)
+            x, y = np.array(data.draw(codes)), np.array(data.draw(codes))
+            for table, sign in ((add, 1), (sub, -1)):
+                expect = encode_vecs(vecs[x][:, None] + sign * vecs[y][None, :], p)
+                assert (table[x[:, None], y[None, :]] == expect).all()
+                assert (table.rows(x)[:, y] == expect).all()
+                assert table[int(x[0]), int(y[0])] == expect[0, 0]
+
+    check()
+
+
+@pytest.mark.parametrize("shape, examples", [((3, 2, 1), 3), ((5, 2, 1), 2), ((3, 2, 2), 2)])
+def test_code_width_and_int32_tables_get_the_same_verdicts(shape, examples):
+    # the checkers read any integer table: a value table at code width and its
+    # int32 copy give equal reports, witnesses included, intact and with one
+    # entry changed
+    @settings(max_examples=examples, deadline=None, derandomize=True)
+    @given(rho=random_semiforms([shape]), data=st.data())
+    def check(rho, data):
+        p, codes = rho.p, rho.p**rho.nu
+        table = rho.value_table()
+        assert table.dtype == code_dtype(codes - 1)
+        corrupted = table.copy()
+        i, j = (data.draw(st.integers(0, len(table) - 1)) for _ in range(2))
+        corrupted[i, j] = (corrupted[i, j] + data.draw(st.integers(1, codes - 1))) % codes
+        for t in (table, corrupted):
+            for checker in (
+                lambda u: check_semiform_axioms(u, p, rho.ydim, rho.nu),
+                lambda u: verify_identities(u, rho),
+            ):
+                assert checker(t).to_jsonable("") == checker(t.astype(np.int32)).to_jsonable("")
+
+    check()
 
 
 def first_shift_failure(table, rho):
@@ -581,7 +633,7 @@ def test_semiform_axioms_complement_violation_witnessed():
     def splits(a, m):
         # rho(m - a, -r) = -rho(a - m, r) for every r
         d = vec_index((pts[a] - pts[m]) % 3, 3)
-        return all(table[neg[d], neg[r]] == (-table[d, r]) % 3 for r in range(27))
+        return all(table[neg[d], neg[r]] == (3 - table[d, r]) % 3 for r in range(27))
 
     m_row = [m for m in range(27) if table[m, 0] == 0]
     assert not any(splits(q, m) for m in m_row)

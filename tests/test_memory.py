@@ -6,9 +6,12 @@ import tracemalloc
 
 import pytest
 
+import numpy as np
+
 from semipolar.apsg import SemipolarSpace
 from semipolar.forms import group_tables
-from semipolar.suites import SuiteConfig, run_suite
+from semipolar.linalg import SplitTable
+from semipolar.suites import SuiteConfig, applicable_suites, run_suite
 
 
 def traced_peak(fn) -> int:
@@ -87,9 +90,9 @@ def test_value_table_build_allocates_a_few_int32_tables(sp_m2_gf3):
 def test_group_tables_build_allocates_a_few_tables():
     out = []
     peak = traced_peak(lambda: out.append(group_tables.__wrapped__(3, 6)))
-    _, add, sub, _, _ = out[0]
-    # one more (p^n, p^n) table besides add and sub; a (p^n, p^n, n) int64 array is 6x both
-    assert peak < 2 * (add.nbytes + sub.nbytes)
+    vecs = out[0][0]
+    # a few (p^n, n) int64 arrays; one (p^n, p^n) uint16 table alone is 15x vecs
+    assert peak < 6 * vecs.nbytes
 
 
 def test_hyperbolic_suite_holds_no_unpacked_layer():
@@ -97,3 +100,42 @@ def test_hyperbolic_suite_holds_no_unpacked_layer():
     # points would be 4,836 * 806 bytes; the closure holds them as member codes
     peak = traced_peak(lambda: run_suite("hyperbolic", None, SuiteConfig(field=5)))
     assert peak < 4836 * 806
+
+
+def held_arrays(space) -> list:
+    """The numpy arrays the space holds in its attributes, tuples and lists
+    opened, and those of the group tables of Y and of V' that it reads; a
+    `SplitTable` counts as its two halves.  Each array once."""
+    found = {}
+
+    def visit(x):
+        if isinstance(x, np.ndarray):
+            found[id(x)] = x
+        elif isinstance(x, SplitTable):
+            visit([x.hi, x.lo])
+        elif isinstance(x, (tuple, list)):
+            for y in x:
+                visit(y)
+
+    visit(list(vars(space).values()))
+    visit(group_tables(space.p, space.ydim))
+    visit(group_tables(space.p, space.nu))
+    return list(found.values())
+
+
+@pytest.mark.parametrize("instance", ["sp_m2_gf3", "sp_cross_gf3"])
+def test_cached_tables_cost_at_most_two_bytes_per_point_pair(request, instance):
+    # after every suite: the value table at code width and the adjacency are
+    # the only (|Y|, |Y|) arrays held, 2 bytes per point pair together; every
+    # other array, per-point arrays and the closure's code rows among them,
+    # is smaller than the value table alone
+    space = SemipolarSpace(request.getfixturevalue(instance).form)
+    cfg = SuiteConfig()
+    for name in applicable_suites(space, cfg):
+        assert run_suite(name, space, cfg)["passed"], name
+    size = space.size
+    arrays = held_arrays(space)
+    tables = {id(a): a for a in arrays if a.shape.count(size) >= 2}
+    assert set(tables) == {id(space.value_table), id(space.adjacency)}
+    assert sum(a.nbytes for a in tables.values()) <= 2 * size**2
+    assert max(a.nbytes for a in arrays if id(a) not in tables) < space.value_table.nbytes

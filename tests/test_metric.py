@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from semipolar.apsg import Point, SemipolarSpace, canonical_direction
 from semipolar.errors import DimensionMismatch
-from semipolar.forms import AlternatingMap, Semiform
+from semipolar.forms import AlternatingMap, Semiform, group_tables
 from semipolar.metric import (
     KINDS,
     HyperplaneDescriptor,
@@ -22,7 +22,7 @@ from semipolar.metric import (
     translation_noninvariance_witness,
 )
 from semipolar.linalg import normalize_rows
-from semipolar.suites import SuiteConfig, _bisector_counts, _group_counts, run_suite
+from semipolar.suites import SuiteConfig, _bisector_counts, _group_counts, _same_partitions, run_suite
 
 
 def P(v, u):
@@ -44,7 +44,7 @@ def test_equidistance_reflexive_and_reversal(sp_m1_gf3):
 
 def test_equidistance_reversal_law_exhaustive_via_table(sp_m1_gf3):
     t = sp_m1_gf3.value_table
-    neg = (-t) % 3
+    neg = (3 - t) % 3  # the codes are unsigned: 3 - t cannot wrap
     assert ((t[:, :, None, None] == t[None, None, :, :]) == (
         neg[:, :, None, None] == neg[None, None, :, :]
     )).all()
@@ -495,6 +495,63 @@ def test_metric_and_bisector_checks_detect_a_corrupted_entry(sp_m1_gf3, monkeypa
         "reversal-law", "swap-congruence", "midpoint-congruence", "sphere-cardinality",
         "t-bisector-criterion", "m-bisector-criterion",
     } <= failed
+
+
+@pytest.mark.parametrize("entry", [None, (5, 14)])
+@pytest.mark.parametrize("suite", ["metric", "bisectors"])
+def test_metric_suites_give_a_code_width_table_and_its_int32_copy_one_report(sp_m2_gf3, monkeypatch, suite, entry):
+    # m=2 over GF(3) has a uint8 value table, on which -t would wrap around
+    table = np.asarray(sp_m2_gf3.value_table).copy()
+    if entry is not None:
+        table[entry] = (table[entry] + 1) % 3
+    reports = []
+    for t in (table, table.astype(np.int32)):
+        monkeypatch.setattr(Semiform, "value_table", lambda self, budget=None: t)
+        reports.append(run_suite(suite, SemipolarSpace(sp_m2_gf3.form), SuiteConfig()))
+    assert table.dtype == np.uint8
+    assert reports[0] == reports[1]
+    assert reports[0]["passed"] == (entry is None)
+
+
+def row_partitions_agree(t, w) -> bool:
+    """The definition: for every row i, t[i, x] == t[j, x] exactly when
+    w[i, x] == w[j, x], for every row j and column x."""
+    return all(((t[i] == t) == (w[i] == w)).all() for i in range(len(t)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.tuples(st.integers(1, 9), st.integers(1, 9)),
+    p=st.sampled_from([2, 3, 5]),
+    relabel=st.booleans(),
+)
+def test_same_partitions_matches_the_row_definition_on_random_tables(seed, shape, p, relabel):
+    rng = np.random.default_rng(seed)
+    t = rng.integers(0, p, shape).astype(np.uint8)
+    if relabel:
+        # w relabels each column of t, so the partitions agree; then one entry moves
+        labels = np.array([rng.permutation(p) for _ in range(shape[1])])
+        w = labels[np.arange(shape[1])[None, :], t]
+        assert _same_partitions(t, w.astype(np.uint8), p)
+        w[rng.integers(shape[0]), rng.integers(shape[1])] = rng.integers(p)
+    else:
+        w = rng.integers(0, p, shape)
+    assert _same_partitions(t, w.astype(np.uint8), p) == row_partitions_agree(t, w)
+
+
+def test_polar_partitions_fail_on_one_changed_entry_of_w(sp_m2_gf3):
+    # w[j, x] = eta(u_j, u_x) - v_j as suite_bisectors builds it; every column
+    # of m=2 holds each value in 81 rows, so one moved entry splits a part
+    space = sp_m2_gf3
+    _, _, vsub, _, _ = group_tables(3, 1)
+    eta = space.form.eta.pair_table(space._coords[:, 1:])
+    w = vsub[eta, (np.arange(space.size) // 81)[:, None]]
+    assert _same_partitions(space.value_table, w, 3)
+    for entry in [(0, 0), (17, 200), (242, 5)]:
+        bad = w.copy()
+        bad[entry] = (bad[entry] + 1) % 3
+        assert not _same_partitions(space.value_table, bad, 3)
 
 
 def test_polar_correspondence_detects_a_corrupted_eta_table(sp_m1_gf3, monkeypatch):
