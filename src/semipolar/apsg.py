@@ -127,7 +127,7 @@ class PencilStructure:
 
     at: Point
     lines: list[AffLine]
-    planes: list[frozenset[int]]  # each plane = set of indices into `lines`
+    planes: list[tuple[int, ...]]  # each plane = the sorted indices into `lines` of its lines
     null_points: list[tuple[int]]
     null_lines: list[tuple[int, ...]]
     isomorphic: bool
@@ -549,9 +549,9 @@ class SemipolarSpace:
 
     # -- singular planes and maximal singular subspaces ----------------------
 
-    def singular_planes_through(self, pt: Point) -> list[frozenset[int]]:
-        """Singular planes through pt as point-index sets, ordered by their sorted
-        members.
+    def singular_planes_through(self, pt: Point) -> np.ndarray:
+        """Singular planes through pt as rows of their sorted point codes, one
+        row of p^2 codes each, in lexicographic order.
 
         The plane pt + <d1, d2> of every pair of singular directions through pt,
         the closure's affine span of the line pt + <d1> with pt + d2, is tested
@@ -571,8 +571,7 @@ class SemipolarSpace:
             singular = self.adjacency[members[:, :, None], members[:, None, :]].all(axis=(1, 2))
             found.append(members[singular])
         members = np.sort(np.concatenate(found), axis=1)
-        planes = members[distinct_rows(members)]
-        return [frozenset(plane) for plane in planes.tolist()]
+        return members[distinct_rows(members)]
 
     @cached_property
     def _u_class_orthogonal(self) -> np.ndarray:
@@ -633,21 +632,22 @@ class SemipolarSpace:
         """Lines/planes through pt, checked isomorphic to the null system of eta.
 
         A line maps to the u-class of its direction; line k is expected in
-        class k, so a plane maps to the sorted classes of its lines.
+        class k, so a plane maps to the sorted classes of its lines.  A plane
+        through pt is affine, so it holds line k exactly when it holds the
+        line's second point pt + d_k: one gather of the planes' membership
+        masks.
         """
+        add, _, _ = self._tables
         i = self.index(pt)
         dirs = self._singular_dirs[i]
         planes = self.singular_planes_through(pt)
-        line_points = [frozenset(row) for row in self.line_codes(i, dirs).tolist()]
-        plane_members = [
-            frozenset(k for k, lp in enumerate(line_points) if lp <= plane) for plane in planes
-        ]
+        holds = np.zeros((len(planes), self.size), dtype=bool)
+        holds[np.arange(len(planes))[:, None], planes] = True
+        plane_members = [tuple(np.flatnonzero(row).tolist()) for row in holds[:, add[i, dirs]]]
         null_points, null_lines = self.null_system()
         classes = self._u_classes[1][dirs % self.p**self.n]  # the u-part is a code's last n digits
         lines = self.singular_lines_through(pt)
-        iso = np.array_equal(classes, np.arange(len(null_points))) and null_lines == sorted(
-            tuple(sorted(plane)) for plane in plane_members
-        )
+        iso = np.array_equal(classes, np.arange(len(null_points))) and null_lines == sorted(plane_members)
         return PencilStructure(pt, lines, plane_members, null_points, null_lines, iso)
 
     # -- exports ---------------------------------------------------------------

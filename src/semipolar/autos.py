@@ -59,11 +59,6 @@ class PointMap:
         shift = (self.linear.matrix @ other.shift + self.shift) % self.space.p
         return PointMap.of_bijection(self.space, LinearMap(mat, self.space.p), shift)
 
-    def preserves_adjacency(self) -> bool:
-        adj = self.space.adjacency
-        perm = self.perm
-        return bool((adj[np.ix_(perm, perm)] == adj).all())
-
     def __eq__(self, other):
         return isinstance(other, PointMap) and self.perm.tobytes() == other.perm.tobytes()
 

@@ -37,6 +37,14 @@ def _dump(obj, path: Optional[str]) -> None:
     _write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", path)
 
 
+def positive_int(text: str) -> int:
+    """An argparse type: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_instance(kind: str, field: int, index: int) -> Semiform:
     GF(field)
     if kind == "symplectic":
@@ -145,7 +153,7 @@ def cmd_export(args) -> int:
                 {"base": list(l.base.flat()), "direction": list(l.direction.flat())}
                 for l in pencil.lines
             ],
-            "planes": [sorted(plane) for plane in pencil.planes],
+            "planes": [list(plane) for plane in pencil.planes],
             "null_system_points": len(pencil.null_points),
             "null_system_lines": len(pencil.null_lines),
             "isomorphic": pencil.isomorphic,
@@ -191,7 +199,8 @@ def make_parser() -> argparse.ArgumentParser:
     v.add_argument("--suite", action="append",
                    help="suite name or 'all'; may repeat")
     v.add_argument("--budget", type=int, default=10**6)
-    v.add_argument("--sample", type=int, default=None, help="sampled mode: tuples per suite")
+    v.add_argument("--sample", type=positive_int, default=None,
+                   help="sampled mode: tuples per suite, at least 1")
     v.add_argument("--seed", type=int, default=None,
                    help="sampling seed, 0 when omitted; the config block echoes the flag as given")
     v.add_argument("--field", type=int, default=None, help="field for the hyperbolic suite")

@@ -214,12 +214,6 @@ class AffineAtlas:
     def is_identity(self) -> bool:
         return bool((self.phi.matrix == np.eye(self.nu, dtype=np.int64)).all())
 
-    def table(self) -> np.ndarray:
-        """Encoded delta over all of V' x V'."""
-        vecs = enumerate_vectors(self.p, self.nu)
-        img = self.phi.apply_rows(vecs)
-        return encode_vecs(img[:, None, :] - img[None, :, :], self.p).astype(code_dtype(self.p**self.nu - 1))
-
 
 class Semiform:
     """rho([v1,u1],[v2,u2]) = eta(u1,u2) - delta(v1,v2) on Y = V' + V."""

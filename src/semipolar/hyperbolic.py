@@ -34,7 +34,6 @@ from .linalg import (
     CHUNK,
     Subspace,
     as_vec,
-    distinct_rows,
     encode_vecs,
     enumerate_vectors,
     pack_rows,
@@ -226,24 +225,11 @@ class HypPolarSpace:
         idx = self._point_index[encode_vecs(vecs, self.p)].reshape(len(x), -1)
         return np.concatenate([idx, x[:, None]], axis=1)
 
-    def _sorted(self, members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(member indices, reduced row-echelon bases) of a layer, ordered by
-        basis.  The bases are the nonzero rows of the `rref` of the members'
-        vectors, reduced a block of rows at a time, whose stack holds about
-        CHUNK / 2 elements."""
-        m, s = members.shape
-        k = int(self._dims([s])[0])
-        basis = np.empty((m, k, 2 * self.n), dtype=np.int64)
-        step = max(1, CHUNK // (2 * s * 2 * self.n))
-        for lo in range(0, m, step):
-            basis[lo : lo + step] = rref(self._rep_matrix[members[lo : lo + step]], self.p)[0][:, :k]
-        order = distinct_rows(basis.reshape(m, -1))  # the bases are distinct: this sorts them
-        return members[order], basis[order]
-
     @cached_property
-    def _layers(self) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-        """The lines and the maximal subspaces, each as `_sorted` gives them, from
-        `linalg.subspace_closure` on the orthogonality words."""
+    def _layers(self) -> tuple[np.ndarray, np.ndarray]:
+        """The member rows of the lines and of the maximal subspaces, in the
+        lexicographic order of `linalg.subspace_closure` on the orthogonality
+        words."""
         closure = subspace_closure(self._orthogonal_words, self._span_with)
         for k, (members, top) in enumerate(closure):
             if k == 1:
@@ -251,30 +237,42 @@ class HypPolarSpace:
             if top.any():
                 if not top.all():
                     raise DegenerateForm("maximal singular subspaces of different dimensions")
-                return self._sorted(lines), self._sorted(members)
+                return lines, members
 
     @cached_property
     def _maximal_masks(self) -> np.ndarray:
         """The maximal subspaces as boolean masks over the quadric points."""
-        return self._masks(self._layers[1][0])
+        return self._masks(self._layers[1])
 
-    def _decode(self, basis: np.ndarray) -> list[Subspace]:
-        return [Subspace.from_echelon(b, self.p, 2 * self.n) for b in basis.tolist()]
+    def _decode(self, members: np.ndarray) -> list[Subspace]:
+        """The subspaces of rows of member indices, their echelon bases the
+        nonzero rows of the `rref` of the members' vectors, reduced a block of
+        rows at a time, whose stack holds about CHUNK / 2 elements."""
+        m, s = members.shape
+        k = int(self._dims([s])[0])
+        out = []
+        step = max(1, CHUNK // (2 * s * 2 * self.n))
+        for lo in range(0, m, step):
+            basis = rref(self._rep_matrix[members[lo : lo + step]], self.p)[0][:, :k]
+            out += [Subspace.from_echelon(b, self.p, 2 * self.n) for b in basis.tolist()]
+        return out
 
     @cached_property
     def _lines(self) -> list[Subspace]:
-        return self._decode(self._layers[0][1])
+        return self._decode(self._layers[0])
 
     @cached_property
     def _maximals(self) -> list[Subspace]:
-        return self._decode(self._layers[1][1])
+        return self._decode(self._layers[1])
 
     def lines(self) -> list[Subspace]:
-        """All totally isotropic 2-subspaces (the lines of the polar space)."""
+        """All totally isotropic 2-subspaces (the lines of the polar space), in
+        the order of `_layers`."""
         return self._lines
 
     def maximal_singulars(self) -> list[Subspace]:
-        """All maximal totally isotropic subspaces, by extension from points."""
+        """All maximal totally isotropic subspaces, by extension from points, in
+        the order of `_layers`: entry k is the subspace of `_maximal_masks[k]`."""
         return self._maximals
 
     def parity_classes(self) -> tuple[list[int], np.ndarray]:
@@ -324,27 +322,13 @@ def standard_doubling_base(n: int, p: int, diag=None) -> SymmetricForm:
 
 @dataclass
 class Reduct:
+    """The quadric points off a deleted subspace z, and the polar lines that
+    keep at least two of them; a reduct line is such a line less z."""
+
     space: HypPolarSpace
     z: Subspace
-    points: tuple[tuple[int, ...], ...]
+    z_mask: np.ndarray  # the quadric points of z
     line_members: np.ndarray  # quadric-point indices of the polar lines keeping two points
-
-    @cached_property
-    def lines(self) -> tuple[frozenset[tuple[int, ...]], ...]:
-        """The reduct lines: the points of each kept polar line off the deleted subspace."""
-        pts = self.space.quadric_points
-        off_z = ~self.z_mask[self.line_members]
-        return tuple(
-            frozenset(pts[i] for i in line[off].tolist()) for line, off in zip(self.line_members, off_z)
-        )
-
-    @cached_property
-    def line_set(self) -> frozenset[frozenset[tuple[int, ...]]]:
-        return frozenset(self.lines)
-
-    @cached_property
-    def z_mask(self) -> np.ndarray:
-        return self.space.point_mask(self.z)
 
 
 def reduct(space: HypPolarSpace, z: Subspace) -> Reduct:
@@ -356,11 +340,9 @@ def reduct(space: HypPolarSpace, z: Subspace) -> Reduct:
         maximal = False
     if not maximal:
         raise InvalidSubspace("the deleted subspace must be maximal singular")
-    pts = space.quadric_points
-    points = tuple(pts[i] for i in np.flatnonzero(~z_mask).tolist())
-    members, _ = space._layers[0]
+    members = space._layers[0]
     kept = (~z_mask[members]).sum(axis=1) >= 2
-    return Reduct(space, z, points, members[kept])
+    return Reduct(space, z, z_mask, members[kept])
 
 
 def _classify(red: Reduct) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -376,21 +358,6 @@ def _classify(red: Reduct) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         np.flatnonzero(kept & plane),
         np.flatnonzero(kept & ~point & ~plane),
     )
-
-
-def inc_relation(red: Reduct, x0: Subspace, x1: Subspace) -> bool:
-    """Do the clipped maximals X0 \\ Z and X1 \\ Z share a reduct line?
-
-    Any shared line spans the full intersection X0 and X1, so the test reduces
-    to that intersection being a 2-subspace whose clipped point set survives.
-    """
-    space = red.space
-    inter = space.point_mask(x0) & space.point_mask(x1)
-    if inter.sum() != space.p + 1:
-        return False
-    pts = space.quadric_points
-    clipped = frozenset(pts[i] for i in np.flatnonzero(inter & ~red.z_mask).tolist())
-    return len(clipped) >= 2 and clipped in red.line_set
 
 
 @dataclass
@@ -437,8 +404,9 @@ def reconstruct_deleted_subspace(red: Reduct) -> Reconstruction:
     z = red.z_mask
     r0, r1, other = _classify(red)
     x0, x1 = masks[r0], masks[r1]
-    # inc_relation for every pair at once: X0 and X1 meet in a line (p + 1
-    # points), and at least two of its points survive the deletion of Z
+    # X0 \ Z and X1 \ Z share a reduct line, for every pair at once: X0 and
+    # X1 meet in a line (p + 1 points), and at least two of its points survive
+    # the deletion of Z
     profiles = (_meet_counts(x0, x1) == space.p + 1) & (_meet_counts(x0 & ~z, x1 & ~z) >= 2)
     groups: dict[bytes, list[int]] = {}
     for i, row in enumerate(np.packbits(profiles, axis=1)):
@@ -517,10 +485,10 @@ def reconstruction_report(space: HypPolarSpace, z: Subspace) -> dict:
         "field": space.p,
         "base_dim": space.n,
         "quadric_points": len(space.quadric_points),
-        "polar_lines": len(space._layers[0][0]),
+        "polar_lines": len(space._layers[0]),
         "maximal_singulars": len(space._maximal_masks),
         "parity_class_sizes": sizes,
-        "reduct_points": len(red.points),
+        "reduct_points": int((~red.z_mask).sum()),
         "reduct_lines": len(red.line_members),
         "reconstruction": rec.to_jsonable(),
     }

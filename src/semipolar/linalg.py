@@ -399,13 +399,6 @@ class Subspace:
             return np.zeros((0, self.ambient_dim), dtype=np.int64)
         return np.array(self.basis, dtype=np.int64)
 
-    def vectors(self) -> Iterator[tuple[int, ...]]:
-        """All p^dim members."""
-        b = self.matrix()
-        for coeffs in product(range(self.p), repeat=self.dim):
-            v = (np.array(coeffs, dtype=np.int64) @ b) % self.p if self.dim else np.zeros(self.ambient_dim, dtype=np.int64)
-            yield tuple(int(c) for c in v)
-
     def intersection(self, other: "Subspace") -> "Subspace":
         """Row-space intersection by Zassenhaus: the rows of the reduced
         [[A, A], [B, 0]] whose left half is zero span it in their right half."""

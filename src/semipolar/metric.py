@@ -52,9 +52,6 @@ class HyperplaneDescriptor(NamedTuple):
         *u0, alpha, beta = row
         return cls(p, tuple(u0), alpha, beta)
 
-    def members(self, space: SemipolarSpace) -> tuple[Point, ...]:
-        return _decode(space, space.zset_mask(self.u0, (self.beta,), self.alpha))
-
 
 def _decode(space: SemipolarSpace, mask: np.ndarray) -> tuple[Point, ...]:
     """The points of a membership mask over point codes, in code order."""

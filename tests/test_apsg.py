@@ -413,8 +413,8 @@ def test_gamma_space_m2_and_cross(sp_m2_gf3, sp_cross_gf3):
 def test_gamma_space_corrupted_line_set_fails(sp_m2_gf3):
     space = sp_m2_gf3
     planes = space.singular_planes_through(space.origin)
-    assert planes
-    plane = planes[0]
+    assert len(planes)
+    plane = set(planes[0].tolist())
     inside = [
         l
         for l in space.singular_lines_through(space.origin)
@@ -696,7 +696,7 @@ def test_null_system_matches_isotropic_subspace_sweep(name, sp_m2_gf3, sp_cross_
     for s in enumerate_subspaces(2, n, p):
         b = s.matrix()
         if not any(space.form.eta.eval(b[0], b[1])):
-            members = {class_of(v) for v in s.vectors() if any(v)}
+            members = {class_of(v) for v in enumerate_vectors(p, 2) @ b % p if v.any()}
             expected.add(tuple(sorted(members)))
     points, lines = space.null_system()
     assert points == [(c,) for c in range(len(classes))]
@@ -706,7 +706,7 @@ def test_null_system_matches_isotropic_subspace_sweep(name, sp_m2_gf3, sp_cross_
 
 def test_pencil_with_a_broken_plane_is_not_isomorphic(sp_m2_gf3):
     space = SemipolarSpace(sp_m2_gf3.form)
-    plane = sorted(space.singular_planes_through(space.origin)[0])
+    plane = space.singular_planes_through(space.origin)[0]
     a, b = plane[1], plane[-1]
     adj = space.adjacency.copy()
     adj[a, b] = adj[b, a] = False
@@ -805,7 +805,8 @@ def kernels_separate_by_definition(space):
 
 
 def planes_by_definition(space, pt):
-    """Spans of two singular lines through pt whose point pairs are all adjacent."""
+    """Spans of two singular lines through pt whose point pairs are all adjacent,
+    as sorted point codes, in lexicographic order."""
     p, out = space.p, set()
     for l1, l2 in combinations(space.singular_lines_through(pt), 2):
         members = {
@@ -814,8 +815,18 @@ def planes_by_definition(space, pt):
             for b in range(p)
         }
         if all(space.adjacency[x, y] for x, y in combinations(members, 2)):
-            out.add(frozenset(members))
-    return sorted(out, key=sorted)
+            out.add(tuple(sorted(members)))
+    return sorted(out)
+
+
+def pencil_planes_by_definition(space, pt):
+    """Each singular plane through pt as the lines of the pencil at pt inside
+    it: line k lies in a plane iff every point of the line does."""
+    lines = [{space.index(q) for q in l.points()} for l in space.singular_lines_through(pt)]
+    return [
+        tuple(k for k, line in enumerate(lines) if line <= set(plane))
+        for plane in planes_by_definition(space, pt)
+    ]
 
 
 @pytest.mark.parametrize("shape, examples", KERNEL_SHAPES)
@@ -863,7 +874,21 @@ def test_singular_planes_through_match_pairwise_adjacency_on_random_forms(shape,
     def check(space):
         for k in (0, space.size // 2, space.size - 1):
             pt = space.points[k]
-            assert space.singular_planes_through(pt) == planes_by_definition(space, pt)
+            planes = space.singular_planes_through(pt)
+            assert planes.shape[1:] == (space.p**2,)
+            assert [tuple(row) for row in planes.tolist()] == planes_by_definition(space, pt)
+
+    check()
+
+
+@pytest.mark.parametrize("shape, examples", KERNEL_SHAPES)
+def test_pencil_planes_match_line_containment_on_random_forms(shape, examples):
+    @settings(max_examples=examples, deadline=None, derandomize=True)
+    @given(space=random_spaces(shape))
+    def check(space):
+        for k in (0, space.size // 2, space.size - 1):
+            pt = space.points[k]
+            assert space.pencil_structure(pt).planes == pencil_planes_by_definition(space, pt)
 
     check()
 
@@ -903,7 +928,7 @@ def test_singular_line_table_matches_pairwise_adjacency_on_random_forms(shape, e
 
 def test_one_corrupted_adjacency_pair_changes_census_and_pencil(sp_m2_gf3):
     space = SemipolarSpace(sp_m2_gf3.form)
-    plane = sorted(space.singular_planes_through(space.origin)[0])
+    plane = space.singular_planes_through(space.origin)[0]
     a, b = plane[1], plane[-1]
     common = int((space.adjacency[a] & space.adjacency[b]).sum()) - 2
     adj = space.adjacency.copy()

@@ -154,6 +154,15 @@ def test_verify_sampled_mode_labels_only_the_sampling_suites(m1_instance, tmp_pa
         assert mode == ({"sample": 5, "seed": 0} if sampled else "exhaustive"), name
 
 
+@pytest.mark.parametrize("sample", ["0", "-3"])
+def test_verify_sample_below_one_is_usage_error(m1_instance, sample, capsys):
+    # a sample of 0 tuples checks nothing, so it could only pass vacuously
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", str(m1_instance), "--suite", "recover", "--sample", sample])
+    assert exc.value.code == 2
+    assert "--sample" in capsys.readouterr().err
+
+
 def test_verify_budget_exceeded_exit_code(m1_instance, capsys):
     code, _, err = run(["verify", str(m1_instance), "--suite", "identities",
                         "--budget", "10"], capsys)
@@ -350,6 +359,12 @@ PINNED_REPORTS = {
         "53fb838c0a4aed0d0ace7c91a0c589c77273e5f2f41144883777c15910dbe61e",
     ("export", "m2", "--what", "adjacency", "--format", "csv"):
         "6f0f2e23c28a690f063e6163190187f582731d6b5c90d39bd6b3cabd61f7eadf",
+    ("export", "m2", "--what", "pencil", "--at", "origin"):
+        "1a234f0afb0103bc3137dbfd72757695333d96e68756c9cbc69691d50c5c7fbd",
+    ("verify", "--suite", "hyperbolic", "--hyp-dim", "4", "--field", "3"):
+        "a0ea0caba6c6b8fa4f40cb68a0bd638fd49172ce8f964cd76a905fde682c924b",
+    ("verify", "--suite", "hyperbolic", "--hyp-diag", "1", "1", "-1", "--field", "3"):
+        "0e1c3134dfb1a0ee45005d1ec354f898d68652ca7d4d6c0b2460436766fb58c3",
 }
 
 

@@ -489,8 +489,11 @@ def test_value_table_kernels_match_their_definitions_on_random_forms(shape, exam
 
 
 def delta_table_from_phi(phi: LinearMap):
+    """delta(v1, v2) = phi(v1) - phi(v2) of the atlas of phi over all of V' x V',
+    encoded at code width."""
     atlas = AffineAtlas(phi)
-    return atlas.table()
+    img = phi.apply_rows(enumerate_vectors(atlas.p, atlas.nu))
+    return encode_vecs(img[:, None, :] - img[None, :, :], atlas.p).astype(code_dtype(atlas.p**atlas.nu - 1))
 
 
 def test_atlas_axioms_identity_atlas_pass():

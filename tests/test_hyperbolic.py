@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from semipolar import hyperbolic
 from semipolar.errors import DegenerateForm, DimensionMismatch, InvalidSubspace
 from semipolar.hyperbolic import (
     HypPolarSpace,
@@ -17,7 +18,6 @@ from semipolar.hyperbolic import (
     build_double,
     default_deleted_subspace,
     diagonalize_symmetric,
-    inc_relation,
     is_square,
     reconstruct_deleted_subspace,
     reconstruction_report,
@@ -189,9 +189,28 @@ def test_maximal_singulars_equal_brute_force(base):
     # subspaces equal the echelon enumeration, and no isotropic 4-subspace exists
     p, diag = base
     space = build_double(3, standard_doubling_base(3, p, diag=diag))
-    assert space.lines() == isotropic_echelon_bases(space, 2)
-    assert space.maximal_singulars() == isotropic_echelon_bases(space, 3)
+    for found, k in ((space.lines(), 2), (space.maximal_singulars(), 3)):
+        expected = isotropic_echelon_bases(space, k)
+        assert len(found) == len(expected) and set(found) == set(expected)
     assert isotropic_echelon_bases(space, 4) == []
+    # maximal_singulars() is decoded in the order of the masks
+    for k, x in enumerate(space.maximal_singulars()):
+        assert (space.point_mask(x) == space._maximal_masks[k]).all()
+
+
+@pytest.mark.parametrize("n, p", [(3, 3), (3, 5), (4, 3)])
+def test_reconstruction_report_reduces_no_member_rows(n, p, monkeypatch):
+    # the layers stay member rows: the report needs no echelon basis, so it
+    # runs with the engine's rref gone
+    def refuse(*args, **kwargs):
+        raise AssertionError("rref called on the reconstruction path")
+
+    monkeypatch.setattr(hyperbolic, "rref", refuse)
+    space = build_double(n, standard_doubling_base(n, p))
+    report = reconstruction_report(space, default_deleted_subspace(space))
+    assert report["reconstruction"]["isomorphic"] is True
+    with pytest.raises(AssertionError):
+        space.lines()
 
 
 def test_closure_spans_each_extension_once(hyp_identity):
@@ -270,15 +289,40 @@ def red_identity(hyp_identity):
     return reduct(hyp_identity, z)
 
 
+def reduct_lines(red):
+    """The reduct lines as sets of quadric points: each kept polar line less
+    the deleted subspace."""
+    pts = red.space.quadric_points
+    return [frozenset(pts[i] for i in line[~red.z_mask[line]].tolist()) for line in red.line_members]
+
+
+def inc_relation(red, x0, x1):
+    """Do the clipped maximals X0 \\ Z and X1 \\ Z share a reduct line?
+
+    Any shared line spans the full intersection of X0 and X1, so the test
+    reduces to that intersection being a 2-subspace whose clipped point set
+    is a reduct line.
+    """
+    space = red.space
+    inter = space.point_mask(x0) & space.point_mask(x1)
+    if inter.sum() != space.p + 1:
+        return False
+    pts = space.quadric_points
+    clipped = frozenset(pts[i] for i in np.flatnonzero(inter & ~red.z_mask).tolist())
+    return len(clipped) >= 2 and clipped in set(reduct_lines(red))
+
+
 def test_reduct_point_and_line_counts(red_identity):
     red = red_identity
-    assert len(red.points) == 130 - 13
+    assert (~red.z_mask).sum() == 130 - 13
+    assert red.z_mask.sum() == 13
     # lines wholly inside the deleted plane disappear; lines meeting it in one
     # point survive with 3 points; disjoint ones keep all 4
-    sizes = {len(l) for l in red.lines}
-    assert sizes == {3, 4}
+    lines = reduct_lines(red)
+    assert {len(l) for l in lines} == {3, 4}
+    assert len(set(lines)) == len(lines)
     inside = [l for l in red.space.lines() if not (red.space.point_mask(l) & ~red.z_mask).any()]
-    assert len(red.lines) == 520 - len(inside)
+    assert len(lines) == 520 - len(inside)
     assert len(inside) == 13  # the 13 lines of the deleted projective plane
 
 
@@ -308,7 +352,7 @@ def test_classification_sizes(red_identity):
 def test_surviving_maximals_are_maximal_cliques(red_identity):
     red = red_identity
     pts = red.space.quadric_points
-    point_set = set(red.points)
+    point_set = {pts[i] for i in np.flatnonzero(~red.z_mask).tolist()}
     for x in red.space.maximal_singulars()[:12]:
         if x == red.z:
             continue
@@ -326,6 +370,8 @@ def test_inc_relation_routes_agree(red_identity):
     maximals = red.space.maximal_singulars()
     pts = red.space.quadric_points
 
+    lines = reduct_lines(red)
+
     def clipped(x):
         return {pts[i] for i in np.flatnonzero(red.space.point_mask(x) & ~red.z_mask)}
 
@@ -334,7 +380,7 @@ def test_inc_relation_routes_agree(red_identity):
         for x1 in (maximals[i] for i in r1.tolist()):
             got = inc_relation(red, x0, x1)
             j1 = clipped(x1)
-            brute = any(l <= j0 and l <= j1 for l in red.lines)
+            brute = any(l <= j0 and l <= j1 for l in lines)
             assert got == brute
             # ground truth: the improper point lies on the improper line
             pt = x0.intersection(red.z).matrix()[0]
