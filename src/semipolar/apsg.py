@@ -128,8 +128,8 @@ class PencilStructure:
     at: Point
     lines: list[AffLine]
     planes: list[tuple[int, ...]]  # each plane = the sorted indices into `lines` of its lines
-    null_points: list[tuple[int]]
-    null_lines: list[tuple[int, ...]]
+    null_points: tuple[tuple[int], ...]
+    null_lines: tuple[tuple[int, ...], ...]
     isomorphic: bool
 
 
@@ -245,14 +245,13 @@ class SemipolarSpace:
         """`Semiform.row_factors` of every point, built on first use."""
         return self.form.row_factors(self._coords)
 
-    def rho_codes(self, rows=(), cols=()) -> np.ndarray:
-        """Whole lines of the value table, one row of the result per line:
-        the row rho(x, .) for each point code x of `rows`, then the column
-        rho(., x) for each of `cols`.  All of them cost one take and one O(|Y|)
-        matmul per V' coordinate, and never the table."""
+    def rho_codes(self, lines) -> np.ndarray:
+        """Whole lines of the value table, one row of the result per line code
+        l: the row rho(y_l, .) for l < |Y|, the column rho(., y_x) for
+        l = |Y| + x, the rows of the right `row_factors`.  Any of them cost one
+        row gather and one O(|Y|) matmul per V' coordinate, and never the table."""
         left, right = self._row_factors
-        lines = np.concatenate([np.asarray(rows, dtype=np.intp) + self.size, np.asarray(cols, dtype=np.intp)])
-        return self.form.codes_from_factors(left, right.take(lines, axis=2)).T
+        return self.form.codes_from_factors(right.take(lines, axis=1), left)
 
     def adjacent(self, p1: Point, p2: Point) -> bool:
         return bool(self.adjacency[self.index(p1), self.index(p2)])
@@ -612,7 +611,8 @@ class SemipolarSpace:
 
     # -- the pencil of lines and planes through a point -----------------------
 
-    def null_system(self) -> tuple[list[tuple[int]], list[tuple[int, ...]]]:
+    @cached_property
+    def null_system(self) -> tuple[tuple[tuple[int], ...], tuple[tuple[int, ...], ...]]:
         """Points and isotropic 2-subspaces of the generalized null system of eta, on
         u-class indices: a point is (c,), a 2-subspace the sorted classes of its span.
 
@@ -625,8 +625,8 @@ class SemipolarSpace:
         spans = (reps[j][:, None, :] + np.arange(p)[None, :, None] * reps[i][:, None, :]) % p
         members = np.concatenate([i[:, None], self._u_classes[1][encode_vecs(spans, p)]], axis=1)
         members = np.sort(members, axis=1)
-        lines = list(map(tuple, members[distinct_rows(members)].tolist()))
-        return [(c,) for c in range(len(reps))], lines
+        lines = tuple(map(tuple, members[distinct_rows(members)].tolist()))
+        return tuple((c,) for c in range(len(reps))), lines
 
     def pencil_structure(self, pt: Point) -> PencilStructure:
         """Lines/planes through pt, checked isomorphic to the null system of eta.
@@ -644,10 +644,10 @@ class SemipolarSpace:
         holds = np.zeros((len(planes), self.size), dtype=bool)
         holds[np.arange(len(planes))[:, None], planes] = True
         plane_members = [tuple(np.flatnonzero(row).tolist()) for row in holds[:, add[i, dirs]]]
-        null_points, null_lines = self.null_system()
+        null_points, null_lines = self.null_system
         classes = self._u_classes[1][dirs % self.p**self.n]  # the u-part is a code's last n digits
         lines = self.singular_lines_through(pt)
-        iso = np.array_equal(classes, np.arange(len(null_points))) and null_lines == sorted(plane_members)
+        iso = np.array_equal(classes, np.arange(len(null_points))) and null_lines == tuple(sorted(plane_members))
         return PencilStructure(pt, lines, plane_members, null_points, null_lines, iso)
 
     # -- exports ---------------------------------------------------------------

@@ -215,6 +215,14 @@ class AffineAtlas:
         return bool((self.phi.matrix == np.eye(self.nu, dtype=np.int64)).all())
 
 
+@lru_cache(maxsize=None)
+def _residues(p: int, top: int, dtype) -> np.ndarray:
+    """a mod p for a = 0..top, as dtype."""
+    table = (np.arange(top + 1) % p).astype(dtype)
+    table.setflags(write=False)
+    return table
+
+
 class Semiform:
     """rho([v1,u1],[v2,u2]) = eta(u1,u2) - delta(v1,v2) on Y = V' + V."""
 
@@ -275,56 +283,48 @@ class Semiform:
 
     def row_factors(self, rows) -> tuple[np.ndarray, np.ndarray]:
         """The (left, right) factors of `codes_from_factors` for r coordinate
-        rows, each a flat (v, u) point x of Y, as int32 arrays with one
-        (n + 2)-vector per point and V' coordinate k:
+        rows, each a flat (v, u) point x of Y, as float32 arrays of residues,
+        one (n + 2)-vector per point and V' coordinate k:
 
-          left   (nu, r, n + 2)   left[k][x]         = [u, phi(v)_k, 1]
-          right  (nu, n + 2, 2r)  right[k][:, x]     = [G_k u mod p, p - 1, phi(v)_k]
-                                  right[k][:, r + x] = [G_k^T u mod p, 1, (p - 1) phi(v)_k]
+          left   (nu, r, n + 2)   left[k][x]      = [u, phi(v)_k, 1]
+          right  (nu, 2r, n + 2)  right[k][x]     = [G_k^T u mod p, 1, (p - 1) phi(v)_k]
+                                  right[k][r + x] = [G_k u mod p, p - 1, phi(v)_k]
 
-        so left[k][y] . right[k][:, x] = u_y . G_k u + (p - 1) phi(v_y)_k +
-        phi(v)_k is coordinate k of rho(y, x) mod p, and left[k][y] .
-        right[k][:, r + x] = u . G_k u_y + phi(v_y)_k + (p - 1) phi(v)_k that
-        of rho(x, y).  The right factor holds a column and a row of rho for
-        every point, and any set of them is one `take` on its last axis."""
+        so right[k][x] . left[k][y] is coordinate k of rho(x, y) mod p and
+        right[k][r + x] . left[k][y] that of rho(y, x): the right factor holds
+        a row and a column of rho for every point, any set of them one gather."""
         p, nu, n = self.p, self.nu, self.n
         rows = as_vec(rows, p)
         u = rows[:, nu:]
         phi = ((rows[:, :nu] @ self.atlas.phi.matrix.T) % p).T  # rows are reduced: no second reduction
-        left = np.ones((nu, len(rows), n + 2), dtype=np.int32)
+        left = np.ones((nu, len(rows), n + 2), dtype=np.float32)
         left[:, :, :n] = u
         left[:, :, n] = phi
-        right = np.empty((nu, n + 2, 2, len(rows)), dtype=np.int32)
-        right[:, :n, 0] = np.einsum("ijk,rj->kir", self.eta.gram, u) % p
-        right[:, :n, 1] = np.einsum("jik,rj->kir", self.eta.gram, u) % p
-        right[:, n] = [[p - 1], [1]]
-        right[:, n + 1, 0] = phi
-        right[:, n + 1, 1] = (p - 1) * phi
-        return left, right.reshape(nu, n + 2, 2 * len(rows))
+        right = np.empty((nu, 2, len(rows), n + 2), dtype=np.float32)
+        right[:, 0, :, :n] = np.einsum("jik,rj->kri", self.eta.gram, u) % p
+        right[:, 1, :, :n] = np.einsum("ijk,rj->kri", self.eta.gram, u) % p
+        right[..., n] = [[1], [p - 1]]
+        right[:, 0, :, n + 1] = (p - 1) * phi
+        right[:, 1, :, n + 1] = phi
+        return left, right.reshape(nu, 2 * len(rows), n + 2)
 
-    def codes_from_factors(self, left, right) -> np.ndarray:
-        """Encoded rho from `row_factors`: out[y, c] is the base-p code whose
-        coordinate k is left[k][y] . right[k][:, c] mod p, at code width,
-        `code_dtype(p^nu - 1)`.
-
-        Built a block of rows at a time, one int32 matmul per V' coordinate;
-        every term is reduced first, so the int32 sums stay below (n + 2) p^2,
-        and each digit is reduced into the block of the output, which holds
-        the code so far.  A block holds about CHUNK / 8 entries, so the build
-        holds the output and one int32 block, and no (rows, columns) int32
-        table.
-        """
+    def codes_from_factors(self, lines, left) -> np.ndarray:
+        """Encoded rho from `row_factors`: out[l, y] is the base-p code whose
+        coordinate k is lines[k][l] . left[k][y] mod p, at code width, for rows
+        `lines` of the right factor.  One float32 matmul per V' coordinate, a
+        block of about CHUNK / 8 entries at a time: each sum is an integer of
+        at most (n + 2)(p - 1)^2 < 2^24, so exact, and one take from a residue
+        table reduces it into the block holding the code so far."""
         p = self.p
-        out = np.empty((left.shape[1], right.shape[2]), dtype=code_dtype(p**self.nu - 1))
-        step = max(1, CHUNK // (8 * max(1, right.shape[2])))
+        out = np.empty((lines.shape[1], left.shape[1]), dtype=code_dtype(p**self.nu - 1))
+        residue = _residues(p, left.shape[2] * (p - 1) ** 2, out.dtype)
+        step = max(1, CHUNK // (8 * max(1, left.shape[1])))
         for lo in range(0, len(out), step):
             block = out[lo : lo + step]
-            np.remainder(left[0, lo : lo + step] @ right[0], p, out=block, casting="unsafe")
+            residue.take((lines[0, lo : lo + step] @ left[0].T).astype(np.intp), out=block, mode="clip")
             for k in range(1, self.nu):
-                digit = left[k, lo : lo + step] @ right[k]
-                digit %= p
                 block *= p
-                np.add(block, digit, out=block, casting="unsafe")
+                block += residue.take((lines[k, lo : lo + step] @ left[k].T).astype(np.intp))
         return out
 
     def value_table(self, budget: int = DEFAULT_BUDGET) -> np.ndarray:
@@ -333,7 +333,7 @@ class Semiform:
         size = self.p**self.ydim
         check_budget(size * size, budget, "semiform value table")
         left, right = self.row_factors(enumerate_vectors(self.p, self.ydim))
-        return self.codes_from_factors(left, right[:, :, :size])
+        return self.codes_from_factors(right[:, :size], left)
 
     def to_jsonable(self) -> dict:
         return {

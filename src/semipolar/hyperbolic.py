@@ -315,8 +315,8 @@ def default_deleted_subspace(space: HypPolarSpace) -> Subspace:
 
 def standard_doubling_base(n: int, p: int, diag=None) -> SymmetricForm:
     entries = [1] * n if diag is None else list(diag)
-    if len(entries) != n:
-        raise DimensionMismatch("diagonal length must equal n")
+    if len(entries) != n or any(e % p == 0 for e in entries):  # a zero makes it degenerate
+        raise DimensionMismatch(f"the diagonal needs {n} entries, each nonzero mod {p}")
     return SymmetricForm(np.diag(np.array(entries, dtype=np.int64) % p), p)
 
 

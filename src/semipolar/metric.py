@@ -7,11 +7,10 @@ scalar-valued semiforms (nu = 1); the defining point sets make sense for any nu.
 The congruence laws themselves are checked over all pairs by the `metric` and
 `bisectors` suites.
 
-Every defining set is quantified over all of Y.  `pair_sets` answers a block of
-pairs of point codes at once: its masks compare rows and columns of encoded rho
-(`SemipolarSpace.rho_codes`), and its equations are integer array arithmetic on
-point coordinates.  The per-pair functions are its one-pair case; points are
-decoded only for the values returned.
+Every defining set is quantified over all of Y.  `_pair_block` compares lines
+of rho, read by one `SemipolarSpace.rho_codes` call, for a block of pairs of
+point codes, one pair being a block of one; `_equations` is integer arithmetic
+on one pair's coordinates.  Points are decoded only for the values returned.
 """
 
 from __future__ import annotations
@@ -24,11 +23,9 @@ import numpy as np
 from .apsg import Point, SemipolarSpace
 from .errors import DimensionMismatch
 from .forms import group_tables
-from .linalg import CHUNK, encode_vecs, enumerate_vectors, normalize_rows
+from .linalg import CHUNK, enumerate_vectors, normalize_rows
 
 KINDS = ("t", "m", "sphere")
-_KIND = np.arange(3)[:, None]
-_POINTS_OF_PAIR = np.array([[1, -1], [1, 1], [1, 0]])  # y_i - y_j, y_i + y_j, y_i
 
 
 def _classification(u0, alpha: int, beta: int) -> str:
@@ -53,11 +50,6 @@ class HyperplaneDescriptor(NamedTuple):
         return cls(p, tuple(u0), alpha, beta)
 
 
-def _decode(space: SemipolarSpace, mask: np.ndarray) -> tuple[Point, ...]:
-    """The points of a membership mask over point codes, in code order."""
-    return tuple(space.points[k] for k in np.flatnonzero(mask).tolist())
-
-
 class PairSets(NamedTuple):
     """The t-bisector, m-bisector and sphere of each pair of a block of B
     pairs, indexed (kind, pair) in the order of KINDS."""
@@ -68,55 +60,64 @@ class PairSets(NamedTuple):
 
 
 @lru_cache(maxsize=None)
-def _equation_rows(p: int, n: int) -> np.ndarray:
-    """rows[k, z]: the normalized row (u, alpha_k, a) of each point z = [a, u]
+def _equation_rows(p: int, n: int) -> tuple:
+    """rows[k][z]: the normalized row (u, alpha_k, a) of each point z = [a, u]
     of the scalar space over GF(p)^n, in code order, for the alpha of each
-    kind: 0 (t), -2 (m) and -1 (sphere)."""
+    kind: 0 (t), -2 (m) and -1 (sphere), as tuples."""
     pts = enumerate_vectors(p, n + 1)
     rows = np.empty((3, len(pts), n + 2), dtype=np.int64)
     rows[..., :n] = pts[:, 1:]
     rows[..., n] = np.array([0, -2, -1])[:, None]
     rows[..., n + 1] = pts[:, 0]
-    rows = normalize_rows(rows, p)
-    rows.setflags(write=False)
-    return rows
+    return tuple(tuple(map(tuple, kind)) for kind in normalize_rows(rows, p).tolist())
 
 
-def pair_sets(space: SemipolarSpace, i, j) -> PairSets:
-    """The sets of the pairs (i[b], j[b]) of point codes.
-
-    The masks compare the rows rho(y_i, .) and rho(y_j, .) and the column
-    rho(., y_j) over all of Y, read by one `rho_codes` call.  On a scalar
-    space each equation is the `_equation_rows` row of one point z:
+def _equations(space: SemipolarSpace, i: int, j: int, r: int) -> tuple:
+    """The normalized rows (t, m, sphere) of the pair of point codes i, j of
+    a scalar space with rho(y_i, y_j) = r: each the `_equation_rows` row of
+    one point z, whose code is integer arithmetic on the pair's coordinates.
 
       t       z = y_i - y_j            eta(u_i - u_j, u) = a_i - a_j
       m       z = y_i + y_j            eta(u_i + u_j, u) = a_i + a_j - 2a
-      sphere  z = y_i + [rho_ij, 0]    eta(u_i, u) = rho_ij + a_i - a
+      sphere  z = y_i + [r, 0]         eta(u_i, u) = r + a_i - a
     """
+    p, h = space.p, space.size // space.p  # the code of [a, u] is a * h + code(u)
+    t = m = 0
+    for a, b in zip(space.points[i].flat(), space.points[j].flat()):
+        t = t * p + (a - b) % p
+        m = m * p + (a + b) % p
+    rows = _equation_rows(p, space.n)
+    return rows[0][t], rows[1][m], rows[2][i % h + (i // h + r) % p * h]
+
+
+def _pair_block(space: SemipolarSpace, i, j) -> tuple[np.ndarray, np.ndarray, list]:
+    """The masks and sizes of `PairSets` of the pairs (i[b], j[b]) of point
+    codes, and the list of their rho(y_i, y_j): the rows rho(y_i, .) and
+    rho(y_j, .) and the column rho(., y_j) compared over all of Y."""
     b = len(i)
-    ij = np.concatenate([i, j], dtype=np.intp)
-    j = ij[b:]
-    lines = space.rho_codes(ij, j)
-    first = lines[:b]
-    r12 = first[np.arange(b), j]
+    lines = space.rho_codes([*i, *j, *(space.size + y for y in j)])
+    rho = [lines.item(k, y) for k, y in enumerate(j)]
     masks = np.empty((3, b, space.size), dtype=bool)
-    np.equal(lines[b:].reshape(2, b, -1), first, out=masks[:2])
-    np.equal(first, r12[:, None], out=masks[2])
-    sizes = masks.sum(axis=2)
+    np.equal(lines[b:].reshape(2, b, -1), lines[:b], out=masks[:2])
+    np.equal(lines[:b], np.array(rho)[:, None], out=masks[2])
+    return masks, masks.sum(axis=2), rho
+
+
+def pair_sets(space: SemipolarSpace, i, j) -> PairSets:
+    """`_pair_block`'s masks and sizes and, if nu = 1, the pairs' `_equations`."""
+    masks, sizes, rho = _pair_block(space, i, j)
     if space.nu != 1:
         return PairSets(masks, sizes, None)
-    z = (_POINTS_OF_PAIR @ space._coords.take(ij, axis=0).reshape(2, -1)).reshape(3, b, -1)
-    z[2, :, 0] += r12
-    return PairSets(masks, sizes, _equation_rows(space.p, space.n)[_KIND, encode_vecs(z, space.p)])
+    rows = [_equations(space, a, b, r) for a, b, r in zip(i, j, rho)]
+    return PairSets(masks, sizes, np.array(rows, dtype=np.int64).transpose(1, 0, 2))
 
 
 def _pair_set(space: SemipolarSpace, p1: Point, p2: Point, kind: str):
     """One set of the pair p1, p2: its points and, on scalar spaces, its equation."""
     sets = pair_sets(space, [space.index(p1)], [space.index(p2)])
-    k = KINDS.index(kind)
-    eq = sets.equations
+    k, eq = KINDS.index(kind), sets.equations
     desc = None if eq is None else HyperplaneDescriptor.from_row(space.p, eq[k, 0].tolist())
-    return _decode(space, sets.masks[k, 0]), desc
+    return tuple(space.points[c] for c in np.flatnonzero(sets.masks[k, 0]).tolist()), desc
 
 
 def bisector_t(space: SemipolarSpace, p1: Point, p2: Point):
@@ -159,17 +160,16 @@ def pair_report(space: SemipolarSpace, p1: Point, p2: Point) -> list[dict]:
 
 def pair_reports(space: SemipolarSpace, i: list[int], j: list[int]) -> list[dict]:
     """`pair_report` of each pair (i[b], j[b]) of point codes, in order, from
-    `pair_sets` blocks of about CHUNK mask elements."""
+    `_pair_block`s of about CHUNK mask elements and the `_equations` of each pair."""
     if space.nu != 1:
         raise DimensionMismatch("this operation needs a scalar-valued semiform")
     step = max(1, CHUNK // (3 * space.size))
     out = []
     for lo in range(0, len(i), step):
         first, second = i[lo : lo + step], j[lo : lo + step]
-        sets = pair_sets(space, first, second)
-        block = zip(first, second, sets.sizes.T.tolist(), sets.equations.transpose(1, 0, 2).tolist())
-        for a, b, sizes, rows in block:
-            for kind, size, (*u0, alpha, beta) in zip(KINDS, sizes, rows):
+        _, sizes, rho = _pair_block(space, first, second)
+        for a, b, r, counts in zip(first, second, rho, sizes.T.tolist()):
+            for kind, size, (*u0, alpha, beta) in zip(KINDS, counts, _equations(space, a, b, r)):
                 out.append({
                     "pair": [a, b],
                     "kind": kind,

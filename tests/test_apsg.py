@@ -104,9 +104,11 @@ def test_rho_codes_read_rows_and_columns_of_the_value_table(sp_cross_gf3):
     assert "_row_factors" not in space.__dict__
     rows, cols = [5, 0, 700, 5], [3, 728, 41]
     table = sp_cross_gf3.value_table
-    assert (space.rho_codes(rows, cols) == np.vstack([table[rows], table[:, cols].T])).all()
+    columns = [space.size + c for c in cols]
+    assert (space.rho_codes(rows + columns) == np.vstack([table[rows], table[:, cols].T])).all()
     assert (space.rho_codes(rows) == table[rows]).all()
-    assert (space.rho_codes(cols=cols) == table[:, cols].T).all()
+    assert (space.rho_codes(columns) == table[:, cols].T).all()
+    assert (space.rho_codes(np.array(columns)) == table[:, cols].T).all()
     assert "_row_factors" in space.__dict__
 
 
@@ -698,8 +700,9 @@ def test_null_system_matches_isotropic_subspace_sweep(name, sp_m2_gf3, sp_cross_
         if not any(space.form.eta.eval(b[0], b[1])):
             members = {class_of(v) for v in enumerate_vectors(p, 2) @ b % p if v.any()}
             expected.add(tuple(sorted(members)))
-    points, lines = space.null_system()
-    assert points == [(c,) for c in range(len(classes))]
+    points, lines = space.null_system
+    assert points == tuple((c,) for c in range(len(classes)))
+    assert space.null_system is space.null_system  # computed once per space
     assert set(lines) == expected and len(lines) == len(expected)
     assert all(len(line) == p + 1 for line in lines)
 

@@ -333,6 +333,18 @@ def test_export_reconstruct_diag(tmp_path, capsys):
     assert json.loads(out.read_text())["reconstruction"]["isomorphic"] is True
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "hyperbolic", "--hyp-diag", "1", "1", "0"],
+    ["export", "--what", "reconstruct", "--hyp-diag", "1", "1", "3"],
+])
+def test_degenerate_hyp_diag_is_usage_error(argv, tmp_path, capsys):
+    # an entry divisible by p (3 here) makes the diagonal base form degenerate
+    out = tmp_path / "report.json"
+    code, _, err = run(argv + ["--out", str(out)], capsys)
+    assert code == 2 and "usage error" in err
+    assert not out.exists()
+
+
 # SHA-256 of reports on instances from `semipolar build --field 3`; any change
 # to a verdict, a witness, a count or the JSON layout shows here
 PINNED_REPORTS = {

@@ -232,14 +232,14 @@ def random_semiforms(draw, shapes=RANDOM_SHAPES):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(rho=random_semiforms(), data=st.data())
 def test_factor_codes_and_table_match_pointwise_eval(rho, data):
-    # the first |Y| columns of the right factor give rho(y, x), the last |Y| rho(x, y)
+    # the first |Y| rows of the right factor give rho(x, y), the last |Y| rho(y, x)
     p = rho.p
     pts = enumerate_vectors(p, rho.ydim)
     left, right = rho.row_factors(pts)
     rows = st.lists(st.integers(0, len(pts) - 1), min_size=1, max_size=6)
     a, b = data.draw(rows), data.draw(rows)
-    codes = rho.codes_from_factors(left[:, a], right[:, :, b])
-    swapped = rho.codes_from_factors(left[:, a], right[:, :, len(pts) + np.array(b, dtype=np.intp)])
+    codes = rho.codes_from_factors(right[:, a], left[:, b])
+    swapped = rho.codes_from_factors(right[:, len(pts) + np.array(a, dtype=np.intp)], left[:, b])
     table = rho.value_table()
     assert codes.shape == swapped.shape == (len(a), len(b))
     for r, i in enumerate(a):

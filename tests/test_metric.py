@@ -18,10 +18,11 @@ from semipolar.metric import (
     _pair_set,
     bisector_t,
     pair_report,
+    pair_reports,
     pair_sets,
     translation_noninvariance_witness,
 )
-from semipolar.linalg import normalize_rows
+from semipolar.linalg import CHUNK, normalize_rows
 from semipolar.suites import SuiteConfig, _bisector_counts, _group_counts, _same_partitions, run_suite
 
 
@@ -409,6 +410,17 @@ def test_bisectors_spheres_and_reports_match_definitions(space, data):
         assert pair_report(space, p1, p2) == reference
 
 
+def definitional_rows(space, x: int, y: int) -> dict:
+    """The equation rows (u0..., alpha, beta) of the sets of the pair of point
+    codes x, y of a scalar space, before normalization."""
+    ((a1,), u1), ((a2,), u2) = space.points[x], space.points[y]
+    return {
+        "t": [*(c - d for c, d in zip(u1, u2)), 0, a1 - a2],
+        "m": [*(c + d for c, d in zip(u1, u2)), -2, a1 + a2],
+        "sphere": [*u1, -1, int(space.value_table[x, y]) + a1],
+    }
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(space=random_spaces(), data=st.data())
 def test_pair_sets_match_their_definitions_in_blocks(space, data):
@@ -428,18 +440,46 @@ def test_pair_sets_match_their_definitions_in_blocks(space, data):
         return
     sizes = {"hyperplane": space.size // p, "all": space.size, "empty": 0}
     for b, (x, y) in enumerate(pairs):
-        ((a1,), u1), ((a2,), u2) = space.points[x], space.points[y]
-        rows = {
-            "t": [*(c - d for c, d in zip(u1, u2)), 0, a1 - a2],
-            "m": [*(c + d for c, d in zip(u1, u2)), -2, a1 + a2],
-            "sphere": [*u1, -1, int(t[x, y]) + a1],
-        }
+        rows = definitional_rows(space, x, y)
         want = {k: HyperplaneDescriptor.from_row(p, normalize_rows(r, p).tolist()) for k, r in rows.items()}
         for k, kind in enumerate(KINDS):
             desc = HyperplaneDescriptor.from_row(p, sets.equations[k, b].tolist())
             assert desc == want[kind]
             assert (space.zset_mask(desc.u0, (desc.beta,), desc.alpha) == sets.masks[k, b]).all()
             assert sets.sizes[k, b] == sizes[_classification(*desc[1:])]
+
+
+def assert_report_blocks_match_definitions(space, seed: int):
+    """`pair_reports` over more pairs than one block holds equals the one-pair
+    `pair_report`s, and each entry its definition on the value table."""
+    step = CHUNK // (3 * space.size)
+    rng = np.random.default_rng(seed)
+    count = step + int(rng.integers(1, step + 1))
+    i, j = (rng.integers(0, space.size, count).tolist() for _ in range(2))
+    got = pair_reports(space, i, j)
+    assert got == [e for x, y in zip(i, j) for e in pair_report(space, space.points[x], space.points[y])]
+    t, p = space.value_table, space.p
+    for b, (x, y) in enumerate(zip(i, j)):
+        sizes = [(t[x] == t[y]).sum(), (t[x] == t[:, y]).sum(), (t[x] == t[x, y]).sum()]
+        for kind, size, entry in zip(KINDS, sizes, got[3 * b : 3 * b + 3]):
+            *u0, alpha, beta = normalize_rows(definitional_rows(space, x, y)[kind], p).tolist()
+            assert entry == {
+                "pair": [x, y],
+                "kind": kind,
+                "classification": {0: "empty", space.size: "all"}.get(size, "hyperplane"),
+                "equation": {"u0": u0, "alpha": alpha, "beta": beta},
+                "cardinality": size,
+            }
+
+
+def test_pair_reports_cross_block_boundaries_on_m1_gf5(sp_m1_gf5):
+    assert_report_blocks_match_definitions(sp_m1_gf5, 5)
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(space=random_spaces([shape for shape in RANDOM_SHAPES if shape[2] == 1]), seed=st.integers(0, 2**32 - 1))
+def test_pair_reports_cross_block_boundaries_on_random_forms(space, seed):
+    assert_report_blocks_match_definitions(space, seed)
 
 
 # -- the bisectors suite --------------------------------------------------------------
