@@ -225,19 +225,6 @@ def distinct_rows(rows: np.ndarray) -> np.ndarray:
     return order[keep]
 
 
-def first_occurrences(values) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct values of a flattened array in increasing order, and the
-    flat index of the first occurrence of each: np.unique(values,
-    return_index=True) by one stable sort, without np.unique, whose plain form
-    imports numpy.ma."""
-    values = np.ravel(values)
-    order = np.argsort(values, kind="stable")
-    ordered = values[order]
-    keep = np.ones(len(ordered), dtype=bool)
-    keep[1:] = ordered[1:] != ordered[:-1]
-    return ordered[keep], order[keep]
-
-
 def unpack_rows(words: np.ndarray, n: int) -> np.ndarray:
     """The first n bits of each row of pack_rows words, as booleans."""
     return np.unpackbits(np.ascontiguousarray(words).view(np.uint8), axis=-1, count=n).view(bool)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -46,7 +46,6 @@ from .linalg import (
     and_tables,
     distinct_rows,
     encode_vecs,
-    first_occurrences,
     normalize_rows,
     pack_codes,
     pack_rows,
@@ -189,91 +188,104 @@ def suite_triangles(space: SemipolarSpace, cfg: SuiteConfig) -> Report:
     return report
 
 
-def _unrecovered(space: SemipolarSpace, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """One flag per pair (i[k], j[k]) of point codes: the double-neighborhood
-    intersection of the pair is not the affine line through it, a block of
-    pairs at a time, sized as neighborhood_intersections sizes its blocks.
+def _pair_offsets(mask: np.ndarray) -> np.ndarray:
+    """Row i of a (|Y|, |Y|) mask holds the row-major ordinals offsets[i] to
+    offsets[i + 1] - 1 of the pairs i < j that it sets, counted a block of
+    about CHUNK mask elements at a time: right of the block, then above the
+    diagonal of its square."""
+    h = max(1, CHUNK // len(mask))
+    counts = [np.count_nonzero(mask[lo : lo + h, lo + h :], axis=1)
+              + np.count_nonzero(np.triu(mask[lo : lo + h, lo + 1 : lo + h]), axis=1) for lo in range(0, len(mask), h)]
+    return np.concatenate([[0], np.cumsum(np.concatenate(counts))])
 
-    The suite builds its own AND table and drops it on return: the space's
-    cached one would hold about 4 |Y|^2 bytes through every later suite."""
-    _, sub, _ = space._tables
-    words = space._adjacency_words
-    tables = and_tables(words)
-    out = np.empty(len(i), dtype=bool)
-    step = max(1, CHUNK // (8 * words.shape[1]))
+
+def _row_major_pairs(mask: np.ndarray, offsets: np.ndarray, step: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The pairs i < j set in mask in row-major order, as (i, j) blocks of
+    `step` ordinals, each read off the rows that hold them."""
+    total = int(offsets[-1])
+    for lo in range(0, total, step):
+        hi = min(lo + step, total)
+        first, last = np.searchsorted(offsets, [lo, hi - 1], side="right") - 1
+        i, j = np.divmod(np.flatnonzero(mask[first : last + 1]) + first * len(mask), len(mask))
+        keep = np.flatnonzero(j > i)[lo - offsets[first] : hi - offsets[first]]
+        yield i[keep], j[keep]
+
+
+def _nth_pairs(mask: np.ndarray, offsets: np.ndarray, ords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs i < j set in mask at the row-major ordinals `ords`, in their
+    order: ordinal k lies in the row i with offsets[i] <= k < offsets[i + 1],
+    and j is where the running count of that row's pairs passes k - offsets[i].
+    A block of about CHUNK mask elements at a time."""
+    i = np.searchsorted(offsets, ords, side="right") - 1
+    rank = ords - offsets[i]
+    j = np.empty_like(i)
+    step = max(1, CHUNK // len(mask))
     for lo in range(0, len(i), step):
-        a, b = i[lo : lo + step], j[lo : lo + step]
-        line = pack_codes(space.line_codes(a, sub[b, a]), space.size)
-        out[lo : lo + step] = (neighborhood_intersections(words, tables, space.size, a, b) != line).any(axis=1)
-    return out
+        rows = i[lo : lo + step]
+        after = mask[rows] & (np.arange(len(mask)) > rows[:, None])
+        j[lo : lo + step] = (after.cumsum(axis=1) <= rank[lo : lo + step, None]).sum(axis=1)
+    return i, j
 
 
-def _first_unrecovered(space: SemipolarSpace, key_sets: list[np.ndarray]) -> list:
-    """For each array of pair keys i * |Y| + j, its first pair whose
-    double-neighborhood intersection is not the affine line through it, as
-    the repr of a pair of points, or None.  A pair in several sets is
-    intersected once."""
-    distinct = first_occurrences(np.concatenate(key_sets))[0]
-    bad = _unrecovered(space, *np.divmod(distinct, space.size))
-    witnesses = []
-    for keys in key_sets:
-        hits = np.flatnonzero(bad[np.searchsorted(distinct, keys)])
-        witnesses.append(_pair_repr(space, keys[hits[0]]) if hits.size else None)
-    return witnesses
-
-
-def _pair_repr(space: SemipolarSpace, key) -> str:
-    return repr(tuple(space.points[c] for c in divmod(int(key), space.size)))
-
-
-def _pair_keys(mask: np.ndarray, cfg: SuiteConfig, tag: str) -> np.ndarray:
-    """Keys i * |Y| + j of the pairs i < j set in a (|Y|, |Y|) mask, in
-    row-major order, or the seeded sample of `_maybe_sample` in sampled mode."""
-    keys = np.flatnonzero(np.triu(mask, 1))
+def _recover_pairs(
+    space: SemipolarSpace, cfg: SuiteConfig
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, bool]]:
+    """Blocks (i, j, adjacent, points) of CHUNK / 8W pairs in the order the
+    recover checks read their witnesses: `adjacent` flags the pairs of
+    adjacent-pairs, and `points` says whether the pairs are those of the
+    point-pair checks of a scalar form.  Exhaustive, one row-major sweep over
+    every pair i < j of a scalar form, else over its adjacent pairs; sampled,
+    the seeded sample of the adjacent pairs, then of every pair."""
+    scalar = space.nu == 1
+    lists = [(space.adjacency, "adjacent pairs")] + scalar * [(np.broadcast_to(True, (space.size,) * 2), "point pairs")]
+    offsets = [_pair_offsets(mask) for mask, _ in lists]
+    step = max(1, CHUNK // (8 * space._adjacency_words.shape[1]))
     if cfg.sample is None:
-        check_budget(len(keys), cfg.budget, tag)
-        return keys
-    return keys[_maybe_sample(len(keys), cfg, tag)]
-
-
-def _point_pairs(space: SemipolarSpace, cfg: SuiteConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The keys of the (sampled) pairs of distinct points, as (non-vertical,
-    vertical).  The V coordinates are the trailing n digits of a point code,
-    so a vertical pair has equal codes mod p^n."""
-    size = space.size
-    v_codes = np.arange(size) % space.p**space.n
-    vertical = (v_codes[:, None] == v_codes[None, :]).ravel()
-    keys = _pair_keys(np.ones((size, size), dtype=bool), cfg, "point pairs")
-    split = vertical[keys]
-    return keys[~split], keys[split]
+        for (_, tag), off in zip(lists, offsets):
+            check_budget(int(off[-1]), cfg.budget, tag)
+        for i, j in _row_major_pairs(lists[-1][0], offsets[-1], step):
+            yield i, j, space.adjacency[i, j], scalar
+        return
+    for k, ((mask, tag), off) in enumerate(zip(lists, offsets)):
+        ords = _maybe_sample(int(off[-1]), cfg, tag)
+        for lo in range(0, len(ords), step):
+            i, j = _nth_pairs(mask, off, ords[lo : lo + step])
+            yield i, j, np.full(len(i), k == 0), k == 1
 
 
 def suite_recover(space: SemipolarSpace, cfg: SuiteConfig) -> Report:
+    # scalar case: the double-neighborhood intersection of a non-vertical pair is the full
+    # affine line through it; vertical pairs have no common neighbors, so the construction degenerates
     star = space.separating_kernels
     report = Report()
     report.add("kernel-separation", star, None, "distinct direction kernels separate")
     if not star:
         return report
-    adjacent = _pair_keys(space.adjacency, cfg, "adjacent pairs")
-    key_sets = [adjacent]
-    if space.nu == 1:
-        # scalar case: the double-neighborhood intersection of any distinct
-        # non-vertical pair is the full affine line through it; vertical pairs
-        # have no common neighbors at all, so the construction degenerates
-        nonvertical, vertical = _point_pairs(space, cfg)
-        key_sets.append(nonvertical)
-    wit = _first_unrecovered(space, key_sets)
-    report.add("adjacent-pairs", wit[0] is None, wit[0], "intersection equals the singular line")
-    if space.nu == 1:
-        words = space._adjacency_words
-        i, j = np.divmod(vertical, space.size)
-        shared = np.flatnonzero((words[i] & words[j]).any(axis=1))
-        vert_wit = _pair_repr(space, vertical[shared[0]]) if shared.size else None
-        report.add("nonvertical-pairs-affine-line", wit[1] is None, wit[1],
-                   "the intersection is the affine line through the pair")
-        report.add("vertical-pairs-degenerate", vert_wit is None, vert_wit,
-                   "vertical pairs have no common neighbors")
-    report.data = {"pairs": len(adjacent)}
+    _, sub, _ = space._tables
+    words = space._adjacency_words
+    tables = and_tables(words)  # dropped on return: cached, it would hold about 4 |Y|^2 bytes
+    q = space.p**space.n  # the V coordinates are the trailing n digits of a point code
+    witnesses, pairs = [None] * 3, 0
+    for i, j, adjacent, points in _recover_pairs(space, cfg):
+        line = pack_codes(space.line_codes(i, sub[j, i]), space.size)
+        bad = (neighborhood_intersections(words, tables, space.size, i, j) != line).any(axis=1)
+        flags = [adjacent & bad]
+        if points:
+            vertical = i % q == j % q
+            shared = vertical.copy()
+            shared[vertical] = (words[i[vertical]] & words[j[vertical]]).any(axis=1)
+            flags += [~vertical & bad, shared]
+        for c, hits in enumerate(flags):
+            if witnesses[c] is None and hits.any():
+                k = hits.argmax()
+                witnesses[c] = repr((space.points[i[k]], space.points[j[k]]))
+        pairs += int(np.count_nonzero(adjacent))
+    checks = [("adjacent-pairs", "intersection equals the singular line"),
+              ("nonvertical-pairs-affine-line", "the intersection is the affine line through the pair"),
+              ("vertical-pairs-degenerate", "vertical pairs have no common neighbors")]
+    for (name, note), wit in zip(checks[: 3 if space.nu == 1 else 1], witnesses):
+        report.add(name, wit is None, wit, note)
+    report.data = {"pairs": pairs}
     return report
 
 

@@ -11,8 +11,8 @@ ROOT = Path(__file__).resolve().parents[1]
 def test_verify_all_does_not_import_numpy_ma(tmp_path):
     # plain np.unique imports numpy.ma (with inspect and re) on first use;
     # the engine deduplicates by sorting, so a verify run never loads it.  The
-    # sampled recover run pinned in test_cli.py also dedups the union of its
-    # two sampled pair sets, which are nested in an exhaustive run
+    # sampled run pinned in test_cli.py covers the sampled paths of lines,
+    # joinable and recover, which an exhaustive run does not take
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
     m1, m2, report = tmp_path / "m1.json", tmp_path / "m2.json", tmp_path / "report.json"
     sampled = ["--suite", "recover", "--suite", "lines", "--suite", "joinable", "--sample", "50", "--seed", "3"]

@@ -19,7 +19,6 @@ from semipolar.linalg import (
     encode_vecs,
     enumerate_subspaces,
     enumerate_vectors,
-    first_occurrences,
     gaussian_binomial,
     index_vec,
     pack_codes,
@@ -269,15 +268,6 @@ def test_subspace_intersection_against_brute_force():
         inter = a.intersection(b)
         oracle = span_set(a.basis, p, n) & span_set(b.basis, p, n)
         assert span_set(inter.basis, p, n) == oracle
-
-
-@pytest.mark.parametrize("shape", [(0,), (1,), (50,), (7, 30)])
-def test_first_occurrences_is_unique_with_first_indices(shape):
-    values = np.random.default_rng(len(shape)).integers(-3, 12, shape)
-    got_values, got_first = first_occurrences(values)
-    want_values, want_first = np.unique(values, return_index=True)
-    assert got_values.tolist() == want_values.tolist()
-    assert got_first.tolist() == want_first.tolist()
 
 
 def lexsort_distinct_rows(rows):

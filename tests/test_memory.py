@@ -50,6 +50,18 @@ def test_point_loop_suites_allocate_a_few_tables(request, instance, name):
     assert peak < 48 * space.size**2
 
 
+def test_recover_sweep_holds_no_pair_keys(sp_m2_gf3):
+    # the pairs are read off the adjacency a block at a time, so the peak is
+    # the AND table (4.4 |Y|^2 bytes) and one block's temporaries, about 15
+    # |Y|^2 in all; int64 keys i * |Y| + j of every pair, split, joined and
+    # sorted out of duplicates took it to 29.9
+    space = SemipolarSpace(sp_m2_gf3.form)
+    space.adjacency
+    group_tables(space.p, space.ydim)
+    peak = traced_peak(lambda: run_suite("recover", space, SuiteConfig()))
+    assert peak < 16 * space.size**2
+
+
 def test_gamma_suite_keeps_the_maximal_subspaces_as_codes(sp_m2_gf3):
     # the space holds about 4.2 |Y|^2 bytes after the suite, its line tables
     # and the 1,080 maximal planes as int32 code rows (0.7 |Y|^2) among them;

@@ -142,20 +142,36 @@ def test_report_witness_encoding():
     assert report.check("text").passed and not report.passed
 
 
-@pytest.mark.parametrize("chunk", [7, 2048])
-def test_recover_witnesses_are_the_first_failing_pairs(sp_m1_gf3, monkeypatch, chunk):
-    # give the vertical pair (0, j) a common neighbor k: that breaks the
-    # vertical check and the recovery of every pair that now sees k.  Blocks of
-    # 7 elements hold one pair each, blocks of 2048 elements 75 pairs
-    monkeypatch.setattr(apsg, "CHUNK", chunk)
-    monkeypatch.setattr(suites, "CHUNK", chunk)
-    space = SemipolarSpace(sp_m1_gf3.form)
-    adj = space.adjacency.copy()
-    j = next(j for j in range(1, space.size) if space.points[j].u == space.points[0].u)
-    k = next(k for k in range(space.size) if not adj[0, k] and not adj[j, k])
-    adj[[0, j, k, k], [k, k, 0, j]] = True
-    space.__dict__["adjacency"] = adj
-    nbrs = [set(np.flatnonzero(row).tolist()) for row in adj]
+def corrupted_spaces(space):
+    """Copies of a space with a corrupted adjacency, each made by a fixed rule
+    or a seeded one.  In the scalar case the first gives a vertical pair (0, j)
+    a common neighbor k: that breaks the vertical check and the recovery of
+    every pair that now sees k.  The others toggle a few symmetric entries
+    off the diagonal."""
+    adjacency = space.adjacency
+    rules = []
+    if space.nu == 1:
+        j = next(j for j in range(1, space.size) if space.points[j].u == space.points[0].u)
+        k = next(k for k in range(space.size) if not adjacency[0, k] and not adjacency[j, k])
+        rules.append(([0, j], [k, k]))
+    for seed in range(2):
+        rng = random.Random(seed)
+        pairs = [rng.sample(range(space.size), 2) for _ in range(seed + 1)]
+        rules.append(tuple(map(list, zip(*pairs))))
+    for rows, cols in rules:
+        adj = adjacency.copy()
+        adj[rows + cols, cols + rows] ^= True
+        fresh = SemipolarSpace(space.form)
+        fresh.__dict__["adjacency"] = adj
+        yield fresh
+
+
+def first_failing_pairs(space) -> dict:
+    """The witnesses of the recover checks by their definitions: the first
+    pair, in row-major order, whose common neighbors' neighborhoods do not
+    meet in the affine line through it (adjacent pairs, and in the scalar case
+    non-vertical pairs), and the first vertical pair with a common neighbor."""
+    nbrs = [set(np.flatnonzero(row).tolist()) for row in space.adjacency]
     _, sub, _ = space._tables
 
     def recovered(a, b):
@@ -168,37 +184,59 @@ def test_recover_witnesses_are_the_first_failing_pairs(sp_m1_gf3, monkeypatch, c
         return next((repr((space.points[a], space.points[b])) for a, b in pairs if bad(a, b)), None)
 
     adjacent = [(a, b) for a in range(space.size) for b in sorted(nbrs[a]) if b > a]
-    pairs = [(a, b) for a in range(space.size) for b in range(a + 1, space.size)]
-    vertical = [(a, b) for a, b in pairs if space.points[a].u == space.points[b].u]
-    other = [(a, b) for a, b in pairs if space.points[a].u != space.points[b].u]
-    expect = {
-        "adjacent-pairs": first(adjacent, lambda a, b: not recovered(a, b)),
-        "nonvertical-pairs-affine-line": first(other, lambda a, b: not recovered(a, b)),
-        "vertical-pairs-degenerate": first(vertical, lambda a, b: nbrs[a] & nbrs[b]),
-    }
-    assert all(expect.values())
-    report = run_suite("recover", space, SuiteConfig())
-    got = {c["name"]: c["witness"] for c in report["checks"] if c["name"] in expect}
-    assert got == expect
+    expect = {"adjacent-pairs": first(adjacent, lambda a, b: not recovered(a, b))}
+    if space.nu == 1:
+        pairs = [(a, b) for a in range(space.size) for b in range(a + 1, space.size)]
+        vertical = [(a, b) for a, b in pairs if space.points[a].u == space.points[b].u]
+        other = [(a, b) for a, b in pairs if space.points[a].u != space.points[b].u]
+        expect["nonvertical-pairs-affine-line"] = first(other, lambda a, b: not recovered(a, b))
+        expect["vertical-pairs-degenerate"] = first(vertical, lambda a, b: nbrs[a] & nbrs[b])
+    return expect
+
+
+@pytest.mark.parametrize("chunk", [7, 2048])
+def test_recover_witnesses_are_the_first_failing_pairs(sp_m1_gf3, sp_cross_gf3, monkeypatch, chunk):
+    # blocks of 7 elements hold one pair each, blocks of 2048 elements 256
+    # pairs on GF(3)^3 and 21 on the cross's 729 points
+    monkeypatch.setattr(apsg, "CHUNK", chunk)
+    monkeypatch.setattr(suites, "CHUNK", chunk)
+    for instance in (sp_m1_gf3, sp_cross_gf3):
+        for n, space in enumerate(corrupted_spaces(instance)):
+            expect = first_failing_pairs(space)
+            assert all(expect.values()) if n == 0 else any(expect.values())
+            report = run_suite("recover", space, SuiteConfig())
+            got = {c["name"]: c["witness"] for c in report["checks"] if c["name"] != "kernel-separation"}
+            assert got == expect, (instance.nu, n)
 
 
 @pytest.mark.parametrize("sample", [None, 40])
-def test_recover_pairs_are_the_row_major_pairs_or_their_seeded_sample(sp_m1_gf3, sample):
-    space = sp_m1_gf3
+def test_recover_pairs_are_the_row_major_pairs_or_their_seeded_sample(sp_m1_gf3, sp_cross_gf3, monkeypatch,
+                                                                      sample):
+    # each entry: (i, j, in the adjacent-pairs check, in the point-pair checks);
+    # blocks of 2048 elements hold 256 pairs on GF(3)^3 and 21 on the cross's
+    # 729 points, so the exhaustive blocks end inside rows
+    monkeypatch.setattr(suites, "CHUNK", 2048)
     cfg = SuiteConfig(sample=sample, seed=5)
-    pairs = [(a, b) for a in range(space.size) for b in range(a + 1, space.size)]
-    adjacent = [(a, b) for a, b in pairs if space.adjacency[a, b]]
-    if sample is not None:
-        pairs = [pairs[k] for k in random.Random(5).sample(range(len(pairs)), sample)]
-        adjacent = [adjacent[k] for k in random.Random(5).sample(range(len(adjacent)), sample)]
-
-    def decode(keys):
-        return [divmod(int(key), space.size) for key in keys]
-
-    assert decode(suites._pair_keys(space.adjacency, cfg, "adjacent pairs")) == adjacent
-    nonvertical, vertical = suites._point_pairs(space, cfg)
-    assert decode(nonvertical) == [(a, b) for a, b in pairs if space.points[a].u != space.points[b].u]
-    assert decode(vertical) == [(a, b) for a, b in pairs if space.points[a].u == space.points[b].u]
+    for space in (sp_m1_gf3, sp_cross_gf3):
+        scalar = space.nu == 1
+        pairs = [(a, b) for a in range(space.size) for b in range(a + 1, space.size)]
+        adjacent = [(a, b) for a, b in pairs if space.adjacency[a, b]]
+        if sample is None:
+            expect = [(a, b, bool(space.adjacency[a, b]), True) for a, b in pairs] if scalar else \
+                [(a, b, True, False) for a, b in adjacent]
+        else:
+            expect = [(*adjacent[k], True, False) for k in random.Random(5).sample(range(len(adjacent)), sample)]
+            if scalar:
+                expect += [(*pairs[k], False, True) for k in random.Random(5).sample(range(len(pairs)), sample)]
+        blocks = list(suites._recover_pairs(space, cfg))
+        got = [(a, b, bool(adj), points) for i, j, adjacent_flags, points in blocks
+               for a, b, adj in zip(i.tolist(), j.tolist(), adjacent_flags)]
+        assert got == expect
+        step = 2048 // (8 * -(-space.size // 64))
+        sizes = [len(i) for i, *_ in blocks]
+        assert max(sizes) <= step
+        if sample is None:
+            assert set(sizes[:-1]) == {step}
 
 
 def test_unknown_suite_raises():
