@@ -22,9 +22,9 @@ from .errors import (
 )
 from .forms import Report, Semiform, group_tables, normalize
 from .linalg import (
-    CHUNK,
     SplitTable,
     as_vec,
+    blocks,
     code_dtype,
     distinct_rows,
     encode_vecs,
@@ -140,17 +140,16 @@ def neighborhood_intersections(words: np.ndarray, tables: np.ndarray, size: int,
     common neighbors gets every point, the empty intersection.
 
     The intersection is the AND over the bytes b of the pair's common-neighbor
-    row of tables[b, byte b], masked to the valid bits.  A block holds
-    CHUNK / 8W pairs of W words, so its arrays hold about CHUNK / 8 words.
+    row of tables[b, byte b], masked to the valid bits.  A pair of W words
+    reads 8W table rows, its width in the blocks.
     """
     i, j = np.asarray(i), np.asarray(j)
     width = words.shape[1]
     valid = pack_rows(np.ones(size, dtype=bool))
     out = np.empty((len(i), width), dtype=np.uint64)
-    step = max(1, CHUNK // (8 * width))
-    for lo in range(0, len(i), step):
-        common = (words[i[lo : lo + step]] & words[j[lo : lo + step]]).view(np.uint8).T.copy()
-        acc = out[lo : lo + step]
+    for block in blocks(len(i), 8 * width):
+        common = (words[i[block]] & words[j[block]]).view(np.uint8).T.copy()
+        acc = out[block]
         acc[:] = valid
         for b, byte in enumerate(common):
             acc &= tables[b].take(byte, axis=0)
@@ -381,30 +380,27 @@ class SemipolarSpace:
     def _is_affine_codes(self, codes) -> np.ndarray:
         """is_affine_point_set for each row of a (..., s) array of point codes,
         s >= 1, repeats allowed: its distinct points against p^rank of the row
-        less its first point.  Runs a block of rows at a time, whose (rows, s,
-        ydim) stack holds about CHUNK / 2 elements, since the rank test keeps
-        three int64 arrays of that size."""
+        less its first point.  Runs a block of rows at a time, each row counted
+        twice its (s, ydim) stack, since the rank test keeps three int64 arrays
+        of a block."""
         codes = np.asarray(codes)
         rows = codes.reshape(-1, codes.shape[-1])
         out = np.empty(len(rows), dtype=bool)
-        step = max(1, CHUNK // (2 * rows.shape[1] * self.ydim))
-        for lo in range(0, len(rows), step):
-            block = np.sort(rows[lo : lo + step], axis=1)
+        for b in blocks(len(rows), 2 * rows.shape[1] * self.ydim):
+            block = np.sort(rows[b], axis=1)
             distinct = 1 + (block[:, 1:] != block[:, :-1]).sum(axis=1)
             diffs = self._coords[block] - self._coords[block[:, :1]]
-            out[lo : lo + step] = distinct == self.p ** rank(diffs, self.p)
+            out[b] = distinct == self.p ** rank(diffs, self.p)
         return out.reshape(codes.shape[:-1])
 
     def joinable_masks(self, codes) -> np.ndarray:
         """zset_mask(u_k, v_k, -1) of each point code k, one row each: the points
         [v, u] with eta(u_k, u) = v_k - v, which on the simplified form is
-        rho(y_k, [v, u]) = 0.  Built a block of rows of about CHUNK elements
-        at a time."""
+        rho(y_k, [v, u]) = 0.  Built a block of rows at a time."""
         codes = np.asarray(codes)
         out = np.empty((len(codes), self.size), dtype=bool)
-        step = max(1, CHUNK // self.size)
-        for lo in range(0, len(codes), step):
-            np.equal(self.rho_codes(codes[lo : lo + step]), 0, out=out[lo : lo + step])
+        for b in blocks(len(codes), self.size):
+            np.equal(self.rho_codes(codes[b]), 0, out=out[b])
         return out
 
     # -- triangles ----------------------------------------------------------
@@ -436,10 +432,9 @@ class SemipolarSpace:
         b = self.adjacency.astype(np.float32 if self.size**2 < 1 << 24 else np.float64)
         np.fill_diagonal(b, 0)
         ordered = np.empty(self.size, dtype=np.int64)
-        step = max(1, CHUNK // self.size)
-        for lo in range(0, self.size, step):
-            rows = b[lo : lo + step]
-            ordered[lo : lo + step] = ((rows @ b) * rows).sum(axis=1)
+        for k in blocks(self.size, self.size):
+            rows = b[k]
+            ordered[k] = ((rows @ b) * rows).sum(axis=1)
         total = int((ordered // 2 - collinear_pairs).sum())
         assert total % 3 == 0
         return total // 3
@@ -459,14 +454,13 @@ class SemipolarSpace:
         multiples = np.ascontiguousarray(scale[1:].T)  # multiples[d]: a*d for a >= 1
         through = self._singular_dirs
         first, second = np.triu_indices(through.shape[1], 1)
-        step = max(1, CHUNK // max(1, len(first) * (self.p - 1)))
         report = Report()
         wit = None
-        for lo in range(0, self.size, step):
-            dirs = through[lo : lo + step]
+        for block in blocks(self.size, len(first) * (self.p - 1)):
+            lo, dirs = block.start, through[block]
             # d1 + a*d2 for a >= 1, along the last axis
             mixed = add[dirs[:, first, None], multiples.take(dirs[:, second], axis=0)]
-            codes = np.arange(lo, lo + len(dirs))
+            codes = np.arange(lo, block.stop)
             lines = np.take_along_axis(self.adjacency[codes], add.rows(codes), axis=1)
             missing = ~lines.take((codes - lo)[:, None, None] * self.size + mixed)
             if missing.any():
@@ -531,10 +525,9 @@ class SemipolarSpace:
         """
         mask = self.kernel_mask.astype(np.float32)
         sizes = mask.sum(axis=1)
-        step = max(1, CHUNK // len(mask))
-        for lo in range(0, len(mask), step):
-            inside = mask[lo : lo + step] @ mask.T == sizes[lo : lo + step, None]
-            inside[np.arange(len(inside)), np.arange(lo, lo + len(inside))] = False
+        for b in blocks(len(mask), len(mask)):
+            inside = mask[b] @ mask.T == sizes[b, None]
+            inside[np.arange(len(inside)), np.arange(b.start, b.stop)] = False
             if inside.any():
                 return False
         return True
@@ -554,8 +547,8 @@ class SemipolarSpace:
 
         The plane pt + <d1, d2> of every pair of singular directions through pt,
         the closure's affine span of the line pt + <d1> with pt + d2, is tested
-        pairwise adjacent in one adjacency gather per block of pairs,
-        (pairs x p^2 x p^2) within about CHUNK elements.
+        pairwise adjacent in one adjacency gather per block of pairs, p^2 x p^2
+        elements a pair.
         """
         add, _, _ = self._tables
         i = self.index(pt)
@@ -563,9 +556,8 @@ class SemipolarSpace:
         first, second = np.triu_indices(len(dirs), 1)
         width = self.p**2
         found = [np.zeros((0, width), dtype=add.dtype)]
-        step = max(1, CHUNK // (width * width))
-        for lo in range(0, len(first), step):
-            d1, d2 = dirs[first[lo : lo + step]], dirs[second[lo : lo + step]]
+        for b in blocks(len(first), width * width):
+            d1, d2 = dirs[first[b]], dirs[second[b]]
             members = self._affine_span(self.line_codes(i, d1), add[i, d2])
             singular = self.adjacency[members[:, :, None], members[:, None, :]].all(axis=(1, 2))
             found.append(members[singular])

@@ -23,11 +23,11 @@ from .errors import (
 )
 from .gf import GF
 from .linalg import (
-    CHUNK,
     LinearMap,
     SplitTable,
     Subspace,
     as_vec,
+    blocks,
     code_dtype,
     encode_vecs,
     enumerate_vectors,
@@ -107,16 +107,16 @@ class AlternatingMap:
 
     def pair_table(self, us: np.ndarray) -> np.ndarray:
         """Encoded eta values for all row pairs of us: out[i,j] = code(eta(us[i], us[j])),
-        at code width, built a block of about CHUNK / 8 entries at a time."""
+        at code width, built a block of rows at a time, an entry counted as the
+        8 bytes of its int64 product."""
         p = self.p
         us = as_vec(us, p)
         out = np.zeros((len(us), len(us)), dtype=code_dtype(p**self.nu - 1))
-        step = max(1, CHUNK // (8 * max(1, len(us))))
-        for lo in range(0, len(us), step):
-            block = out[lo : lo + step]
+        for b in blocks(len(us), 8 * len(us)):
+            block = out[b]
             for k in range(self.nu):
                 block *= p
-                block += (us[lo : lo + step] @ self.gram[:, :, k] % p @ us.T % p).astype(out.dtype)
+                block += (us[b] @ self.gram[:, :, k] % p @ us.T % p).astype(out.dtype)
         return out
 
     def radical(self) -> Subspace:
@@ -312,19 +312,19 @@ class Semiform:
         """Encoded rho from `row_factors`: out[l, y] is the base-p code whose
         coordinate k is lines[k][l] . left[k][y] mod p, at code width, for rows
         `lines` of the right factor.  One float32 matmul per V' coordinate, a
-        block of about CHUNK / 8 entries at a time: each sum is an integer of
-        at most (n + 2)(p - 1)^2 < 2^24, so exact, and one take from a residue
-        table reduces it into the block holding the code so far."""
+        block of rows at a time, an entry counted as its 8-byte index: each
+        sum is an integer of at most (n + 2)(p - 1)^2 < 2^24, so exact, and one
+        take from a residue table reduces it into the block holding the code
+        so far."""
         p = self.p
         out = np.empty((lines.shape[1], left.shape[1]), dtype=code_dtype(p**self.nu - 1))
         residue = _residues(p, left.shape[2] * (p - 1) ** 2, out.dtype)
-        step = max(1, CHUNK // (8 * max(1, left.shape[1])))
-        for lo in range(0, len(out), step):
-            block = out[lo : lo + step]
-            residue.take((lines[0, lo : lo + step] @ left[0].T).astype(np.intp), out=block, mode="clip")
+        for b in blocks(len(out), 8 * left.shape[1]):
+            block = out[b]
+            residue.take((lines[0, b] @ left[0].T).astype(np.intp), out=block, mode="clip")
             for k in range(1, self.nu):
                 block *= p
-                block += residue.take((lines[k, lo : lo + step] @ left[k].T).astype(np.intp))
+                block += residue.take((lines[k, b] @ left[k].T).astype(np.intp))
         return out
 
     def value_table(self, budget: int = DEFAULT_BUDGET) -> np.ndarray:
@@ -455,7 +455,7 @@ def _first_additivity_fail(tab: np.ndarray, offsets: np.ndarray, padd: SplitTabl
     tab[i + j, n] != tab[i, n] + tab[j, n] + offsets[n] in V', or None.
 
     The columns are held as residue planes and checked a block of shifts j
-    at a time, one shift or about CHUNK elements per plane: rows i + j of a
+    at a time, a shift counted as the whole table it gathers: rows i + j of a
     plane must be min(R, R - p) for R = plane + ((plane[j] + offset) mod p)
     < 2p, a row gather and an unsigned add.  The identity is symmetric in i
     and j, so the rows i <= j of each shift cover it, read from the `padd`
@@ -468,13 +468,12 @@ def _first_additivity_fail(tab: np.ndarray, offsets: np.ndarray, padd: SplitTabl
     planes = _residue_planes(tab, p, nu, dt)
     offsets_planes = _residue_planes(np.asarray(offsets), p, nu, dt)
     failed = np.zeros(tab.shape[1], dtype=bool)
-    step = max(1, CHUNK // tab.size)
-    for lo in range(0, size, step):
-        hi = min(lo + step, size)
-        sums = padd.rows(np.arange(lo, hi))[:, :hi]
+    for b in blocks(size, tab.size):
+        hi = b.stop
+        sums = padd.rows(np.arange(b.start, hi))[:, :hi]
         ok = None
         for plane, offset in zip(planes, offsets_planes):
-            shifts = plane[lo:hi, None] + offset
+            shifts = plane[b, None] + offset
             shifts = np.minimum(shifts, shifts - top)
             r = plane[:hi] + shifts
             plane_ok = plane.take(sums, axis=0) == np.minimum(r, r - top)
@@ -485,14 +484,13 @@ def _first_additivity_fail(tab: np.ndarray, offsets: np.ndarray, padd: SplitTabl
     n = int(np.argmax(failed))
     _, vadd, _, _, _ = group_tables(p, nu)
     col = tab[:, n]
-    step = max(1, CHUNK // size)
-    for lo in range(0, size, step):
-        rows = np.arange(lo, min(lo + step, size))
+    for b in blocks(size, size):
+        rows = np.arange(b.start, b.stop)
         bad = col.take(padd.rows(rows)) != vadd[vadd[col[rows], offsets[n]][:, None], col[None, :]]
         if bad.any():
             break
     i, j = _first_fail(~bad)
-    return lo + int(i), int(j), n
+    return b.start + int(i), int(j), n
 
 
 def _residue_planes(codes: np.ndarray, p: int, nu: int, dt) -> np.ndarray:
@@ -503,14 +501,13 @@ def _residue_planes(codes: np.ndarray, p: int, nu: int, dt) -> np.ndarray:
 
 def _along_sums(t: np.ndarray, padd: SplitTable) -> np.ndarray:
     """The table in difference coordinates, S[i, d] = t[i, i + d], at the
-    dtype of t, gathered a block of about CHUNK / 8 entries at a time along
-    the `padd` rows of the block."""
+    dtype of t, gathered a block of rows at a time along the `padd` rows of
+    the block, an entry counted as the 8 bytes of its index."""
     size = len(t)
     out = np.empty(t.shape, dtype=t.dtype)
-    step = max(1, CHUNK // (8 * size))
-    for lo in range(0, size, step):
-        rows = np.arange(lo, min(lo + step, size))
-        out[lo : lo + len(rows)] = np.take_along_axis(t[rows], padd.rows(rows), axis=1)
+    for b in blocks(size, 8 * size):
+        rows = np.arange(b.start, b.stop)
+        out[b] = np.take_along_axis(t[rows], padd.rows(rows), axis=1)
     return out
 
 

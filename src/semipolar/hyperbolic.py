@@ -31,9 +31,9 @@ from .errors import (
 )
 from .gf import GF
 from .linalg import (
-    CHUNK,
     Subspace,
     as_vec,
+    blocks,
     encode_vecs,
     enumerate_vectors,
     pack_rows,
@@ -168,10 +168,9 @@ class HypPolarSpace:
         m, k, dim = bases.shape
         grid = enumerate_vectors(self.p, k)[1:]
         out = np.empty((m, len(grid)), dtype=np.int64)
-        step = max(1, CHUNK // max(1, grid.size * dim))
-        for lo in range(0, m, step):
-            vecs = (grid @ bases[lo : lo + step]) % self.p
-            out[lo : lo + step] = self._point_index[encode_vecs(vecs, self.p)]
+        for b in blocks(m, grid.size * dim):
+            vecs = (grid @ bases[b]) % self.p
+            out[b] = self._point_index[encode_vecs(vecs, self.p)]
         return out
 
     def _masks(self, idx: np.ndarray) -> np.ndarray:
@@ -200,9 +199,8 @@ class HypPolarSpace:
         or equal), as pack_rows words, built a block of rows at a time."""
         r = self._rep_matrix
         words = np.empty((len(r), -(-len(r) // 64)), dtype=np.uint64)
-        step = max(1, CHUNK // len(r))
-        for lo in range(0, len(r), step):
-            words[lo : lo + step] = pack_rows((r[lo : lo + step] @ self.zeta.gram @ r.T) % self.p == 0)
+        for b in blocks(len(r), len(r)):
+            words[b] = pack_rows((r[b] @ self.zeta.gram @ r.T) % self.p == 0)
         return words
 
     def _dims(self, counts) -> np.ndarray:
@@ -247,13 +245,13 @@ class HypPolarSpace:
     def _decode(self, members: np.ndarray) -> list[Subspace]:
         """The subspaces of rows of member indices, their echelon bases the
         nonzero rows of the `rref` of the members' vectors, reduced a block of
-        rows at a time, whose stack holds about CHUNK / 2 elements."""
+        rows at a time, each row counted twice its (s, 2n) stack, as in
+        `SemipolarSpace._is_affine_codes`."""
         m, s = members.shape
         k = int(self._dims([s])[0])
         out = []
-        step = max(1, CHUNK // (2 * s * 2 * self.n))
-        for lo in range(0, m, step):
-            basis = rref(self._rep_matrix[members[lo : lo + step]], self.p)[0][:, :k]
+        for block in blocks(m, 2 * s * 2 * self.n):
+            basis = rref(self._rep_matrix[members[block]], self.p)[0][:, :k]
             out += [Subspace.from_echelon(b, self.p, 2 * self.n) for b in basis.tolist()]
         return out
 

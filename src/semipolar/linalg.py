@@ -14,6 +14,15 @@ from .errors import DEFAULT_BUDGET, DimensionMismatch, check_budget
 CHUNK = 1 << 16  # elements in one block of a batched sweep's temporaries
 
 
+def blocks(count: int, width: float) -> Iterator[slice]:
+    """Slices covering range(count) in order, each of max(1, CHUNK // width)
+    items but the last, so a block of items of `width` elements each holds
+    about CHUNK elements; a width of 0 counts as 1.  CHUNK is read per call."""
+    step = max(1, int(CHUNK // (width or 1)))
+    for lo in range(0, count, step):
+        yield slice(lo, min(lo + step, count))
+
+
 def as_vec(x, p: int) -> np.ndarray:
     return np.asarray(x, dtype=np.int64) % p
 
@@ -218,10 +227,8 @@ def distinct_rows(rows: np.ndarray) -> np.ndarray:
     is held."""
     order = np.lexsort(rows.T[::-1])
     keep = np.ones(len(order), dtype=bool)
-    step = max(1, CHUNK // rows.shape[1])
-    for lo in range(1, len(order), step):
-        at = order[lo : lo + step]
-        keep[lo : lo + len(at)] = (rows[at] != rows[order[lo - 1 : lo - 1 + len(at)]]).any(axis=1)
+    for b in blocks(len(order) - 1, rows.shape[1]):
+        keep[1:][b] = (rows[order[1:][b]] != rows[order[:-1][b]]).any(axis=1)
     return order[keep]
 
 
@@ -281,13 +288,12 @@ def subspace_closure(
     code = code_dtype(n - 1)
     members = np.arange(n, dtype=code)[:, None]
     spanners = members  # the points that spanned each row
-    step = max(1, 8 * CHUNK // n)
-    while True:
+    while True:  # a layer grows from the last, so only its rows are blocked
         top = np.ones(len(members), dtype=bool)
         found, kept, pending = [], 0, 0  # (codes, parent row, x) of the extensions
-        for lo in range(0, len(members), step):
-            block = members[lo : lo + step]
-            live = unpack_rows(np.bitwise_and.reduce(words[spanners[lo : lo + step]], axis=1), n)
+        for b in blocks(len(members), n / 8):
+            lo, block = b.start, members[b]
+            live = unpack_rows(np.bitwise_and.reduce(words[spanners[b]], axis=1), n)
             live[np.arange(len(block))[:, None], block] = False
             rows = np.flatnonzero(live.any(axis=1))
             top[lo + rows] = False

@@ -23,7 +23,7 @@ import numpy as np
 from .apsg import Point, SemipolarSpace
 from .errors import DimensionMismatch
 from .forms import group_tables
-from .linalg import CHUNK, enumerate_vectors, normalize_rows
+from .linalg import blocks, enumerate_vectors, normalize_rows
 
 KINDS = ("t", "m", "sphere")
 
@@ -136,20 +136,19 @@ def bisector_m(space: SemipolarSpace, p1: Point, p2: Point):
 
 def translation_noninvariance_witness(space: SemipolarSpace):
     """The first (p1, p2, t) in nested-loop order over the points with
-    rho(p1+t, p2+t) != rho(p1, p2), one p1 and a block of about CHUNK
-    (p2, t) pairs of the value table at a time."""
+    rho(p1+t, p2+t) != rho(p1, p2), one p1 and a block of (p2, t) pairs,
+    every t for each p2, at a time."""
     _, add, _, _, _ = group_tables(space.p, space.ydim)
     t = space.value_table
     size = space.size
-    step = max(1, CHUNK // size)
     for i in range(size):
         moved = add.rows(i)  # p_i + p_k for every k
-        for lo in range(0, size, step):
+        for b in blocks(size, size):
             # bad[j, k]: rho(p_i + p_k, p_j + p_k) != rho(p_i, p_j), j in the block
-            bad = t[moved[None, :], add.rows(np.arange(lo, min(lo + step, size)))] != t[i, lo : lo + step, None]
+            bad = t[moved[None, :], add.rows(np.arange(b.start, b.stop))] != t[i, b, None]
             if bad.any():
                 j, k = divmod(int(np.argmax(bad)), size)
-                return space.points[i], space.points[lo + j], space.points[k]
+                return space.points[i], space.points[b.start + j], space.points[k]
     return None
 
 
@@ -160,13 +159,12 @@ def pair_report(space: SemipolarSpace, p1: Point, p2: Point) -> list[dict]:
 
 def pair_reports(space: SemipolarSpace, i: list[int], j: list[int]) -> list[dict]:
     """`pair_report` of each pair (i[b], j[b]) of point codes, in order, from
-    `_pair_block`s of about CHUNK mask elements and the `_equations` of each pair."""
+    `_pair_block`s, three masks over Y a pair, and the `_equations` of each pair."""
     if space.nu != 1:
         raise DimensionMismatch("this operation needs a scalar-valued semiform")
-    step = max(1, CHUNK // (3 * space.size))
     out = []
-    for lo in range(0, len(i), step):
-        first, second = i[lo : lo + step], j[lo : lo + step]
+    for block in blocks(len(i), 3 * space.size):
+        first, second = i[block], j[block]
         _, sizes, rho = _pair_block(space, first, second)
         for a, b, r, counts in zip(first, second, rho, sizes.T.tolist()):
             for kind, size, (*u0, alpha, beta) in zip(KINDS, counts, _equations(space, a, b, r)):

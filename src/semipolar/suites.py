@@ -41,9 +41,9 @@ from .hyperbolic import (
     standard_doubling_base,
 )
 from .linalg import (
-    CHUNK,
     LinearMap,
     and_tables,
+    blocks,
     distinct_rows,
     encode_vecs,
     normalize_rows,
@@ -191,23 +191,20 @@ def suite_triangles(space: SemipolarSpace, cfg: SuiteConfig) -> Report:
 def _pair_offsets(mask: np.ndarray) -> np.ndarray:
     """Row i of a (|Y|, |Y|) mask holds the row-major ordinals offsets[i] to
     offsets[i + 1] - 1 of the pairs i < j that it sets, counted a block of
-    about CHUNK mask elements at a time: right of the block, then above the
-    diagonal of its square."""
-    h = max(1, CHUNK // len(mask))
-    counts = [np.count_nonzero(mask[lo : lo + h, lo + h :], axis=1)
-              + np.count_nonzero(np.triu(mask[lo : lo + h, lo + 1 : lo + h]), axis=1) for lo in range(0, len(mask), h)]
+    rows at a time: right of the block, then above the diagonal of its square."""
+    counts = [np.count_nonzero(mask[b, b.stop :], axis=1)
+              + np.count_nonzero(np.triu(mask[b, b.start + 1 : b.stop]), axis=1)
+              for b in blocks(len(mask), len(mask))]
     return np.concatenate([[0], np.cumsum(np.concatenate(counts))])
 
 
-def _row_major_pairs(mask: np.ndarray, offsets: np.ndarray, step: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _row_major_pairs(mask: np.ndarray, offsets: np.ndarray, width: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The pairs i < j set in mask in row-major order, as (i, j) blocks of
-    `step` ordinals, each read off the rows that hold them."""
-    total = int(offsets[-1])
-    for lo in range(0, total, step):
-        hi = min(lo + step, total)
-        first, last = np.searchsorted(offsets, [lo, hi - 1], side="right") - 1
+    ordinals of `width` elements each, each read off the rows that hold them."""
+    for b in blocks(int(offsets[-1]), width):
+        first, last = np.searchsorted(offsets, [b.start, b.stop - 1], side="right") - 1
         i, j = np.divmod(np.flatnonzero(mask[first : last + 1]) + first * len(mask), len(mask))
-        keep = np.flatnonzero(j > i)[lo - offsets[first] : hi - offsets[first]]
+        keep = np.flatnonzero(j > i)[b.start - offsets[first] : b.stop - offsets[first]]
         yield i[keep], j[keep]
 
 
@@ -215,22 +212,22 @@ def _nth_pairs(mask: np.ndarray, offsets: np.ndarray, ords: np.ndarray) -> tuple
     """The pairs i < j set in mask at the row-major ordinals `ords`, in their
     order: ordinal k lies in the row i with offsets[i] <= k < offsets[i + 1],
     and j is where the running count of that row's pairs passes k - offsets[i].
-    A block of about CHUNK mask elements at a time."""
+    A block of ordinals at a time, each reading its row of the mask."""
     i = np.searchsorted(offsets, ords, side="right") - 1
     rank = ords - offsets[i]
     j = np.empty_like(i)
-    step = max(1, CHUNK // len(mask))
-    for lo in range(0, len(i), step):
-        rows = i[lo : lo + step]
+    for b in blocks(len(i), len(mask)):
+        rows = i[b]
         after = mask[rows] & (np.arange(len(mask)) > rows[:, None])
-        j[lo : lo + step] = (after.cumsum(axis=1) <= rank[lo : lo + step, None]).sum(axis=1)
+        j[b] = (after.cumsum(axis=1) <= rank[b, None]).sum(axis=1)
     return i, j
 
 
 def _recover_pairs(
     space: SemipolarSpace, cfg: SuiteConfig
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, bool]]:
-    """Blocks (i, j, adjacent, points) of CHUNK / 8W pairs in the order the
+    """Blocks (i, j, adjacent, points) of pairs, 8W elements a pair of W
+    adjacency words as in `neighborhood_intersections`, in the order the
     recover checks read their witnesses: `adjacent` flags the pairs of
     adjacent-pairs, and `points` says whether the pairs are those of the
     point-pair checks of a scalar form.  Exhaustive, one row-major sweep over
@@ -239,17 +236,17 @@ def _recover_pairs(
     scalar = space.nu == 1
     lists = [(space.adjacency, "adjacent pairs")] + scalar * [(np.broadcast_to(True, (space.size,) * 2), "point pairs")]
     offsets = [_pair_offsets(mask) for mask, _ in lists]
-    step = max(1, CHUNK // (8 * space._adjacency_words.shape[1]))
+    width = 8 * space._adjacency_words.shape[1]
     if cfg.sample is None:
         for (_, tag), off in zip(lists, offsets):
             check_budget(int(off[-1]), cfg.budget, tag)
-        for i, j in _row_major_pairs(lists[-1][0], offsets[-1], step):
+        for i, j in _row_major_pairs(lists[-1][0], offsets[-1], width):
             yield i, j, space.adjacency[i, j], scalar
         return
     for k, ((mask, tag), off) in enumerate(zip(lists, offsets)):
         ords = _maybe_sample(int(off[-1]), cfg, tag)
-        for lo in range(0, len(ords), step):
-            i, j = _nth_pairs(mask, off, ords[lo : lo + step])
+        for b in blocks(len(ords), width):
+            i, j = _nth_pairs(mask, off, ords[b])
             yield i, j, np.full(len(i), k == 0), k == 1
 
 
@@ -386,9 +383,8 @@ def suite_metric(space: SemipolarSpace, cfg: SuiteConfig) -> Report:
     half = pscl[pow(2, p - 2, p)]
     idx = np.arange(size)
     mid_ok = True
-    step = max(1, CHUNK // size)
-    for lo in range(0, size, step):
-        rows = idx[lo : lo + step]
+    for b in blocks(size, size):
+        rows = idx[b]
         mid = half[padd.rows(rows)]  # (p1 + p2) / 2 for the block's p1 and every p2
         mid_ok &= bool((t[rows[:, None], mid] == t[mid, idx[None, :]]).all())
     report.add("midpoint-congruence", mid_ok, None,
@@ -448,14 +444,13 @@ def _same_partitions(t: np.ndarray, w: np.ndarray, p: int) -> bool:
     Two partitions of the rows are equal exactly when each has as many parts
     as their common refinement, so a column passes when its distinct t-values,
     distinct w-values and distinct (t, w) pairs are equally many.  The pairs
-    present in each column are marked a block of about CHUNK / 8 entries at
-    a time, in a (p^2, |Y|) table."""
+    present in each column are marked a block of rows at a time, an entry
+    counted as its 8-byte index, in a (p^2, |Y|) table."""
     size = t.shape[1]
     present = np.zeros((p * p, size), dtype=bool)
     cols = np.arange(size)
-    step = max(1, CHUNK // (8 * size))
-    for lo in range(0, len(t), step):
-        pairs = t[lo : lo + step].astype(np.intp) * p + w[lo : lo + step]
+    for b in blocks(len(t), 8 * size):
+        pairs = t[b].astype(np.intp) * p + w[b]
         present[pairs, cols] = True
     pair_count = present.sum(axis=0)
     present = present.reshape(p, p, size)

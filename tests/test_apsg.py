@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from semipolar import apsg
+from semipolar import linalg
 from semipolar.apsg import (
     AffLine,
     Point,
@@ -604,7 +604,7 @@ def test_packed_neighborhood_kernel_blocks_match_the_reference(monkeypatch, chun
     upper = np.triu(rng.random((130, 130)) < 0.6)
     adj = upper | upper.T
     i, j = rng.integers(0, 130, (2, 50))
-    monkeypatch.setattr(apsg, "CHUNK", chunk)
+    monkeypatch.setattr(linalg, "CHUNK", chunk)
     got = kernel_intersections(adj, i, j)
     for k in range(len(i)):
         assert set(np.flatnonzero(got[k]).tolist()) == big_int_neighborhood_intersection(

@@ -11,10 +11,12 @@ from hypothesis import strategies as st
 from semipolar.errors import DimensionMismatch, EnumerationTooLarge
 from semipolar.gf import GF
 from semipolar.hyperbolic import build_double, standard_doubling_base
+from semipolar import linalg
 from semipolar.linalg import (
     CHUNK,
     LinearMap,
     Subspace,
+    blocks,
     distinct_rows,
     encode_vecs,
     enumerate_subspaces,
@@ -291,6 +293,29 @@ def test_distinct_rows_matches_the_lexsort_reference(dtype, shape, top):
         rows[::5] *= 257
     rows[1::3] = rows[::3][: len(rows[1::3])]
     assert distinct_rows(rows).tolist() == lexsort_distinct_rows(rows).tolist()
+
+
+@pytest.mark.parametrize("count, width, chunk, step", [
+    (0, 3, None, None),
+    (1, 3, None, 21845),
+    (100000, 3, None, 21845),  # 65536 // 3
+    (70000, 0, None, 65536),  # a zero width counts as 1
+    (10000, 130 / 8, None, 4032),  # the closure's n / 8: 8 * 65536 // 130
+    (3, 1 << 20, None, 1),  # an item wider than CHUNK is a block alone
+    (10, 0, 7, 7),
+    (100, 0.125, 7, 56),
+    (100, 3, 7, 2),
+    (100, 8, 7, 1),
+    (20, 0.5, 7, 14),
+])
+def test_blocks_cover_the_range_once_in_order(monkeypatch, count, width, chunk, step):
+    # a patched linalg.CHUNK takes effect at the next call
+    if chunk is not None:
+        monkeypatch.setattr(linalg, "CHUNK", chunk)
+    got = list(blocks(count, width))
+    assert [k for b in got for k in range(count)[b]] == list(range(count))
+    assert all(b.step is None and b.stop - b.start == step for b in got[:-1])
+    assert not got if count == 0 else 0 < got[-1].stop - got[-1].start <= step
 
 
 @pytest.mark.parametrize("n", [1, 7, 63, 64, 65, 130])

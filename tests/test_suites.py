@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from semipolar import apsg, suites
+from semipolar import linalg, suites
 from semipolar.apsg import Point, SemipolarSpace
 from semipolar.errors import DimensionMismatch, EnumerationTooLarge
 from semipolar.forms import AlternatingMap, Report, Semiform
@@ -198,8 +198,7 @@ def first_failing_pairs(space) -> dict:
 def test_recover_witnesses_are_the_first_failing_pairs(sp_m1_gf3, sp_cross_gf3, monkeypatch, chunk):
     # blocks of 7 elements hold one pair each, blocks of 2048 elements 256
     # pairs on GF(3)^3 and 21 on the cross's 729 points
-    monkeypatch.setattr(apsg, "CHUNK", chunk)
-    monkeypatch.setattr(suites, "CHUNK", chunk)
+    monkeypatch.setattr(linalg, "CHUNK", chunk)
     for instance in (sp_m1_gf3, sp_cross_gf3):
         for n, space in enumerate(corrupted_spaces(instance)):
             expect = first_failing_pairs(space)
@@ -215,7 +214,7 @@ def test_recover_pairs_are_the_row_major_pairs_or_their_seeded_sample(sp_m1_gf3,
     # each entry: (i, j, in the adjacent-pairs check, in the point-pair checks);
     # blocks of 2048 elements hold 256 pairs on GF(3)^3 and 21 on the cross's
     # 729 points, so the exhaustive blocks end inside rows
-    monkeypatch.setattr(suites, "CHUNK", 2048)
+    monkeypatch.setattr(linalg, "CHUNK", 2048)
     cfg = SuiteConfig(sample=sample, seed=5)
     for space in (sp_m1_gf3, sp_cross_gf3):
         scalar = space.nu == 1

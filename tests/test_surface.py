@@ -6,7 +6,8 @@ one of the reasons below, and each reason is checked against the code that
 gives it: the perfbench tracer, the perfbench child, or the tests.  A new
 wrapper that only tests call fails `test_unused_definitions_are_the_allowed_ones`;
 a wrapped name that perfbench stops wrapping fails
-`test_each_allowed_name_keeps_its_reason`.
+`test_each_allowed_name_keeps_its_reason`.  The block size of the batched
+sweeps, `linalg.CHUNK`, is named in `linalg` alone.
 
 The scan is by name.  A function or class is used when src/semipolar refers
 to its name as a name, an attribute or an imported name; a method only when
@@ -99,3 +100,9 @@ def test_each_allowed_name_keeps_its_reason():
     for qual, reason in ALLOWED.items():
         if reason in givers:
             assert qual.rsplit(".", 1)[1] in givers[reason], (qual, reason)
+
+
+def test_no_module_but_linalg_refers_to_chunk():
+    # every blocked sweep takes its blocks from linalg.blocks, so the block
+    # size is set, documented and patched in linalg alone
+    assert [p.name for p in sorted(SRC.glob("*.py")) if "CHUNK" in p.read_text(encoding="utf-8")] == ["linalg.py"]
