@@ -450,41 +450,41 @@ def _first_fail(ok: np.ndarray) -> tuple:
     return np.unravel_index(flat, ok.shape)
 
 
+def _additive_columns(planes: np.ndarray, p: int) -> np.ndarray:
+    """Whether each column g = planes[:, :, n] of residue planes over the codes
+    of GF(p)^k has g(x + y) = g(x) + g(y) for all x and y.
+
+    Lemma: exactly when g(x) = sum_l x_l g(e_l) for all x, as an additive map
+    of GF(p)^k is Z-linear and the right side is linear.  One float32 matmul
+    per plane and block of columns, exact: each sum is at most k(p-1)^2 < 2^24.
+    """
+    size = planes.shape[1]
+    k = round(np.log(size) / np.log(p))
+    coords = enumerate_vectors(p, k).astype(np.float32)
+    basis = p ** np.arange(k - 1, -1, -1)  # the codes of e_0, ..., e_{k-1}
+    additive = np.ones(planes.shape[2], dtype=bool)
+    for b in blocks(len(additive), size):
+        for plane in planes:
+            g = plane[:, b]
+            additive[b] &= (np.fmod(coords @ g[basis].astype(np.float32), p) == g).all(axis=0)
+    return additive
+
+
 def _first_additivity_fail(tab: np.ndarray, offsets: np.ndarray, padd: SplitTable, p: int, nu: int):
     """The first (i, j, n) in loop order (n, then i, then j) with
-    tab[i + j, n] != tab[i, n] + tab[j, n] + offsets[n] in V', or None.
-
-    The columns are held as residue planes and checked a block of shifts j
-    at a time, a shift counted as the whole table it gathers: rows i + j of a
-    plane must be min(R, R - p) for R = plane + ((plane[j] + offset) mod p)
-    < 2p, a row gather and an unsigned add.  The identity is symmetric in i
-    and j, so the rows i <= j of each shift cover it, read from the `padd`
-    rows of the block.  The first failing column is then checked at all
-    (i, j), a block of rows i at a time, for its witness.
-    """
-    size = len(tab)
-    dt = code_dtype(2 * p - 1)
-    top = dt(p)
-    planes = _residue_planes(tab, p, nu, dt)
-    offsets_planes = _residue_planes(np.asarray(offsets), p, nu, dt)
-    failed = np.zeros(tab.shape[1], dtype=bool)
-    for b in blocks(size, tab.size):
-        hi = b.stop
-        sums = padd.rows(np.arange(b.start, hi))[:, :hi]
-        ok = None
-        for plane, offset in zip(planes, offsets_planes):
-            shifts = plane[b, None] + offset
-            shifts = np.minimum(shifts, shifts - top)
-            r = plane[:hi] + shifts
-            plane_ok = plane.take(sums, axis=0) == np.minimum(r, r - top)
-            ok = plane_ok if ok is None else ok & plane_ok
-        failed |= ~ok.all(axis=(0, 1))
+    tab[i + j, n] != tab[i, n] + tab[j, n] + offsets[n] in V', or None: the
+    first column where g = tab[:, n] + offsets[n] is not additive, swept a
+    block of rows i at a time for its witness."""
+    planes = _residue_planes(tab, p, nu, code_dtype(2 * p - 1))
+    planes += _residue_planes(np.asarray(offsets), p, nu, planes.dtype)[:, None, :]
+    planes %= p
+    failed = ~_additive_columns(planes, p)
     if not failed.any():
         return None
     n = int(np.argmax(failed))
     _, vadd, _, _, _ = group_tables(p, nu)
     col = tab[:, n]
-    for b in blocks(size, size):
+    for b in blocks(len(tab), len(tab)):
         rows = np.arange(b.start, b.stop)
         bad = col.take(padd.rows(rows)) != vadd[vadd[col[rows], offsets[n]][:, None], col[None, :]]
         if bad.any():
@@ -601,6 +601,9 @@ def check_semiform_axioms(
     A6  if rho(p+q, q) = rho(p, theta) for all p, then q shifts rho invariantly
     A7  2(rho(a p1, a p2) - a rho(p1,p2)) = a(a-1)(rho(-p1,-p2) + rho(p1,p2))
     A8  every q admits p with rho(p, theta) = 0 and rho(p-q, -r) = -rho(q-p, r)
+
+    A3 is decided by the lemma of `_additive_columns`, and the first failing
+    column alone is swept for the witness.
 
     On a full pass the report also carries the dimensions of the kernel part M
     and the shift part D, the direct-sum confirmation Y = D + M, and the
@@ -778,6 +781,12 @@ def verify_identities(t: np.ndarray, rho: Semiform, budget: int = DEFAULT_BUDGET
       zero-evaluation       rho(theta, q)                   = phi(v)
       alpha-scaling-left    rho(a p1, q) - a rho(p1, q)     = (1-a) phi(v)
       additivity-defect     rho(p1+p2, q) - rho(p1,q) - rho(p2,q) = -phi(v)
+
+    additivity-defect says g = rho(., q) - phi(v) is additive: the lemma of
+    `_additive_columns`.  translation-shift says S[i + k, d] = S[i, d] + E[k, d]
+    for S[i, d] = rho(p_i, p_i + p_d), E[k, d] = eta(-u_d, y_k); that holds for
+    all i, k exactly when it holds at i = 0 and E[., d] is additive (set i = 0,
+    then compare; the converse telescopes).  Witnesses are in failing columns.
     """
     p, nu, ydim = rho.p, rho.nu, rho.ydim
     size = p**ydim
@@ -802,37 +811,27 @@ def verify_identities(t: np.ndarray, rho: Semiform, budget: int = DEFAULT_BUDGET
             break
     report.add("alpha-scaling-pairs", ok, wit)
 
-    # Residue planes in difference coordinates: plane c holds V' coordinate c of
-    # S[i, d] = t[i, i + d].  With j = i + d the identity at (i, j, k) reads
-    # S[i + k, d] = S[i, d] + E[d] mod p, where E[d] = eta(u_i - u_j, y_k) =
-    # eta(-u_d, y_k) does not depend on i: the translated plane is a row gather,
-    # and with R = S + E < 2p the residue is min(R, R - p) in unsigned arithmetic.
-    dt = code_dtype(2 * p - 1)
+    # E[k, d] = eta_codes[k, d] (eta alternates): i = 0 is offset-pair at (k, d)
     along = _along_sums(t, padd)
-    planes = _residue_planes(along, p, nu, dt)
-    eta_planes = _residue_planes(eta_codes.T[:, pneg], p, nu, dt)  # [c, k, d]: eta(-u_d, y_k)
+    offset_eq = vsub[along, t[0, :][None, :]] == eta_codes
+    bad = np.flatnonzero(
+        ~offset_eq.all(axis=0) | ~_additive_columns(_residue_planes(eta_codes, p, nu, vneg.dtype), p)
+    )
     ok, wit = True, None
-    for k in range(size):
-        moved = padd.rows(k)  # i + k for every i
-        eq = None
-        for plane, e in zip(planes, eta_planes[:, k]):
-            # E repeated into rows: a broadcast row is several times slower in uint8
-            r = plane + e[None, :].repeat(size, axis=0)
-            plane_eq = plane.take(moved, axis=0) == np.minimum(r, r - dt(p))
-            eq = plane_eq if eq is None else eq & plane_eq
-        if not eq.all():
-            # the first failing (i, j): the first failing row, its least j = i + d
-            i = int(np.flatnonzero(~eq.all(axis=1))[0])
-            j = int(padd.rows(i)[~eq[i]].min())
-            ok, wit = False, (pt(i), pt(j), pt(k))
-            break
+    if len(bad):
+        along, e = along[:, bad], eta_codes[:, bad]
+        for k in range(size):
+            eq = along.take(padd.rows(k), axis=0) == vadd[along, e[k][None, :]]
+            if not eq.all():
+                i = int(np.flatnonzero(~eq.all(axis=1))[0])
+                j = int(padd.rows(i)[bad][~eq[i]].min())
+                ok, wit = False, (pt(i), pt(j), pt(k))
+                break
+    del along
     report.add("translation-shift", ok, wit)
 
-    lhs = vsub[along, t[0, :][None, :]]
-    del along
-    eq = lhs == eta_codes
-    wit = None if eq.all() else tuple(pt(i) for i in _first_fail(eq))
-    report.add("offset-pair", bool(eq.all()), wit)
+    wit = None if offset_eq.all() else tuple(pt(i) for i in _first_fail(offset_eq))
+    report.add("offset-pair", bool(offset_eq.all()), wit)
 
     eq = t[0, :] == phi_codes
     wit = None if eq.all() else (pt(int(np.flatnonzero(~eq)[0])),)

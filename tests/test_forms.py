@@ -7,9 +7,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from semipolar import linalg
 from semipolar.errors import DegenerateAtlas, DimensionMismatch
 from semipolar.forms import (
     AffineAtlas,
+    _additive_columns,
     AlternatingMap,
     Semiform,
     check_atlas_axioms,
@@ -481,6 +483,67 @@ def test_value_table_kernels_match_their_definitions_on_random_forms(shape, exam
         i, j = data.draw(st.integers(0, size - 1)), data.draw(st.integers(0, size - 1))
         table[i, j] = (table[i, j] + data.draw(st.integers(1, codes - 1))) % codes
         assert_witnesses_are_first_failures(table, rho)
+
+    check()
+
+
+@pytest.mark.parametrize("family", ["row", "column", "uniform"])
+@pytest.mark.parametrize("instance", ["sp_m1_gf3", "sp_m2_gf3", "sp_cross_gf3", "sp_wedge3_gf3"])
+def test_witnesses_are_first_failures_on_corrupted_rows_columns_and_random_tables(request, instance, family):
+    # every entry of one row or one column moved by a nonzero value, or a
+    # uniformly random table of the same shape and code width
+    rho = request.getfixturevalue(instance).form
+    table = rho.value_table()
+    codes = rho.p**rho.nu
+    rng = np.random.default_rng(27)
+    line = int(rng.integers(1, len(table)))
+    moves = rng.integers(1, codes, len(table)).astype(table.dtype)
+    if family == "row":
+        table[line] = (table[line] + moves) % codes
+    elif family == "column":
+        table[:, line] = (table[:, line] + moves) % codes
+    else:
+        table = rng.integers(0, codes, table.shape).astype(table.dtype)
+    assert_witnesses_are_first_failures(table, rho)
+
+
+def additive_by_definition(planes, p, k):
+    """Whether each column g of the planes has g(x + y) = g(x) + g(y) in every
+    plane, by a sum table over all (x, y)."""
+    vecs = enumerate_vectors(p, k)
+    total = encode_vecs((vecs[:, None] + vecs[None, :]) % p, p)
+    g = planes.astype(np.int64)
+    bad = (g[:, total] - g[:, :, None] - g[:, None, :]) % p
+    return ~bad.any(axis=(0, 1, 2))
+
+
+@pytest.mark.parametrize("chunk", [None, 7], ids=["default", "chunk7"])
+def test_additive_columns_match_their_definition(monkeypatch, chunk):
+    # linear columns, shifted ones (g(0) != 0), linear ones with one entry
+    # changed, and random ones; at CHUNK = 7 each column is a block
+    if chunk:
+        monkeypatch.setattr(linalg, "CHUNK", chunk)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(p=st.sampled_from([3, 5, 7]), k=st.integers(1, 3), nu=st.integers(1, 2), data=st.data())
+    def check(p, k, nu, data):
+        size = p**k
+        kinds = data.draw(st.lists(st.sampled_from(["linear", "shifted", "one-entry", "random"]), min_size=1, max_size=8))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        planes = (enumerate_vectors(p, k) @ rng.integers(0, p, (nu, k, len(kinds)))) % p
+        for n, kind in enumerate(kinds):
+            c = int(rng.integers(0, nu))
+            if kind == "shifted":
+                planes[c, :, n] = (planes[c, :, n] + rng.integers(1, p)) % p
+            elif kind == "one-entry":
+                x = int(rng.integers(0, size))
+                planes[c, x, n] = (planes[c, x, n] + rng.integers(1, p)) % p
+            elif kind == "random":
+                planes[:, :, n] = rng.integers(0, p, (nu, size))
+        planes = planes.astype(np.uint8)
+        want = additive_by_definition(planes, p, k)
+        assert (_additive_columns(planes, p) == want).all()
+        assert not want[[kind in ("shifted", "one-entry") for kind in kinds]].any()
 
     check()
 
