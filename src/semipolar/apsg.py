@@ -29,6 +29,7 @@ from .linalg import (
     distinct_rows,
     encode_vecs,
     enumerate_vectors,
+    first_failure,
     pack_rows,
     projective_classes,
     rank,
@@ -425,16 +426,18 @@ class SemipolarSpace:
         With B the adjacency without its diagonal, row i of (B @ B) * B counts
         the ordered adjacent pairs among the neighbors of point i, so the row
         sums add up to trace(B^3).  B @ B is taken a block of rows at a time in
-        float32, exact while |Y|^2 < 2^24 bounds every row sum (float64 above).
+        float32 and its rows summed in float64, exact at every size the table
+        fits in: each entry of B @ B is a count of at most |Y| < 2^24, and each
+        row sum is at most |Y|^2 < 2^53.
         """
         lines_per_point = len(self.u_direction_classes)
         collinear_pairs = lines_per_point * ((self.p - 1) * (self.p - 2) // 2)
-        b = self.adjacency.astype(np.float32 if self.size**2 < 1 << 24 else np.float64)
+        b = self.adjacency.astype(np.float32)
         np.fill_diagonal(b, 0)
         ordered = np.empty(self.size, dtype=np.int64)
         for k in blocks(self.size, self.size):
             rows = b[k]
-            ordered[k] = ((rows @ b) * rows).sum(axis=1)
+            ordered[k] = ((rows @ b) * rows).sum(axis=1, dtype=np.float64)
         total = int((ordered // 2 - collinear_pairs).sum())
         assert total % 3 == 0
         return total // 3
@@ -479,7 +482,8 @@ class SemipolarSpace:
             if bad.size:
                 failing.append(codes[bad[0]].tolist())
         aff_wit = (min(failing),) if failing else None
-        report.add("singular-subspaces-affine", aff_wit is None, aff_wit, "maximal singular subspaces carry affine geometry")
+        report.add("singular-subspaces-affine", aff_wit is None, aff_wit,
+                   "maximal singular subspaces carry affine geometry")
         return report
 
     def verify_parallel_unclosed(self) -> Report:
@@ -524,13 +528,11 @@ class SemipolarSpace:
         float32 because a count is at most p^n < 2^24.
         """
         mask = self.kernel_mask.astype(np.float32)
-        sizes = mask.sum(axis=1)
-        for b in blocks(len(mask), len(mask)):
-            inside = mask[b] @ mask.T == sizes[b, None]
-            inside[np.arange(len(inside)), np.arange(b.start, b.stop)] = False
-            if inside.any():
-                return False
-        return True
+        sizes, idx = mask.sum(axis=1), np.arange(len(mask))
+        # ok[c, d]: ker u_c is not inside ker u_d, unless c = d
+        return first_failure(
+            (b, (mask[b] @ mask.T != sizes[b, None]) | (idx[b, None] == idx)) for b in blocks(len(mask), len(mask))
+        ) is None
 
     def neighborhood_intersection(self, p1: Point, p2: Point) -> tuple[Point, ...]:
         """Intersection of the neighbor sets of all common neighbors of p1, p2:

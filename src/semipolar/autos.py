@@ -15,8 +15,8 @@ import numpy as np
 
 from .apsg import Point, SemipolarSpace
 from .errors import DimensionMismatch, EnumerationTooLarge, NotCompatible
-from .forms import AlternatingMap
-from .linalg import LinearMap, as_vec, encode_vecs, enumerate_vectors, rank
+from .forms import AlternatingMap, under_map
+from .linalg import LinearMap, as_vec, blocks, encode_vecs, enumerate_vectors, rank
 
 ORACLE_CAP = 27  # largest |Y| whose full affine group the oracle sweeps
 MATRIX_SWEEP_CAP = 10**7  # most n x n matrices invertible_matrices enumerates
@@ -143,7 +143,7 @@ def verify_semiform_scaling(pmap: PointMap, psi1: LinearMap, space: SemipolarSpa
     perm = pmap.perm
     vecs = enumerate_vectors(space.p, space.nu)
     psi1_codes = encode_vecs(psi1.apply_rows(vecs), space.p).astype(np.int32)
-    return bool((t[np.ix_(perm, perm)] == psi1_codes[t]).all())
+    return bool((under_map(t, perm) == psi1_codes[t]).all())
 
 
 def point_transitive_auto(space: SemipolarSpace, src: Point, dst: Point) -> PointMap:
@@ -195,7 +195,7 @@ def rho_scaling_constant(space: SemipolarSpace, pmap: PointMap) -> int | None:
         raise DimensionMismatch("scaling constants are scalar-space notions")
     t = space.value_table
     perm = pmap.perm
-    mapped = t[np.ix_(perm, perm)]
+    mapped = under_map(t, perm)
     nz = np.flatnonzero(t.ravel())
     if not len(nz):
         return None
@@ -232,16 +232,15 @@ def brute_force_aut_group(space: SemipolarSpace) -> list[PointMap]:
         [encode_vecs((coords + coords[t]) % p, p) for t in range(size)]
     )
     out = []
-    chunk = 4096
     total = np.empty((len(mats), size), dtype=np.int64)
     for t in range(size):
         np.take(shift_perm[t], lin_perms, out=total)
-        for lo in range(0, len(total), chunk):
-            sl = total[lo : lo + chunk]
+        for b in blocks(len(total), size):  # one permutation row an item
+            sl = total[b]
             img = adj[sl[:, :, None], sl[:, None, :]]
             good = np.flatnonzero((img == adj[None]).all(axis=(1, 2)))
             for g in good:
-                out.append(PointMap.of_bijection(space, LinearMap(mats[lo + int(g)], p), coords[t]))
+                out.append(PointMap.of_bijection(space, LinearMap(mats[b.start + int(g)], p), coords[t]))
     return out
 
 
@@ -266,17 +265,9 @@ def symplectic_family(space: SemipolarSpace) -> list[tuple[SymplecticAutoParams,
 
 
 def fixes_vertical_direction(space: SemipolarSpace, pmap: PointMap) -> bool:
-    """The linear part maps the direction class of V' x {0} to itself."""
-    p = space.p
-    fixed = True
-    for k in range(space.nu):
-        e = np.zeros(space.ydim, dtype=np.int64)
-        e[k] = 1
-        img = (pmap.linear.matrix @ e) % p
-        if img[space.nu :].any():
-            fixed = False
-            break
-    return fixed
+    """The linear part maps the direction class of V' x {0} to itself: the
+    images of the V' basis vectors, its first nu columns, have no V part."""
+    return not pmap.linear.matrix[space.nu :, : space.nu].any()
 
 
 def shift_images(space: SemipolarSpace, start: Point) -> np.ndarray:

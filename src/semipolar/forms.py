@@ -31,6 +31,7 @@ from .linalg import (
     code_dtype,
     encode_vecs,
     enumerate_vectors,
+    first_failure,
     index_vec,
     vec_index,
 )
@@ -444,10 +445,10 @@ def _jsonable(x):
     return x
 
 
-def _first_fail(ok: np.ndarray) -> tuple:
-    """Index tuple of the first False entry of a boolean array."""
-    flat = int(np.flatnonzero(~ok)[0])
-    return np.unravel_index(flat, ok.shape)
+def under_map(t: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The table read under the point map s, out[i, j] = t[s[i], s[j]], as two
+    takes, which are faster than one 2-D gather."""
+    return t.take(s, axis=0).take(s, axis=1)
 
 
 def _additive_columns(planes: np.ndarray, p: int) -> np.ndarray:
@@ -483,14 +484,12 @@ def _first_additivity_fail(tab: np.ndarray, offsets: np.ndarray, padd: SplitTabl
         return None
     n = int(np.argmax(failed))
     _, vadd, _, _, _ = group_tables(p, nu)
-    col = tab[:, n]
-    for b in blocks(len(tab), len(tab)):
-        rows = np.arange(b.start, b.stop)
-        bad = col.take(padd.rows(rows)) != vadd[vadd[col[rows], offsets[n]][:, None], col[None, :]]
-        if bad.any():
-            break
-    i, j = _first_fail(~bad)
-    return b.start + int(i), int(j), n
+    col, rows = tab[:, n], np.arange(len(tab))
+    b, (i, j) = first_failure(
+        (b, col.take(padd.rows(rows[b])) == vadd[vadd[col[b], offsets[n]][:, None], col[None, :]])
+        for b in blocks(len(tab), len(tab))
+    )
+    return b.start + i, j, n
 
 
 def _residue_planes(codes: np.ndarray, p: int, nu: int, dt) -> np.ndarray:
@@ -529,53 +528,34 @@ def check_atlas_axioms(
     vecs, vadd, vsub, vneg, vscl = group_tables(p, nu)
     report = Report()
 
+    def vec(i: int) -> tuple:
+        return tuple(vecs[i])
+
     # C1: delta(v1+v, v2+v) = delta(v1, v2), quantified over (v1, v2, v).
-    ok1 = True
-    wit1 = None
-    for v in range(m):
-        moved = vadd.rows(v)  # v1 + v for every v1
-        shifted = t[moved[:, None], moved[None, :]]
-        eq = shifted == t
-        if not eq.all():
-            i, j = _first_fail(eq)
-            ok1, wit1 = False, (tuple(vecs[i]), tuple(vecs[j]), tuple(vecs[v]))
-            break
-    report.add("C1", ok1, wit1, "translation invariance")
+    fail = first_failure((v, under_map(t, vadd.rows(v)) == t) for v in range(m))
+    wit = None if fail is None else (vec(fail[1][0]), vec(fail[1][1]), vec(fail[0]))
+    report.add("C1", fail is None, wit, "translation invariance")
 
     # C2: delta(a v1, a v2) = a delta(v1, v2).
-    ok2, wit2 = True, None
-    for a in range(p):
-        eq = t[vscl[a][:, None], vscl[a][None, :]] == vscl[a][t]
-        if not eq.all():
-            i, j = _first_fail(eq)
-            ok2, wit2 = False, (a, tuple(vecs[i]), tuple(vecs[j]))
-            break
-    report.add("C2", ok2, wit2, "homogeneity")
+    fail = first_failure((a, under_map(t, vscl[a]) == vscl[a][t]) for a in range(p))
+    wit = None if fail is None else (fail[0], vec(fail[1][0]), vec(fail[1][1]))
+    report.add("C2", fail is None, wit, "homogeneity")
 
     # C3: delta(v1, v) + delta(v, v2) = delta(v1, v2).
-    ok3, wit3 = True, None
-    for v in range(m):
-        eq = vadd[t[:, v][:, None], t[v, :][None, :]] == t
-        if not eq.all():
-            i, j = _first_fail(eq)
-            ok3, wit3 = False, (tuple(vecs[i]), tuple(vecs[v]), tuple(vecs[j]))
-            break
-    report.add("C3", ok3, wit3, "chain rule")
+    fail = first_failure((v, vadd[t[:, v][:, None], t[v, :][None, :]] == t) for v in range(m))
+    wit = None if fail is None else (vec(fail[1][0]), vec(fail[0]), vec(fail[1][1]))
+    report.add("C3", fail is None, wit, "chain rule")
 
-    report.add("C4", t[0, 0] == 0, None if t[0, 0] == 0 else (tuple(vecs[0]),), "zero at origin")
+    report.add("C4", t[0, 0] == 0, None if t[0, 0] == 0 else (vec(0),), "zero at origin")
 
-    eq = t.diagonal() == 0
-    report.add(
-        "C5", bool(eq.all()), None if eq.all() else (tuple(vecs[int(np.flatnonzero(~eq)[0])]),), "zero diagonal"
-    )
-
-    eq = t == vneg[t.T]
-    wit = None if eq.all() else tuple(tuple(vecs[i]) for i in _first_fail(eq))
-    report.add("C6", bool(eq.all()), wit, "antisymmetry")
-
-    eq = t[:, 0][vadd.rows(np.arange(m))] == vadd[t[:, 0][:, None], t[:, 0][None, :]]
-    wit = None if eq.all() else tuple(tuple(vecs[i]) for i in _first_fail(eq))
-    report.add("C7", bool(eq.all()), wit, "additivity against the origin")
+    for name, eq, note in [
+        ("C5", t.diagonal() == 0, "zero diagonal"),
+        ("C6", t == vneg[t.T], "antisymmetry"),
+        ("C7", t[:, 0][vadd.rows(np.arange(m))] == vadd[t[:, 0][:, None], t[:, 0][None, :]],
+         "additivity against the origin"),
+    ]:
+        fail = first_failure([(name, eq)])
+        report.add(name, fail is None, None if fail is None else tuple(map(vec, fail[1])), note)
 
     if report.check("C1").passed and report.check("C2").passed and report.check("C3").passed:
         phi_codes = t[:, 0]
@@ -622,25 +602,15 @@ def check_semiform_axioms(
         return tuple(int(c) for c in pts[i])
 
     # A1: antisymmetry.
-    eq = t == vneg[t.T]
-    wit = None if eq.all() else tuple(pt(i) for i in _first_fail(eq))
-    report.add("A1", bool(eq.all()), wit, "antisymmetry")
+    fail = first_failure([("A1", t == vneg[t.T])])
+    report.add("A1", fail is None, None if fail is None else tuple(map(pt, fail[1])), "antisymmetry")
 
     m_set = np.flatnonzero(t[0, :] == 0)
 
-    # A2 / A3: rho_p is linear for p with rho(theta, p) = 0.
-    ok, wit = True, None
-    for mp in m_set:
-        col = t[:, mp]
-        for a in range(p):
-            eq = col[pscl[a]] == vscl[a][col]
-            if not eq.all():
-                q = int(np.flatnonzero(~eq)[0])
-                ok, wit = False, (a, pt(q), pt(int(mp)))
-                break
-        if not ok:
-            break
-    report.add("A2", ok, wit, "homogeneity of rho_p on the kernel part")
+    # A2 / A3: rho_p is linear for p with rho(theta, p) = 0; A2 runs mp, then a, then q.
+    fail = first_failure((int(mp), t[pscl, mp] == vscl[:, t[:, mp]]) for mp in m_set)
+    wit = None if fail is None else (fail[1][0], pt(fail[1][1]), pt(fail[0]))
+    report.add("A2", fail is None, wit, "homogeneity of rho_p on the kernel part")
 
     fail = _first_additivity_fail(t[:, m_set], np.zeros(len(m_set), dtype=np.intp), padd, p, nu)
     wit = None if fail is None else (pt(fail[0]), pt(fail[1]), pt(int(m_set[fail[2]])))
@@ -659,7 +629,7 @@ def check_semiform_axioms(
 
     # rho(-p, -q), gathered once: A5 and A7 read the parity sum
     # rho(-p,-q) + rho(p,q), and A8 the rows with rho(-p,-q) = -rho(p,q)
-    neg = t.take(pneg, axis=0).take(pneg, axis=1)
+    neg = under_map(t, pneg)
     parity_sum = vadd[neg, t]
     row_ok = (neg == vneg[t]).all(axis=1)
     del neg
@@ -667,46 +637,35 @@ def check_semiform_axioms(
     # A5: rho(-p,-q) + rho(p,q) = 2(rho(p,p+q) - rho(theta,q)).
     inner = vsub[_along_sums(t, padd), t[0, :][None, :]]
     rhs = vscl[2 % p][inner]
-    eq = parity_sum == rhs
-    wit = None if eq.all() else tuple(pt(i) for i in _first_fail(eq))
-    report.add("A5", bool(eq.all()), wit, "parity defect matches the doubled offset")
+    fail = first_failure([("A5", parity_sum == rhs)])
+    wit = None if fail is None else tuple(map(pt, fail[1]))
+    report.add("A5", fail is None, wit, "parity defect matches the doubled offset")
     # The shift part of the decomposition: rho(q, q + r) = rho(theta, r) for all r.
     shift_rows = (inner == 0).all(axis=1)
 
-    # A6: shift-invariance propagates from the one-sided condition.
-    ok, wit = True, None
-    for q in range(size):
-        moved = padd.rows(q)  # p + q for every p
-        premise = (t[moved, q] == t[:, 0]).all()
-        if not premise:
-            continue
-        eq = t[moved[:, None], moved[None, :]] == t
-        if not eq.all():
-            p1, p2 = _first_fail(eq)
-            ok, wit = False, (pt(q), pt(p1), pt(p2))
-            break
-    report.add("A6", ok, wit, "one-sided shift condition implies full shift invariance")
+    # A6: shift-invariance propagates from the one-sided condition: the q
+    # whose rows p + q have rho(p + q, q) = rho(p, theta) for every p.
+    shifts = (q for q in range(size) if (t[padd.rows(q), q] == t[:, 0]).all())
+    fail = first_failure((q, under_map(t, padd.rows(q)) == t) for q in shifts)
+    wit = None if fail is None else (pt(fail[0]), pt(fail[1][0]), pt(fail[1][1]))
+    report.add("A6", fail is None, wit, "one-sided shift condition implies full shift invariance")
 
     # A7: 2(rho(a p1, a p2) - a rho(p1, p2)) = a(a-1)(rho(-p1,-p2) + rho(p1,p2)).
-    ok, wit = True, None
-    for a in range(p):
-        lhs = vscl[2 % p][vsub[t[pscl[a][:, None], pscl[a][None, :]], vscl[a][t]]]
-        rhs = vscl[(a * (a - 1)) % p][parity_sum]
-        eq = lhs == rhs
-        if not eq.all():
-            i, j = _first_fail(eq)
-            ok, wit = False, (a, pt(i), pt(j))
-            break
-    report.add("A7", ok, wit, "quadratic scaling defect")
+    fail = first_failure(
+        (a, vscl[2 % p][vsub[under_map(t, pscl[a]), vscl[a][t]]] == vscl[(a * (a - 1)) % p][parity_sum])
+        for a in range(p)
+    )
+    wit = None if fail is None else (fail[0], pt(fail[1][0]), pt(fail[1][1]))
+    report.add("A7", fail is None, wit, "quadratic scaling defect")
 
     # A8: every q splits against some kernel-part p: rho(p-q, -r) = -rho(q-p, r)
     # for all r.  Since p - q = -(q - p), the pair (q, p) passes exactly when the
     # row d = q - p has rho(-d, -r) = -rho(d, r) for all r, so the rows are
     # tested once and every kernel-part p of every q is one lookup.
     m_row = np.flatnonzero(t[:, 0] == 0)
-    found = row_ok[psub[np.arange(size)[:, None], m_row[None, :]]].any(axis=1)
-    wit = None if found.all() else (pt(int(np.flatnonzero(~found)[0])),)
-    report.add("A8", wit is None, wit, "existence of a kernel-part complement point")
+    fail = first_failure([("A8", row_ok[psub[np.arange(size)[:, None], m_row[None, :]]].any(axis=1))])
+    wit = None if fail is None else (pt(fail[1][0]),)
+    report.add("A8", fail is None, wit, "existence of a kernel-part complement point")
 
     if not report.passed:
         return report
@@ -746,8 +705,7 @@ def check_semiform_axioms(
     comp_m[q] = m_set[None, :]
     comp_d[q] = d_set[:, None]
     unique_cover = bool((comp_m >= 0).all())
-    delta_part = t[comp_d[:, None], comp_d[None, :]].T
-    rec = vsub[t[comp_m[:, None], comp_m[None, :]], delta_part]
+    rec = vsub[under_map(t, comp_m), under_map(t, comp_d).T]
     rec_ok = unique_cover and bool((rec == t).all())
     report.add("reconstruction", rec_ok, None, "table equals its M/D recombination")
     report.data["reconstruction_ok"] = rec_ok
@@ -758,7 +716,7 @@ def check_semiform_axioms(
         d_basis = d_space.matrix()
         d_coords = enumerate_vectors(p, d_space.dim)
         d_points = encode_vecs((d_coords @ d_basis) % p, p)  # point codes in Y
-        dd = t[np.ix_(d_points, d_points)].T
+        dd = under_map(t, d_points).T
         # The codomain values live in V'; D may have any dimension <= nu only
         # when the decomposition is genuine, so guard before reusing the checker.
         if d_space.dim == nu:
@@ -800,16 +758,13 @@ def verify_identities(t: np.ndarray, rho: Semiform, budget: int = DEFAULT_BUDGET
     def pt(i: int) -> tuple:
         return tuple(int(c) for c in pts[i])
 
-    ok, wit = True, None
-    for a in range(p):
-        lhs = vsub[t[pscl[a][:, None], pscl[a][None, :]], vscl[a][t]]
-        rhs = vscl[(a * (a - 1)) % p][eta_codes]
-        eq = lhs == rhs
-        if not eq.all():
-            i, j = _first_fail(eq)
-            ok, wit = False, (a, pt(i), pt(j))
-            break
-    report.add("alpha-scaling-pairs", ok, wit)
+    def scaling_witness(fail) -> Optional[tuple]:
+        return None if fail is None else (fail[0], pt(fail[1][0]), pt(fail[1][1]))
+
+    fail = first_failure(
+        (a, vsub[under_map(t, pscl[a]), vscl[a][t]] == vscl[(a * (a - 1)) % p][eta_codes]) for a in range(p)
+    )
+    report.add("alpha-scaling-pairs", fail is None, scaling_witness(fail))
 
     # E[k, d] = eta_codes[k, d] (eta alternates): i = 0 is offset-pair at (k, d)
     along = _along_sums(t, padd)
@@ -817,36 +772,28 @@ def verify_identities(t: np.ndarray, rho: Semiform, budget: int = DEFAULT_BUDGET
     bad = np.flatnonzero(
         ~offset_eq.all(axis=0) | ~_additive_columns(_residue_planes(eta_codes, p, nu, vneg.dtype), p)
     )
-    ok, wit = True, None
-    if len(bad):
-        along, e = along[:, bad], eta_codes[:, bad]
-        for k in range(size):
-            eq = along.take(padd.rows(k), axis=0) == vadd[along, e[k][None, :]]
-            if not eq.all():
-                i = int(np.flatnonzero(~eq.all(axis=1))[0])
-                j = int(padd.rows(i)[bad][~eq[i]].min())
-                ok, wit = False, (pt(i), pt(j), pt(k))
-                break
+    along, e = along[:, bad], eta_codes[:, bad]
+    fail = first_failure(
+        (k, along.take(padd.rows(k), axis=0) == vadd[along, e[k][None, :]]) for k in range(size)
+    ) if len(bad) else None
+    wit = None
+    if fail is not None:  # j is the least point of the failing columns of the first failing row i
+        k, (i, _) = fail
+        j = padd.rows(i)[bad][along[padd[k, i]] != vadd[along[i], e[k]]].min()
+        wit = (pt(i), pt(j), pt(k))
     del along
-    report.add("translation-shift", ok, wit)
+    report.add("translation-shift", fail is None, wit)
 
-    wit = None if offset_eq.all() else tuple(pt(i) for i in _first_fail(offset_eq))
-    report.add("offset-pair", bool(offset_eq.all()), wit)
+    fail = first_failure([("offset-pair", offset_eq)])
+    report.add("offset-pair", fail is None, None if fail is None else tuple(map(pt, fail[1])))
 
-    eq = t[0, :] == phi_codes
-    wit = None if eq.all() else (pt(int(np.flatnonzero(~eq)[0])),)
-    report.add("zero-evaluation", bool(eq.all()), wit)
+    fail = first_failure([("zero-evaluation", t[0, :] == phi_codes)])
+    report.add("zero-evaluation", fail is None, None if fail is None else (pt(fail[1][0]),))
 
-    ok, wit = True, None
-    for a in range(p):
-        lhs = vsub[t[pscl[a], :], vscl[a][t]]
-        rhs = vscl[(1 - a) % p][np.broadcast_to(phi_codes[None, :], (size, size))]
-        eq = lhs == rhs
-        if not eq.all():
-            i, j = _first_fail(eq)
-            ok, wit = False, (a, pt(i), pt(j))
-            break
-    report.add("alpha-scaling-left", ok, wit)
+    fail = first_failure(
+        (a, vsub[t.take(pscl[a], axis=0), vscl[a][t]] == vscl[(1 - a) % p][phi_codes][None, :]) for a in range(p)
+    )
+    report.add("alpha-scaling-left", fail is None, scaling_witness(fail))
 
     # The identity holds exactly when rho(p1+p2, q) = rho(p1,q) + rho(p2,q) - phi(v).
     fail = _first_additivity_fail(t, vneg[phi_codes], padd, p, nu)

@@ -417,15 +417,10 @@ def reconstruct_deleted_subspace(red: Reduct) -> Reconstruction:
     improper_planes = x1 & z
     z_points = set(np.flatnonzero(z).tolist())
 
-    point_map_ok = True
-    seen = set()
-    for members in class_list:
-        reps = set(improper_points[members].tolist())
-        if len(reps) != 1:
-            point_map_ok = False
-            break
-        seen |= reps
-    point_map_ok = point_map_ok and seen == z_points and len(class_list) == len(z_points)
+    reps = [set(improper_points[members].tolist()) for members in class_list]
+    point_map_ok = (
+        all(len(r) == 1 for r in reps) and set().union(*reps) == z_points and len(class_list) == len(z_points)
+    )
 
     plane_keys = [row.tobytes() for row in np.packbits(improper_planes, axis=1)]
     # onto all hyperplanes of the deleted subspace

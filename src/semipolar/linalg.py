@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import combinations, product
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -21,6 +21,19 @@ def blocks(count: int, width: float) -> Iterator[slice]:
     step = max(1, int(CHUNK // (width or 1)))
     for lo in range(0, count, step):
         yield slice(lo, min(lo + step, count))
+
+
+def first_failure(tests: Iterable[tuple[object, np.ndarray]]) -> Optional[tuple[object, tuple[int, ...]]]:
+    """The first failure of a quantified statement: `tests` yields (key, ok)
+    pairs in quantifier order, ok a boolean array, and the result is the key
+    of the first pair with a False entry and the int index of its first False
+    entry in row-major order, or None when every entry passes.  The pairs are
+    read lazily, so none after the first failure is computed."""
+    for key, ok in tests:
+        ok = np.asarray(ok)
+        if not ok.all():
+            return key, tuple(int(i) for i in np.unravel_index(int(np.argmin(ok)), ok.shape))
+    return None
 
 
 def as_vec(x, p: int) -> np.ndarray:
@@ -272,7 +285,8 @@ def subspace_closure(
     The layer is swept in blocks of rows, its candidates built and unpacked a
     block at a time, so a layer holds k + 1 spanning codes a row, never a row
     of candidate words.  A block's candidates take about 8 CHUNK booleans,
-    so that the few dozen array operations of a round each cover many rows.  Member and spanning codes are held at code width,
+    so that the few dozen array operations of a round each cover many rows.
+    Member and spanning codes are held at code width,
     `code_dtype(n - 1)`.  Extensions are deduplicated on their sorted codes
     (`distinct_rows`) whenever the new ones outnumber the distinct ones kept,
     and once more when the layer ends, which leaves it in lexicographic row

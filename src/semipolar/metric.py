@@ -23,7 +23,7 @@ import numpy as np
 from .apsg import Point, SemipolarSpace
 from .errors import DimensionMismatch
 from .forms import group_tables
-from .linalg import blocks, enumerate_vectors, normalize_rows
+from .linalg import blocks, enumerate_vectors, first_failure, normalize_rows
 
 KINDS = ("t", "m", "sphere")
 
@@ -141,15 +141,16 @@ def translation_noninvariance_witness(space: SemipolarSpace):
     _, add, _, _, _ = group_tables(space.p, space.ydim)
     t = space.value_table
     size = space.size
-    for i in range(size):
-        moved = add.rows(i)  # p_i + p_k for every k
-        for b in blocks(size, size):
-            # bad[j, k]: rho(p_i + p_k, p_j + p_k) != rho(p_i, p_j), j in the block
-            bad = t[moved[None, :], add.rows(np.arange(b.start, b.stop))] != t[i, b, None]
-            if bad.any():
-                j, k = divmod(int(np.argmax(bad)), size)
-                return space.points[i], space.points[b.start + j], space.points[k]
-    return None
+    rows = np.arange(size)
+    # ok[j, k] of (i, b): rho(p_i + p_k, p_j + p_k) = rho(p_i, p_j), j in the block
+    fail = first_failure(
+        ((i, b), t[add.rows(i)[None, :], add.rows(rows[b])] == t[i, b, None])
+        for i in range(size) for b in blocks(size, size)
+    )
+    if fail is None:
+        return None
+    (i, b), (j, k) = fail
+    return space.points[i], space.points[b.start + j], space.points[k]
 
 
 def pair_report(space: SemipolarSpace, p1: Point, p2: Point) -> list[dict]:

@@ -46,6 +46,7 @@ from .linalg import (
     blocks,
     distinct_rows,
     encode_vecs,
+    first_failure,
     normalize_rows,
     pack_codes,
     pack_rows,
@@ -307,12 +308,11 @@ def suite_autos(space: SemipolarSpace, cfg: SuiteConfig) -> Report:
     report = Report(data={"orbit": len(orbit)})
     report.add("transitivity", orbit == set(space.points), None,
                "shift automorphisms reach every point")
-    shift_ok = True
-    for idx in range(0, space.size, max(1, space.size // 9)):
-        pmap = point_transitive_auto(space, space.origin, space.points[idx])
-        if not verify_semiform_scaling(pmap, LinearMap.identity(space.nu, space.p), space):
-            shift_ok = False
-            break
+    identity = LinearMap.identity(space.nu, space.p)
+    shift_ok = all(
+        verify_semiform_scaling(point_transitive_auto(space, space.origin, space.points[idx]), identity, space)
+        for idx in range(0, space.size, max(1, space.size // 9))
+    )
     report.add("shift-scaling", shift_ok, None,
                "shift automorphisms leave the semiform unchanged")
     if space.nu == 1:
@@ -329,11 +329,10 @@ def suite_autos(space: SemipolarSpace, cfg: SuiteConfig) -> Report:
             if alpha is None:
                 continue
             built.append(build_symplectic_auto(space, alpha, k % p, (1,) * space.n, phi))
-        comp_ok = True
-        for (m1, p1), (m2, p2) in combinations(built, 2):
-            if build_from_params(space, compose_params(space, p2, p1)) != m2.compose(m1):
-                comp_ok = False
-                break
+        comp_ok = all(
+            build_from_params(space, compose_params(space, p2, p1)) == m2.compose(m1)
+            for (m1, p1), (m2, p2) in combinations(built, 2)
+        )
         report.add("composition-rules", comp_ok, None,
                    "composed parameters match pointwise composition")
     return report
@@ -382,11 +381,12 @@ def suite_metric(space: SemipolarSpace, cfg: SuiteConfig) -> Report:
     _, padd, _, _, pscl = group_tables(p, space.ydim)
     half = pscl[pow(2, p - 2, p)]
     idx = np.arange(size)
-    mid_ok = True
-    for b in blocks(size, size):
-        rows = idx[b]
-        mid = half[padd.rows(rows)]  # (p1 + p2) / 2 for the block's p1 and every p2
-        mid_ok &= bool((t[rows[:, None], mid] == t[mid, idx[None, :]]).all())
+
+    def midpoint_congruent(rows: np.ndarray) -> np.ndarray:
+        mid = half[padd.rows(rows)]  # (p1 + p2) / 2 for the rows' p1 and every p2
+        return t[rows[:, None], mid] == t[mid, idx[None, :]]
+
+    mid_ok = first_failure((b, midpoint_congruent(idx[b])) for b in blocks(size, size)) is None
     report.add("midpoint-congruence", mid_ok, None,
                "p1 (p1+p2)/2 = (p1+p2)/2 p2 for all pairs")
 
@@ -481,13 +481,10 @@ def suite_bisectors(space: SemipolarSpace, cfg: SuiteConfig) -> Report:
     _, padd, psub, _, pscl = group_tables(p, space.ydim)
     half = pscl[pow(2, p - 2, p)]
     t_cols = np.ascontiguousarray(t.T)
-    polar_ok = True
-    for i in range(size):
-        m_member = t[i][None, :] == t_cols
-        nbr = t.take(half[padd.rows(i)], axis=0) == 0  # rows of the midpoints (y_i + y_j) / 2
-        if not (m_member == nbr).all():
-            polar_ok = False
-            break
+    # the m-bisector of (y_i, y_j) is the neighbourhood of the midpoint (y_i + y_j) / 2
+    polar_ok = first_failure(
+        (i, (t[i][None, :] == t_cols) == (t.take(half[padd.rows(i)], axis=0) == 0)) for i in range(size)
+    ) is None
     del t_cols
     if polar_ok:
         # the polar condition eta(u_j - u_i, u_x) = v_j - v_i on (i, j, x) says

@@ -548,6 +548,178 @@ def test_additive_columns_match_their_definition(monkeypatch, chunk):
     check()
 
 
+# -- every first-failure check against its definition -------------------------------
+
+CORRUPTIONS = ["intact", "entry", "row", "column", "uniform"]
+
+
+def corrupted(table, codes, family, rng):
+    """A copy of a table of codes below `codes`: intact, with one entry, one
+    row or one column moved by nonzero values, or uniformly random."""
+    out = table.copy()
+    k, moves = int(rng.integers(0, len(out))), rng.integers(1, codes, len(out))
+    if family == "entry":
+        j = int(rng.integers(0, len(out)))
+        out[k, j] = (out[k, j] + moves[0]) % codes
+    elif family == "row":
+        out[k] = (out[k] + moves) % codes
+    elif family == "column":
+        out[:, k] = (out[:, k] + moves) % codes
+    elif family == "uniform":
+        out[:] = rng.integers(0, codes, out.shape)
+    return out
+
+
+def first_hit(tests):
+    """(*key, *index) of the first True entry of the first array that has
+    one, the arrays in the given order and each in row-major order, or None;
+    by np.argwhere, independent of linalg.first_failure."""
+    for key, bad in tests:
+        hits = np.argwhere(bad)
+        if len(hits):
+            return (*key, *(int(h) for h in hits[0]))
+    return None
+
+
+def witness_codes(witness, p):
+    """A report witness with every point or V' vector replaced by its code."""
+    return None if witness is None else tuple(w if isinstance(w, int) else vec_index(w, p) for w in witness)
+
+
+def failures_by_definition(table, rho) -> dict:
+    """The witness of the first failing tuple, in quantifier order, of each
+    first-failure check of `check_semiform_axioms` and `verify_identities`,
+    with points as codes, or None.  Points are added, negated and scaled on
+    their coordinates, rho is read from the table as V' vectors, eta comes
+    from the Gram tensor and phi from the atlas matrix; no group table."""
+    p, nu = rho.p, rho.nu
+    pts = enumerate_vectors(p, rho.ydim)
+    vals = enumerate_vectors(p, nu)[table]  # vals[i, j] = rho(p_i, p_j)
+    idx = np.arange(len(pts))
+
+    def code(x):
+        return encode_vecs(x % p, p)
+
+    def bad(x):  # the V' vectors along the last axis that are not zero
+        return (x % p).any(axis=-1)
+
+    def under(s):  # rho(s_i, s_j)
+        return vals[s][:, s]
+
+    neg, total = code(-pts), code(pts[:, None] + pts[None, :])
+    scaled = [code(a * pts) for a in range(p)]
+    eta = np.einsum("ia,abk,jb->ijk", pts[:, nu:], rho.eta.gram, pts[:, nu:])
+    phi = pts[:, :nu] @ rho.atlas.phi.matrix.T  # phi(v) of every point [v, y]
+    parity = under(neg) + vals
+    offset = vals[idx[:, None], total] - vals[0][None]  # rho(p1, p1 + p2) - rho(theta, p2)
+    m_set, m_row = np.flatnonzero(~bad(vals[0])), np.flatnonzero(~bad(vals[:, 0]))
+    shifts = [q for q in idx if not bad(vals[total[:, q], q] - vals[:, 0]).any()]
+    split = [
+        (~bad(vals[code(pts[m_row] - q)][:, neg] + vals[code(q - pts[m_row])]).any(axis=1)).any() for q in pts
+    ]
+    out = {
+        "A1": first_hit([((), bad(vals + vals.transpose(1, 0, 2)))]),
+        "A5": first_hit([((), bad(parity - 2 * offset))]),
+        "A6": first_hit(((q,), bad(under(total[:, q]) - vals)) for q in shifts),
+        "A7": first_hit(((a,), bad(2 * (under(scaled[a]) - a * vals) - a * (a - 1) * parity)) for a in range(p)),
+        "A8": first_hit([((), ~np.array(split, dtype=bool))]),
+        "alpha-scaling-pairs": first_hit(
+            ((a,), bad(under(scaled[a]) - a * vals - a * (a - 1) * eta)) for a in range(p)
+        ),
+        "offset-pair": first_hit([((), bad(offset - eta))]),
+        "zero-evaluation": first_hit([((), bad(vals[0] - phi))]),
+        "alpha-scaling-left": first_hit(
+            ((a,), bad(vals[scaled[a]] - a * vals - (1 - a) * phi[None])) for a in range(p)
+        ),
+    }
+    hit = first_hit(((mp, a), bad(vals[scaled[a], mp] - a * vals[:, mp])) for mp in m_set for a in range(p))
+    out["A2"] = hit and (hit[1], hit[2], hit[0])  # (a, q, mp)
+    return out
+
+
+def atlas_failures_by_definition(table, p, nu) -> dict:
+    """The witness codes of the first failing tuple of C1-C3 and C5-C7 on a
+    difference table over V', by vector arithmetic on coordinates, or None."""
+    vecs = enumerate_vectors(p, nu)
+    vals, m = vecs[table], len(vecs)  # vals[i, j] = delta(v_i, v_j)
+
+    def code(x):
+        return encode_vecs(x % p, p)
+
+    def bad(x):
+        return (x % p).any(axis=-1)
+
+    total = code(vecs[:, None] + vecs[None, :])
+    c1 = first_hit(((v,), bad(vals[total[:, v]][:, total[:, v]] - vals)) for v in range(m))
+    c3 = first_hit(((v,), bad(vals[:, v][:, None] + vals[v][None] - vals)) for v in range(m))
+    return {
+        "C1": c1 and (c1[1], c1[2], c1[0]),  # (v1, v2, v)
+        "C2": first_hit(((a,), bad(vals[code(a * vecs)][:, code(a * vecs)] - a * vals)) for a in range(p)),
+        "C3": c3 and (c3[1], c3[0], c3[2]),  # (v1, v, v2)
+        "C5": first_hit([((), bad(vals[np.arange(m), np.arange(m)]))]),
+        "C6": first_hit([((), bad(vals + vals.transpose(1, 0, 2)))]),
+        "C7": first_hit([((), bad(vals[total, 0] - vals[:, 0][:, None] - vals[:, 0][None]))]),
+    }
+
+
+def assert_checks_are_their_definitions(table, rho, atlas_table):
+    """Every first-failure check of the three checkers passes exactly when its
+    definition holds, with the first failing tuple as its witness."""
+    p, nu = rho.p, rho.nu
+    reports = [check_semiform_axioms(table, p, rho.ydim, nu), verify_identities(table, rho),
+               check_atlas_axioms(atlas_table, p, nu)]
+    checks = {c.name: c for report in reports for c in report.checks}
+    expected = {**failures_by_definition(table, rho), **atlas_failures_by_definition(atlas_table, p, nu)}
+    for name, want in expected.items():
+        assert (checks[name].passed, witness_codes(checks[name].witness, p)) == (want is None, want), name
+
+
+@pytest.mark.parametrize("chunk", [None, 7], ids=["default", "chunk7"])
+@pytest.mark.parametrize("family", CORRUPTIONS[1:])
+@pytest.mark.parametrize("instance", ["sp_m1_gf3", "sp_m2_gf3"])
+def test_first_failure_checks_match_their_definitions_on_corrupted_tables(request, monkeypatch, instance, family, chunk):
+    if chunk:
+        monkeypatch.setattr(linalg, "CHUNK", chunk)
+    rho = request.getfixturevalue(instance).form
+    rng = np.random.default_rng(28)
+    codes = rho.p**rho.nu
+    atlas = delta_table_from_phi(rho.atlas.phi)
+    assert_checks_are_their_definitions(
+        corrupted(rho.value_table(), codes, family, rng), rho, corrupted(atlas, codes, family, rng)
+    )
+
+
+@pytest.mark.parametrize("shape, examples", KERNEL_SHAPES)
+def test_first_failure_checks_match_their_definitions_on_random_forms(shape, examples):
+    @settings(max_examples=examples, deadline=None, derandomize=True)
+    @given(rho=random_semiforms([shape]), family=st.sampled_from(CORRUPTIONS), seed=st.integers(0, 2**32 - 1))
+    def check(rho, family, seed):
+        rng = np.random.default_rng(seed)
+        codes = rho.p**rho.nu
+        atlas = delta_table_from_phi(rho.atlas.phi)
+        assert_checks_are_their_definitions(
+            corrupted(rho.value_table(), codes, family, rng), rho, corrupted(atlas, codes, family, rng)
+        )
+
+    check()
+
+
+def test_a2_quantifies_the_kernel_part_point_before_the_scalar():
+    # over GF(7), 2 does not generate the units: column 1 keeps rho(2q, 1) =
+    # 2 rho(q, 1) but breaks a = 3 on the orbit {q0, 2q0, 4q0}, and column 2
+    # breaks a = 2 at one entry, so mp before a finds (3, q, 1), not (2, q, 2)
+    rho = Semiform(standard_symplectic(1, 7))
+    table = rho.value_table()
+    pts, q0 = enumerate_vectors(7, 3), 50
+    for k in range(3):
+        q = vec_index(pow(2, k) * pts[q0] % 7, 7)
+        table[q, 1] = (table[q, 1] + pow(2, k)) % 7
+    table[q0, 2] = (table[q0, 2] + 1) % 7
+    witness = witness_codes(check_semiform_axioms(table, 7, 3, 1).check("A2").witness, 7)
+    assert witness == failures_by_definition(table, rho)["A2"]
+    assert (witness[0], witness[2]) == (3, 1)
+
+
 # -- atlas axioms ----------------------------------------------------------------
 
 

@@ -21,6 +21,7 @@ from semipolar.linalg import (
     encode_vecs,
     enumerate_subspaces,
     enumerate_vectors,
+    first_failure,
     gaussian_binomial,
     index_vec,
     pack_codes,
@@ -316,6 +317,32 @@ def test_blocks_cover_the_range_once_in_order(monkeypatch, count, width, chunk, 
     assert [k for b in got for k in range(count)[b]] == list(range(count))
     assert all(b.step is None and b.stop - b.start == step for b in got[:-1])
     assert not got if count == 0 else 0 < got[-1].stop - got[-1].start <= step
+
+
+def test_first_failure_reads_keys_in_order_and_indices_in_row_major_order():
+    ok = np.ones((3, 4, 5), dtype=bool)
+    ok[2, 0, 4] = ok[1, 3, 0] = ok[1, 3, 2] = False
+    assert first_failure([("a", np.ones(6, dtype=bool)), ("b", ok), ("c", ~ok)]) == ("b", (1, 3, 0))
+    assert all(type(i) is int for i in first_failure([(0, ok)])[1])
+    # the first failing key wins over an earlier entry of a later array
+    assert first_failure([(k, np.arange(4) != 3 - k) for k in range(4)]) == (0, (3,))
+    assert first_failure([("scalar", np.bool_(False))]) == ("scalar", ())
+    # a pass, an empty iterable, and arrays with no entries all give None
+    assert first_failure([(0, ok | True), (1, np.ones((2, 2), dtype=bool))]) is None
+    assert first_failure([]) is None
+    assert first_failure([(0, np.zeros((0, 3), dtype=bool))]) is None
+
+
+def test_first_failure_computes_no_pair_after_the_first_failure():
+    computed = []
+
+    def tests():
+        for k in range(10):
+            computed.append(k)
+            yield k, np.arange(5) != (2 if k == 3 else 9)
+
+    assert first_failure(tests()) == (3, (2,))
+    assert computed == [0, 1, 2, 3]
 
 
 @pytest.mark.parametrize("n", [1, 7, 63, 64, 65, 130])

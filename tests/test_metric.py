@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from semipolar import linalg
 from semipolar.apsg import Point, SemipolarSpace, canonical_direction
 from semipolar.errors import DimensionMismatch
 from semipolar.forms import AlternatingMap, Semiform, group_tables
@@ -22,8 +23,9 @@ from semipolar.metric import (
     pair_sets,
     translation_noninvariance_witness,
 )
-from semipolar.linalg import CHUNK, normalize_rows
+from semipolar.linalg import CHUNK, encode_vecs, enumerate_vectors, normalize_rows
 from semipolar.suites import SuiteConfig, _bisector_counts, _group_counts, _same_partitions, run_suite
+from test_forms import CORRUPTIONS, KERNEL_SHAPES, corrupted, first_hit, random_semiforms
 
 
 def P(v, u):
@@ -325,6 +327,56 @@ def test_translation_noninvariance_witness(sp_m1_gf3):
     assert got == first_in_loop_order()
     p1, p2, t = got
     assert space.form.eval(p1.add(t, 3), p2.add(t, 3)) != space.form.eval(p1, p2)
+
+
+def metric_laws_by_definition(space, t):
+    """On a scalar table t: the codes (p1, p2, t) of the first tuple in loop
+    order with rho(p1 + t, p2 + t) != rho(p1, p2), or None, and whether the
+    midpoint congruence and the polar correspondence hold, with sums and
+    midpoints taken on coordinates."""
+    p = space.p
+    pts = enumerate_vectors(p, space.ydim)
+    idx = np.arange(len(pts))
+    total = encode_vecs((pts[:, None] + pts[None, :]) % p, p)
+    mid = encode_vecs(pow(2, p - 2, p) * (pts[:, None] + pts[None, :]) % p, p)
+    translation = first_hit(((i,), t[total[i][None, :], total] != t[i][:, None]) for i in idx)
+    midpoint = bool((t[idx[:, None], mid] == t[mid, idx[None, :]]).all())
+    # the m-bisector of (y_i, y_j) is the neighbourhood of their midpoint, and
+    # t[i, x] = t[j, x] exactly when w[i, x] = w[j, x], w[j, x] = eta(u_j, u_x) - v_j
+    m_bisectors = all(((t[i][None, :] == t.T) == (t[mid[i]] == 0)).all() for i in idx)
+    w = (np.einsum("ia,ab,jb->ij", pts[:, 1:], space.form.eta.gram[:, :, 0], pts[:, 1:]) - pts[:, :1]) % p
+    t_bisectors = all(((t[:, x, None] == t[None, :, x]) == (w[:, x, None] == w[None, :, x])).all() for x in idx)
+    return translation, midpoint, m_bisectors and t_bisectors
+
+
+def assert_metric_laws_are_their_definitions(form, table):
+    space = SemipolarSpace(form)
+    space.__dict__["value_table"] = table
+    translation, midpoint, polar = metric_laws_by_definition(space, table)
+    got = translation_noninvariance_witness(space)
+    assert (None if got is None else tuple(space.index(q) for q in got)) == translation
+    checks = {c["name"]: c for suite in ("metric", "bisectors") for c in run_suite(suite, space, SuiteConfig())["checks"]}
+    assert (checks["midpoint-congruence"]["passed"], checks["polar-correspondence"]["passed"]) == (midpoint, polar)
+
+
+@pytest.mark.parametrize("chunk", [None, 7], ids=["default", "chunk7"])
+@pytest.mark.parametrize("family", CORRUPTIONS)
+@pytest.mark.parametrize("instance", ["sp_m1_gf3", "sp_m2_gf3"])
+def test_metric_laws_match_their_definitions_on_corrupted_tables(request, monkeypatch, instance, family, chunk):
+    if chunk:
+        monkeypatch.setattr(linalg, "CHUNK", chunk)
+    form = request.getfixturevalue(instance).form
+    assert_metric_laws_are_their_definitions(form, corrupted(form.value_table(), form.p, family, np.random.default_rng(28)))
+
+
+@pytest.mark.parametrize("shape, examples", [(shape, examples) for shape, examples in KERNEL_SHAPES if shape[2] == 1])
+def test_metric_laws_match_their_definitions_on_random_forms(shape, examples):
+    @settings(max_examples=examples, deadline=None, derandomize=True)
+    @given(rho=random_semiforms([shape]), family=st.sampled_from(CORRUPTIONS), seed=st.integers(0, 2**32 - 1))
+    def check(rho, family, seed):
+        assert_metric_laws_are_their_definitions(rho, corrupted(rho.value_table(), rho.p, family, np.random.default_rng(seed)))
+
+    check()
 
 
 # -- reports ------------------------------------------------------------------------------

@@ -106,3 +106,14 @@ def test_no_module_but_linalg_refers_to_chunk():
     # every blocked sweep takes its blocks from linalg.blocks, so the block
     # size is set, documented and patched in linalg alone
     assert [p.name for p in sorted(SRC.glob("*.py")) if "CHUNK" in p.read_text(encoding="utf-8")] == ["linalg.py"]
+
+
+def test_no_source_line_is_longer_than_120_characters():
+    # a long line packs what would read better wrapped, and hides a line count
+    long = [
+        f"{path.name}:{k}"
+        for path in sorted(SRC.glob("*.py"))
+        for k, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if len(line) > 120
+    ]
+    assert long == []
