@@ -458,21 +458,23 @@ class SemipolarSpace:
         through = self._singular_dirs
         first, second = np.triu_indices(through.shape[1], 1)
         report = Report()
-        wit = None
-        for block in blocks(self.size, len(first) * (self.p - 1)):
+
+        def closure(block):
             lo, dirs = block.start, through[block]
             # d1 + a*d2 for a >= 1, along the last axis
             mixed = add[dirs[:, first, None], multiples.take(dirs[:, second], axis=0)]
             codes = np.arange(lo, block.stop)
             lines = np.take_along_axis(self.adjacency[codes], add.rows(codes), axis=1)
-            missing = ~lines.take((codes - lo)[:, None, None] * self.size + mixed)
-            if missing.any():
-                b, k, a = np.unravel_index(int(np.flatnonzero(missing)[0]), missing.shape)
-                named = (dirs[b, first[k]], dirs[b, second[k]], mixed[b, k, a])
-                l1, l2, candidate = (self.decode_line(lo + b, int(d)) for d in named)
-                wit = (self.points[lo + b], repr(l1), repr(l2), repr(candidate))
-                break
-        report.add("plane-closure", wit is None, wit, "lines through a common point inside a span stay singular")
+            return (lo, dirs, mixed), lines.take((codes - lo)[:, None, None] * self.size + mixed)
+
+        fail = first_failure(map(closure, blocks(self.size, len(first) * (self.p - 1))))
+        wit = None
+        if fail is not None:
+            (lo, dirs, mixed), (b, k, a) = fail
+            named = (dirs[b, first[k]], dirs[b, second[k]], mixed[b, k, a])
+            l1, l2, candidate = (self.decode_line(lo + b, int(d)) for d in named)
+            wit = (self.points[lo + b], repr(l1), repr(l2), repr(candidate))
+        report.add("plane-closure", fail is None, wit, "lines through a common point inside a span stay singular")
 
         # each width runs in one batch; the witness is the first failing row in
         # the order of maximal_singular_subspaces

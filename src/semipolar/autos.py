@@ -2,8 +2,9 @@
 
 An affine map of Y preserving adjacency has the shape
 F([v,u]) = [psi1(v) + psi2(u) + v0, phi(u) + u0] with psi2 determined by phi and
-u0, and phi twisting eta by psi1.  For scalar spaces this specializes to
-f([a,u]) = [alpha*a + v.u + b, phi(u) + w] with alpha the multiplier of phi.
+u0, and phi twisting eta by psi1.  One parameter type, GeneralAutoParams, holds
+every such map: the symplectic family of a scalar space is the case nu = 1,
+psi1 = [[alpha]] with alpha the multiplier of phi.
 """
 
 from __future__ import annotations
@@ -78,15 +79,6 @@ class GeneralAutoParams:
     psi2: LinearMap  # derived: psi2(u) = eta(phi(u), u0)
 
 
-@dataclass
-class SymplecticAutoParams:
-    alpha: int
-    b: int
-    w: tuple[int, ...]
-    phi: LinearMap
-    v: tuple[int, ...]  # derived: v . u = eta(phi(u), w)
-
-
 def multiplier(eta: AlternatingMap, phi: LinearMap) -> int | None:
     """The unique alpha with eta(phi u1, phi u2) = alpha * eta(u1, u2), or None."""
     if not phi.is_bijective() or phi.domain_dim != eta.n:
@@ -158,53 +150,31 @@ def point_transitive_auto(space: SemipolarSpace, src: Point, dst: Point) -> Poin
     return pmap
 
 
-def build_symplectic_auto(
-    space: SemipolarSpace, alpha: int, b: int, w, phi: LinearMap
-) -> tuple[PointMap, SymplecticAutoParams]:
-    """[a,u] -> [alpha*a + v.u + b, phi(u) + w]: the general map with psi1 = alpha,
-    whose psi2 is the row v."""
-    if space.nu != 1:
-        raise DimensionMismatch("symplectic automorphisms need a scalar-valued semiform")
-    pmap, g = build_general_auto(space, LinearMap([[alpha]], space.p), phi, w, (b,))
-    v = tuple(int(c) for c in g.psi2.matrix[0])
-    return pmap, SymplecticAutoParams(int(g.psi1.matrix[0, 0]), g.v0[0], g.u0, phi, v)
-
-
 def compose_params(
-    space: SemipolarSpace, f2: SymplecticAutoParams, f1: SymplecticAutoParams
-) -> SymplecticAutoParams:
-    """Parameters of f2 o f1."""
-    p = space.p
-    eta = space.form.eta
-    phi3 = f2.phi.compose(f1.phi)
-    w3 = tuple(int(c) for c in (np.array(f2.phi(f1.w)) + np.array(f2.w)) % p)
-    b3 = (f2.alpha * f1.b + eta.eta_u(f2.phi(f1.w))(f2.w)[0] + f2.b) % p
-    alpha3 = (f2.alpha * f1.alpha) % p
-    v3 = tuple(int(c) for c in (-eta.eta_u(w3).compose(phi3).matrix[0]) % p)
-    return SymplecticAutoParams(alpha3, b3, w3, phi3, v3)
-
-
-def build_from_params(space: SemipolarSpace, params: SymplecticAutoParams) -> PointMap:
-    pmap, _ = build_symplectic_auto(space, params.alpha, params.b, params.w, params.phi)
-    return pmap
+    space: SemipolarSpace, f2: GeneralAutoParams, f1: GeneralAutoParams
+) -> tuple[PointMap, GeneralAutoParams]:
+    """The map f2 o f1 and its parameters: psi1 = psi1_2 psi1_1, phi = phi_2 phi_1,
+    u0 = phi_2(u0_1) + u0_2 and v0 = psi1_2(v0_1) + psi2_2(u0_1) + v0_2, built
+    and twist-tested by build_general_auto."""
+    u0 = np.add(f2.phi(f1.u0), f2.u0)
+    v0 = np.add(f2.psi1(f1.v0), f2.psi2(f1.u0)) + f2.v0
+    return build_general_auto(space, f2.psi1.compose(f1.psi1), f2.phi.compose(f1.phi), u0, v0)
 
 
 def rho_scaling_constant(space: SemipolarSpace, pmap: PointMap) -> int | None:
-    """The fixed nonzero alpha with rho(F p1, F p2) = alpha * rho(p1, p2), if any."""
+    """The fixed nonzero alpha with rho(F p1, F p2) = alpha * rho(p1, p2), if any:
+    read off the first nonzero table entry, then tested on every pair."""
     if space.nu != 1:
         raise DimensionMismatch("scaling constants are scalar-space notions")
     t = space.value_table
-    perm = pmap.perm
-    mapped = under_map(t, perm)
-    nz = np.flatnonzero(t.ravel())
+    nz = np.flatnonzero(t)
     if not len(nz):
         return None
-    i = int(nz[0])
-    a, b = int(t.ravel()[i]), int(mapped.ravel()[i])
-    alpha = (b * pow(a, space.p - 2, space.p)) % space.p
-    if alpha == 0:
-        return None
-    return alpha if bool((mapped == (alpha * t.astype(np.int64)) % space.p).all()) else None
+    i, j = np.unravel_index(int(nz[0]), t.shape)
+    perm = pmap.perm
+    alpha = (int(t[perm[i], perm[j]]) * pow(int(t[i, j]), space.p - 2, space.p)) % space.p
+    # alpha = 0 fails the test: the permuted table keeps its nonzero entries
+    return alpha if verify_semiform_scaling(pmap, LinearMap([[alpha]], space.p), space) else None
 
 
 def invertible_matrices(n: int, p: int) -> np.ndarray:
@@ -244,8 +214,9 @@ def brute_force_aut_group(space: SemipolarSpace) -> list[PointMap]:
     return out
 
 
-def symplectic_family(space: SemipolarSpace) -> list[tuple[SymplecticAutoParams, PointMap]]:
-    """Every admissible (alpha, b, w, phi): the parametric automorphism family."""
+def symplectic_family(space: SemipolarSpace) -> list[tuple[GeneralAutoParams, PointMap]]:
+    """Every admissible (alpha, b, w, phi): the parametric automorphism family,
+    as the general maps with psi1 = [[alpha]], u0 = w and v0 = (b,)."""
     if space.nu != 1:
         raise DimensionMismatch("the parametric family needs a scalar-valued semiform")
     p = space.p
@@ -260,7 +231,7 @@ def symplectic_family(space: SemipolarSpace) -> list[tuple[SymplecticAutoParams,
         for w in product(range(p), repeat=space.n):
             for b in range(p):
                 pmap, g = _general_auto(space, psi1, phi, w, (b,))
-                out.append((SymplecticAutoParams(alpha, b, w, phi, tuple(g.psi2.matrix[0].tolist())), pmap))
+                out.append((g, pmap))
     return out
 
 

@@ -20,8 +20,7 @@ from .autos import (
     ORACLE_CAP,
     PointMap,
     brute_force_aut_group,
-    build_from_params,
-    build_symplectic_auto,
+    build_general_auto,
     compose_params,
     fixes_vertical_direction,
     invertible_matrices,
@@ -201,12 +200,19 @@ def _pair_offsets(mask: np.ndarray) -> np.ndarray:
 
 def _row_major_pairs(mask: np.ndarray, offsets: np.ndarray, width: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The pairs i < j set in mask in row-major order, as (i, j) blocks of
-    ordinals of `width` elements each, each read off the rows that hold them."""
+    ordinals of `width` elements each.  Each row is read once: a carry holds
+    the flat codes i |Y| + j of the pairs read and not yet yielded, and a block
+    reads on to the row that holds its last pair."""
+    size, read = len(mask), 0
+    carry = np.empty(0, dtype=np.intp)
     for b in blocks(int(offsets[-1]), width):
-        first, last = np.searchsorted(offsets, [b.start, b.stop - 1], side="right") - 1
-        i, j = np.divmod(np.flatnonzero(mask[first : last + 1]) + first * len(mask), len(mask))
-        keep = np.flatnonzero(j > i)[b.start - offsets[first] : b.stop - offsets[first]]
-        yield i[keep], j[keep]
+        last = int(np.searchsorted(offsets, b.stop - 1, side="right")) - 1
+        if last >= read:
+            fresh = np.flatnonzero(np.triu(mask[read : last + 1], read + 1)) + read * size
+            carry, read = np.concatenate([carry, fresh]), last + 1
+        cut = b.stop - b.start
+        yield np.divmod(carry[:cut], size)
+        carry = carry[cut:]
 
 
 def _nth_pairs(mask: np.ndarray, offsets: np.ndarray, ords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -328,9 +334,9 @@ def suite_autos(space: SemipolarSpace, cfg: SuiteConfig) -> Report:
             alpha = multiplier(space.form.eta, phi)
             if alpha is None:
                 continue
-            built.append(build_symplectic_auto(space, alpha, k % p, (1,) * space.n, phi))
+            built.append(build_general_auto(space, LinearMap([[alpha]], p), phi, (1,) * space.n, (k % p,)))
         comp_ok = all(
-            build_from_params(space, compose_params(space, p2, p1)) == m2.compose(m1)
+            compose_params(space, p2, p1)[0] == m2.compose(m1)
             for (m1, p1), (m2, p2) in combinations(built, 2)
         )
         report.add("composition-rules", comp_ok, None,

@@ -10,11 +10,8 @@ from hypothesis import strategies as st
 from semipolar.apsg import Point, SemipolarSpace
 from semipolar.autos import (
     PointMap,
-    SymplecticAutoParams,
     brute_force_aut_group,
-    build_from_params,
     build_general_auto,
-    build_symplectic_auto,
     compose_params,
     fixes_vertical_direction,
     invertible_matrices,
@@ -224,7 +221,7 @@ def test_semiform_scaling_verification(sp_m1_gf3, sp_m1_gf5):
     assert verify_semiform_scaling(pmap, LinearMap.identity(1, 3), space)
 
     gf5 = sp_m1_gf5
-    pmap5, _ = build_symplectic_auto(gf5, 2, 0, (0, 0), LinearMap([[2, 0], [0, 1]], 5))
+    pmap5, _ = build_general_auto(gf5, LinearMap([[2]], 5), LinearMap([[2, 0], [0, 1]], 5), (0, 0), (0,))
     assert verify_semiform_scaling(pmap5, LinearMap([[2]], 5), gf5)
     assert not verify_semiform_scaling(pmap5, LinearMap.identity(1, 5), gf5)
 
@@ -265,17 +262,16 @@ def test_shift_images_match_point_transitive_auto_on_random_forms(rho, data):
     assert_shift_images_match_the_maps(space, starts)
 
 
-# -- symplectic automorphisms ----------------------------------------------------
+# -- symplectic automorphisms: the general maps at nu = 1 ------------------------
 
 
-def test_symplectic_identity(sp_m1_gf3):
-    pmap, params = build_symplectic_auto(sp_m1_gf3, 1, 0, (0, 0), LinearMap.identity(2, 3))
-    assert (pmap.perm == np.arange(27)).all()
-    assert params.v == (0, 0)
+def scalar_auto(space, alpha, b, w, phi):
+    """The map [a,u] -> [alpha*a + v.u + b, phi(u) + w] of a scalar space."""
+    return build_general_auto(space, LinearMap([[alpha]], space.p), phi, w, (b,))
 
 
 def test_vertical_translation_is_an_automorphism(sp_m1_gf3):
-    pmap, _ = build_symplectic_auto(sp_m1_gf3, 1, 2, (0, 0), LinearMap.identity(2, 3))
+    pmap, _ = scalar_auto(sp_m1_gf3, 1, 2, (0, 0), LinearMap.identity(2, 3))
     assert preserves_adjacency(pmap)
     for pt in sp_m1_gf3.points:
         assert pmap(pt) == P(((pt.v[0] + 2) % 3,), pt.u)
@@ -293,22 +289,16 @@ def test_translation_with_nonzero_w_is_not_an_automorphism(sp_m1_gf3):
     assert preserves_adjacency(tau0)
 
 
-def test_symplectic_auto_rejects_wrong_alpha(sp_m1_gf3):
-    with pytest.raises(NotCompatible):
-        build_symplectic_auto(sp_m1_gf3, 2, 0, (0, 0), LinearMap.identity(2, 3))
-    with pytest.raises(NotCompatible):
-        build_symplectic_auto(sp_m1_gf3, 0, 0, (0, 0), LinearMap.identity(2, 3))
-
-
 def test_compose_params_identity_and_translations(sp_m1_gf3):
     space = sp_m1_gf3
-    ident = SymplecticAutoParams(1, 0, (0, 0), LinearMap.identity(2, 3), (0, 0))
-    f = SymplecticAutoParams(1, 2, (0, 0), LinearMap.identity(2, 3), (0, 0))
-    c = compose_params(space, f, ident)
-    assert (c.alpha, c.b, c.w) == (1, 2, (0, 0))
-    g = SymplecticAutoParams(1, 1, (0, 0), LinearMap.identity(2, 3), (0, 0))
-    c = compose_params(space, f, g)
-    assert c.b == 0  # 2 + 1 mod 3
+    _, ident = scalar_auto(space, 1, 0, (0, 0), LinearMap.identity(2, 3))
+    _, f = scalar_auto(space, 1, 2, (0, 0), LinearMap.identity(2, 3))
+    _, c = compose_params(space, f, ident)
+    assert c == f
+    _, g = scalar_auto(space, 1, 1, (0, 0), LinearMap.identity(2, 3))
+    _, c = compose_params(space, f, g)
+    assert c.v0 == (0,)  # 2 + 1 mod 3
+    assert c == ident
 
 
 def test_compose_params_matches_pointwise_composition(sp_m1_gf3):
@@ -323,21 +313,73 @@ def test_compose_params_matches_pointwise_composition(sp_m1_gf3):
             alpha = multiplier(space.form.eta, phi)
             w = tuple(int(c) for c in rng.integers(0, 3, 2))
             b = int(rng.integers(0, 3))
-            picks.append(build_symplectic_auto(space, alpha, b, w, phi))
+            picks.append(scalar_auto(space, alpha, b, w, phi))
         (m1, p1), (m2, p2) = picks
-        composed = compose_params(space, p2, p1)
-        assert build_from_params(space, composed) == m2.compose(m1)
+        composed, _ = compose_params(space, p2, p1)
+        assert composed == m2.compose(m1)
 
 
 def test_compose_params_associative_pointwise(sp_m1_gf3):
     space = sp_m1_gf3
     phi = LinearMap([[0, 1], [1, 0]], 3)
-    _, pa = build_symplectic_auto(space, 2, 1, (1, 0), phi)
-    _, pb = build_symplectic_auto(space, 1, 0, (0, 1), LinearMap.identity(2, 3))
-    _, pc = build_symplectic_auto(space, 2, 2, (1, 1), phi)
-    left = compose_params(space, compose_params(space, pa, pb), pc)
-    right = compose_params(space, pa, compose_params(space, pb, pc))
-    assert build_from_params(space, left) == build_from_params(space, right)
+    _, pa = scalar_auto(space, 2, 1, (1, 0), phi)
+    _, pb = scalar_auto(space, 1, 0, (0, 1), LinearMap.identity(2, 3))
+    _, pc = scalar_auto(space, 2, 2, (1, 1), phi)
+    left, _ = compose_params(space, compose_params(space, pa, pb)[1], pc)
+    right, _ = compose_params(space, pa, compose_params(space, pb, pc)[1])
+    assert left == right
+
+
+def cofactor(mat, p):
+    """The cofactor matrix of an integer matrix, mod p: det(M) M^-T."""
+    n = len(mat)
+    cof = [[(-1) ** (i + j) * round(np.linalg.det(np.delete(np.delete(mat, i, 0), j, 1)))
+            for j in range(n)] for i in range(n)]
+    return LinearMap(np.array(cof) % p, p)
+
+
+@pytest.fixture(scope="module")
+def cross_autos(sp_cross_gf3):
+    """Nine general maps of the cross GF(3) space (nu = 3): phi a seeded draw
+    from GL(3, 3) and psi1 its cofactor matrix, as (phi a) x (phi b) =
+    cof(phi)(a x b), with seeded shifts."""
+    space = sp_cross_gf3
+    rng = np.random.default_rng(29)
+    mats = invertible_matrices(3, 3)
+    out = []
+    for _ in range(9):
+        mat = mats[int(rng.integers(0, len(mats)))]
+        out.append(build_general_auto(space, cofactor(mat, 3), LinearMap(mat, 3),
+                                      rng.integers(0, 3, 3), rng.integers(0, 3, 3)))
+    assert len({g.psi1 for _, g in out}) > 1
+    return out
+
+
+def test_general_composition_matches_pointwise_composition(sp_cross_gf3, cross_autos):
+    for (m2, g2), (m1, g1) in product(cross_autos, repeat=2):
+        composed, _ = compose_params(sp_cross_gf3, g2, g1)
+        assert composed == m2.compose(m1)
+
+
+def test_general_composition_is_associative(sp_cross_gf3, cross_autos):
+    space = sp_cross_gf3
+    params = [g for _, g in cross_autos]
+    for ga, gb, gc in combinations(params, 3):
+        left = compose_params(space, compose_params(space, ga, gb)[1], gc)
+        right = compose_params(space, ga, compose_params(space, gb, gc)[1])
+        assert left[1] == right[1]
+        assert left[0] == right[0]
+
+
+def test_general_composition_parts_pass_the_twist_test(sp_cross_gf3, cross_autos):
+    # the composed parts rebuild to the same map, and its psi2 is the block
+    # product's psi1_2 psi2_1 + psi2_2 phi_1
+    space = sp_cross_gf3
+    for (m2, g2), (m1, g1) in product(cross_autos, repeat=2):
+        pmap, g3 = compose_params(space, g2, g1)
+        assert build_general_auto(space, g3.psi1, g3.phi, g3.u0, g3.v0) == (pmap, g3)
+        psi2 = (g2.psi1.matrix @ g1.psi2.matrix + g2.psi2.matrix @ g1.phi.matrix) % 3
+        assert (g3.psi2.matrix == psi2).all()
 
 
 def test_symplectic_family_is_the_general_map_with_psi1_alpha(sp_m1_gf3):
@@ -346,16 +388,17 @@ def test_symplectic_family_is_the_general_map_with_psi1_alpha(sp_m1_gf3):
     space = sp_m1_gf3
     eta = space.form.eta
     for params, pmap in symplectic_family(space):
-        general, g = build_general_auto(
-            space, LinearMap([[params.alpha]], 3), params.phi, params.w, (params.b,)
-        )
+        alpha, (b,), w = int(params.psi1.matrix[0, 0]), params.v0, params.u0
+        assert params.psi1 == LinearMap([[multiplier(eta, params.phi)]], 3)
+        general, g = scalar_auto(space, alpha, b, w, params.phi)
         assert general == pmap
-        assert g.psi2.matrix[0].tolist() == list(params.v)
-        v = [eta.eval(params.phi.matrix[:, j], params.w)[0] for j in range(space.n)]
+        assert g == params
+        v = [eta.eval(params.phi.matrix[:, j], w)[0] for j in range(space.n)]
+        assert params.psi2.matrix[0].tolist() == v
         block = np.zeros((3, 3), dtype=np.int64)
-        block[0] = [params.alpha, *v]
+        block[0] = [alpha, *v]
         block[1:, 1:] = params.phi.matrix
-        assert PointMap(space, LinearMap(block, 3), (params.b, *params.w)) == pmap
+        assert PointMap(space, LinearMap(block, 3), (b, *w)) == pmap
 
 
 def test_family_and_oracle_rank_test_each_matrix_once(sp_m1_gf3, monkeypatch):
@@ -430,6 +473,6 @@ def test_family_export_is_a_json_list(sp_m1_gf3):
     # rebuilding from the parameters reproduces distinct maps
     rebuilt = set()
     for params, _ in family[:30]:
-        pmap, _ = build_symplectic_auto(sp_m1_gf3, params.alpha, params.b, params.w, params.phi)
+        pmap, _ = build_general_auto(sp_m1_gf3, params.psi1, params.phi, params.u0, params.v0)
         rebuilt.add(pmap)
     assert len(rebuilt) == 30

@@ -7,6 +7,7 @@ import pytest
 
 from semipolar import linalg, suites
 from semipolar.apsg import Point, SemipolarSpace
+from semipolar.autos import build_general_auto
 from semipolar.errors import DimensionMismatch, EnumerationTooLarge
 from semipolar.forms import AlternatingMap, Report, Semiform
 from semipolar.suites import SUITES, SuiteConfig, applicable_suites, run_suite
@@ -62,6 +63,23 @@ def test_vector_instance_spot_suites(sp_cross_gf3):
         report = run_suite(name, sp_cross_gf3, cfg)
         assert report["passed"], (name, report["checks"])
     assert run_suite("triangles", sp_cross_gf3, cfg)["data"]["census"] == 0
+
+
+def test_composition_rules_fails_under_a_law_without_the_psi2_term(sp_m1_gf3, monkeypatch):
+    # the law v0 = psi1_2(v0_1) + v0_2 drops psi2_2(u0_1) = eta(phi_2(u0_1), u0_2);
+    # with u0 = (1, 1) throughout, the seeded phi draws of the default seed make
+    # that term nonzero for some pair, so the composed maps differ
+    def law_without_psi2(space, f2, f1):
+        u0 = np.add(f2.phi(f1.u0), f2.u0)
+        v0 = np.add(f2.psi1(f1.v0), f2.v0)
+        return build_general_auto(space, f2.psi1.compose(f1.psi1), f2.phi.compose(f1.phi), u0, v0)
+
+    cfg = SuiteConfig()
+    assert run_suite("autos", sp_m1_gf3, cfg)["passed"]
+    monkeypatch.setattr(suites, "compose_params", law_without_psi2)
+    report = run_suite("autos", sp_m1_gf3, cfg)
+    failed = [c["name"] for c in report["checks"] if not c["passed"]]
+    assert failed == ["composition-rules"]
 
 
 def test_m2_metric_and_bisector_suites(sp_m2_gf3):
