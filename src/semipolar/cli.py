@@ -1,7 +1,8 @@
 """Command-line driver: build instances, run verification suites, export structures.
 
-Exit codes: 0 all suites pass, 1 a suite failed, 2 usage error, 3 enumeration
-budget exceeded.  All reports are JSON with sorted keys, byte-identical on rerun.
+Exit codes: 0 all suites pass, 1 a suite failed, 2 usage error (among them an
+instance file whose form or atlas is degenerate), 3 enumeration budget exceeded.
+All reports are JSON with sorted keys, byte-identical on rerun.
 
 Each command imports the layers it runs, when it runs them: `build` and the
 instance loaders need only apsg, forms, linalg and gf; `verify` imports the
@@ -19,7 +20,9 @@ from typing import Optional
 import numpy as np
 
 from .apsg import SemipolarSpace
-from .errors import DimensionMismatch, EnumerationTooLarge, GeometryError
+from .errors import (
+    DEFAULT_BUDGET, DegenerateAtlas, DegenerateForm, DimensionMismatch, EnumerationTooLarge, GeometryError,
+)
 from .forms import Semiform, cross_product_map, exterior_square, standard_symplectic
 from .gf import GF
 from .linalg import LinearMap
@@ -77,7 +80,10 @@ def cmd_build(args) -> int:
 def _space_from_args(args) -> Optional[SemipolarSpace]:
     if not args.instance:
         return None
-    return SemipolarSpace(load_instance(args.instance), budget=args.budget)
+    try:
+        return SemipolarSpace(load_instance(args.instance), budget=args.budget)
+    except (DegenerateForm, DegenerateAtlas) as exc:  # an instance no space is built on
+        raise ValueError(str(exc)) from exc
 
 
 def cmd_verify(args) -> int:
@@ -198,7 +204,7 @@ def make_parser() -> argparse.ArgumentParser:
     v.add_argument("instance", nargs="?", help="instance JSON file")
     v.add_argument("--suite", action="append",
                    help="suite name or 'all'; may repeat")
-    v.add_argument("--budget", type=int, default=10**6)
+    v.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     v.add_argument("--sample", type=positive_int, default=None,
                    help="sampled mode: tuples per suite, at least 1")
     v.add_argument("--seed", type=int, default=None,
@@ -218,7 +224,7 @@ def make_parser() -> argparse.ArgumentParser:
     e.add_argument("--field", type=int, default=None)
     e.add_argument("--hyp-dim", type=int, default=3)
     e.add_argument("--hyp-diag", type=int, nargs="+", default=None)
-    e.add_argument("--budget", type=int, default=10**6)
+    e.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     e.add_argument("--out", help="output path (stdout when omitted)")
     return parser
 

@@ -25,7 +25,6 @@ from .gf import GF
 from .linalg import (
     LinearMap,
     SplitTable,
-    Subspace,
     as_vec,
     blocks,
     code_dtype,
@@ -33,6 +32,8 @@ from .linalg import (
     enumerate_vectors,
     first_failure,
     index_vec,
+    rank,
+    rref,
     vec_index,
 )
 
@@ -120,15 +121,11 @@ class AlternatingMap:
                 block += (us[b] @ self.gram[:, :, k] % p @ us.T % p).astype(out.dtype)
         return out
 
-    def radical(self) -> Subspace:
-        """{u : eta(u, .) == 0}, the kernel of u -> (eta(u, e_j))_j."""
-        stacked = self.gram.reshape(self.n, self.n * self.nu).T
-        from .linalg import matrix_kernel
-
-        return matrix_kernel(stacked, self.p, self.n)
-
     def is_nondegenerate(self) -> bool:
-        return self.radical().dim == 0
+        """No u != 0 has eta(u, .) == 0: the (n nu, n) map u -> (eta(u, e_j))_j
+        has rank n."""
+        stacked = self.gram.reshape(self.n, self.n * self.nu).T
+        return int(rank(stacked, self.p)) == self.n
 
     def __eq__(self, other):
         return (
@@ -210,7 +207,7 @@ class AffineAtlas:
         return tuple(int(c) for c in (a - b) % self.p)
 
     def is_nondegenerate(self) -> bool:
-        return self.phi.kernel().dim == 0
+        return self.phi.is_bijective()
 
     def is_identity(self) -> bool:
         return bool((self.phi.matrix == np.eye(self.nu, dtype=np.int64)).all())
@@ -681,17 +678,20 @@ def check_semiform_axioms(
         return report
     d_set = d_shift
 
-    m_space = Subspace([pts[i] for i in m_set] or [], p, ydim)
-    d_space = Subspace([pts[i] for i in d_set] or [], p, ydim)
+    # M and D are subspaces when their spans have no more points than they do;
+    # M + D is direct when its rank is the sum of theirs.
+    m_dim = int(rank(pts[m_set], p))
+    d_echelon, d_pivots = rref(pts[d_set], p)
+    d_dim = int(d_pivots.sum())
     decomposition_ok = (
-        p**m_space.dim == len(m_set)
-        and p**d_space.dim == len(d_set)
-        and m_space.intersection(d_space).dim == 0
-        and m_space.dim + d_space.dim == ydim
+        p**m_dim == len(m_set)
+        and p**d_dim == len(d_set)
+        and rank(pts[np.concatenate([m_set, d_set])], p) == m_dim + d_dim
+        and m_dim + d_dim == ydim
     )
     report.add("decomposition", decomposition_ok, None, "Y is the direct sum D + M")
-    report.data["M_dim"] = m_space.dim
-    report.data["D_dim"] = d_space.dim
+    report.data["M_dim"] = m_dim
+    report.data["D_dim"] = d_dim
     if not decomposition_ok:
         return report
 
@@ -712,14 +712,13 @@ def check_semiform_axioms(
 
     # The reversed D-restriction must itself be a nondegenerate affine atlas;
     # re-coordinatize D by its basis and run the atlas axioms on it.
-    if d_space.dim:
-        d_basis = d_space.matrix()
-        d_coords = enumerate_vectors(p, d_space.dim)
-        d_points = encode_vecs((d_coords @ d_basis) % p, p)  # point codes in Y
+    if d_dim:
+        d_coords = enumerate_vectors(p, d_dim)
+        d_points = encode_vecs((d_coords @ d_echelon[:d_dim]) % p, p)  # point codes in Y
         dd = under_map(t, d_points).T
         # The codomain values live in V'; D may have any dimension <= nu only
         # when the decomposition is genuine, so guard before reusing the checker.
-        if d_space.dim == nu:
+        if d_dim == nu:
             atlas_report = check_atlas_axioms(dd, p, nu, budget=budget)
             report.data["delta_atlas_ok"] = atlas_report.passed
             phi_on_d = t[:, 0][d_points.astype(np.int64)]

@@ -406,15 +406,6 @@ class Subspace:
             return np.zeros((0, self.ambient_dim), dtype=np.int64)
         return np.array(self.basis, dtype=np.int64)
 
-    def intersection(self, other: "Subspace") -> "Subspace":
-        """Row-space intersection by Zassenhaus: the rows of the reduced
-        [[A, A], [B, 0]] whose left half is zero span it in their right half."""
-        if (self.p, self.ambient_dim) != (other.p, other.ambient_dim):
-            raise DimensionMismatch("ambient mismatch")
-        a, b, n = self.matrix(), other.matrix(), self.ambient_dim
-        reduced, _ = rref(np.block([[a, a], [b, np.zeros_like(b)]]), self.p)
-        return Subspace(reduced[~reduced[:, :n].any(axis=1), n:], self.p, n)
-
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)
@@ -428,19 +419,6 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(p={self.p}, dim={self.dim}, basis={self.basis})"
-
-
-def matrix_kernel(mat: np.ndarray, p: int, domain_dim: int) -> Subspace:
-    """Kernel of x -> mat @ x as a subspace of GF(p)^domain_dim."""
-    mat = as_vec(np.atleast_2d(mat), p)
-    if mat.size == 0:
-        return Subspace(np.eye(domain_dim, dtype=np.int64), p, domain_dim)
-    r, pivots = rref(mat, p)
-    free = np.flatnonzero(~pivots)
-    gens = np.zeros((len(free), domain_dim), dtype=np.int64)
-    gens[np.arange(len(free)), free] = 1
-    gens[:, pivots] = -r[: pivots.sum(), free].T % p
-    return Subspace(gens, p, domain_dim)
 
 
 class LinearMap:
@@ -469,19 +447,12 @@ class LinearMap:
     def compose(self, other: "LinearMap") -> "LinearMap":
         return LinearMap((self.matrix @ other.matrix) % self.p, self.p)
 
-    @property
-    def rank(self) -> int:
-        return int(rank(self.matrix, self.p))
-
     def is_bijective(self) -> bool:
         if self.domain_dim != self.codomain_dim:
             return False
         if (self.matrix.diagonal() == 1).all() and not np.tril(self.matrix, -1).any():
             return True  # upper unitriangular: determinant 1, no rank test needed
-        return self.rank == self.domain_dim
-
-    def kernel(self) -> Subspace:
-        return matrix_kernel(self.matrix, self.p, self.domain_dim)
+        return int(rank(self.matrix, self.p)) == self.domain_dim
 
     def __eq__(self, other):
         return (

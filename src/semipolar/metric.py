@@ -16,7 +16,7 @@ on one pair's coordinates.  Points are decoded only for the values returned.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,19 +44,10 @@ class HyperplaneDescriptor(NamedTuple):
     beta: int
 
     @classmethod
-    def from_row(cls, p: int, row: list) -> "HyperplaneDescriptor":
+    def from_row(cls, p: int, row: tuple) -> "HyperplaneDescriptor":
         """The descriptor of one normalized row (u0..., alpha, beta)."""
         *u0, alpha, beta = row
         return cls(p, tuple(u0), alpha, beta)
-
-
-class PairSets(NamedTuple):
-    """The t-bisector, m-bisector and sphere of each pair of a block of B
-    pairs, indexed (kind, pair) in the order of KINDS."""
-
-    masks: np.ndarray  # (3, B, |Y|) membership over point codes
-    sizes: np.ndarray  # (3, B) cardinalities
-    equations: Optional[np.ndarray]  # (3, B, n + 2) normalized rows; None unless nu = 1
 
 
 @lru_cache(maxsize=None)
@@ -91,9 +82,11 @@ def _equations(space: SemipolarSpace, i: int, j: int, r: int) -> tuple:
 
 
 def _pair_block(space: SemipolarSpace, i, j) -> tuple[np.ndarray, np.ndarray, list]:
-    """The masks and sizes of `PairSets` of the pairs (i[b], j[b]) of point
-    codes, and the list of their rho(y_i, y_j): the rows rho(y_i, .) and
-    rho(y_j, .) and the column rho(., y_j) compared over all of Y."""
+    """The t-bisector, m-bisector and sphere of each pair (i[b], j[b]) of a
+    block of B pairs of point codes: their (3, B, |Y|) membership masks over
+    point codes and (3, B) sizes, indexed (kind, pair) in the order of KINDS,
+    and the list of the pairs' rho(y_i, y_j).  The rows rho(y_i, .) and
+    rho(y_j, .) and the column rho(., y_j) are compared over all of Y."""
     b = len(i)
     lines = space.rho_codes([*i, *j, *(space.size + y for y in j)])
     rho = [lines.item(k, y) for k, y in enumerate(j)]
@@ -103,21 +96,12 @@ def _pair_block(space: SemipolarSpace, i, j) -> tuple[np.ndarray, np.ndarray, li
     return masks, masks.sum(axis=2), rho
 
 
-def pair_sets(space: SemipolarSpace, i, j) -> PairSets:
-    """`_pair_block`'s masks and sizes and, if nu = 1, the pairs' `_equations`."""
-    masks, sizes, rho = _pair_block(space, i, j)
-    if space.nu != 1:
-        return PairSets(masks, sizes, None)
-    rows = [_equations(space, a, b, r) for a, b, r in zip(i, j, rho)]
-    return PairSets(masks, sizes, np.array(rows, dtype=np.int64).transpose(1, 0, 2))
-
-
 def _pair_set(space: SemipolarSpace, p1: Point, p2: Point, kind: str):
     """One set of the pair p1, p2: its points and, on scalar spaces, its equation."""
-    sets = pair_sets(space, [space.index(p1)], [space.index(p2)])
-    k, eq = KINDS.index(kind), sets.equations
-    desc = None if eq is None else HyperplaneDescriptor.from_row(space.p, eq[k, 0].tolist())
-    return tuple(space.points[c] for c in np.flatnonzero(sets.masks[k, 0]).tolist()), desc
+    i, j, k = space.index(p1), space.index(p2), KINDS.index(kind)
+    masks, _, (r,) = _pair_block(space, [i], [j])
+    desc = None if space.nu != 1 else HyperplaneDescriptor.from_row(space.p, _equations(space, i, j, r)[k])
+    return tuple(space.points[c] for c in np.flatnonzero(masks[k, 0]).tolist()), desc
 
 
 def bisector_t(space: SemipolarSpace, p1: Point, p2: Point):

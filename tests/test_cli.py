@@ -346,6 +346,33 @@ def test_degenerate_hyp_diag_is_usage_error(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+DEGENERATE_COMMANDS = [["verify", "--suite", "all"], ["export", "--what", "adjacency"]]
+
+
+def run_on_instance(instance, argv, tmp_path, capsys):
+    path, out = tmp_path / "inst.json", tmp_path / "report.json"
+    path.write_text(json.dumps(instance))
+    code, _, err = run([argv[0], str(path), *argv[1:], "--out", str(out)], capsys)
+    return code, err, out.exists()
+
+
+@pytest.mark.parametrize("argv", DEGENERATE_COMMANDS)
+def test_instance_with_a_radical_is_usage_error(argv, tmp_path, capsys):
+    # eta(e_3, .) = 0: a scalar form on GF(3)^3 is always degenerate
+    instance = {"p": 3, "n": 3, "nu": 1, "gram": [[0, 1, 1], [0, 2, 0], [1, 2, 0]], "atlas": [[1]]}
+    code, err, wrote = run_on_instance(instance, argv, tmp_path, capsys)
+    assert (code, wrote) == (2, False)
+    assert "usage error: the alternating map has a nonzero radical" in err
+
+
+@pytest.mark.parametrize("argv", DEGENERATE_COMMANDS)
+def test_instance_with_a_singular_atlas_is_usage_error(argv, tmp_path, capsys):
+    instance = {"p": 3, "n": 2, "nu": 2, "gram": [[0, 1, 1, 0]], "atlas": [[1, 0], [0, 0]]}
+    code, err, wrote = run_on_instance(instance, argv, tmp_path, capsys)
+    assert (code, wrote) == (2, False)
+    assert "usage error: atlas map has a nontrivial kernel" in err
+
+
 # SHA-256 of reports on instances from `semipolar build --field 3`; any change
 # to a verdict, a witness, a count or the JSON layout shows here
 PINNED_REPORTS = {

@@ -165,6 +165,55 @@ def test_nondegeneracy_checks():
         assert any(any(eta.eval(u1, u2)) for u2 in enumerate_vectors(3, 3))
 
 
+def brute_radical_size(eta) -> int:
+    """The number of u with eta(u, e_j) = 0 for every basis vector e_j, by a
+    scan of all u: eta(u, .) is linear, so these are the u with eta(u, .) = 0."""
+    us = enumerate_vectors(eta.p, eta.n)
+    return int((~(np.einsum("ui,ijk->ujk", us, eta.gram) % eta.p).any(axis=(1, 2))).sum())
+
+
+@st.composite
+def random_alternating_maps(draw):
+    """A random alternating map with n <= 4, nu <= 2 over GF(3), GF(5) or GF(7);
+    half of them forced degenerate: coordinate k zeroed, then pulled back
+    along a random invertible map, so that the radical need not be a
+    coordinate line."""
+    p, n, nu = draw(st.sampled_from([3, 5, 7])), draw(st.integers(1, 4)), draw(st.integers(1, 2))
+    coeff = st.integers(0, p - 1)
+    upper = {(i, j): tuple(draw(coeff) for _ in range(nu)) for i, j in combinations(range(n), 2)}
+    if draw(st.booleans()):
+        k = draw(st.integers(0, n - 1))
+        upper = {(i, j): (0,) * nu if k in (i, j) else c for (i, j), c in upper.items()}
+        phi = LinearMap([[draw(coeff) for _ in range(n)] for _ in range(n)], p)
+        assume(phi.is_bijective())
+        gram = AlternatingMap(p, n, nu, upper).pullback(phi)
+        upper = {(i, j): tuple(gram[i, j].tolist()) for i, j in combinations(range(n), 2)}
+    return AlternatingMap(p, n, nu, upper)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(eta=random_alternating_maps())
+def test_is_nondegenerate_matches_a_brute_force_radical(eta):
+    assert eta.is_nondegenerate() == (brute_radical_size(eta) == 1)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(p=st.sampled_from([3, 5, 7]), nu=st.integers(1, 3), data=st.data())
+def test_atlas_is_nondegenerate_matches_brute_force_injectivity(p, nu, data):
+    # a third of the maps upper unitriangular, the shortcut of is_bijective,
+    # and a third with a repeated column, singular by construction
+    coeff = st.integers(0, p - 1)
+    mat = np.array([[data.draw(coeff) for _ in range(nu)] for _ in range(nu)], dtype=np.int64)
+    shape = data.draw(st.sampled_from(["random", "unitriangular", "repeated"]))
+    if shape == "unitriangular":
+        mat = np.triu(mat, 1) + np.eye(nu, dtype=np.int64)
+    elif shape == "repeated" and nu > 1:
+        mat[:, 1] = mat[:, 0]
+    atlas = AffineAtlas(LinearMap(mat, p))
+    images = {atlas.phi(v) for v in enumerate_vectors(p, nu)}
+    assert atlas.is_nondegenerate() == (len(images) == p**nu)
+
+
 # -- semiform evaluation -------------------------------------------------------
 
 
@@ -483,6 +532,61 @@ def test_value_table_kernels_match_their_definitions_on_random_forms(shape, exam
         i, j = data.draw(st.integers(0, size - 1)), data.draw(st.integers(0, size - 1))
         table[i, j] = (table[i, j] + data.draw(st.integers(1, codes - 1))) % codes
         assert_witnesses_are_first_failures(table, rho)
+
+    check()
+
+
+def span_by_enumeration(vecs, p) -> tuple[set, int]:
+    """The span of the rows of vecs as a set of tuples, grown one generator
+    outside it at a time, and the number of generators that grew it."""
+    span, dim = {(0,) * vecs.shape[1]}, 0
+    for v in map(tuple, vecs.tolist()):
+        if v not in span:
+            span = {tuple((x + a * c) % p for x, c in zip(w, v)) for w in span for a in range(p)}
+            dim += 1
+    return span, dim
+
+
+@pytest.mark.parametrize("shape, examples", KERNEL_SHAPES)
+def test_decomposition_matches_span_enumeration_on_random_forms(shape, examples):
+    # the table read in the coordinates of a random basis of Y, so that M and
+    # D need not be coordinate subspaces: M = {q : rho(theta, q) = 0}, D =
+    # {q : rho(q, q + r) = rho(theta, r) for all r}, Y = D + M when both are
+    # their own spans and they meet in theta alone, and the reconstruction
+    # rho(q1, q2) = rho(m1, m2) - rho(d2, d1) of q = d + m
+    @settings(max_examples=examples, deadline=None, derandomize=True)
+    @given(rho=random_semiforms([shape]), data=st.data())
+    def check(rho, data):
+        p, nu, ydim = rho.p, rho.nu, rho.ydim
+        g = LinearMap([[data.draw(st.integers(0, p - 1)) for _ in range(ydim)] for _ in range(ydim)], p)
+        assume(g.is_bijective())
+        pts = enumerate_vectors(p, ydim)
+        moved = encode_vecs(g.apply_rows(pts), p)
+        table = rho.value_table()[np.ix_(moved, moved)]
+        report = check_semiform_axioms(table, p, ydim, nu)
+        assert report.passed
+
+        size = len(pts)
+        plus = encode_vecs(pts[:, None, :] + pts[None, :, :], p)
+        m_set = np.flatnonzero(table[0] == 0)
+        d_set = np.flatnonzero((table[np.arange(size)[:, None], plus] == table[0]).all(axis=1))
+        m_span, m_dim = span_by_enumeration(pts[m_set], p)
+        d_span, d_dim = span_by_enumeration(pts[d_set], p)
+        decomposition = (
+            len(m_span) == len(m_set) and len(d_span) == len(d_set)
+            and len(m_span & d_span) == 1 and len(m_set) * len(d_set) == size
+        )
+        d_of, m_of = np.full(size, -1), np.full(size, -1)
+        d_of[plus[np.ix_(d_set, m_set)]] = d_set[:, None]
+        m_of[plus[np.ix_(d_set, m_set)]] = m_set[None, :]
+        vals = enumerate_vectors(p, nu)
+        recombined = (vals[table[np.ix_(m_of, m_of)]] - vals[table[np.ix_(d_of, d_of)].T]) % p
+        recon = len(m_set) * len(d_set) == size and (d_of >= 0).all() and (recombined == vals[table]).all()
+        assert (report.data["M_dim"], report.data["D_dim"]) == (m_dim, d_dim) == (rho.n, nu)
+        assert report.check("decomposition").passed == decomposition
+        assert report.data["reconstruction_ok"] == recon
+        assert decomposition and recon
+        assert report.data["delta_atlas_ok"] and report.data["delta_nondegenerate"]
 
     check()
 

@@ -1,4 +1,4 @@
-"""Canonical subspaces, kernels, linear maps, and subspace enumeration over GF(p)."""
+"""Canonical subspaces, ranks, linear maps, and subspace enumeration over GF(p)."""
 
 import random
 from itertools import product
@@ -103,21 +103,24 @@ def test_mixed_ambient_dimensions_rejected():
         Subspace([(1, 0), (1, 0, 0)], 3)
 
 
-def test_kernel_of_identity_and_zero_maps():
-    ident = LinearMap.identity(2, 3)
-    assert ident.kernel().dim == 0
-    zero = LinearMap(np.zeros((2, 2), dtype=np.int64), 3)
-    assert zero.kernel().dim == 2
-    assert span_set(zero.kernel().basis, 3, 2) == span_set([(1, 0), (0, 1)], 3, 2)
+def kernel_size(mat, p):
+    """Brute force: the number of x with mat @ x = 0, by a scan of the domain."""
+    mat = np.array(mat, dtype=np.int64)
+    return int((~(enumerate_vectors(p, mat.shape[1]) @ mat.T % p).any(axis=1)).sum())
 
 
-def test_kernel_of_coordinate_sum_map():
-    # f(x, y) = x + y on GF(3)^2; oracle: direct solution scan.
-    f = LinearMap([[1, 1]], 3)
-    oracle = {v for v in product(range(3), repeat=2) if sum(v) % 3 == 0}
-    k = f.kernel()
-    assert k == Subspace([(1, 2)], 3)
-    assert span_set(k.basis, 3, 2) == oracle
+def test_rank_of_identity_and_zero_maps():
+    # nullity n - rank against a solution scan
+    for mat, want in (([[1, 0], [0, 1]], 2), ([[0, 0], [0, 0]], 0)):
+        assert rank(mat, 3) == want
+        assert kernel_size(mat, 3) == 3 ** (2 - want)
+
+
+def test_rank_of_coordinate_sum_map():
+    # f(x, y) = x + y on GF(3)^2 has rank 1; its kernel holds the 3 points of <(1, 2)>
+    assert rank([[1, 1]], 3) == 1
+    assert kernel_size([[1, 1]], 3) == 3
+    assert LinearMap([[1, 1]], 3)((1, 2)) == (0,)
 
 
 def test_rank_nullity_random_maps_gf3():
@@ -127,7 +130,17 @@ def test_rank_nullity_random_maps_gf3():
         cod = rng.randrange(1, 5)
         mat = [[rng.randrange(3) for _ in range(dom)] for _ in range(cod)]
         f = LinearMap(mat, 3)
-        assert f.kernel().dim + f.rank == dom
+        images = len(np.unique(encode_vecs(f.apply_rows(enumerate_vectors(3, dom)), 3)))
+        assert images == 3 ** rank(mat, 3)
+        assert kernel_size(mat, 3) * images == 3**dom
+
+
+def test_rank_of_empty_matrices_and_stacks():
+    # no rows: rank 0, one per matrix of a stack, also with no columns
+    for c in (0, 1, 4):
+        assert rank(np.zeros((0, c), dtype=np.int64), 3) == 0
+        for k in (1, 3):
+            assert rank(np.zeros((k, 0, c), dtype=np.int64), 5).tolist() == [0] * k
 
 
 def test_is_bijective_matches_an_image_count(monkeypatch):
@@ -262,15 +275,15 @@ def test_vec_index_round_trip_and_order():
         assert index_vec(i, 3, 3) == tuple(int(c) for c in row)
 
 
-def test_subspace_intersection_against_brute_force():
+def test_intersection_dimension_by_rank_against_brute_force():
+    # dim(A & B) = dim A + dim B - rank [A; B], the test that decides M & D = 0
     rng = random.Random(23)
     for _ in range(40):
         p, n = 3, 4
         a = Subspace([[rng.randrange(p) for _ in range(n)] for _ in range(2)], p, n)
         b = Subspace([[rng.randrange(p) for _ in range(n)] for _ in range(2)], p, n)
-        inter = a.intersection(b)
         oracle = span_set(a.basis, p, n) & span_set(b.basis, p, n)
-        assert span_set(inter.basis, p, n) == oracle
+        assert p ** (a.dim + b.dim - rank(np.vstack([a.matrix(), b.matrix()]), p)) == len(oracle)
 
 
 def lexsort_distinct_rows(rows):

@@ -16,11 +16,11 @@ from semipolar.metric import (
     HyperplaneDescriptor,
     bisector_m,
     _classification,
+    _pair_block,
     _pair_set,
     bisector_t,
     pair_report,
     pair_reports,
-    pair_sets,
     translation_noninvariance_witness,
 )
 from semipolar.linalg import CHUNK, encode_vecs, enumerate_vectors, normalize_rows
@@ -476,29 +476,39 @@ def definitional_rows(space, x: int, y: int) -> dict:
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(space=random_spaces(), data=st.data())
 def test_pair_sets_match_their_definitions_in_blocks(space, data):
+    # _pair_block's masks, sizes and rho against the value table; on scalar
+    # spaces each pair's reported equation against its definition and its
+    # mask, and _pair_set's points and descriptor against both
     pick = st.integers(0, space.size - 1)
     pairs = data.draw(st.lists(st.tuples(pick, pick), min_size=2, max_size=7))
     i, j = (np.array(codes) for codes in zip(*pairs))
-    sets = pair_sets(space, i, j)
+    masks, sizes, rho = _pair_block(space, i, j)
     t, p = space.value_table, space.p
-    assert sets.masks.shape == (3, len(pairs), space.size)
+    assert masks.shape == (3, len(pairs), space.size)
+    assert rho == [t[x, y] for x, y in pairs]
     for b, (x, y) in enumerate(pairs):
-        assert (sets.masks[0, b] == (t[x] == t[y])).all()
-        assert (sets.masks[1, b] == (t[x] == t[:, y])).all()
-        assert (sets.masks[2, b] == (t[x] == t[x, y])).all()
-    assert (sets.sizes == sets.masks.sum(axis=2)).all()
+        assert (masks[0, b] == (t[x] == t[y])).all()
+        assert (masks[1, b] == (t[x] == t[:, y])).all()
+        assert (masks[2, b] == (t[x] == t[x, y])).all()
+    assert (sizes == masks.sum(axis=2)).all()
     if space.nu != 1:
-        assert sets.equations is None
+        x, y = pairs[0]
+        assert all(_pair_set(space, space.points[x], space.points[y], kind)[1] is None for kind in KINDS)
         return
-    sizes = {"hyperplane": space.size // p, "all": space.size, "empty": 0}
+    counts = {"hyperplane": space.size // p, "all": space.size, "empty": 0}
+    reports = pair_reports(space, i.tolist(), j.tolist())
     for b, (x, y) in enumerate(pairs):
         rows = definitional_rows(space, x, y)
         want = {k: HyperplaneDescriptor.from_row(p, normalize_rows(r, p).tolist()) for k, r in rows.items()}
         for k, kind in enumerate(KINDS):
-            desc = HyperplaneDescriptor.from_row(p, sets.equations[k, b].tolist())
+            eq = reports[3 * b + k]["equation"]
+            desc = HyperplaneDescriptor(p, tuple(eq["u0"]), eq["alpha"], eq["beta"])
             assert desc == want[kind]
-            assert (space.zset_mask(desc.u0, (desc.beta,), desc.alpha) == sets.masks[k, b]).all()
-            assert sets.sizes[k, b] == sizes[_classification(*desc[1:])]
+            assert (space.zset_mask(desc.u0, (desc.beta,), desc.alpha) == masks[k, b]).all()
+            assert sizes[k, b] == counts[_classification(*desc[1:])]
+            points, one = _pair_set(space, space.points[x], space.points[y], kind)
+            assert one == desc
+            assert points == tuple(space.points[c] for c in np.flatnonzero(masks[k, b]))
 
 
 def assert_report_blocks_match_definitions(space, seed: int):

@@ -108,6 +108,14 @@ def test_no_module_but_linalg_refers_to_chunk():
     assert [p.name for p in sorted(SRC.glob("*.py")) if "CHUNK" in p.read_text(encoding="utf-8")] == ["linalg.py"]
 
 
+def test_no_module_but_linalg_and_hyperbolic_refers_to_subspace():
+    # subspaces are built one way: every dimension, nondegeneracy and direct
+    # sum question is a linalg.rank, so Subspace values are made only by
+    # linalg's enumeration and at the hyperbolic engine's public boundary
+    users = [p.stem for p in sorted(SRC.glob("*.py")) if "Subspace" in referenced_names([p])]
+    assert users == ["__init__", "hyperbolic", "linalg"]
+
+
 def test_no_source_line_is_longer_than_120_characters():
     # a long line packs what would read better wrapped, and hides a line count
     long = [
